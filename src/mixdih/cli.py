@@ -4,7 +4,8 @@ Subcommands: build (write a presentation file), verify (run the named
 claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
-generic failure), 64 survivor-budget abort, 65 I/O error.
+generic failure), 64 survivor-budget abort, 65 I/O error, 66 malformed
+checkpoint given to search --resume.
 """
 
 import argparse
@@ -483,8 +484,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
 
 def _check_search(run: CheckRun, p: PcPresentation, threads: Optional[int]) -> None:
     def descent():
-        cfg = se.SearchConfig(threads=threads)
-        rep = se.run_search(p)
+        rep = se.run_search(p, se.SearchConfig(threads=threads))
         return [rep.survivor_counts[-1] == 0, rep.no_regular_subgroup]
 
     run.add(
@@ -577,6 +577,9 @@ def cmd_search(args) -> int:
     except se.MemoryBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 64
+    except se.BadCheckpoint as exc:
+        print(f"bad checkpoint: {exc}", file=sys.stderr)
+        return 66
     print(f"survivors per level: {rep.survivor_counts}")
     print(f"wall seconds: {rep.wall_seconds:.1f}")
     if rep.no_regular_subgroup:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gf2linalg import BitVec, lowbit_index
+from .gf2linalg import BitVec, echelon_ints, lowbit_index
 
 __all__ = [
     "PcPresentation",
@@ -32,6 +32,9 @@ __all__ = [
     "subgroup_igs",
     "derived_subgroup",
     "frattini",
+    "relation_rows",
+    "c2_homomorphisms",
+    "kernel_members",
     "maximal_subgroups",
     "quotient_coords",
     "small_intersection_order",
@@ -315,19 +318,27 @@ class Subgroup:
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return all(self.contains(m) for m in other.members)
 
+    def coords(self, u: int) -> int:
+        """Exponents of u as a straight product of the members.
+
+        The same ascending left-division as sift; bit t is set when it
+        divides by members[t].  Raises NotInSubgroup when the residue is
+        not the identity.
+        """
+        mul = self.group.multiply
+        c = 0
+        for t, (d, inv) in enumerate(self._sift_seq):
+            if (u >> d) & 1:
+                u = mul(inv, u)
+                c |= 1 << t
+        if u:
+            raise NotInSubgroup("element does not lie in the subgroup")
+        return c
+
     def canonicalize(self) -> "Subgroup":
         if self._canonical:
             return self
-        mul = self.group.multiply
-        members = list(self.members)
-        for idx in range(len(members) - 2, -1, -1):
-            m = members[idx]
-            for later in range(idx + 1, len(members)):
-                d = lowbit_index(members[later])
-                if (m >> d) & 1:
-                    m = mul(m, members[later])
-            members[idx] = m
-        return Subgroup(self.group, members, canonical=True)
+        return Subgroup(self.group, _canonical_members(self.group, self.members), canonical=True)
 
     def digest(self) -> Tuple[int, ...]:
         """Hashable identity: the canonical member tuple."""
@@ -356,6 +367,25 @@ class Subgroup:
 
 
 # ── subgroup construction ───────────────────────────────────────────────────
+
+
+def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[int, ...]:
+    """Canonical form of an IGS given in ascending lead order.
+
+    From the last member down, right-multiply each member by the later
+    (already canonical) members whose leading index it touches; a right
+    factor from G_d leaves every exponent below d alone.
+    """
+    mul = group.multiply
+    members = list(members)
+    for idx in range(len(members) - 2, -1, -1):
+        m = members[idx]
+        for later in range(idx + 1, len(members)):
+            d = lowbit_index(members[later])
+            if (m >> d) & 1:
+                m = mul(m, members[later])
+        members[idx] = m
+    return tuple(members)
 
 
 def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
@@ -444,31 +474,82 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
     return Subgroup(group, list(by_lead.values())).canonicalize()
 
 
-def maximal_subgroups(group: PcPresentation, s: Subgroup, phi: Optional[Subgroup] = None) -> List[Subgroup]:
-    """All index-2 subgroups of s, as canonical Subgroups.
+def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
+    """The relations of s's induced pcgs, as rows over its IGS coordinates.
 
-    They are the preimages of the hyperplanes of s/Phi(s); there are
-    2**rank - 1 of them, in the deterministic functional order of
-    hyperplane_enum.
+    A functional a on the coordinates of s is a homomorphism s -> C2
+    exactly when parity(row & a) is 0 for every row (von Dyck): the rows
+    are coords(m_i**2), and coords(m_i**-1 m_j m_i) + e_j for i < j.
+    These are the relations of a pc presentation of s, so they suffice.
+    Rows from commutators would only be necessary: the pc series need
+    only be subnormal, so coords is not additive on products.  Raises
+    NotInSubgroup when the members are not an IGS, that is when their
+    straight products are not closed under multiplication.
     """
-    if phi is None:
-        phi = frattini(group, s)
     mul = group.multiply
-    mixed = {d: (phi._by_lead[d] if d in phi._by_lead else s._by_lead[d]) for d in s.leads}
-    free = [d for d in s.leads if d not in phi._by_lead]
-    rho = len(free)
-    if rho == 0:
-        return []
-    phi_members = [mixed[d] for d in s.leads if d in phi._by_lead]
+    ms = s.members
+    rows = []
+    for i, mi in enumerate(ms):
+        sq = mul(mi, mi)
+        if sq:
+            rows.append(s.coords(sq))
+        inv = s._inv_by_lead[s.leads[i]]
+        for j in range(i + 1, len(ms)):
+            mj = ms[j]
+            c = mul(mul(inv, mj), mi)
+            if c != mj:
+                rows.append(s.coords(c) ^ (1 << j))
+    return rows
+
+
+def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
+    """The nonzero homomorphisms s -> C2, as functionals on IGS coordinates.
+
+    By the Burnside basis theorem their kernels are the maximal subgroups
+    of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|.  The
+    free columns of the reduced relation rows sit at the leads outside
+    Phi(s).  Functional number f sets free column t from bit t of f and
+    each pivot from the parity of its row, for f = 1 .. 2**rank - 1.
+    """
+    basis, pivots = echelon_ints(relation_rows(group, s))
+    taken = set(pivots)
+    free = [t for t in range(len(s.members)) if t not in taken]
     out = []
-    for f in range(1, 1 << rho):
-        ones = [free[t] for t in range(rho) if (f >> t) & 1]
-        members = list(phi_members)
-        members.extend(mixed[free[t]] for t in range(rho) if not (f >> t) & 1)
-        for t in range(len(ones) - 1):
-            members.append(mul(mixed[ones[t]], mixed[ones[t + 1]]))
-        out.append(Subgroup(group, members).canonicalize())
+    for f in range(1, 1 << len(free)):
+        a = 0
+        for t, col in enumerate(free):
+            if (f >> t) & 1:
+                a |= 1 << col
+        # rows are fully reduced: each meets a only at free columns
+        for row, p in zip(basis, pivots):
+            if (row & a).bit_count() & 1:
+                a |= 1 << p
+        out.append(a)
     return out
+
+
+def kernel_members(group: PcPresentation, s: Subgroup, a: int) -> Tuple[int, ...]:
+    """Canonical IGS of the kernel of the homomorphism a: s -> C2.
+
+    The members of s that a kills, and the products of consecutive
+    members in its support, have distinct leads and all lie in the
+    kernel, which has index 2.
+    """
+    mul = group.multiply
+    ms = s.members
+    support = [m for t, m in enumerate(ms) if (a >> t) & 1]
+    members = [m for t, m in enumerate(ms) if not (a >> t) & 1]
+    members.extend(mul(support[t], support[t + 1]) for t in range(len(support) - 1))
+    return _canonical_members(group, sorted(members, key=lowbit_index))
+
+
+def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:
+    """All index-2 subgroups of s, as canonical Subgroups, in the order of
+    c2_homomorphisms."""
+    return [
+        Subgroup(group, kernel_members(group, s, a), canonical=True)
+        for a in c2_homomorphisms(group, s)
+    ]
 
 
 def quotient_coords(group: PcPresentation, u: int, s: Subgroup, t: Subgroup) -> BitVec:
@@ -581,17 +662,30 @@ def load_presentation(path) -> PcPresentation:
     if not text or not text[0].startswith("pc2 v1 n="):
         raise ValueError("not a pc2 v1 file")
     n = int(text[0].split("n=")[1])
+    if not 1 <= n <= MAX_GENS:
+        raise ValueError(f"n {n} outside 1..{MAX_GENS}")
     ptails = [0] * n
     conj: Dict[Tuple[int, int], int] = {}
+    seen = set()
     for line in text[1:]:
         line = line.strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "pow" and len(parts) == 3:
-            ptails[int(parts[1])] = int(parts[2], 16)
+            key = (int(parts[1]),)
         elif parts[0] == "conj" and len(parts) == 4:
-            conj[(int(parts[1]), int(parts[2]))] = int(parts[3], 16)
+            key = (int(parts[1]), int(parts[2]))
         else:
             raise ValueError(f"bad line in pc2 file: {line!r}")
+        if any(not 0 <= i < n for i in key):
+            raise ValueError(f"generator index outside 0..{n - 1} in pc2 file: {line!r}")
+        if key in seen:
+            raise ValueError(f"duplicate {parts[0]} line in pc2 file: {line!r}")
+        seen.add(key)
+        word = int(parts[-1], 16)
+        if len(key) == 1:
+            ptails[key[0]] = word
+        else:
+            conj[key] = word
     return PcPresentation(n, ptails, conj, label=str(path))

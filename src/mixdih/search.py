@@ -12,6 +12,14 @@ halve at every level.  The run expands those chains breadth-first with
 canonical deduplication; an empty sixth level proves that no regular
 subgroup exists.
 
+A survivor's maximal subgroups are the kernels of its homomorphisms to
+C2, found as GF(2) functionals on its IGS coordinates
+(pcgroup.c2_homomorphisms).  The filter runs on those coordinates: the
+stabilizer meet's members are given coordinates once per survivor, a
+kernel contains the meet when the functional vanishes on all of them and
+halves it otherwise.  Only the kernels that pass are built, as canonical
+member tuples.
+
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
 per-level expansion is an independent map over survivors; with more
@@ -24,15 +32,19 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .pcgroup import (
     PcPresentation,
     Subgroup,
-    frattini,
-    maximal_subgroups,
+    c2_homomorphisms,
+    kernel_members,
+    relation_rows,
     subgroup_igs,
 )
+
+# Unused here; perfbench/traced.py wraps them under these names.
+from .pcgroup import frattini, maximal_subgroups  # noqa: F401
 
 Rows = Tuple[int, ...]
 
@@ -44,6 +56,10 @@ class MemoryBudgetExceeded(RuntimeError):
         super().__init__(f"survivor cap {cap} exceeded at depth {depth}")
         self.depth = depth
         self.cap = cap
+
+
+class BadCheckpoint(ValueError):
+    """A checkpoint file that does not hold a valid descent level."""
 
 
 @dataclass
@@ -76,9 +92,6 @@ class SearchLevel:
     survivors: List[Rows]
     meets: List[Rows]
     candidates: int = 0
-
-    def survivor_subgroups(self, group: PcPresentation) -> List[Subgroup]:
-        return [Subgroup(group, rows, canonical=True) for rows in self.survivors]
 
 
 @dataclass
@@ -123,25 +136,6 @@ def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
 # ── one descent step ─────────────────────────────────────────────────────────
 
 
-def _halved_meet(group: PcPresentation, mx: Subgroup, t: Subgroup) -> Subgroup:
-    """t meet mx when the meet has index exactly 2 in t.
-
-    The members of t inside mx, together with f*m for a fixed outside
-    member f and every other outside member m, generate the kernel of
-    the quotient map t -> t/(t meet mx) of order 2.
-    """
-    ins: List[int] = []
-    outs: List[int] = []
-    for m in t.members:
-        (ins if mx.contains(m) else outs).append(m)
-    f = outs[0]
-    gens = ins + [group.multiply(f, m) for m in outs[1:]]
-    meet = subgroup_igs(group, gens)
-    if meet.order_log != t.order_log - 1:
-        raise AssertionError("stabilizer meet did not halve")
-    return meet
-
-
 _FORK: Dict[str, object] = {}
 
 
@@ -151,26 +145,30 @@ def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]
     req: int = _FORK["req"]
     rows, meet_rows = payload
     m = Subgroup(group, rows, canonical=True)
-    t = Subgroup(group, meet_rows)
+    homs = c2_homomorphisms(group, m)
+    # the meet must halve (one step above the requirement) or persist
+    halve = len(meet_rows) == req + 1
+    if not halve and len(meet_rows) != req:
+        return len(homs), []
+    meet_coords = [m.coords(w) for w in meet_rows]
+    mul = group.multiply
     out: List[Tuple[Rows, Rows]] = []
-    seen = 0
-    phi = frattini(group, m)
-    for mx in maximal_subgroups(group, m, phi):
-        seen += 1
-        if t.order_log == req + 1:
-            # meet must halve: reject branches keeping the whole meet
-            if mx.contains_subgroup(t):
-                continue
-            tn = _halved_meet(group, mx, t)
-        elif t.order_log == req:
-            # meet must persist unchanged
-            if not mx.contains_subgroup(t):
-                continue
-            tn = t
-        else:
+    for a in homs:
+        outs = [w for w, c in zip(meet_rows, meet_coords) if (c & a).bit_count() & 1]
+        if bool(outs) != halve:
             continue
-        out.append((mx.canonicalize().members, tn.members))
-    return seen, out
+        if halve:
+            # the meet is the kernel of the meet -> C2 map: members inside,
+            # and a fixed outside member times each other outside member
+            ins = [w for w in meet_rows if w not in outs]
+            meet = subgroup_igs(group, ins + [mul(outs[0], w) for w in outs[1:]])
+            if meet.order_log != len(meet_rows) - 1:
+                raise AssertionError("stabilizer meet did not halve")
+            new_meet = meet.members
+        else:
+            new_meet = meet_rows
+        out.append((kernel_members(group, m, a), new_meet))
+    return len(homs), out
 
 
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
@@ -209,40 +207,69 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
 
 
 def write_checkpoint(path, level: SearchLevel) -> None:
+    """Write the level next to path, then move it into place, so a crash
+    mid-write leaves the previous checkpoint whole."""
     lines = [f"level {level.depth} count {len(level.survivors)}"]
     for rows in level.survivors:
         lines.append(" ".join(format(m, "x") for m in rows))
-    with open(path, "w", encoding="ascii") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Tuple[int, List[Rows]]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty checkpoint")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "level" or head[2] != "count":
-        raise ValueError(f"bad checkpoint header {lines[0]!r}")
-    depth, count = int(head[1]), int(head[3])
-    rows = [tuple(int(tok, 16) for tok in ln.split()) for ln in lines[1:]]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines:
+            raise ValueError("empty checkpoint")
+        head = lines[0].split()
+        if len(head) != 4 or head[0] != "level" or head[2] != "count":
+            raise ValueError(f"bad checkpoint header {lines[0]!r}")
+        depth, count = int(head[1]), int(head[3])
+        rows = [tuple(int(tok, 16) for tok in ln.split()) for ln in lines[1:]]
+    except ValueError as exc:  # also undecodable bytes and bad numbers
+        raise BadCheckpoint(f"{path}: {exc}") from exc
     if len(rows) != count:
-        raise ValueError("checkpoint row count mismatch")
+        raise BadCheckpoint("checkpoint row count mismatch")
     return depth, rows
+
+
+def _checked_survivor(p: PcPresentation, rows: Rows, order_log: int) -> Subgroup:
+    """rows as a Subgroup, if they are the canonical IGS of a subgroup of
+    order 2**order_log."""
+    if len(rows) != order_log:
+        raise BadCheckpoint(f"a row of {len(rows)} members cannot have order 2**{order_log}")
+    if any(m <= 0 or m >> p.n for m in rows):
+        raise BadCheckpoint("a row has members outside the group")
+    try:
+        sub = Subgroup(p, rows)
+        relation_rows(p, sub)  # raises unless the straight products are closed
+    except ValueError as exc:
+        raise BadCheckpoint(f"a row is not an IGS: {exc}") from exc
+    canonical = sub.canonicalize()
+    if canonical.members != rows:
+        raise BadCheckpoint("a row is not in canonical form")
+    return canonical
 
 
 def _rebuild_level(
     p: PcPresentation, stab: Subgroup, depth: int, rows_list: List[Rows]
 ) -> SearchLevel:
-    """Reattach stabilizer meets to checkpointed survivors."""
+    """Check checkpointed survivors and reattach their stabilizer meets."""
+    if not 0 <= depth <= p.n:
+        raise BadCheckpoint(f"depth {depth} outside 0..{p.n}")
+    if len(set(rows_list)) != len(rows_list):
+        raise BadCheckpoint("duplicate survivor rows")
     req = max(stab.order_log - depth, 0)
     meets: List[Rows] = []
     stab_elems = stab.elements()
     for rows in rows_list:
-        m = Subgroup(p, rows, canonical=True)
+        m = _checked_survivor(p, rows, p.n - depth)
         meet = subgroup_igs(p, [w for w in stab_elems if m.contains(w)])
         if meet.order_log != req:
-            raise ValueError("checkpoint inconsistent with the stabilizer")
+            raise BadCheckpoint("checkpoint inconsistent with the stabilizer")
         meets.append(meet.members)
     return SearchLevel(depth, req, list(rows_list), meets)
 

@@ -149,8 +149,8 @@ def test_07_hypothesis_report(normality):
 def test_08_non_cayley_search(p59):
     with _Budget(1800):
         report = se.run_search(p59)
-        assert report.survivor_counts[0] == 2
-        assert report.survivor_counts[-1] == 0
+        assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
+        assert report.candidate_counts == [3, 6, 14, 84, 336, 896]
         assert report.no_regular_subgroup
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mixdih import search as se
 from mixdih.cli import main
 from mixdih.pcgroup import load_presentation
 
@@ -112,6 +113,26 @@ def test_search_shallow_run_reports_survivors(capsys):
 
 def test_search_budget_abort():
     assert main(["search", "--levels", "1", "--max-survivors", "1"]) == 64
+
+
+def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
+    received = []
+
+    def fake_run_search(p, config=None, stab=None):
+        received.append(config.threads if config else None)
+        return se.SearchReport(stab_order_log=6, start_depth=0, survivor_counts=[0], no_regular_subgroup=True)
+
+    monkeypatch.setattr(se, "run_search", fake_run_search)
+    assert main(["verify", "all", "--threads", "3", "--report", str(tmp_path / "all.json")]) == 0
+    assert received == [3]
+
+
+@pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])
+def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
+    path = tmp_path / "ck.txt"
+    path.write_text(text, encoding="ascii")
+    assert main(["search", "--resume", str(path)]) == 66
+    assert "bad checkpoint" in capsys.readouterr().err
 
 
 def test_version_flag():

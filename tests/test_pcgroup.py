@@ -250,6 +250,61 @@ def test_maximal_subgroups_match_exhaustive_oracle(toy):
     assert {m.digest() for m in maxes} == oracle
 
 
+def test_coords_are_straight_product_exponents(toy, p59):
+    rng = random.Random(31)
+    for group, gens in ((toy, [rng.getrandbits(8) for _ in range(3)]), (p59, [3, 1 << 20, 1 << 40])):
+        s = pc.subgroup_igs(group, gens)
+        for _ in range(30):
+            a = rng.getrandbits(s.order_log)
+            u = 0
+            for t, m in enumerate(s.members):
+                if (a >> t) & 1:
+                    u = group.multiply(u, m)
+            assert s.coords(u) == a
+    xonly = pc.subgroup_igs(p59, [1 << (3 + i) for i in range(4)])
+    with pytest.raises(pc.NotInSubgroup):
+        xonly.coords(1 << 7)
+
+
+def assert_maximal_match_frattini(group, s):
+    """The kernels are the index-2 subgroups over Phi(s), each once."""
+    phi = pc.frattini(group, s)
+    maxes = pc.maximal_subgroups(group, s)
+    assert len(maxes) == (1 << (s.order_log - phi.order_log)) - 1
+    assert len({m.members for m in maxes}) == len(maxes)
+    for m in maxes:
+        assert m.order_log == s.order_log - 1
+        assert s.contains_subgroup(m)
+        assert m.contains_subgroup(phi)
+        pc.relation_rows(group, m)  # raises unless the members are an IGS
+    return maxes
+
+
+def test_maximal_subgroups_match_frattini_oracle_toy(toy):
+    rng = random.Random(32)
+    orders = set()
+    for _ in range(60):
+        s = pc.subgroup_igs(toy, [rng.getrandbits(8) for _ in range(rng.randint(1, 4))])
+        if s.order_log:
+            orders.add(s.order_log)
+            for m in assert_maximal_match_frattini(toy, s):
+                assert m.members == pc.subgroup_igs(toy, m.members).members
+    assert len(orders) >= 4
+
+
+def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59):
+    from mixdih import search as se
+
+    level = se.root_level(p59, se.stab_subgroup(p59))
+    checked = 0
+    for _ in range(3):
+        level = se.descend(p59, level, se.SearchConfig())
+        for rows in level.survivors:
+            assert_maximal_match_frattini(p59, pc.Subgroup(p59, rows, canonical=True))
+            checked += 1
+    assert checked == 2 + 2 + 12
+
+
 def test_quotient_coords_h_mod_derived(h56):
     full = pc.subgroup_igs(h56, [1 << t for t in range(56)])
     der = pc.derived_subgroup(h56, full)
@@ -318,5 +373,32 @@ def test_save_load_p59(tmp_path, p59):
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.pc2"
     path.write_text("nope\n")
+    with pytest.raises(ValueError):
+        pc.load_presentation(path)
+
+
+def _write_pc2(tmp_path, body):
+    path = tmp_path / "edit.pc2"
+    path.write_text("pc2 v1 n=8\n" + body, encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize("line", ["pow 9 1", "pow 8 0", "pow -1 0", "conj 8 0 1", "conj 3 -1 8"])
+def test_load_rejects_index_out_of_range(tmp_path, line):
+    path = _write_pc2(tmp_path, line + "\n")
+    with pytest.raises(ValueError, match=line):
+        pc.load_presentation(path)
+
+
+@pytest.mark.parametrize("lines", [["pow 2 0", "pow 2 10"], ["conj 3 1 8", "conj 3 1 18"]])
+def test_load_rejects_duplicate_lines(tmp_path, lines):
+    path = _write_pc2(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        pc.load_presentation(path)
+
+
+def test_load_rejects_oversized_width(tmp_path):
+    path = tmp_path / "wide.pc2"
+    path.write_text(f"pc2 v1 n={pc.MAX_GENS + 1}\n", encoding="ascii")
     with pytest.raises(ValueError):
         pc.load_presentation(path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mixdih import search as se
@@ -165,3 +167,78 @@ def test_resume_validates_meets(tmp_path, toy, toy_stab):
 def test_budget_abort(toy, toy_stab):
     with pytest.raises(se.MemoryBudgetExceeded):
         se.run_search(toy, se.SearchConfig(levels=1, max_survivors=1), stab=toy_stab)
+
+
+def test_write_checkpoint_replaces_whole(tmp_path, toy, toy_stab, monkeypatch):
+    path = tmp_path / "ck.txt"
+    level1 = se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig())
+    se.write_checkpoint(path, level1)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    # a write that fails before the move leaves the previous checkpoint whole
+    monkeypatch.setattr(se.os, "replace", crash)
+    with pytest.raises(OSError):
+        se.write_checkpoint(path, se.descend(toy, level1, se.SearchConfig()))
+    assert path.read_bytes() == before
+
+
+def _resume(toy, toy_stab, path, depth, rows):
+    se.write_checkpoint(path, se.SearchLevel(depth, 0, rows, []))
+    return se.run_search(toy, se.SearchConfig(levels=2, resume_path=path), stab=toy_stab)
+
+
+def test_resume_rejects_malformed_rows(tmp_path, toy, toy_stab):
+    level1 = se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig())
+    good = level1.survivors[0]
+    path = tmp_path / "ck.txt"
+    assert _resume(toy, toy_stab, path, 1, level1.survivors).start_depth == 1
+    # a subgroup of index 2 whose members are not canonical: fold the
+    # last member into the first
+    folded = (toy.multiply(good[0], good[-1]),) + good[1:]
+    assert Subgroup(toy, folded).canonicalize().members == good
+    bad_rows = {
+        "duplicate": [good, good],
+        "canonical": [folded],
+        "order": [good[1:]],
+        "IGS": [tuple(1 << i for i in (0, 1, 2, 3, 5, 6, 7))],  # no c11 = [y1, x1]
+        "outside": [(-1,) + good[1:]],
+    }
+    for what, rows in bad_rows.items():
+        with pytest.raises(se.BadCheckpoint, match=what):
+            _resume(toy, toy_stab, path, 1, rows)
+    with pytest.raises(se.BadCheckpoint, match="depth"):
+        _resume(toy, toy_stab, path, -1, [])
+
+
+def test_load_checkpoint_wraps_parse_errors(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in (b"level x count 0\n", b"level 1 count 1\nzz\n", b"level 1 count 0\n\xff\n"):
+        path.write_bytes(text)
+        with pytest.raises(se.BadCheckpoint):
+            se.load_checkpoint(path)
+
+
+# sha256 of each level's checkpoint bytes, first 16 hex digits; the
+# Frattini-closure implementation of the descent wrote the same bytes
+CHECKPOINT_SHA256 = [
+    "622bdba4137c3ef3",
+    "72adb6469b612d04",
+    "bbc769d3f5227187",
+    "4d0eabd061232656",
+    "e93e3d6c923340ba",
+    "626497dff66ad8fb",
+]
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab):
+    level = se.root_level(p59, stab)
+    digests = []
+    for _ in range(6):
+        level = se.descend(p59, level, se.SearchConfig())
+        se.write_checkpoint(tmp_path / "ck.txt", level)
+        digests.append(hashlib.sha256((tmp_path / "ck.txt").read_bytes()).hexdigest()[:16])
+    assert digests == CHECKPOINT_SHA256
