@@ -33,11 +33,11 @@ resulting pc presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .gf2linalg import BitMatrix, BitVec, echelon_ints, reduce_by_echelon
+from .gf2linalg import echelon_ints, reduce_by_echelon, word_bits
 from .pcgroup import PcPresentation
 
 __all__ = [
@@ -129,15 +129,6 @@ def _layout(n: int) -> _Layout:
     )
 
 
-def _bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # ── multiplication tables ───────────────────────────────────────────────────
 
 
@@ -170,11 +161,11 @@ class _Tables:
         outer = []
         for a2 in range(size):
             row = []
-            ai = _bits(a2)
+            ai = word_bits(a2)
             for b1 in range(size):
                 m = 0
                 for i in ai:
-                    for j in _bits(b1):
+                    for j in word_bits(b1):
                         m |= 1 << lay.c_index(i, j)
                 row.append(m)
             outer.append(row)
@@ -184,9 +175,9 @@ class _Tables:
         tb = []
         for a2 in range(size):
             row = []
-            ai = _bits(a2)
+            ai = word_bits(a2)
             for b1 in range(size):
-                bj = _bits(b1)
+                bj = word_bits(b1)
                 m = 0
                 for k in ai:
                     for s in range(len(bj)):
@@ -210,7 +201,7 @@ class _Tables:
                     table = [0] * 256
                     for byte in range(256):
                         m = 0
-                        for bit in _bits(byte):
+                        for bit in word_bits(byte):
                             col = ch * 8 + bit
                             if col < lay.c_dim:
                                 i, j = divmod(col, n)
@@ -375,10 +366,8 @@ _RELATION_TRIPLES = (
 )
 
 
-def expand_relations() -> BitMatrix:
+def expand_relations() -> List[int]:
     """The two defining relation vectors, as rows in layer-3 coordinates."""
-    lay = _layout(4)
-    mul = _free_mul(4)
     rows = []
     for left, right in _RELATION_TRIPLES:
         def side(factors):
@@ -393,7 +382,7 @@ def expand_relations() -> BitMatrix:
         if diff.a or diff.b or diff.c:
             raise NonCentralRelation("relation difference not in layer 3")
         rows.append(diff.d)
-    return BitMatrix.from_ints(rows, lay.d_dim)
+    return rows
 
 
 # ── the order-8 twist ───────────────────────────────────────────────────────
@@ -403,16 +392,14 @@ def expand_relations() -> BitMatrix:
 class RAction:
     """The outer twist r: x_i -> y_i, y_i -> x_{sigma(i)}, on each layer.
 
-    perm1 permutes the 2n letter indices; mat2 and mat3 are the induced
-    permutation matrices on the c and d layers (row t = image of basis
-    vector t under the action).
+    perm1 permutes the 2n letter indices; perm2 and perm3 are the induced
+    permutations of the c and d layer coordinates (entry t = image of
+    basis vector t under the action).
     """
 
     perm1: Tuple[int, ...]
-    mat2: BitMatrix
-    mat3: BitMatrix
-    perm2: Tuple[int, ...] = field(repr=False, default=())
-    perm3: Tuple[int, ...] = field(repr=False, default=())
+    perm2: Tuple[int, ...]
+    perm3: Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -437,9 +424,7 @@ def r_action() -> RAction:
             img = lay.dx_index(SIG[j], i, SIG[k])
         assert img is not None
         perm3[col] = img
-    mat2 = BitMatrix.from_ints([1 << perm2[t] for t in range(lay.c_dim)], lay.c_dim)
-    mat3 = BitMatrix.from_ints([1 << perm3[t] for t in range(lay.d_dim)], lay.d_dim)
-    return RAction(perm1, mat2, mat3, tuple(perm2), tuple(perm3))
+    return RAction(perm1, tuple(perm2), tuple(perm3))
 
 
 def _apply_perm(mask: int, perm: Sequence[int]) -> int:
@@ -458,19 +443,19 @@ def _apply_perm(mask: int, perm: Sequence[int]) -> int:
 class RelationSpace:
     """Echelonized span of the twist-orbit of the defining relations."""
 
-    basis: BitMatrix
+    basis: Tuple[int, ...]
     pivots: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.basis.rows)
+        return len(self.basis)
 
 
 @lru_cache(maxsize=None)
 def relation_space() -> RelationSpace:
     act = r_action()
     rows = []
-    for row in expand_relations().row_ints():
+    for row in expand_relations():
         v = row
         for _ in range(8):
             rows.append(v)
@@ -478,8 +463,7 @@ def relation_space() -> RelationSpace:
         if v != row:
             raise AssertionError("twist on layer 3 does not have order dividing 8")
     basis, pivots = echelon_ints(rows)
-    lay = _layout(4)
-    return RelationSpace(BitMatrix.from_ints(basis, lay.d_dim), tuple(pivots))
+    return RelationSpace(tuple(basis), tuple(pivots))
 
 
 # ── pc presentation builders ────────────────────────────────────────────────
@@ -494,8 +478,6 @@ class LayeredMeta:
     d_desc: Tuple[Tuple[str, int, int, int], ...]
     reduce_full: Callable[[int], int]
     tables: _Tables
-    relation_basis: Tuple[int, ...] = ()
-    relation_pivots: Tuple[int, ...] = ()
 
     @property
     def c_off(self) -> int:
@@ -561,8 +543,6 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
         d_desc=d_desc,
         reduce_full=reduce_full,
         tables=tables,
-        relation_basis=tuple(basis),
-        relation_pivots=tuple(pivots),
     )
     return PcPresentation(
         ngen,
@@ -575,15 +555,10 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
     )
 
 
-def build_f72() -> PcPresentation:
-    """The free class-3 object on 4+4 involutive generators, order 2**72."""
-    return _layered_presentation(4, [], "f72")
-
-
 def build_h56() -> PcPresentation:
     """The mixed-dihedral quotient of F(4): order 2**56."""
     rel = relation_space()
-    return _layered_presentation(4, rel.basis.row_ints(), "h56")
+    return _layered_presentation(4, rel.basis, "h56")
 
 
 def build_toy() -> PcPresentation:
@@ -607,14 +582,13 @@ def make_rho(h: PcPresentation) -> Callable[[int], int]:
     if not isinstance(meta, LayeredMeta) or meta.n != 4:
         raise ValueError("twist conjugation needs the 4+4 layered group")
     act = r_action()
-    lay = _layout(4)
     tb = meta.tables
     reduce_full = meta.reduce_full
 
     sig_a = [0] * 16
     for m in range(16):
         t = 0
-        for i in _bits(m):
+        for i in word_bits(m):
             t |= 1 << SIG[i]
         sig_a[m] = t
 
@@ -624,7 +598,7 @@ def make_rho(h: PcPresentation) -> Callable[[int], int]:
         table = [0] * 256
         for byte in range(256):
             m = 0
-            for bit in _bits(byte):
+            for bit in word_bits(byte):
                 m |= 1 << act.perm2[ch * 8 + bit]
             table[byte] = m
         perm_c.append(table)
@@ -637,7 +611,7 @@ def make_rho(h: PcPresentation) -> Callable[[int], int]:
         table = [0] * 256
         for byte in range(256):
             m = 0
-            for bit in _bits(byte):
+            for bit in word_bits(byte):
                 pos = ch * 8 + bit
                 if pos < d_width:
                     m ^= reduce_full(1 << act.perm3[meta.d_cols[pos]])

@@ -5,7 +5,8 @@ claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
 generic failure), 64 survivor-budget abort, 65 I/O error, 66 malformed
-checkpoint given to search --resume.
+checkpoint given to search --resume.  Usage errors exit 2 before any
+check runs.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import graphs as gr
 from . import morphisms as mo
@@ -49,9 +50,7 @@ def _build_target(name: str) -> PcPresentation:
 
 
 def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -323,6 +322,13 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
     )
 
 
+def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.NormalQuotient:
+    """The incidence graph modulo the orbits of the derived subgroup."""
+    derived = derived_subgroup(toy, subgroup_igs(toy, [1 << i for i in range(toy.n)]))
+    orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
+    return gr.normal_quotient(sigma, orbits)
+
+
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     _structural_checks(run, toy, "toy2", 8)
     xsub, ysub = gr.letter_subgroups(toy)
@@ -360,10 +366,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     )
 
     def quotient_shape():
-        full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
-        derived = derived_subgroup(toy, full)
-        orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
-        quo = gr.normal_quotient(sigma, orbits)
+        quo = _toy_quotient(toy, xsub, ysub, sigma)
         q = quo.graph
         xs = [i for i in range(q.vertex_count) if q.bipartition[i] == 0]
         ys = [i for i in range(q.vertex_count) if q.bipartition[i] == 1]
@@ -482,7 +485,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
     )
 
 
-def _check_search(run: CheckRun, p: PcPresentation, threads: Optional[int]) -> None:
+def _check_search(run: CheckRun, p: PcPresentation, threads: int) -> None:
     def descent():
         rep = se.run_search(p, se.SearchConfig(threads=threads))
         return [rep.survivor_counts[-1] == 0, rep.no_regular_subgroup]
@@ -597,31 +600,25 @@ def cmd_graph(args) -> int:
     elif args.which == "incidence":
         graph = gr.bicoset_graph(toy, xsub, ysub)
     else:
-        sigma = gr.bicoset_graph(toy, xsub, ysub)
-        full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
-        derived = derived_subgroup(toy, full)
-        orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
-        graph = gr.normal_quotient(sigma, orbits).graph
-    text = gr.format_graph(graph)
+        graph = _toy_quotient(toy, xsub, ysub, gr.bicoset_graph(toy, xsub, ysub)).graph
     if args.emit_graph:
-        with open(args.emit_graph, "w", encoding="ascii") as fh:
-            fh.write(text)
+        gr.write_graph(graph, args.emit_graph)
         print(f"wrote {graph.vertex_count} vertices, {graph.edge_count} edges")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(gr.format_graph(graph))
     return 0
 
 
 def cmd_maps(args) -> int:
     group = _build_target(args.target)
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="ascii") as fh:
-            text = fh.read()
     try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="ascii") as fh:
+                text = fh.read()
         gmap = mo.parse_generator_map(group, text)
-    except ValueError as exc:
+    except ValueError as exc:  # also undecodable bytes
         print(f"bad map file: {exc}", file=sys.stderr)
         return 1
     try:
@@ -651,7 +648,7 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--report", help="write the JSON report here instead of stdout")
     v.add_argument("--from-file", help="check a presentation file instead of building")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--threads", type=int, default=None)
+    v.add_argument("--threads", type=int, default=1, help="descent workers, for target all only (default 1)")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
@@ -659,7 +656,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--max-survivors", type=int, default=10_000_000)
     s.add_argument("--checkpoint", help="write each completed level here")
     s.add_argument("--resume", help="resume from a checkpoint file")
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
 
     g = sub.add_parser("graph", help="export a desk-scale graph")
@@ -675,7 +672,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args = ap.parse_args(argv)
+    if args.command == "verify" and args.target == "all" and args.from_file:
+        ap.error("verify all builds its groups; --from-file needs h56, p59 or toy2")
+    if args.command == "verify" and args.target != "all" and args.threads != 1:
+        ap.error("only verify all runs the descent, so only it takes --threads")
     try:
         return args.func(args)
     except OSError as exc:

@@ -2,100 +2,36 @@
 
 Bit convention, fixed across the whole package and all file formats:
 bit k of an integer is coordinate (column) k, i.e. column 0 is the lowest
-bit.  A vector of width w is an int in range(2**w).  Nothing here is
-sparse; widths are capped at 128.
+bit.  A vector of width w is an int in range(2**w), and a matrix is a
+sequence of such rows.  Nothing here is sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-MAX_WIDTH = 128
+from typing import List, Sequence, Tuple
 
 __all__ = [
-    "MAX_WIDTH",
-    "BitVec",
-    "BitMatrix",
-    "WidthMismatch",
-    "rank",
-    "echelonize",
-    "membership",
-    "complement_basis",
-    "hyperplane_enum",
+    "word_bits",
+    "lowbit_index",
     "echelon_ints",
     "reduce_by_echelon",
     "rank_ints",
-    "lowbit_index",
 ]
 
 
-class WidthMismatch(ValueError):
-    """Operands declare different widths."""
+def word_bits(mask: int) -> List[int]:
+    """The set bit positions of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def lowbit_index(x: int) -> int:
     """Index of the lowest set bit (the pivot position of a nonzero row)."""
     return (x & -x).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """A GF(2) vector of fixed width, little-end (column 0 = bit 0)."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width {self.width} outside 1..{MAX_WIDTH}")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError("bits do not fit declared width")
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.width != other.width:
-            raise WidthMismatch(f"{self.width} != {other.width}")
-        return BitVec(self.bits ^ other.bits, self.width)
-
-    def bit(self, k: int) -> int:
-        return (self.bits >> k) & 1
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(k for k in range(self.width) if (self.bits >> k) & 1)
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """A tuple of rows over a common width.  May have zero rows."""
-
-    rows: Tuple[BitVec, ...]
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width {self.width} outside 1..{MAX_WIDTH}")
-        for r in self.rows:
-            if r.width != self.width:
-                raise WidthMismatch("row width differs from matrix width")
-
-    @staticmethod
-    def from_ints(rows: Iterable[int], width: int) -> "BitMatrix":
-        return BitMatrix(tuple(BitVec(r, width) for r in rows), width)
-
-    def row_ints(self) -> List[int]:
-        return [r.bits for r in self.rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-# ── raw int helpers (used by the group engine's hot paths) ──────────────────
 
 
 def echelon_ints(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -136,56 +72,3 @@ def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> in
 def rank_ints(rows: Sequence[int]) -> int:
     return len(echelon_ints(rows)[0])
 
-
-# ── public API on the typed wrappers ────────────────────────────────────────
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank of the row space."""
-    return rank_ints(m.row_ints())
-
-
-def echelonize(m: BitMatrix) -> Tuple[BitMatrix, Tuple[int, ...]]:
-    """RREF basis of the row space plus its pivot columns."""
-    basis, pivots = echelon_ints(m.row_ints())
-    return BitMatrix.from_ints(basis, m.width), tuple(pivots)
-
-
-def membership(v: BitVec, basis: BitMatrix) -> Tuple[bool, BitVec]:
-    """Whether v lies in the span of an echelonized basis; also the residue.
-
-    The residue is v reduced by pivot columns only, so it is zero exactly on
-    membership.  Raises WidthMismatch when widths disagree.
-    """
-    if v.width != basis.width:
-        raise WidthMismatch(f"{v.width} != {basis.width}")
-    rows, pivots = echelon_ints(basis.row_ints())
-    res = reduce_by_echelon(v.bits, rows, pivots)
-    return res == 0, BitVec(res, v.width)
-
-
-def complement_basis(sub: BitMatrix, ambient_dim: int) -> BitMatrix:
-    """Standard vectors at the non-pivot columns of sub's echelon form.
-
-    Together with sub they span GF(2)^ambient_dim; the choice is canonical
-    given the fixed column order.
-    """
-    if not 1 <= ambient_dim <= MAX_WIDTH:
-        raise ValueError("ambient_dim outside 1..128")
-    if sub.width != ambient_dim:
-        raise WidthMismatch(f"{sub.width} != {ambient_dim}")
-    _, pivots = echelon_ints(sub.row_ints())
-    taken = set(pivots)
-    rows = [1 << c for c in range(ambient_dim) if c not in taken]
-    return BitMatrix.from_ints(rows, ambient_dim)
-
-
-def hyperplane_enum(dim: int) -> List[BitVec]:
-    """All nonzero functionals on GF(2)^dim, in increasing integer order.
-
-    Each functional f names the hyperplane {v : parity(f & v) = 0}.  dim is
-    capped at 32: enumeration beyond that is never wanted here.
-    """
-    if not 1 <= dim <= 32:
-        raise ValueError(f"dim {dim} outside 1..32")
-    return [BitVec(f, dim) for f in range(1, 1 << dim)]

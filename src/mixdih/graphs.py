@@ -196,12 +196,8 @@ def action_gens(graph: SimpleGraph, perms: Iterable[Sequence[int]]) -> ActionGen
 # ── constructions ────────────────────────────────────────────────────────────
 
 
-def _hex_width(group: PcPresentation) -> int:
-    return (group.n + 3) // 4
-
-
 def _element_label(group: PcPresentation, g: int) -> str:
-    return format(g, "0%dx" % _hex_width(group))
+    return format(g, "0%dx" % ((group.n + 3) // 4))
 
 
 def cayley_graph(group: PcPresentation, connection: Iterable[int]) -> SimpleGraph:
@@ -271,30 +267,17 @@ def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> Simp
         raise TooLarge("group order above 2**20")
     if group.n - min(xsub.order_log, ysub.order_log) > 19:
         raise TooLarge("coset side above 2**19 vertices")
-    width = _hex_width(group)
     x_reps = _coset_reps(group, xsub)
     y_reps = _coset_reps(group, ysub)
     x_index = {rep: i for i, rep in enumerate(x_reps)}
     y_index = {rep: len(x_reps) + i for i, rep in enumerate(y_reps)}
-    labels = ["x:" + format(r, "0%dx" % width) for r in x_reps]
-    labels += ["y:" + format(r, "0%dx" % width) for r in y_reps]
+    labels = ["x:" + _element_label(group, r) for r in x_reps]
+    labels += ["y:" + _element_label(group, r) for r in y_reps]
     edges = set()
     for z in range(1 << group.n):
         edges.add((x_index[xsub.sift(z)], y_index[ysub.sift(z)]))
     part = [0] * len(x_reps) + [1] * len(y_reps)
     return make_graph(labels, edges, part)
-
-
-def cosets_adjacent(group: PcPresentation, xsub: Subgroup, ysub: Subgroup, h: int, g: int) -> bool:
-    """Whether the cosets xsub*h and ysub*g intersect, via two sifts.
-
-    Uses the residue criterion: the cosets meet iff h*g^-1 factors across
-    the two subgroups, and for the letter blocks (whose left action only
-    toggles their own lead bits) that holds iff the xsub-residue of
-    h*g^-1 lies in ysub.
-    """
-    z = group.multiply(h, group.inverse(g))
-    return ysub.contains(xsub.sift(z))
 
 
 def line_graph(g: SimpleGraph) -> SimpleGraph:
@@ -343,10 +326,9 @@ def verify_line_graph_correspondence(
         sigma = SimpleGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition)
     lg = line_graph(sigma)
     lg_index = lg.label_index
-    width = _hex_width(group)
     images = []
     for z in range(1 << group.n):
-        key = "x:%s|y:%s" % (format(xsub.sift(z), "0%dx" % width), format(ysub.sift(z), "0%dx" % width))
+        key = "x:%s|y:%s" % (_element_label(group, xsub.sift(z)), _element_label(group, ysub.sift(z)))
         if key not in lg_index:
             return False
         images.append(lg_index[key])
@@ -435,7 +417,7 @@ def translation_orbit_partition(
             cur = frontier.pop()
             for w in elems:
                 nxt = sub.sift(mul(cur, w))
-                idx = index[f"{side}:" + format(nxt, "0%dx" % _hex_width(group))]
+                idx = index[f"{side}:" + _element_label(group, nxt)]
                 if idx not in orbit:
                     orbit.add(idx)
                     frontier.append(nxt)
@@ -500,17 +482,6 @@ def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bo
 # ── group actions as vertex permutations ─────────────────────────────────────
 
 
-def cayley_translations(
-    group: PcPresentation, graph: SimpleGraph, elements: Iterable[int]
-) -> ActionGens:
-    """Right translations g -> g*w on a Cayley graph built by cayley_graph."""
-    mul = group.multiply
-    perms = []
-    for w in elements:
-        perms.append(tuple(mul(gv, w) for gv in range(graph.vertex_count)))
-    return action_gens(graph, perms)
-
-
 def bicoset_translations(
     group: PcPresentation,
     xsub: Subgroup,
@@ -521,14 +492,13 @@ def bicoset_translations(
     """Right translations on coset vertices of a bicoset graph."""
     mul = group.multiply
     index = graph.label_index
-    width = _hex_width(group)
     sides = [_parse_side_label(s) for s in graph.labels]
     perms = []
     for w in elements:
         p = []
         for side, rep in sides:
             sub = xsub if side == "x" else ysub
-            p.append(index[f"{side}:" + format(sub.sift(mul(rep, w)), "0%dx" % width)])
+            p.append(index[f"{side}:" + _element_label(group, sub.sift(mul(rep, w)))])
         perms.append(tuple(p))
     return action_gens(graph, perms)
 
@@ -542,7 +512,6 @@ def bicoset_automorphism_action(
 ) -> ActionGens:
     """Coset action of verified automorphisms that permute the two blocks."""
     index = graph.label_index
-    width = _hex_width(group)
     sides = [_parse_side_label(s) for s in graph.labels]
     subs = {"x": xsub, "y": ysub}
     perms = []
@@ -560,7 +529,7 @@ def bicoset_automorphism_action(
         for side, rep in sides:
             tside = image_side[side]
             nxt = subs[tside].sift(aut.apply(rep))
-            p.append(index[f"{tside}:" + format(nxt, "0%dx" % width)])
+            p.append(index[f"{tside}:" + _element_label(group, nxt)])
         perms.append(tuple(p))
     return action_gens(graph, perms)
 

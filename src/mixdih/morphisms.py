@@ -15,7 +15,7 @@ its generators in index order, and consecutive index blocks are cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
 from .pcgroup import PcPresentation, subgroup_igs
@@ -34,7 +34,6 @@ __all__ = [
     "AutGroup",
     "closure",
     "parse_generator_map",
-    "format_generator_map",
     "catalog",
     "twist_conjugation_check",
     "orbit_of_letter_set",
@@ -111,10 +110,6 @@ class VerifiedAutomorphism:
             u >>= 8
             ci += 1
         return out
-
-    def letters(self) -> Tuple[int, ...]:
-        meta: LayeredMeta = self.group.meta
-        return self.full_images[: 2 * meta.n]
 
     def is_identity(self) -> bool:
         return all(w == 1 << t for t, w in enumerate(self.full_images))
@@ -227,9 +222,6 @@ class AutGroup:
     def order(self) -> int:
         return len(self.letter_tuples)
 
-    def __contains__(self, f: VerifiedAutomorphism) -> bool:
-        return tuple(f.letters()) in self.letter_tuples
-
 
 def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGroup:
     """BFS closure under composition; automorphisms are determined by
@@ -338,15 +330,6 @@ def parse_generator_map(group: PcPresentation, text: str) -> GeneratorMap:
             raise ValueError(f"duplicate assignment for {src!r}")
         assignments[src] = dst
     return _gmap(group, assignments)
-
-
-def format_generator_map(gmap: GeneratorMap) -> str:
-    group = gmap.group
-    meta: LayeredMeta = group.meta
-    lines = []
-    for t, img in enumerate(gmap.letter_images):
-        lines.append(f"{group.names[t]} -> {group.element(img)}")
-    return "\n".join(lines)
 
 
 # ── the checks used by the verification targets ─────────────────────────────

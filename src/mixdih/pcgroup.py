@@ -16,17 +16,14 @@ sweep uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gf2linalg import BitVec, echelon_ints, lowbit_index
+from .gf2linalg import echelon_ints, lowbit_index, word_bits
 
 __all__ = [
     "PcPresentation",
-    "GroupElement",
     "Subgroup",
-    "OwnerMismatch",
     "NotInSubgroup",
     "SmallTooLarge",
     "subgroup_igs",
@@ -36,9 +33,7 @@ __all__ = [
     "c2_homomorphisms",
     "kernel_members",
     "maximal_subgroups",
-    "quotient_coords",
     "small_intersection_order",
-    "coset_rep",
     "consistency_check",
     "save_presentation",
     "load_presentation",
@@ -47,25 +42,12 @@ __all__ = [
 MAX_GENS = 128
 
 
-class OwnerMismatch(ValueError):
-    """Elements or subgroups belong to different groups."""
-
-
 class NotInSubgroup(ValueError):
     """An element fell outside the subgroup it was claimed to lie in."""
 
 
 class SmallTooLarge(ValueError):
     """The 'small' side of an intersection is too big to enumerate."""
-
-
-def _word_bits(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class PcPresentation:
@@ -110,7 +92,6 @@ class PcPresentation:
         self.identity = 0
         self.order_log = n
         self.multiply = fast_mul if fast_mul is not None else self.collect_multiply
-        self._has_fast = fast_mul is not None
 
     # ── collection ──────────────────────────────────────────────────────
 
@@ -118,7 +99,7 @@ class PcPresentation:
         """Normal form of u*v by collection from the left."""
         if (u | v) >> self.n or u < 0 or v < 0:
             raise ValueError("exponent vector outside group width")
-        stack = _word_bits(v)
+        stack = word_bits(v)
         stack.reverse()  # pop() yields v's generators left to right
         append = self._append
         while stack:
@@ -145,7 +126,7 @@ class PcPresentation:
                 words.append(conj.get((j, i), low))
                 mm ^= low
             for word in reversed(words):
-                bits = _word_bits(word)
+                bits = word_bits(word)
                 bits.reverse()
                 stack.extend(bits)
             return (w & (bit - 1)) | (0 if ei else bit)
@@ -153,7 +134,7 @@ class PcPresentation:
             return w | bit
         pt = self.power_tails[i]
         if pt:
-            bits = _word_bits(pt)
+            bits = word_bits(pt)
             bits.reverse()
             stack.extend(bits)
         return w ^ bit
@@ -210,60 +191,8 @@ class PcPresentation:
         mul = self.multiply
         return mul(self.inverse(mul(v, u)), mul(u, v))
 
-    def gen(self, i: int) -> int:
-        return 1 << i
-
-    def element(self, exp: int) -> "GroupElement":
-        if exp < 0 or exp >> self.n:
-            raise ValueError("exponent vector outside group width")
-        return GroupElement(exp, self)
-
-    def generators(self) -> List["GroupElement"]:
-        return [self.element(1 << i) for i in range(self.n)]
-
     def __repr__(self) -> str:
         return f"PcPresentation({self.label or 'anon'}, n={self.n})"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element in normal form: bit k is the exponent of generator k."""
-
-    exp: int
-    group: PcPresentation
-
-    def _check(self, other: "GroupElement") -> None:
-        if self.group is not other.group:
-            raise OwnerMismatch("elements from different groups")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group.multiply(self.exp, other.exp), self.group)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group.inverse(self.exp), self.group)
-
-    def __pow__(self, e: int) -> "GroupElement":
-        return GroupElement(self.group.power(self.exp, e), self.group)
-
-    def conjugate_by(self, g: "GroupElement") -> "GroupElement":
-        self._check(g)
-        return GroupElement(self.group.conjugate(self.exp, g.exp), self.group)
-
-    def commutator_with(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group.commutator(self.exp, other.exp), self.group)
-
-    def order(self) -> int:
-        return self.group.element_order(self.exp)
-
-    def is_identity(self) -> bool:
-        return self.exp == 0
-
-    def __str__(self) -> str:
-        if self.exp == 0:
-            return "1"
-        return "*".join(self.group.names[i] for i in _word_bits(self.exp))
 
 
 class Subgroup:
@@ -442,29 +371,17 @@ def _normal_closure(group: PcPresentation, seed: Dict[int, int], normalizers: Se
     return by_lead
 
 
-def derived_subgroup(group: PcPresentation, s: Subgroup) -> Subgroup:
-    """[s,s]: commutators of IGS members, then normal closure inside s."""
-    comms = []
-    ms = s.members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            c = group.commutator(ms[i], ms[j])
-            if c:
-                comms.append(c)
-    by_lead = _close_igs(group, comms)
-    by_lead = _normal_closure(group, by_lead, ms)
-    return Subgroup(group, list(by_lead.values())).canonicalize()
-
-
-def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
-    """Phi(s) = s' * s^2 for a 2-group: squares and commutators, closed."""
+def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgroup:
+    """Normal closure in s of the commutators of its IGS members, and of
+    their squares when asked."""
     gens = []
     ms = s.members
     mul = group.multiply
     for i in range(len(ms)):
-        sq = mul(ms[i], ms[i])
-        if sq:
-            gens.append(sq)
+        if squares:
+            sq = mul(ms[i], ms[i])
+            if sq:
+                gens.append(sq)
         for j in range(i + 1, len(ms)):
             c = group.commutator(ms[i], ms[j])
             if c:
@@ -472,6 +389,16 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
     by_lead = _close_igs(group, gens)
     by_lead = _normal_closure(group, by_lead, ms)
     return Subgroup(group, list(by_lead.values())).canonicalize()
+
+
+def derived_subgroup(group: PcPresentation, s: Subgroup) -> Subgroup:
+    """[s,s]: commutators of IGS members, then normal closure inside s."""
+    return _verbal_subgroup(group, s, squares=False)
+
+
+def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
+    """Phi(s) = s' * s^2 for a 2-group: squares and commutators, closed."""
+    return _verbal_subgroup(group, s, squares=True)
 
 
 def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
@@ -552,42 +479,11 @@ def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:
     ]
 
 
-def quotient_coords(group: PcPresentation, u: int, s: Subgroup, t: Subgroup) -> BitVec:
-    """Coordinates of u*t in the elementary abelian quotient s/t.
-
-    Basis: the images of s's IGS members at leading indices not used by t.
-    Requires t <= s normal with elementary abelian quotient and u in s.
-    """
-    free = [d for d in s.leads if d not in t._by_lead]
-    if not free:
-        raise ValueError("quotient is trivial; no coordinates to take")
-    mixed = {d: (t._by_lead[d] if d in t._by_lead else s._by_lead[d]) for d in s.leads}
-    mul = group.multiply
-    w = u
-    coords = 0
-    free_pos = {d: k for k, d in enumerate(free)}
-    for d in s.leads:
-        if w == 0:
-            break
-        if lowbit_index(w) == d:
-            if d in free_pos:
-                coords |= 1 << free_pos[d]
-            w = mul(group.inverse(mixed[d]), w)
-    if w:
-        raise NotInSubgroup("element does not lie in the given subgroup")
-    return BitVec(coords, len(free))
-
-
 def small_intersection_order(group: PcPresentation, t: Subgroup, small: Subgroup) -> int:
     """|t meet small| by enumerating the small side (capped at 2**10)."""
     if small.order_log > 10:
         raise SmallTooLarge("small side exceeds 2**10 elements")
     return sum(1 for w in small.elements() if t.contains(w))
-
-
-def coset_rep(group: PcPresentation, u: int, s: Subgroup) -> int:
-    """Canonical representative of the right coset s*u (the sift residue)."""
-    return s.sift(u)
 
 
 # ── consistency ─────────────────────────────────────────────────────────────

@@ -68,13 +68,11 @@ class SearchConfig:
     max_survivors: int = 10_000_000
     checkpoint_path: Optional[str] = None
     resume_path: Optional[str] = None
-    threads: Optional[int] = None  # None reads DF_THREADS, default 1
+    threads: int = 1
     log: Optional[Callable[[str], None]] = None
 
     def worker_count(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, int(os.environ.get("DF_THREADS", "1")))
+        return max(1, self.threads)
 
 
 @dataclass

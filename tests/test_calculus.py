@@ -228,14 +228,14 @@ def test_twist_respects_multiplication_in_free_object():
 
 
 def test_relation_rows_are_central_and_nonzero():
-    rows = ca.expand_relations().row_ints()
+    rows = ca.expand_relations()
     assert len(rows) == 2
     assert all(r != 0 for r in rows)
 
 
 def test_relation_space_rank_16_by_span_enumeration():
     rel = ca.relation_space()
-    rows = rel.basis.row_ints()
+    rows = rel.basis
     assert rel.rank == 16
     # independent oracle: the XOR-span really has 2^16 distinct vectors
     span = {0}
@@ -253,8 +253,8 @@ def test_relation_space_contains_relation_orbit():
     from mixdih.gf2linalg import reduce_by_echelon
 
     act = ca.r_action()
-    basis = rel.basis.row_ints()
-    for row in ca.expand_relations().row_ints():
+    basis = rel.basis
+    for row in ca.expand_relations():
         v = row
         for _ in range(8):
             assert reduce_by_echelon(v, basis, list(rel.pivots)) == 0

@@ -100,6 +100,13 @@ def test_maps_rejects_bad_syntax(tmp_path, capsys):
     assert "bad map file" in capsys.readouterr().err
 
 
+def test_maps_rejects_undecodable_bytes(tmp_path, capsys):
+    path = tmp_path / "latin1.map"
+    path.write_bytes(b"x1 -> x2\xe9\n")
+    assert main(["maps", "toy2", str(path)]) == 1
+    assert "bad map file" in capsys.readouterr().err
+
+
 def test_maps_missing_file_is_io_error(tmp_path):
     assert main(["maps", "toy2", str(tmp_path / "absent.map")]) == 65
 
@@ -125,6 +132,23 @@ def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
     monkeypatch.setattr(se, "run_search", fake_run_search)
     assert main(["verify", "all", "--threads", "3", "--report", str(tmp_path / "all.json")]) == 0
     assert received == [3]
+
+
+def test_verify_all_from_file_is_a_usage_error(tmp_path, capsys):
+    pc2 = tmp_path / "toy2.pc2"
+    assert main(["build", "toy2", str(pc2)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--from-file", str(pc2)])
+    assert exc.value.code == 2
+    assert "--from-file" in capsys.readouterr().err
+
+
+def test_verify_single_target_threads_is_a_usage_error(capsys):
+    # only verify all runs the descent, the one place workers are used
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "toy2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])

@@ -241,4 +241,16 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab):
         level = se.descend(p59, level, se.SearchConfig())
         se.write_checkpoint(tmp_path / "ck.txt", level)
         digests.append(hashlib.sha256((tmp_path / "ck.txt").read_bytes()).hexdigest()[:16])
+        # descend is deterministic in these fields, so resuming from any
+        # level reaches the verdict of a fresh run
+        resumed = se._rebuild_level(p59, stab, *se.load_checkpoint(tmp_path / "ck.txt"))
+        assert (resumed.depth, resumed.required_meet_log) == (level.depth, level.required_meet_log)
+        assert resumed.survivors == level.survivors
+        assert resumed.meets == level.meets
     assert digests == CHECKPOINT_SHA256
+
+
+def test_worker_count_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("DF_THREADS", "4")
+    assert se.SearchConfig().worker_count() == 1
+    assert se.SearchConfig(threads=3).worker_count() == 3
