@@ -56,6 +56,7 @@ __all__ = [
     "build_p59",
     "build_toy",
     "make_rho",
+    "make_rho_power",
 ]
 
 # the order-8 cycle acting on generator subscripts, 0-based images
@@ -544,12 +545,20 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
         reduce_full=reduce_full,
         tables=tables,
     )
+    mul = _make_mul(tables)
+
+    def inv(u: int) -> int:
+        # u**2 lies in the elementary abelian layers above the letters,
+        # so u**4 = 1 and u**-1 = u**3
+        return mul(mul(u, u), u)
+
     return PcPresentation(
         ngen,
         [0] * ngen,
         conj,
         names=names,
-        fast_mul=_make_mul(tables),
+        fast_mul=mul,
+        fast_inv=inv,
         meta=meta,
         label=label,
     )
@@ -643,13 +652,57 @@ def make_rho(h: PcPresentation) -> Callable[[int], int]:
     return rho
 
 
+def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
+    """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
+
+    rho is affine in the letters (the low byte: its corrections OUTER, TB
+    depend only on them) and linear on the c and d layers above, and so
+    is every power of it.  So rho, rho**2 and rho**4 are each a table per
+    byte of the word: the low byte's 256 entries are images of whole
+    letter words, the entries of every higher byte XORs of single-bit
+    images.  rho**e is at most three table passes, one per bit of e.
+    """
+    rho = make_rho(h)
+    chunks = (h.n + 7) // 8
+
+    def apply(tables: List[List[int]], w: int) -> int:
+        out = 0
+        for table in tables:
+            out ^= table[w & 255]
+            w >>= 8
+        return out
+
+    def byte_tables(image: Callable[[int], int]) -> List[List[int]]:
+        tables = [[image(byte) for byte in range(256)]]
+        for ch in range(1, chunks):
+            table = [0] * 256
+            for byte in range(1, 256):
+                low = byte & -byte
+                rest = byte ^ low
+                table[byte] = table[rest] ^ table[low] if rest else image(byte << (8 * ch))
+            tables.append(table)
+        return tables
+
+    r1 = byte_tables(rho)
+    r2 = byte_tables(lambda w: apply(r1, apply(r1, w)))
+    r4 = byte_tables(lambda w: apply(r2, apply(r2, w)))
+    passes = [[t for bit, t in ((1, r1), (2, r2), (4, r4)) if e & bit] for e in range(8)]
+
+    def rho_power(w: int, e: int) -> int:
+        for tables in passes[e & 7]:
+            w = apply(tables, w)
+        return w
+
+    return rho_power
+
+
 @dataclass
 class ChainMeta:
     """Attached to the extension group: base quotient plus the twist."""
 
     base: PcPresentation
     shift: int
-    rho: Callable[[int], int]
+    rho_power: Callable[[int, int], int]
 
 
 def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
@@ -658,16 +711,12 @@ def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
     Elements are r**e * h with e in 0..7; the cyclic part is carried by
     chain generators r, r**2, r**4 at indices 0,1,2 (so e is the low three
     bits, little-end) and the quotient group's generators follow, shifted
-    by 3.
+    by 3.  With rho(h) = h**r, (r**e h)(r**f k) = r**(e+f) rho**f(h) k and
+    (r**e h)**-1 = r**-e rho**-e(h**-1).
     """
     if h is None:
         h = build_h56()
-    rho = make_rho(h)
-
-    def rho_pow(w: int, e: int) -> int:
-        for _ in range(e & 7):
-            w = rho(w)
-        return w
+    rho_power = make_rho_power(h)
 
     n = 59
     ptails = [0] * n
@@ -676,15 +725,24 @@ def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
     conj: Dict[Tuple[int, int], int] = {(j + 3, i + 3): w << 3 for (j, i), w in h.conj.items()}
     for chain_idx, e in ((0, 1), (1, 2), (2, 4)):
         for t in range(h.n):
-            img = rho_pow(1 << t, e)
+            img = rho_power(1 << t, e)
             if img != 1 << t:
                 conj[(3 + t, chain_idx)] = img << 3
     h_mul = h.multiply
+    h_inv = h.inverse
 
     def mul(u: int, v: int) -> int:
         f = v & 7
-        return (((u & 7) + f) & 7) | (h_mul(rho_pow(u >> 3, f), v >> 3) << 3)
+        if f:
+            return (((u & 7) + f) & 7) | (h_mul(rho_power(u >> 3, f), v >> 3) << 3)
+        return (u & 7) | (h_mul(u >> 3, v >> 3) << 3)
+
+    def inv(u: int) -> int:
+        f = -u & 7
+        return f | (rho_power(h_inv(u >> 3), f) << 3)
 
     names = ["r", "r2", "r4"] + list(h.names)
-    meta = ChainMeta(base=h, shift=3, rho=rho)
-    return PcPresentation(n, ptails, conj, names=names, fast_mul=mul, meta=meta, label="p59")
+    meta = ChainMeta(base=h, shift=3, rho_power=rho_power)
+    return PcPresentation(
+        n, ptails, conj, names=names, fast_mul=mul, fast_inv=inv, meta=meta, label="p59"
+    )

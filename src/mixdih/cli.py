@@ -633,6 +633,17 @@ def cmd_maps(args) -> int:
 # ── argument parsing ─────────────────────────────────────────────────────────
 
 
+def _worker_count(text: str) -> int:
+    """--threads: an int of at least 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mixdih", description=__doc__)
     ap.add_argument("--version", action="version", version=ENGINE_VERSION)
@@ -648,7 +659,7 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--report", help="write the JSON report here instead of stdout")
     v.add_argument("--from-file", help="check a presentation file instead of building")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--threads", type=int, default=1, help="descent workers, for target all only (default 1)")
+    v.add_argument("--threads", type=_worker_count, default=1, help="descent workers, for target all only (default 1)")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
@@ -656,7 +667,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--max-survivors", type=int, default=10_000_000)
     s.add_argument("--checkpoint", help="write each completed level here")
     s.add_argument("--resume", help="resume from a checkpoint file")
-    s.add_argument("--threads", type=int, default=1, help="descent workers (default 1)")
+    s.add_argument("--threads", type=_worker_count, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
 
     g = sub.add_parser("graph", help="export a desk-scale graph")

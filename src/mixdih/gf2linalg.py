@@ -8,7 +8,7 @@ sequence of such rows.  Nothing here is sparse.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "word_bits",
@@ -38,27 +38,28 @@ def echelon_ints(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form of integer rows.
 
     Returns (basis, pivots) with pivots strictly increasing and every pivot
-    column cleared in all other basis rows.  Zero rows are dropped.
+    column cleared in all other basis rows.  Zero rows are dropped.  The
+    basis is kept reduced as it grows, so a row meets each basis row only
+    at that row's pivot: reducing it takes one XOR per pivot bit it has.
     """
-    basis: List[int] = []
-    pivots: List[int] = []
+    by_pivot: Dict[int, int] = {}  # pivot bit -> basis row
+    pivmask = 0
     for row in rows:
-        for b, p in zip(basis, pivots):
-            if (row >> p) & 1:
-                row ^= b
+        hits = row & pivmask
+        while hits:
+            low = hits & -hits
+            row ^= by_pivot[low]
+            hits ^= low
         if row == 0:
             continue
-        p = lowbit_index(row)
-        # insert keeping pivots sorted, then clear column p above
-        at = 0
-        while at < len(pivots) and pivots[at] < p:
-            at += 1
-        basis.insert(at, row)
-        pivots.insert(at, p)
-        for k in range(len(basis)):
-            if k != at and (basis[k] >> p) & 1:
-                basis[k] ^= row
-    return basis, pivots
+        low = row & -row
+        for bit, b in by_pivot.items():
+            if b & low:
+                by_pivot[bit] = b ^ row
+        by_pivot[low] = row
+        pivmask |= low
+    order = sorted(by_pivot)
+    return [by_pivot[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
 
 
 def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> int:

@@ -9,8 +9,9 @@ indices > i; conjugate words may touch any index > i (the conjugating
 generator), which is what a permutation-style action needs.
 
 Multiplication is collection from the left with an explicit work stack.
-Builders may install a structure-backed fast multiply; the collector stays
-available as the reference implementation and is what the consistency
+Builders may install a structure-backed fast multiply and a closed-form
+inverse; the collector and repeated squaring stay available as the
+reference implementations, and the collector is what the consistency
 sweep uses.
 """
 
@@ -60,6 +61,7 @@ class PcPresentation:
         conj: Dict[Tuple[int, int], int],
         names: Optional[Sequence[str]] = None,
         fast_mul: Optional[Callable[[int, int], int]] = None,
+        fast_inv: Optional[Callable[[int], int]] = None,
         meta=None,
         label: str = "",
     ):
@@ -75,6 +77,8 @@ class PcPresentation:
         self.power_tails = list(power_tails)
         self.conj: Dict[Tuple[int, int], int] = {}
         self.noncomm = [0] * n
+        # clash[k]: the generators that do not commute with g_k
+        self.clash = [0] * n
         for (j, i), word in conj.items():
             if not 0 <= i < j < n:
                 raise ValueError(f"bad conjugation key ({j},{i})")
@@ -84,6 +88,8 @@ class PcPresentation:
                 continue  # trivial action, keep the table sparse
             self.conj[(j, i)] = word
             self.noncomm[i] |= 1 << j
+            self.clash[i] |= 1 << j
+            self.clash[j] |= 1 << i
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
         if len(self.names) != n:
             raise ValueError("names length != n")
@@ -92,6 +98,7 @@ class PcPresentation:
         self.identity = 0
         self.order_log = n
         self.multiply = fast_mul if fast_mul is not None else self.collect_multiply
+        self._inverse = fast_inv if fast_inv is not None else self.squaring_inverse
 
     # ── collection ──────────────────────────────────────────────────────
 
@@ -141,7 +148,23 @@ class PcPresentation:
 
     # ── derived element operations ──────────────────────────────────────
 
+    def clash_mask(self, u: int) -> int:
+        """The generators that fail to commute with some generator in the
+        support of u.  When clash_mask(u) & v == 0, u and v commute: each
+        is a product of its own generators, and those all commute."""
+        clash = self.clash
+        mask = 0
+        while u:
+            low = u & -u
+            mask |= clash[low.bit_length() - 1]
+            u ^= low
+        return mask
+
     def inverse(self, u: int) -> int:
+        return self._inverse(u)
+
+    def squaring_inverse(self, u: int) -> int:
+        """u**-1 from the squares of u; needs no closed form."""
         if u == 0:
             return 0
         mul = self.multiply
@@ -205,7 +228,7 @@ class Subgroup:
     hold identical member tuples.
     """
 
-    __slots__ = ("group", "members", "leads", "_by_lead", "_inv_by_lead", "_sift_seq", "_canonical")
+    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_canonical")
 
     def __init__(self, group: PcPresentation, members: Sequence[int], canonical: bool = False):
         self.group = group
@@ -213,9 +236,10 @@ class Subgroup:
         self.leads = tuple(lowbit_index(m) for m in self.members)
         if len(set(self.leads)) != len(self.members) or any(m == 0 for m in self.members):
             raise ValueError("IGS members need distinct leading indices")
-        self._by_lead = dict(zip(self.leads, self.members))
-        self._inv_by_lead = {d: group.inverse(m) for d, m in self._by_lead.items()}
-        self._sift_seq = tuple((d, self._inv_by_lead[d]) for d in self.leads)
+        self._invs = tuple(group.inverse(m) for m in self.members)
+        self._lead_mask = sum(1 << d for d in self.leads)
+        # lead bit -> (inverse of its member, coordinate bit of its member)
+        self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(self.leads, self._invs))}
         self._canonical = canonical
 
     @property
@@ -234,11 +258,19 @@ class Subgroup:
         layered quotients, where corrections move up the layers), the
         residue has zero exponent at every leading index and is the
         canonical representative of the right coset (self)*u.
+
+        Each step jumps to the next leading index above the last one at
+        which the current u has exponent 1; the leads in between are
+        skipped exactly as a scan over all leads would skip them.
         """
         mul = self.group.multiply
-        for d, inv in self._sift_seq:
-            if (u >> d) & 1:
-                u = mul(inv, u)
+        div = self._div
+        lead_mask = self._lead_mask
+        hits = u & lead_mask
+        while hits:
+            low = hits & -hits
+            u = mul(div[low][0], u)
+            hits = u & lead_mask & -(low << 1)
         return u
 
     def contains(self, u: int) -> bool:
@@ -255,11 +287,16 @@ class Subgroup:
         not the identity.
         """
         mul = self.group.multiply
+        div = self._div
+        lead_mask = self._lead_mask
         c = 0
-        for t, (d, inv) in enumerate(self._sift_seq):
-            if (u >> d) & 1:
-                u = mul(inv, u)
-                c |= 1 << t
+        hits = u & lead_mask
+        while hits:
+            low = hits & -hits
+            inv, bit = div[low]
+            u = mul(inv, u)
+            c |= bit
+            hits = u & lead_mask & -(low << 1)
         if u:
             raise NotInSubgroup("element does not lie in the subgroup")
         return c
@@ -307,18 +344,23 @@ def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[i
     """
     mul = group.multiply
     members = list(members)
+    leads = [lowbit_index(m) for m in members]
     for idx in range(len(members) - 2, -1, -1):
         m = members[idx]
         for later in range(idx + 1, len(members)):
-            d = lowbit_index(members[later])
-            if (m >> d) & 1:
+            if (m >> leads[later]) & 1:
                 m = mul(m, members[later])
         members[idx] = m
     return tuple(members)
 
 
 def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
-    """Echelon closure of <gens> under sifting, squaring and commutation."""
+    """Echelon closure of <gens> under sifting, squaring and commutation.
+
+    A new member g is commuted with each member m only when their
+    supports clash (group.clash_mask): otherwise both commutators are the
+    identity, which sifting would drop anyway.
+    """
     mul = group.multiply
     by_lead: Dict[int, int] = {}
     inv: Dict[int, int] = {}
@@ -339,8 +381,9 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
         by_lead[d] = g
         inv[d] = group.inverse(g)
         queue.append(mul(g, g))
+        clash = group.clash_mask(g)
         for m in list(by_lead.values()):
-            if m != g:
+            if m != g and clash & m:
                 queue.append(group.commutator(g, m))
                 queue.append(group.commutator(m, g))
     return by_lead
@@ -412,6 +455,10 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
     only be subnormal, so coords is not additive on products.  Raises
     NotInSubgroup when the members are not an IGS, that is when their
     straight products are not closed under multiplication.
+
+    A pair whose supports do not clash (group.clash_mask) commutes, so
+    its conjugate is m_j itself and its row is zero; it is skipped
+    without multiplying.
     """
     mul = group.multiply
     ms = s.members
@@ -420,9 +467,12 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
         sq = mul(mi, mi)
         if sq:
             rows.append(s.coords(sq))
-        inv = s._inv_by_lead[s.leads[i]]
+        inv = s._invs[i]
+        clash = group.clash_mask(mi)
         for j in range(i + 1, len(ms)):
             mj = ms[j]
+            if not clash & mj:
+                continue
             c = mul(mul(inv, mj), mi)
             if c != mj:
                 rows.append(s.coords(c) ^ (1 << j))

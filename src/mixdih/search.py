@@ -71,8 +71,12 @@ class SearchConfig:
     threads: int = 1
     log: Optional[Callable[[str], None]] = None
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+
     def worker_count(self) -> int:
-        return max(1, self.threads)
+        return self.threads
 
 
 @dataclass

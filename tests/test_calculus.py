@@ -309,6 +309,18 @@ def test_rho_is_an_order8_automorphism(h56):
         assert (v == w) == (t == 7)
 
 
+def test_rho_power_tables_match_repeated_rho(h56):
+    rho = ca.make_rho(h56)
+    rho_power = ca.make_rho_power(h56)
+    rng = random.Random(15)
+    words = [0] + [1 << t for t in range(56)] + [rng.getrandbits(56) for _ in range(1000)]
+    for w in words:
+        v = w
+        for e in range(8):
+            assert rho_power(w, e) == v
+            v = rho(v)
+
+
 def test_p59_shape_and_twist(p59):
     assert p59.n == 59
     assert p59.element_order(1) == 8  # the twist generator

@@ -151,6 +151,15 @@ def test_verify_single_target_threads_is_a_usage_error(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "all"], ["search"]])
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_is_a_usage_error(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])
 def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
     path = tmp_path / "ck.txt"

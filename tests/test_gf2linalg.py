@@ -14,6 +14,34 @@ def span_of(rows, width):
     return seen
 
 
+def reference_echelon(rows):
+    """The sorted-list algorithm echelon_ints replaced: reduce each row by
+    every basis row, insert it at its pivot, clear that column above."""
+    basis, pivots = [], []
+    for row in rows:
+        for b, p in zip(basis, pivots):
+            if (row >> p) & 1:
+                row ^= b
+        if row == 0:
+            continue
+        p = (row & -row).bit_length() - 1
+        at = 0
+        while at < len(pivots) and pivots[at] < p:
+            at += 1
+        basis.insert(at, row)
+        pivots.insert(at, p)
+        for k in range(len(basis)):
+            if k != at and (basis[k] >> p) & 1:
+                basis[k] ^= row
+    return basis, pivots
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=40)))
+def test_echelon_matches_reference(rows):
+    assert echelon_ints(rows) == reference_echelon(rows)
+
+
 def test_echelonize_example():
     # columns little-end: "110" = cols {0,1} = 3, "011" = cols {1,2} = 6
     basis, pivots = echelon_ints([3, 6])

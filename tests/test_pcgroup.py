@@ -88,6 +88,43 @@ def test_inverse_and_power(toy, p59):
             assert g.power(u, 3) == g.multiply(g.multiply(u, u), u)
 
 
+def test_closed_form_inverse_matches_squaring(toy, h56, p59):
+    rng = random.Random(23)
+    for g in (toy, h56, p59):
+        words = [1 << i for i in range(g.n)] + [rng.getrandbits(g.n) for _ in range(300)]
+        for u in [0] + words:
+            iu = g.inverse(u)
+            assert iu == g.squaring_inverse(u)
+            assert g.multiply(u, iu) == 0
+            assert g.multiply(iu, u) == 0
+
+
+def test_clash_mask_is_exact_on_generators(toy, h56, p59):
+    # exhaustive: g_i and g_j clash exactly when they fail to commute
+    for g in (toy, h56, p59):
+        mul = g.collect_multiply
+        for i in range(g.n):
+            assert g.clash_mask(1 << i) == g.clash[i]
+            for j in range(i + 1, g.n):
+                commute = mul(1 << i, 1 << j) == mul(1 << j, 1 << i)
+                assert commute == (not (g.clash[i] >> j) & 1)
+                assert (g.clash[i] >> j) & 1 == (g.clash[j] >> i) & 1
+
+
+def test_disjoint_clash_commutes(h56, p59):
+    # words of few generators, so that many pairs do not clash
+    rng = random.Random(24)
+    seen = 0
+    for g in (h56, p59):
+        for _ in range(400):
+            u, v = (sum(1 << rng.randrange(g.n) for _ in range(3)) for _ in range(2))
+            if not g.clash_mask(u) & v:
+                seen += 1
+                assert not g.clash_mask(v) & u
+                assert g.multiply(u, v) == g.multiply(v, u)
+    assert seen > 100
+
+
 def test_commutator_definition(p59):
     rng = random.Random(22)
     mul = p59.multiply
@@ -278,17 +315,45 @@ def test_maximal_subgroups_match_frattini_oracle_toy(toy):
     assert len(orders) >= 4
 
 
-def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59):
+@pytest.fixture(scope="module")
+def p59_survivors(p59):
+    """The survivors of descent levels 1-3, as Subgroups."""
     from mixdih import search as se
 
     level = se.root_level(p59, se.stab_subgroup(p59))
-    checked = 0
+    out = []
     for _ in range(3):
         level = se.descend(p59, level, se.SearchConfig())
-        for rows in level.survivors:
-            assert_maximal_match_frattini(p59, pc.Subgroup(p59, rows, canonical=True))
-            checked += 1
-    assert checked == 2 + 2 + 12
+        out.extend(pc.Subgroup(p59, rows, canonical=True) for rows in level.survivors)
+    assert len(out) == 2 + 2 + 12
+    return out
+
+
+def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivors):
+    for s in p59_survivors:
+        assert_maximal_match_frattini(p59, s)
+
+
+def all_pairs_relation_rows(group, s):
+    """Reference: relation_rows without the clash test, every pair kept."""
+    mul = group.multiply
+    ms = s.members
+    rows = []
+    for i, mi in enumerate(ms):
+        sq = mul(mi, mi)
+        if sq:
+            rows.append(s.coords(sq))
+        inv = group.squaring_inverse(mi)
+        for j in range(i + 1, len(ms)):
+            c = mul(mul(inv, ms[j]), mi)
+            if c != ms[j]:
+                rows.append(s.coords(c) ^ (1 << j))
+    return rows
+
+
+def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
+    for s in p59_survivors:
+        assert pc.relation_rows(p59, s) == all_pairs_relation_rows(p59, s)
 
 
 def test_small_intersection_order(p59):

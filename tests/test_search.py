@@ -234,11 +234,43 @@ CHECKPOINT_SHA256 = [
 ]
 
 
-def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab):
-    level = se.root_level(p59, stab)
+# p59 multiply and inverse calls of a serial six-level run_search; a
+# change that loses the clash skip in relation_rows or a closed-form
+# inverse moves them
+DESCENT_CALLS = {"multiply": 392_805, "inverse": 11_828}
+
+
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.fixture(scope="module")
+def counted_descent(p59):
+    """Levels 1-6 of the descent as run_search runs it, with the p59
+    multiply and inverse calls it made."""
+    calls = dict.fromkeys(DESCENT_CALLS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
+        levels = [se.root_level(p59, se.stab_subgroup(p59))]
+        for _ in range(6):
+            levels.append(se.descend(p59, levels[-1], se.SearchConfig()))
+    return levels[1:], calls
+
+
+def test_descent_work_is_pinned(counted_descent):
+    levels, calls = counted_descent
+    assert [len(level.survivors) for level in levels] == [2, 2, 12, 48, 128, 0]
+    assert calls == DESCENT_CALLS
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
     digests = []
-    for _ in range(6):
-        level = se.descend(p59, level, se.SearchConfig())
+    for level in counted_descent[0]:
         se.write_checkpoint(tmp_path / "ck.txt", level)
         digests.append(hashlib.sha256((tmp_path / "ck.txt").read_bytes()).hexdigest()[:16])
         # descend is deterministic in these fields, so resuming from any
@@ -254,3 +286,9 @@ def test_worker_count_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("DF_THREADS", "4")
     assert se.SearchConfig().worker_count() == 1
     assert se.SearchConfig(threads=3).worker_count() == 3
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_search_config_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        se.SearchConfig(threads=threads)
