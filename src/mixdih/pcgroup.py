@@ -13,6 +13,24 @@ Builders may install a structure-backed fast multiply and a closed-form
 inverse; the collector and repeated squaring stay available as the
 reference implementations, and the collector is what the consistency
 sweep uses.
+
+The tail of a presentation is its last layers g_k..g_{n-1}, for the
+least k at which they have zero power words, commute pairwise and
+conjugate into themselves: an elementary abelian normal subgroup.  In
+the layered groups it is the c and d layers.  A word w splits as
+top(w) * tail(w), its bits below and above k, so the subgroup
+arithmetic takes three shortcuts there:
+
+* right-multiplying by a tail word t is XOR, w*t = top(w) * (tail(w) ^ t),
+  and a tail word is its own inverse; sifting, once the word being
+  divided lies in the tail, is XOR too;
+* conjugation by g is linear on the tail and depends only on top(g), so
+  t -> g^-1 t g is a table per top part, 4 bits of t to a lookup
+  (PcPresentation.tail_action);
+* the multiply stays for products that involve the top.
+
+Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
+ch. 8, treat each layer of a pc series as a GF(2)-module in this way.
 """
 
 from __future__ import annotations
@@ -41,6 +59,9 @@ __all__ = [
 ]
 
 MAX_GENS = 128
+
+# tail_action tables kept per presentation; the p59 descent meets 54 top parts
+ACTION_CACHE_CAP = 256
 
 
 class NotInSubgroup(ValueError):
@@ -99,6 +120,24 @@ class PcPresentation:
         self.order_log = n
         self.multiply = fast_mul if fast_mul is not None else self.collect_multiply
         self._inverse = fast_inv if fast_inv is not None else self.squaring_inverse
+        self.tail = self._tail_start()
+        self.top_mask = (1 << self.tail) - 1
+        self._actions: Dict[int, List[int]] = {}
+
+    def _tail_start(self) -> int:
+        """The least k such that g_k..g_{n-1} have zero power words,
+        commute pairwise, and have every conjugate supported at or above
+        k; n when no shorter tail qualifies."""
+        k = max(
+            [i + 1 for (_, i) in self.conj]
+            + [j + 1 for j, word in enumerate(self.power_tails) if word],
+            default=0,
+        )
+        while k < self.n and any(
+            j >= k and word & ((1 << k) - 1) for (j, _), word in self.conj.items()
+        ):
+            k += 1
+        return k
 
     # ── collection ──────────────────────────────────────────────────────
 
@@ -160,6 +199,37 @@ class PcPresentation:
             u ^= low
         return mask
 
+    def tail_action(self, h: int) -> List[int]:
+        """t -> h^-1 t h on the tail, for h supported below the tail.
+
+        The map is linear, so it is a table of 16 entries per 4 bits of
+        t >> tail: entry 16*s + x is the image of the tail word whose
+        bits 4s..4s+3 are x.  Built from the images of the tail
+        generators, h = g_i * h' with i the lowest bit of h, so
+        g_j ** h = (g_j ** g_i) ** h', read from the conjugation table.
+        Tables are cached per presentation, at most ACTION_CACHE_CAP.
+        """
+        table = self._actions.get(h)
+        if table is not None:
+            return table
+        k = self.tail
+        if h:
+            i = lowbit_index(h)
+            rest = self.tail_action(h & (h - 1))
+            images = [_sliced_apply(rest, self.conj.get((j, i), 1 << j) >> k) for j in range(k, self.n)]
+        else:
+            images = [1 << j for j in range(k, self.n)]
+        table = []
+        for s in range(0, len(images), 4):
+            row = [0]
+            for image in images[s : s + 4]:
+                row += [x ^ image for x in row]
+            table += row
+        if len(self._actions) >= ACTION_CACHE_CAP:
+            del self._actions[next(iter(self._actions))]
+        self._actions[h] = table
+        return table
+
     def inverse(self, u: int) -> int:
         return self._inverse(u)
 
@@ -218,6 +288,18 @@ class PcPresentation:
         return f"PcPresentation({self.label or 'anon'}, n={self.n})"
 
 
+def _sliced_apply(table: List[int], t: int) -> int:
+    """The image of the tail word t (shifted down to bit 0) under a
+    tail_action table."""
+    out = 0
+    at = 0
+    while t:
+        out ^= table[at | (t & 15)]
+        t >>= 4
+        at += 16
+    return out
+
+
 class Subgroup:
     """A subgroup held as an echelonized induced generating sequence.
 
@@ -236,7 +318,8 @@ class Subgroup:
         self.leads = tuple(lowbit_index(m) for m in self.members)
         if len(set(self.leads)) != len(self.members) or any(m == 0 for m in self.members):
             raise ValueError("IGS members need distinct leading indices")
-        self._invs = tuple(group.inverse(m) for m in self.members)
+        top = group.top_mask
+        self._invs = tuple(group.inverse(m) if m & top else m for m in self.members)
         self._lead_mask = sum(1 << d for d in self.leads)
         # lead bit -> (inverse of its member, coordinate bit of its member)
         self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(self.leads, self._invs))}
@@ -261,15 +344,18 @@ class Subgroup:
 
         Each step jumps to the next leading index above the last one at
         which the current u has exponent 1; the leads in between are
-        skipped exactly as a scan over all leads would skip them.
+        skipped exactly as a scan over all leads would skip them.  Once u
+        lies in the tail, so does every member left to divide by, and
+        the division is XOR.
         """
         mul = self.group.multiply
+        top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
         hits = u & lead_mask
         while hits:
             low = hits & -hits
-            u = mul(div[low][0], u)
+            u = mul(div[low][0], u) if u & top else u ^ div[low][0]
             hits = u & lead_mask & -(low << 1)
         return u
 
@@ -287,6 +373,7 @@ class Subgroup:
         not the identity.
         """
         mul = self.group.multiply
+        top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
         c = 0
@@ -294,7 +381,7 @@ class Subgroup:
         while hits:
             low = hits & -hits
             inv, bit = div[low]
-            u = mul(inv, u)
+            u = mul(inv, u) if u & top else u ^ inv
             c |= bit
             hits = u & lead_mask & -(low << 1)
         if u:
@@ -340,16 +427,19 @@ def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[i
 
     From the last member down, right-multiply each member by the later
     (already canonical) members whose leading index it touches; a right
-    factor from G_d leaves every exponent below d alone.
+    factor from G_d leaves every exponent below d alone.  A tail factor
+    is XOR.
     """
     mul = group.multiply
+    top = group.top_mask
     members = list(members)
     leads = [lowbit_index(m) for m in members]
     for idx in range(len(members) - 2, -1, -1):
         m = members[idx]
         for later in range(idx + 1, len(members)):
             if (m >> leads[later]) & 1:
-                m = mul(m, members[later])
+                t = members[later]
+                m = mul(m, t) if t & top else m ^ t
         members[idx] = m
     return tuple(members)
 
@@ -359,9 +449,11 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
 
     A new member g is commuted with each member m only when their
     supports clash (group.clash_mask): otherwise both commutators are the
-    identity, which sifting would drop anyway.
+    identity, which sifting would drop anyway.  Each commutator comes
+    from the inverses already held: [g, m] = g^-1 m^-1 g m.
     """
     mul = group.multiply
+    top = group.top_mask
     by_lead: Dict[int, int] = {}
     inv: Dict[int, int] = {}
     queue = list(gens)
@@ -374,18 +466,19 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
             m = by_lead.get(d)
             if m is None:
                 break
-            g = mul(inv[d], g)
+            g = mul(inv[d], g) if g & top else g ^ m
         if not g:
             continue
         d = lowbit_index(g)
         by_lead[d] = g
-        inv[d] = group.inverse(g)
+        g_inv = inv[d] = group.inverse(g) if g & top else g
         queue.append(mul(g, g))
         clash = group.clash_mask(g)
-        for m in list(by_lead.values()):
-            if m != g and clash & m:
-                queue.append(group.commutator(g, m))
-                queue.append(group.commutator(m, g))
+        for e, m in list(by_lead.items()):
+            if e != d and clash & m:
+                m_inv = inv[e]
+                queue.append(mul(mul(g_inv, m_inv), mul(g, m)))
+                queue.append(mul(mul(m_inv, g_inv), mul(m, g)))
     return by_lead
 
 
@@ -458,22 +551,34 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
 
     A pair whose supports do not clash (group.clash_mask) commutes, so
     its conjugate is m_j itself and its row is zero; it is skipped
-    without multiplying.
+    without multiplying.  Members in the tail come last, square to the
+    identity and commute with each other, so they add no rows of their
+    own; the conjugate of a tail member by a top member m_i comes from
+    the tail_action table of m_i's top part.
     """
     mul = group.multiply
+    top = group.top_mask
+    tail = group.tail
     ms = s.members
     rows = []
     for i, mi in enumerate(ms):
+        h = mi & top
+        if not h:
+            break
         sq = mul(mi, mi)
         if sq:
             rows.append(s.coords(sq))
         inv = s._invs[i]
         clash = group.clash_mask(mi)
+        table = group.tail_action(h)
         for j in range(i + 1, len(ms)):
             mj = ms[j]
             if not clash & mj:
                 continue
-            c = mul(mul(inv, mj), mi)
+            if mj & top:
+                c = mul(mul(inv, mj), mi)
+            else:
+                c = _sliced_apply(table, mj >> tail)
             if c != mj:
                 rows.append(s.coords(c) ^ (1 << j))
     return rows
@@ -513,10 +618,13 @@ def kernel_members(group: PcPresentation, s: Subgroup, a: int) -> Tuple[int, ...
     kernel, which has index 2.
     """
     mul = group.multiply
+    top = group.top_mask
     ms = s.members
     support = [m for t, m in enumerate(ms) if (a >> t) & 1]
     members = [m for t, m in enumerate(ms) if not (a >> t) & 1]
-    members.extend(mul(support[t], support[t + 1]) for t in range(len(support) - 1))
+    members.extend(
+        mul(u, v) if v & top else u ^ v for u, v in zip(support, support[1:])
+    )
     return _canonical_members(group, sorted(members, key=lowbit_index))
 
 

@@ -303,7 +303,8 @@ def run_search(
         if config.log:
             config.log(
                 f"depth {level.depth}: {len(level.survivors)} survivors "
-                f"of {level.candidates} candidates (meet 2^{level.required_meet_log})"
+                f"of {level.candidates} candidates (meet 2^{level.required_meet_log}) "
+                f"{time.perf_counter() - t0:.2f}s"
             )
         if config.checkpoint_path:
             write_checkpoint(config.checkpoint_path, level)

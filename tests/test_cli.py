@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -116,6 +117,12 @@ def test_search_shallow_run_reports_survivors(capsys):
     assert main(["search", "--levels", "2"]) == 1
     out = capsys.readouterr().out
     assert "survivors per level: [2, 2]" in out
+
+
+def test_search_progress_lines_show_elapsed_seconds(capsys):
+    assert main(["search", "--levels", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"depth 1: 2 survivors of 3 candidates \(meet 2\^5\) \d+\.\d\ds", lines[0])
 
 
 def test_search_budget_abort():

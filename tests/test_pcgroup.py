@@ -317,43 +317,143 @@ def test_maximal_subgroups_match_frattini_oracle_toy(toy):
 
 @pytest.fixture(scope="module")
 def p59_survivors(p59):
-    """The survivors of descent levels 1-3, as Subgroups."""
+    """The survivors of descent levels 1-5, as Subgroups."""
     from mixdih import search as se
 
     level = se.root_level(p59, se.stab_subgroup(p59))
     out = []
-    for _ in range(3):
+    for _ in range(5):
         level = se.descend(p59, level, se.SearchConfig())
         out.extend(pc.Subgroup(p59, rows, canonical=True) for rows in level.survivors)
-    assert len(out) == 2 + 2 + 12
+    assert len(out) == 2 + 2 + 12 + 48 + 128
     return out
 
 
 def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivors):
-    for s in p59_survivors:
+    for s in p59_survivors[:16]:  # levels 1-3
         assert_maximal_match_frattini(p59, s)
 
 
+def multiply_only_divide(s, u):
+    """Reference for Subgroup.coords and Subgroup.sift: left-divide by
+    each member whose lead u hits, scanning every lead in ascending
+    order, with the multiply only.  Returns (coordinates, residue)."""
+    mul = s.group.multiply
+    c = 0
+    for t, (d, m) in enumerate(zip(s.leads, s.members)):
+        if (u >> d) & 1:
+            u = mul(s.group.squaring_inverse(m), u)
+            c |= 1 << t
+    return c, u
+
+
 def all_pairs_relation_rows(group, s):
-    """Reference: relation_rows without the clash test, every pair kept."""
+    """Reference: relation_rows without the clash test, every pair kept,
+    every conjugate and coordinate from the multiply."""
     mul = group.multiply
     ms = s.members
+
+    def coords(w):
+        c, residue = multiply_only_divide(s, w)
+        assert residue == 0
+        return c
+
     rows = []
     for i, mi in enumerate(ms):
         sq = mul(mi, mi)
         if sq:
-            rows.append(s.coords(sq))
+            rows.append(coords(sq))
         inv = group.squaring_inverse(mi)
         for j in range(i + 1, len(ms)):
             c = mul(mul(inv, ms[j]), mi)
             if c != ms[j]:
-                rows.append(s.coords(c) ^ (1 << j))
+                rows.append(coords(c) ^ (1 << j))
     return rows
 
 
 def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
     for s in p59_survivors:
         assert pc.relation_rows(p59, s) == all_pairs_relation_rows(p59, s)
+
+
+# ── the elementary abelian tail ─────────────────────────────────────────────
+
+
+def test_tail_of_the_builders(tmp_path, toy, h56, p59):
+    for group, tail in ((toy, 2), (h56, 8), (p59, 11)):
+        assert group.tail == tail
+        assert group.top_mask == (1 << tail) - 1
+        path = tmp_path / f"{group.label}.pc2"
+        pc.save_presentation(group, path)
+        assert pc.load_presentation(path).tail == tail
+
+
+def test_tail_grows_past_power_words_and_inner_conjugates():
+    # g0 acts on the elementary abelian <g1, g2, g3>: g1 -> g1 g3, g2 -> g2 g3
+    conj = {(1, 0): 0b1010, (2, 0): 0b1100}
+    assert pc.PcPresentation(4, [0] * 4, conj).tail == 1
+    assert pc.PcPresentation(4, [0] * 4, {}).tail == 0
+    # a square inside the would-be tail: g2**2 = g3
+    assert pc.PcPresentation(4, [0, 0, 0b1000, 0], conj).tail == 3
+    # a noncommuting pair inside it: g2**g1 = g2 g3
+    assert pc.PcPresentation(4, [0] * 4, {**conj, (2, 1): 0b1100}).tail == 2
+    # and a conjugate that leaves every shorter tail: g3**g0 = g2 g3
+    assert pc.PcPresentation(4, [0, 0, 0b1000, 0], {**conj, (3, 0): 0b1100}).tail == 4
+
+
+def test_tail_generators_multiply_by_xor(toy, h56, p59):
+    rng = random.Random(41)
+    for group in (toy, h56, p59):
+        words = [rng.getrandbits(group.n) for _ in range(12)]
+        for j in range(group.tail, group.n):
+            for w in words:
+                assert group.collect_multiply(w, 1 << j) == w ^ (1 << j)
+
+
+def test_tail_action_matches_conjugation(toy, h56, p59):
+    rng = random.Random(42)
+    for group in (toy, h56, p59):
+        mul = group.multiply
+        for _ in range(150):
+            g = rng.getrandbits(group.n)
+            t = rng.getrandbits(group.n) & ~group.top_mask
+            table = group.tail_action(g & group.top_mask)
+            assert pc._sliced_apply(table, t >> group.tail) == mul(mul(group.inverse(g), t), g)
+
+
+def test_tail_action_cache_is_bounded():
+    # cyclic of order 2**10 times C2: g_i**2 = g_{i+1} up to g9, so the
+    # tail is g9, g10 and there are 512 top parts
+    group = pc.PcPresentation(11, [1 << (i + 1) for i in range(9)] + [0, 0], {})
+    assert group.tail == 9
+    for h in range(1 << group.tail):
+        assert group.tail_action(h) == [0, 1 << 9, 1 << 10, 3 << 9]
+    assert len(group._actions) == pc.ACTION_CACHE_CAP < 1 << group.tail
+
+
+def test_xor_division_matches_multiply_reference(toy, p59, p59_survivors):
+    rng = random.Random(43)
+    cases = [(p59, s) for s in p59_survivors[::24]]
+    cases += [(toy, pc.subgroup_igs(toy, [rng.getrandbits(8) for _ in range(3)])) for _ in range(8)]
+    for group, s in cases:
+        tail = ~group.top_mask
+        words = [rng.getrandbits(group.n) for _ in range(20)]
+        words += [w & tail for w in words]
+        words += [rng.choice(s.elements() if s.order_log <= 8 else s.members)]
+        for _ in range(10):
+            u = 0
+            for m in s.members:
+                if rng.getrandbits(1):
+                    u = group.multiply(u, m)
+            words += [u, u & tail]
+        for u in words:
+            c, residue = multiply_only_divide(s, u)
+            assert s.sift(u) == residue
+            if residue:
+                with pytest.raises(pc.NotInSubgroup):
+                    s.coords(u)
+            else:
+                assert s.coords(u) == c
 
 
 def test_small_intersection_order(p59):

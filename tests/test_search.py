@@ -235,9 +235,11 @@ CHECKPOINT_SHA256 = [
 
 
 # p59 multiply and inverse calls of a serial six-level run_search; a
-# change that loses the clash skip in relation_rows or a closed-form
-# inverse moves them
-DESCENT_CALLS = {"multiply": 392_805, "inverse": 11_828}
+# change that loses the clash skip in relation_rows, a closed-form
+# inverse, or the tail path (XOR in the elementary abelian tail, its
+# members as their own inverses, conjugates of tail members from
+# tail_action tables) moves them
+DESCENT_CALLS = {"multiply": 26_739, "inverse": 2_752}
 
 
 def _counting(calls, name, fn):
