@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, reduce_by_echelon, word_bits
+from .gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tables, word_bits
 from .pcgroup import PcPresentation
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "build_h56",
     "build_p59",
     "build_toy",
-    "make_rho",
     "make_rho_power",
 ]
 
@@ -138,17 +137,19 @@ class _Tables:
 
     reduce maps a full layer-3 vector (d_dim bits) to its packed image in
     the quotient's complement coordinates; identity for the free object.
+    OUTER and TB are indexed by letter words.  TA[k] and TC[l] are linear
+    in the c layer, so each is the sliced_tables of its c-bit images, one
+    flat list of 256 entries per byte of the c layer, and reduce is
+    called once per c-bit rather than once per byte value.
     """
 
-    def __init__(self, n: int, reduce: Callable[[int], int], d_width: int):
+    def __init__(self, n: int, reduce: Callable[[int], int]):
         lay = _layout(n)
         self.layout = lay
-        self.d_width = d_width
         self.n = n
         size = 1 << n
         self.amask = size - 1
         self.cmask = (1 << lay.c_dim) - 1
-        self.c_chunks = (lay.c_dim + 7) // 8
 
         def dx(i, j, k):
             t = lay.dx_index(i, j, k)
@@ -192,28 +193,11 @@ class _Tables:
             tb.append(row)
         self.TB = tb
 
-        # TA[k][chunk][byte]: reduced sum of [[x_i,y_j],x_k] over c-bits set
-        # in the byte; linear in the c layer, so byte-sliced
-        def slice_tables(percell):
-            per_gen = []
-            for g in range(n):
-                chunks = []
-                for ch in range(self.c_chunks):
-                    table = [0] * 256
-                    for byte in range(256):
-                        m = 0
-                        for bit in word_bits(byte):
-                            col = ch * 8 + bit
-                            if col < lay.c_dim:
-                                i, j = divmod(col, n)
-                                m ^= percell(i, j, g)
-                        table[byte] = reduce(m)
-                    chunks.append(table)
-                per_gen.append(chunks)
-            return per_gen
-
-        self.TA = slice_tables(dx)
-        self.TC = slice_tables(dy)
+        # TA[k], TC[l]: reduced sum of [[x_i,y_j],x_k] (resp. [[x_i,y_j],y_l])
+        # over the c-bits (i,j) set; linear in the c layer, so byte-sliced
+        cells = [divmod(col, n) for col in range(lay.c_dim)]
+        self.TA = [sliced_tables([reduce(dx(i, j, k)) for i, j in cells], 8) for k in range(n)]
+        self.TC = [sliced_tables([reduce(dy(i, j, l)) for i, j in cells], 8) for l in range(n)]
 
 
 def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
@@ -238,11 +222,11 @@ def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
                     kb = kk & -kk
                     tak = TA[kb.bit_length() - 1]
                     gg = g1
-                    ci = 0
+                    at = 0
                     while gg:
-                        corr ^= tak[ci][gg & 255]
+                        corr ^= tak[at | (gg & 255)]
                         gg >>= 8
-                        ci += 1
+                        at += 256
                     kk ^= kb
         else:
             q = 0
@@ -255,11 +239,11 @@ def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
                 lb = ll & -ll
                 tcl = TC[lb.bit_length() - 1]
                 gg = gm
-                ci = 0
+                at = 0
                 while gg:
-                    corr ^= tcl[ci][gg & 255]
+                    corr ^= tcl[at | (gg & 255)]
                     gg >>= 8
-                    ci += 1
+                    at += 256
                 ll ^= lb
         return (
             ((u & amask) ^ a2)
@@ -272,14 +256,8 @@ def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _free_tables(n: int) -> _Tables:
-    lay = _layout(n)
-    return _Tables(n, lambda m: m, lay.d_dim)
-
-
-@lru_cache(maxsize=None)
 def _free_mul(n: int) -> Callable[[int, int], int]:
-    return _make_mul(_free_tables(n))
+    return _make_mul(_Tables(n, lambda m: m))
 
 
 # ── the free object on 4+4 generators ───────────────────────────────────────
@@ -478,7 +456,6 @@ class LayeredMeta:
     d_cols: Tuple[int, ...]
     d_desc: Tuple[Tuple[str, int, int, int], ...]
     reduce_full: Callable[[int], int]
-    tables: _Tables
 
     @property
     def c_off(self) -> int:
@@ -506,7 +483,6 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
             res ^= low
         return out
 
-    tables = _Tables(n, reduce_full, len(d_cols))
     ngen = 2 * n + lay.c_dim + len(d_cols)
     c_off = 2 * n
     d_off = c_off + lay.c_dim
@@ -543,9 +519,8 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
         d_cols=d_cols,
         d_desc=d_desc,
         reduce_full=reduce_full,
-        tables=tables,
     )
-    mul = _make_mul(tables)
+    mul = _make_mul(_Tables(n, reduce_full))
 
     def inv(u: int) -> int:
         # u**2 lies in the elementary abelian layers above the letters,
@@ -580,117 +555,49 @@ def build_toy() -> PcPresentation:
 # ── conjugation by the twist on quotient coordinates ────────────────────────
 
 
-def make_rho(h: PcPresentation) -> Callable[[int], int]:
-    """h -> h**r on packed coordinates of a layered quotient group.
+def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
+    """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
 
-    Built from the same correction tables as the multiply: if h = a b g d
-    (normal form, x-part a, y-part b), then conjugating letterwise gives
-    the word (sigma b) a g' d' which the closed form straightens.
+    rho is conjugation by the twist r, so rho(x-word a * y-word b) =
+    y-word a * x-word sigma(b): on the letters (the low byte) it is
+    affine, and its 256 images there are whole products from the
+    multiply.  Above the letters it is linear: c-layer bits move by
+    perm2, and d-layer bit t goes to the reduced image of its lift under
+    perm3.  So rho is a table per byte of the word, the low byte's from
+    those products and the higher bytes' from the single-bit images by
+    sliced_tables, and so are rho**2 and rho**4, built the same way from
+    the previous tables applied twice.  rho**e is at most three table
+    passes, one per bit of e.
     """
     meta: LayeredMeta = h.meta
     if not isinstance(meta, LayeredMeta) or meta.n != 4:
         raise ValueError("twist conjugation needs the 4+4 layered group")
     act = r_action()
-    tb = meta.tables
-    reduce_full = meta.reduce_full
+    sig = [sum(1 << SIG[i] for i in word_bits(b)) for b in range(16)]
+    r1 = [h.multiply((byte & 15) << 4, sig[byte >> 4]) for byte in range(256)]
+    above = [1 << (meta.c_off + t) for t in act.perm2]
+    above += [meta.reduce_full(1 << act.perm3[col]) << meta.d_off for col in meta.d_cols]
+    r1 += sliced_tables(above, 8)
 
-    sig_a = [0] * 16
-    for m in range(16):
-        t = 0
-        for i in word_bits(m):
-            t |= 1 << SIG[i]
-        sig_a[m] = t
+    def square(table: List[int]) -> List[int]:
+        def image(w: int) -> int:
+            return sliced_apply(table, sliced_apply(table, w, 8), 8)
 
-    # c-layer permutation, byte-sliced over 16 bits
-    perm_c = []
-    for ch in range(2):
-        table = [0] * 256
-        for byte in range(256):
-            m = 0
-            for bit in word_bits(byte):
-                m |= 1 << act.perm2[ch * 8 + bit]
-            table[byte] = m
-        perm_c.append(table)
+        return [image(byte) for byte in range(256)] + sliced_tables([image(1 << t) for t in range(8, h.n)], 8)
 
-    # reduced-d image of the layer-3 permutation: lift col, permute, reduce
-    d_width = len(meta.d_cols)
-    d_chunks = (d_width + 7) // 8 if d_width else 0
-    m3r = []
-    for ch in range(d_chunks):
-        table = [0] * 256
-        for byte in range(256):
-            m = 0
-            for bit in word_bits(byte):
-                pos = ch * 8 + bit
-                if pos < d_width:
-                    m ^= reduce_full(1 << act.perm3[meta.d_cols[pos]])
-            table[byte] = m
-        m3r.append(table)
-
-    OUTER, TB = tb.OUTER, tb.TB
-    c_off, d_off = meta.c_off, meta.d_off
-
-    def rho(w: int) -> int:
-        a = w & 15
-        b = (w >> 4) & 15
-        g = (w >> c_off) & 0xFFFF
-        d = w >> d_off
-        a2 = sig_a[b]
-        gi = perm_c[0][g & 255] | perm_c[1][g >> 8]
-        di = 0
-        ci = 0
-        while d:
-            di ^= m3r[ci][d & 255]
-            d >>= 8
-            ci += 1
-        # letterwise image is y-word(a) * x-word(sigma b) * rest; straighten
-        # the first two: moving x-part = sigma b, passed y-part = a
-        gi ^= OUTER[a2][a]
-        di ^= TB[a2][a]
-        return a2 | (a << 4) | (gi << c_off) | (di << d_off)
-
-    return rho
-
-
-def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
-    """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
-
-    rho is affine in the letters (the low byte: its corrections OUTER, TB
-    depend only on them) and linear on the c and d layers above, and so
-    is every power of it.  So rho, rho**2 and rho**4 are each a table per
-    byte of the word: the low byte's 256 entries are images of whole
-    letter words, the entries of every higher byte XORs of single-bit
-    images.  rho**e is at most three table passes, one per bit of e.
-    """
-    rho = make_rho(h)
-    chunks = (h.n + 7) // 8
-
-    def apply(tables: List[List[int]], w: int) -> int:
-        out = 0
-        for table in tables:
-            out ^= table[w & 255]
-            w >>= 8
-        return out
-
-    def byte_tables(image: Callable[[int], int]) -> List[List[int]]:
-        tables = [[image(byte) for byte in range(256)]]
-        for ch in range(1, chunks):
-            table = [0] * 256
-            for byte in range(1, 256):
-                low = byte & -byte
-                rest = byte ^ low
-                table[byte] = table[rest] ^ table[low] if rest else image(byte << (8 * ch))
-            tables.append(table)
-        return tables
-
-    r1 = byte_tables(rho)
-    r2 = byte_tables(lambda w: apply(r1, apply(r1, w)))
-    r4 = byte_tables(lambda w: apply(r2, apply(r2, w)))
+    r2 = square(r1)
+    r4 = square(r2)
     passes = [[t for bit, t in ((1, r1), (2, r2), (4, r4)) if e & bit] for e in range(8)]
 
     def rho_power(w: int, e: int) -> int:
-        for tables in passes[e & 7]:
-            w = apply(tables, w)
+        for table in passes[e & 7]:
+            out = 0
+            at = 0
+            while w:
+                out ^= table[at | (w & 255)]
+                w >>= 8
+                at += 256
+            w = out
         return w
 
     return rho_power

@@ -633,8 +633,8 @@ def cmd_maps(args) -> int:
 # ── argument parsing ─────────────────────────────────────────────────────────
 
 
-def _worker_count(text: str) -> int:
-    """--threads: an int of at least 1, else a usage error."""
+def _positive_int(text: str) -> int:
+    """--threads and --levels: an int of at least 1, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -658,16 +658,22 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("target", choices=["h56", "p59", "toy2", "all"])
     v.add_argument("--report", help="write the JSON report here instead of stdout")
     v.add_argument("--from-file", help="check a presentation file instead of building")
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--threads", type=_worker_count, default=1, help="descent workers, for target all only (default 1)")
+    v.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="seed of p59_embedding_agreement and the verify all property suites;"
+        f" other checks ignore it (default {DEFAULT_SEED})",
+    )
+    v.add_argument("--threads", type=_positive_int, default=1, help="descent workers, for target all only (default 1)")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
-    s.add_argument("--levels", type=int, default=6)
+    s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, at least 1 (default 6)")
     s.add_argument("--max-survivors", type=int, default=10_000_000)
     s.add_argument("--checkpoint", help="write each completed level here")
     s.add_argument("--resume", help="resume from a checkpoint file")
-    s.add_argument("--threads", type=_worker_count, default=1, help="descent workers (default 1)")
+    s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
 
     g = sub.add_parser("graph", help="export a desk-scale graph")

@@ -4,6 +4,11 @@ Bit convention, fixed across the whole package and all file formats:
 bit k of an integer is coordinate (column) k, i.e. column 0 is the lowest
 bit.  A vector of width w is an int in range(2**w), and a matrix is a
 sequence of such rows.  Nothing here is sparse.
+
+A GF(2)-linear map on words is fixed by the images of its basis bits.
+sliced_tables turns those images into lookup tables, one slice of
+2**bits entries per `bits` input bits, so that the image of a word is
+one lookup per slice, XORed together (sliced_apply).
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ __all__ = [
     "echelon_ints",
     "reduce_by_echelon",
     "rank_ints",
+    "sliced_tables",
+    "sliced_apply",
 ]
 
 
@@ -73,3 +80,31 @@ def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> in
 def rank_ints(rows: Sequence[int]) -> int:
     return len(echelon_ints(rows)[0])
 
+
+def sliced_tables(images: Sequence[int], bits: int) -> List[int]:
+    """Lookup tables for the linear map sending bit k to images[k].
+
+    One flat list: entry (s << bits) | x is the image of x << (bits * s).
+    Each entry is an earlier entry XOR one image; a last slice with fewer
+    than `bits` images reads the missing bits as mapping to 0.
+    """
+    size = 1 << bits
+    table: List[int] = []
+    for s in range(0, len(images), bits):
+        row = [0]
+        for image in images[s : s + bits]:
+            row += [x ^ image for x in row]
+        table += row * (size // len(row))
+    return table
+
+
+def sliced_apply(table: Sequence[int], w: int, bits: int) -> int:
+    """The image of w under the map whose sliced_tables are `table`."""
+    mask = (1 << bits) - 1
+    out = 0
+    at = 0
+    while w:
+        out ^= table[at | (w & mask)]
+        w >>= bits
+        at += mask + 1
+    return out

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .calculus import LayeredMeta
 from .pcgroup import PcPresentation, Subgroup, subgroup_igs
 
-MAX_VERTICES = 1 << 20
 MAX_EDGES = 1 << 20
 
 
@@ -302,28 +301,15 @@ def verify_line_graph_correspondence(
     group: PcPresentation,
     xsub: Subgroup,
     ysub: Subgroup,
-    swap: Optional[Tuple[int, int]] = None,
-    drop_edge: Optional[Tuple[int, int]] = None,
 ) -> bool:
     """Check that z -> {xsub*z, ysub*z} identifies the Cayley graph on the
     letter connection set with the line graph of the coset incidence graph.
 
     The check is exact: the map must be a bijection from Cayley vertices
     onto incidence edges and must carry neighborhoods onto neighborhoods.
-    `swap` transposes the images of two elements and `drop_edge` removes
-    one incidence edge (given as a vertex pair) first; both perturbations
-    are for mutation tests and make the verdict False.
     """
     gamma = cayley_graph(group, letter_connection_set(group))
     sigma = bicoset_graph(group, xsub, ysub)
-    if drop_edge is not None:
-        u, w = min(drop_edge), max(drop_edge)
-        if not sigma.has_edge(u, w):
-            raise ValueError("drop_edge is not an edge")
-        rows = [list(row) for row in sigma.neighbors]
-        rows[u].remove(w)
-        rows[w].remove(u)
-        sigma = SimpleGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition)
     lg = line_graph(sigma)
     lg_index = lg.label_index
     images = []
@@ -332,9 +318,6 @@ def verify_line_graph_correspondence(
         if key not in lg_index:
             return False
         images.append(lg_index[key])
-    if swap is not None:
-        z1, z2 = swap
-        images[z1], images[z2] = images[z2], images[z1]
     if len(set(images)) != lg.vertex_count:
         return False
     for g in range(gamma.vertex_count):

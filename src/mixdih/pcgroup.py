@@ -38,7 +38,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, lowbit_index, word_bits
+from .gf2linalg import echelon_ints, lowbit_index, sliced_apply, sliced_tables, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -202,10 +202,9 @@ class PcPresentation:
     def tail_action(self, h: int) -> List[int]:
         """t -> h^-1 t h on the tail, for h supported below the tail.
 
-        The map is linear, so it is a table of 16 entries per 4 bits of
-        t >> tail: entry 16*s + x is the image of the tail word whose
-        bits 4s..4s+3 are x.  Built from the images of the tail
-        generators, h = g_i * h' with i the lowest bit of h, so
+        The map is linear, so it is the sliced_tables of the images of
+        the tail generators, 16 entries per 4 bits of t >> tail.  Those
+        images come from h = g_i * h' with i the lowest bit of h, so
         g_j ** h = (g_j ** g_i) ** h', read from the conjugation table.
         Tables are cached per presentation, at most ACTION_CACHE_CAP.
         """
@@ -216,15 +215,10 @@ class PcPresentation:
         if h:
             i = lowbit_index(h)
             rest = self.tail_action(h & (h - 1))
-            images = [_sliced_apply(rest, self.conj.get((j, i), 1 << j) >> k) for j in range(k, self.n)]
+            images = [sliced_apply(rest, self.conj.get((j, i), 1 << j) >> k, 4) for j in range(k, self.n)]
         else:
             images = [1 << j for j in range(k, self.n)]
-        table = []
-        for s in range(0, len(images), 4):
-            row = [0]
-            for image in images[s : s + 4]:
-                row += [x ^ image for x in row]
-            table += row
+        table = sliced_tables(images, 4)
         if len(self._actions) >= ACTION_CACHE_CAP:
             del self._actions[next(iter(self._actions))]
         self._actions[h] = table
@@ -286,18 +280,6 @@ class PcPresentation:
 
     def __repr__(self) -> str:
         return f"PcPresentation({self.label or 'anon'}, n={self.n})"
-
-
-def _sliced_apply(table: List[int], t: int) -> int:
-    """The image of the tail word t (shifted down to bit 0) under a
-    tail_action table."""
-    out = 0
-    at = 0
-    while t:
-        out ^= table[at | (t & 15)]
-        t >>= 4
-        at += 16
-    return out
 
 
 class Subgroup:
@@ -578,7 +560,13 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
             if mj & top:
                 c = mul(mul(inv, mj), mi)
             else:
-                c = _sliced_apply(table, mj >> tail)
+                t = mj >> tail
+                c = 0
+                at = 0
+                while t:
+                    c ^= table[at | (t & 15)]
+                    t >>= 4
+                    at += 16
             if c != mj:
                 rows.append(s.coords(c) ^ (1 << j))
     return rows

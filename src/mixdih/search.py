@@ -72,6 +72,8 @@ class SearchConfig:
     log: Optional[Callable[[str], None]] = None
 
     def __post_init__(self):
+        if self.levels < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
 

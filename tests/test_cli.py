@@ -167,6 +167,14 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["0", "-2", "six"])
+def test_search_levels_below_one_is_a_usage_error(capsys, levels):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--levels", levels])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])
 def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
     path = tmp_path / "ck.txt"

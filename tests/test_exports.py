@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import mixdih
 
@@ -17,3 +18,14 @@ def test_all_names_exist():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"mixdih.{info.name}.__all__ names missing attributes: {missing}"
     assert declaring >= 4
+
+
+def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, p59):
+    # perfbench/traced.py wraps engine names it looks up by attribute;
+    # building its patch lists (without applying them) fails here when
+    # one of those names is deleted or renamed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced = importlib.import_module("traced")
+    assert traced.descent_layers(traced.Tracer(), p59)
+    assert traced.battery_layers(traced.Tracer())
+    assert traced.search.SearchConfig().worker_count() == 1

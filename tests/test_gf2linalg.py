@@ -1,8 +1,8 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from mixdih.gf2linalg import echelon_ints, rank_ints, reduce_by_echelon
+from mixdih.gf2linalg import echelon_ints, rank_ints, reduce_by_echelon, sliced_apply, sliced_tables
 
 
 def span_of(rows, width):
@@ -102,3 +102,22 @@ def test_membership_linear_in_residue(params):
         assert reduce_by_echelon(v ^ b, basis, pivots) == res
     # and reduction is idempotent
     assert reduce_by_echelon(res, basis, pivots) == res
+
+
+@given(
+    st.sampled_from([4, 8]),
+    st.lists(st.integers(0, (1 << 64) - 1), max_size=21),
+    st.lists(st.integers(min_value=0), max_size=8),
+)
+@example(bits=4, images=[3, 5, 6, 9, 17], words=[0b10110, 0b11111])
+@example(bits=8, images=list(range(1, 14)), words=[(1 << 13) - 1, 1 << 8, 1 << 7])
+def test_sliced_tables_apply_xors_the_images_of_set_bits(bits, images, words):
+    table = sliced_tables(images, bits)
+    slices = -(-len(images) // bits)
+    assert len(table) == slices << bits
+    for w in [0] + [w & ((1 << len(images)) - 1) for w in words]:
+        expect = 0
+        for k, image in enumerate(images):
+            if w >> k & 1:
+                expect ^= image
+        assert sliced_apply(table, w, bits) == expect

@@ -182,15 +182,32 @@ def test_line_graph_correspondence(toy, blocks):
     assert gr.verify_line_graph_correspondence(toy, *blocks)
 
 
-def test_line_graph_correspondence_breaks_under_swap(toy, blocks):
-    assert not gr.verify_line_graph_correspondence(toy, *blocks, swap=(1, 2))
+def test_line_graph_correspondence_breaks_under_swap(monkeypatch, toy, blocks):
+    cayley_graph = gr.cayley_graph
+
+    def swapped(*args):
+        # the Cayley graph with vertices 1 and 2 exchanged
+        gamma = cayley_graph(*args)
+        perm = list(range(gamma.vertex_count))
+        perm[1], perm[2] = 2, 1
+        rows = [tuple(sorted(perm[w] for w in gamma.neighbors[v])) for v in perm]
+        assert gamma.bipartition is None
+        return gr.SimpleGraph(gamma.labels, tuple(rows))
+
+    monkeypatch.setattr(gr, "cayley_graph", swapped)
+    assert not gr.verify_line_graph_correspondence(toy, *blocks)
 
 
-def test_line_graph_correspondence_breaks_per_dropped_edge(toy, blocks, sigma):
+def test_line_graph_correspondence_breaks_per_dropped_edge(monkeypatch, toy, blocks, sigma):
     rng = random.Random(11)
     edge_list = sigma.edges()
     for u, w in rng.sample(edge_list, 10):
-        assert not gr.verify_line_graph_correspondence(toy, *blocks, drop_edge=(u, w))
+        rows = [list(row) for row in sigma.neighbors]
+        rows[u].remove(w)
+        rows[w].remove(u)
+        dropped = gr.SimpleGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition)
+        monkeypatch.setattr(gr, "bicoset_graph", lambda *args, g=dropped: g)
+        assert not gr.verify_line_graph_correspondence(toy, *blocks)
 
 
 # ── quotients ────────────────────────────────────────────────────────────────

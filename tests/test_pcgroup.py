@@ -6,6 +6,7 @@ oracle coset partitions.  The big groups get consistency sweeps plus spot
 checks that must agree with structure known from the construction.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
+from mixdih.gf2linalg import sliced_apply
 
 
 def test_validation_rejects_bad_words():
@@ -388,6 +390,17 @@ def test_tail_of_the_builders(tmp_path, toy, h56, p59):
         assert pc.load_presentation(path).tail == tail
 
 
+# sha256 of each builder's save_presentation bytes, first 16 hex digits
+PRESENTATION_SHA256 = {"toy2": "ec933edb1ea9b4ee", "h56": "074665c0160ca627", "p59": "af7e15a439e722bb"}
+
+
+def test_presentation_files_are_pinned(tmp_path, toy, h56, p59):
+    for group in (toy, h56, p59):
+        path = tmp_path / f"{group.label}.pc2"
+        pc.save_presentation(group, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PRESENTATION_SHA256[group.label]
+
+
 def test_tail_grows_past_power_words_and_inner_conjugates():
     # g0 acts on the elementary abelian <g1, g2, g3>: g1 -> g1 g3, g2 -> g2 g3
     conj = {(1, 0): 0b1010, (2, 0): 0b1100}
@@ -418,7 +431,7 @@ def test_tail_action_matches_conjugation(toy, h56, p59):
             g = rng.getrandbits(group.n)
             t = rng.getrandbits(group.n) & ~group.top_mask
             table = group.tail_action(g & group.top_mask)
-            assert pc._sliced_apply(table, t >> group.tail) == mul(mul(group.inverse(g), t), g)
+            assert sliced_apply(table, t >> group.tail, 4) == mul(mul(group.inverse(g), t), g)
 
 
 def test_tail_action_cache_is_bounded():
@@ -427,7 +440,8 @@ def test_tail_action_cache_is_bounded():
     group = pc.PcPresentation(11, [1 << (i + 1) for i in range(9)] + [0, 0], {})
     assert group.tail == 9
     for h in range(1 << group.tail):
-        assert group.tail_action(h) == [0, 1 << 9, 1 << 10, 3 << 9]
+        # two tail bits fill one 4-bit slice; its upper bits map to 0
+        assert group.tail_action(h) == [0, 1 << 9, 1 << 10, 3 << 9] * 4
     assert len(group._actions) == pc.ACTION_CACHE_CAP < 1 << group.tail
 
 

@@ -294,3 +294,9 @@ def test_worker_count_ignores_the_environment(monkeypatch):
 def test_search_config_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads"):
         se.SearchConfig(threads=threads)
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_search_config_rejects_levels_below_one(levels):
+    with pytest.raises(ValueError, match="levels"):
+        se.SearchConfig(levels=levels)
