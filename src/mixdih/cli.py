@@ -185,55 +185,78 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
         True,
         singer_cube_inverts_companion,
     )
+
+    def generators() -> List[mo.VerifiedAutomorphism]:
+        return [verified[nm] for nm in ("x_singer_generator", "y_singer_generator", "twist_conjugation")]
+
+    found: Dict[str, object] = {}
+
+    def twist_relations():
+        found["twist"] = mo.twist_conjugation_check(*generators())
+        return found["twist"]
+
     run.add(
         "h56_twist_conjugation_relations",
         "conjugation by the twist swaps the singer generators as expected",
         True,
-        lambda: mo.twist_conjugation_check(h),
+        twist_relations,
     )
+    non_examples = ["x_centralizer_candidate", "x_half_turn"]
 
     def negatives():
         rejected = []
-        for nm in ("x_centralizer_candidate", "x_half_turn"):
+        for nm in non_examples:
             try:
                 mo.extend(named[nm])
             except mo.NotHomomorphism:
                 rejected.append(nm)
+        found["rejected"] = rejected
         return rejected
 
     run.add(
         "h56_negative_maps_rejected",
         "the two deliberate non-examples fail to extend",
-        ["x_centralizer_candidate", "x_half_turn"],
+        non_examples,
         negatives,
     )
 
-    report_box: List[mo.NormalityReport] = []
-
-    def normality():
-        report_box.append(mo.normality_criterion_report(h))
-        return report_box[0].aut_order
+    def closure_order():
+        found["closure"] = mo.closure(generators(), cap=4000)
+        return found["closure"].order
 
     run.add(
         "h56_closure_order",
         "the closure of the two singer generators and the twist has order 1800",
         1800,
-        normality,
+        closure_order,
     )
 
-    def rep_fields():
-        rep = report_box[0]
-        return [
-            rep.orbit_size, rep.orbit_is_letter_set, rep.stabilizer_order,
-            rep.stabilizer_is_y_singer_cycle, rep.full_product_excluded, rep.ok,
+    def hypotheses():
+        k = found["closure"]
+        letter_set = (set(xsub.elements()) | set(ysub.elements())) - {0}
+        orbit = mo.orbit_of_letter_set(generators(), [1])  # orbit of x1
+        stab = mo.pointwise_x_stabilizer(h, k)
+        y_cycle = mo.closure([verified["y_singer_generator"]], cap=100)
+        # a closure containing the full product of both letter-block linear
+        # groups would have order divisible by |GL(4,2)|**2
+        fields = [
+            len(orbit), orbit == letter_set, len(stab),
+            stab == y_cycle.letter_tuples, k.order % (20160 ** 2) != 0,
         ]
+        ok = (
+            fields == [30, True, 15, True, True]
+            and k.order == 1800
+            and found.get("twist") is True
+            and found.get("rejected") == non_examples
+        )
+        return fields + [ok]
 
     run.add(
         "h56_normality_hypotheses",
         "single orbit of size 30 on the letter set, pointwise stabilizer of "
         "order 15, and closure order not divisible by 20160^2",
         [30, True, 15, True, True, True],
-        rep_fields,
+        hypotheses,
     )
 
 
@@ -325,8 +348,8 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
 def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.NormalQuotient:
     """The incidence graph modulo the orbits of the derived subgroup."""
     derived = derived_subgroup(toy, subgroup_igs(toy, [1 << i for i in range(toy.n)]))
-    orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
-    return gr.normal_quotient(sigma, orbits)
+    translations = gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members)
+    return gr.normal_quotient(sigma, gr.vertex_orbits(sigma, translations))
 
 
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
@@ -362,7 +385,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         "toy2_line_graph_correspondence",
         "element-to-edge identifies the Cayley graph with the line graph",
         True,
-        lambda: gr.verify_line_graph_correspondence(toy, xsub, ysub),
+        lambda: gr.verify_line_graph_correspondence(toy, xsub, ysub, gamma, sigma),
     )
 
     def quotient_shape():
@@ -518,20 +541,19 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     run = CheckRun()
     t0 = time.perf_counter()
+    built: Dict[str, PcPresentation] = {}
     if args.from_file:
         expected_n = {"toy2": 8, "h56": 56, "p59": 59}[args.target]
-        run.add(
-            f"{args.target}_file_parses",
-            "the presentation file parses",
-            True,
-            lambda: bool(load_presentation(args.from_file)),
-        )
+
+        def parse():
+            built[args.target] = load_presentation(args.from_file)
+            return True
+
+        run.add(f"{args.target}_file_parses", "the presentation file parses", True, parse)
         if run.failures == 0:
-            group = load_presentation(args.from_file)
-            _structural_checks(run, group, args.target, expected_n)
+            _structural_checks(run, built[args.target], args.target, expected_n)
     else:
         targets = ["h56", "p59", "toy2"] if args.target == "all" else [args.target]
-        built: Dict[str, PcPresentation] = {}
         if "h56" in targets or "p59" in targets:
             built["h56"] = build_h56()
         if "p59" in targets:
@@ -634,7 +656,8 @@ def cmd_maps(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """--threads and --levels: an int of at least 1, else a usage error."""
+    """--threads, --levels and --max-survivors: an int of at least 1, else a
+    usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -670,7 +693,7 @@ def _parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
     s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, at least 1 (default 6)")
-    s.add_argument("--max-survivors", type=int, default=10_000_000)
+    s.add_argument("--max-survivors", type=_positive_int, default=10_000_000, help="survivors per level before exit 64, at least 1")
     s.add_argument("--checkpoint", help="write each completed level here")
     s.add_argument("--resume", help="resume from a checkpoint file")
     s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")

@@ -301,15 +301,16 @@ def verify_line_graph_correspondence(
     group: PcPresentation,
     xsub: Subgroup,
     ysub: Subgroup,
+    gamma: SimpleGraph,
+    sigma: SimpleGraph,
 ) -> bool:
-    """Check that z -> {xsub*z, ysub*z} identifies the Cayley graph on the
-    letter connection set with the line graph of the coset incidence graph.
+    """Check that z -> {xsub*z, ysub*z} identifies gamma, the Cayley graph
+    on the letter connection set, with the line graph of sigma, the coset
+    incidence graph.
 
     The check is exact: the map must be a bijection from Cayley vertices
     onto incidence edges and must carry neighborhoods onto neighborhoods.
     """
-    gamma = cayley_graph(group, letter_connection_set(group))
-    sigma = bicoset_graph(group, xsub, ysub)
     lg = line_graph(sigma)
     lg_index = lg.label_index
     images = []
@@ -369,47 +370,28 @@ def normal_quotient(g: SimpleGraph, orbits: Sequence[Sequence[int]]) -> NormalQu
     return NormalQuotient(quotient, cover)
 
 
-def _parse_side_label(label: str) -> Tuple[str, int]:
-    side, _, hexpart = label.partition(":")
-    if side not in ("x", "y") or not hexpart:
-        raise ValueError(f"not a coset label: {label!r}")
-    return side, int(hexpart, 16)
+# ── orbit counting ───────────────────────────────────────────────────────────
 
 
-def translation_orbit_partition(
-    group: PcPresentation,
-    xsub: Subgroup,
-    ysub: Subgroup,
-    graph: SimpleGraph,
-    elements: Iterable[int],
-) -> List[List[int]]:
-    """Orbits of right translation by the given elements on coset vertices."""
-    elems = list(elements)
-    index = graph.label_index
-    mul = group.multiply
+def vertex_orbits(g: SimpleGraph, a: ActionGens) -> List[List[int]]:
+    """Orbits of the generated group on vertices, each sorted, in the order
+    of their least vertex."""
     out: List[List[int]] = []
     seen: Set[int] = set()
-    for start in range(graph.vertex_count):
+    for start in range(g.vertex_count):
         if start in seen:
             continue
-        side, rep = _parse_side_label(graph.labels[start])
-        sub = xsub if side == "x" else ysub
         orbit = {start}
-        frontier = [rep]
+        frontier = [start]
         while frontier:
-            cur = frontier.pop()
-            for w in elems:
-                nxt = sub.sift(mul(cur, w))
-                idx = index[f"{side}:" + _element_label(group, nxt)]
-                if idx not in orbit:
-                    orbit.add(idx)
-                    frontier.append(nxt)
+            u = frontier.pop()
+            for p in a.maps:
+                if p[u] not in orbit:
+                    orbit.add(p[u])
+                    frontier.append(p[u])
         seen.update(orbit)
         out.append(sorted(orbit))
     return out
-
-
-# ── orbit counting ───────────────────────────────────────────────────────────
 
 
 def two_arc_orbit_count(g: SimpleGraph, a: ActionGens) -> int:
@@ -463,6 +445,13 @@ def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bo
 
 
 # ── group actions as vertex permutations ─────────────────────────────────────
+
+
+def _parse_side_label(label: str) -> Tuple[str, int]:
+    side, _, hexpart = label.partition(":")
+    if side not in ("x", "y") or not hexpart:
+        raise ValueError(f"not a coset label: {label!r}")
+    return side, int(hexpart, 16)
 
 
 def bicoset_translations(
@@ -545,10 +534,12 @@ def cliques_are_letter_cosets(
     """Exhaustive check that the maximal cliques of the Cayley graph are
     exactly the right cosets of the two letter blocks."""
     mul = group.multiply
+    xs = xsub.elements()
+    ys = ysub.elements()
     expected = set()
     for z in range(1 << group.n):
-        expected.add(frozenset(mul(x, z) for x in xsub.elements()))
-        expected.add(frozenset(mul(y, z) for y in ysub.elements()))
+        expected.add(frozenset(mul(x, z) for x in xs))
+        expected.add(frozenset(mul(y, z) for y in ys))
     return set(maximal_cliques(gamma)) == expected
 
 

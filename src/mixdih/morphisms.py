@@ -10,6 +10,10 @@ a verified automorphism.
 Verified automorphisms compose without re-verification.  Application is
 table-driven: the image of a normal form is the product of the images of
 its generators in index order, and consecutive index blocks are cached.
+
+The checks used by the verification targets (twist relations, letter-set
+orbit, pointwise stabilizer) take automorphisms already verified and a
+closure already computed; they extend and close nothing themselves.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ __all__ = [
     "twist_conjugation_check",
     "orbit_of_letter_set",
     "pointwise_x_stabilizer",
-    "NormalityReport",
-    "normality_criterion_report",
 ]
 
 
@@ -214,8 +216,6 @@ def automorphism_order(f: VerifiedAutomorphism, cap: int = 10_000) -> int:
 class AutGroup:
     """Closure of a set of verified automorphisms, keyed by letter images."""
 
-    group: PcPresentation
-    generators: Tuple[VerifiedAutomorphism, ...]
     letter_tuples: Set[Tuple[int, ...]]
 
     @property
@@ -228,8 +228,7 @@ def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGrou
     their letter images, so the search runs on letter tuples."""
     if not gens:
         raise ValueError("need at least one generator")
-    group = gens[0].group
-    meta: LayeredMeta = group.meta
+    meta: LayeredMeta = gens[0].group.meta
     start = tuple(1 << t for t in range(2 * meta.n))
     seen = {start}
     frontier = [start]
@@ -244,7 +243,7 @@ def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGrou
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return AutGroup(group, tuple(gens), seen)
+    return AutGroup(seen)
 
 
 # ── the named maps ──────────────────────────────────────────────────────────
@@ -335,17 +334,15 @@ def parse_generator_map(group: PcPresentation, text: str) -> GeneratorMap:
 # ── the checks used by the verification targets ─────────────────────────────
 
 
-def twist_conjugation_check(h: PcPresentation) -> bool:
+def twist_conjugation_check(
+    a: VerifiedAutomorphism, b: VerifiedAutomorphism, rho: VerifiedAutomorphism
+) -> bool:
     """The twist conjugates one singer generator to the other.
 
     With a = x-singer, b = y-singer and rho the twist conjugation, check
     a^rho = b and b^rho = a**2 on letter images (conjugation acting on the
     right: a^rho sends u to rho(a(rho^-1(u)))).
     """
-    maps = catalog(h)
-    a = extend(maps["x_singer_generator"])
-    b = extend(maps["y_singer_generator"])
-    rho = extend(maps["twist_conjugation"])
     rho_inv = aut_power(rho, automorphism_order(rho) - 1)
     a_conj = compose(compose(rho_inv, a), rho)
     b_conj = compose(compose(rho_inv, b), rho)
@@ -377,73 +374,3 @@ def pointwise_x_stabilizer(h: PcPresentation, group: AutGroup) -> Set[Tuple[int,
         if all(tup[i] == 1 << i for i in range(n)):
             fixed.add(tup)
     return fixed
-
-
-@dataclass
-class NormalityReport:
-    """Everything the edge-affine normality argument needs, in one place."""
-
-    aut_order: int
-    orbit_size: int
-    orbit_is_letter_set: bool
-    stabilizer_order: int
-    stabilizer_is_y_singer_cycle: bool
-    twist_relations_ok: bool
-    full_product_excluded: bool
-    negatives_rejected: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.aut_order == 1800
-            and self.orbit_size == 30
-            and self.orbit_is_letter_set
-            and self.stabilizer_order > 1
-            and self.stabilizer_order == 15
-            and self.stabilizer_is_y_singer_cycle
-            and self.twist_relations_ok
-            and self.full_product_excluded
-            and len(self.negatives_rejected) == 2
-        )
-
-
-def normality_criterion_report(h: PcPresentation) -> NormalityReport:
-    """Run the automorphism-side certification for the 4+4 quotient."""
-    maps = catalog(h)
-    a1 = extend(maps["x_singer_generator"])
-    a2 = extend(maps["y_singer_generator"])
-    tw = extend(maps["twist_conjugation"])
-    k = closure([a1, a2, tw], cap=4000)
-
-    meta: LayeredMeta = h.meta
-    n = meta.n
-    letters = [1 << t for t in range(2 * n)]
-    x_nonid = set()
-    y_nonid = set()
-    for m in range(1, 1 << n):
-        x_nonid.add(_word_image(h, letters[:n], m))
-        y_nonid.add(_word_image(h, letters[n:], m))
-    letter_set = x_nonid | y_nonid
-
-    orbit = orbit_of_letter_set([a1, a2, tw], [1])  # orbit of x1
-    stab = pointwise_x_stabilizer(h, k)
-    a2_cycle = closure([a2], cap=100)
-
-    negatives = []
-    for name in ("x_centralizer_candidate", "x_half_turn"):
-        try:
-            extend(maps[name])
-        except NotHomomorphism:
-            negatives.append(name)
-    # a closure containing the full product of both letter-block linear
-    # groups would have order divisible by |GL(4,2)|**2
-    return NormalityReport(
-        aut_order=k.order,
-        orbit_size=len(orbit),
-        orbit_is_letter_set=orbit == letter_set,
-        stabilizer_order=len(stab),
-        stabilizer_is_y_singer_cycle=stab == a2_cycle.letter_tuples,
-        twist_relations_ok=twist_conjugation_check(h),
-        full_product_excluded=k.order % (20160 ** 2) != 0,
-        negatives_rejected=tuple(negatives),
-    )

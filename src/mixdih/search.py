@@ -76,6 +76,8 @@ class SearchConfig:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.max_survivors < 1:
+            raise ValueError(f"max_survivors must be at least 1, got {self.max_survivors}")
 
     def worker_count(self) -> int:
         return self.threads

@@ -114,7 +114,9 @@ def test_04_automorphisms(h56, verified):
             cube = mo.aut_power(verified[f"{blk}_singer_generator"], 3)
             inverse = mo.aut_power(verified[f"{blk}_companion_cycle"], 4)
             assert cube.full_images == inverse.full_images
-        assert mo.twist_conjugation_check(h56)
+        assert mo.twist_conjugation_check(
+            verified["x_singer_generator"], verified["y_singer_generator"], verified["twist_conjugation"]
+        )
 
 
 def test_05_negative_checks(h56):
@@ -126,24 +128,31 @@ def test_05_negative_checks(h56):
 
 
 @pytest.fixture(scope="module")
-def normality(h56):
-    return mo.normality_criterion_report(h56)
+def normality(h56_checks):
+    """The closure order and the named fields of h56_normality_hypotheses."""
+    fields = (
+        "orbit_size", "orbit_is_letter_set", "stabilizer_order",
+        "stabilizer_is_y_singer_cycle", "full_product_excluded", "ok",
+    )
+    hypotheses = h56_checks["h56_normality_hypotheses"]["actual"]
+    assert len(hypotheses) == len(fields)
+    return {"aut_order": h56_checks["h56_closure_order"]["actual"], **dict(zip(fields, hypotheses))}
 
 
 def test_06_closure_orbit_stabilizer(normality):
     with _Budget(60):
-        assert normality.aut_order == 1800
-        assert normality.orbit_size == 30 and normality.orbit_is_letter_set
-        assert normality.stabilizer_order == 15
-        assert normality.stabilizer_is_y_singer_cycle
+        assert normality["aut_order"] == 1800
+        assert normality["orbit_size"] == 30 and normality["orbit_is_letter_set"]
+        assert normality["stabilizer_order"] == 15
+        assert normality["stabilizer_is_y_singer_cycle"]
 
 
 def test_07_hypothesis_report(normality):
     with _Budget(1):
-        assert normality.orbit_is_letter_set and normality.orbit_size == 30
-        assert normality.stabilizer_order > 1
-        assert normality.full_product_excluded
-        assert normality.ok
+        assert normality["orbit_is_letter_set"] and normality["orbit_size"] == 30
+        assert normality["stabilizer_order"] > 1
+        assert normality["full_product_excluded"]
+        assert normality["ok"]
 
 
 def test_08_non_cayley_search(p59):
@@ -172,11 +181,11 @@ def test_09_toy_graph_suite(toy):
             toy, xsub, ysub, sigma, [1 << i for i in range(toy.n)]
         )
         assert gr.edge_regular_check(sigma, translations, 256)
-        assert gr.verify_line_graph_correspondence(toy, xsub, ysub)
+        assert gr.verify_line_graph_correspondence(toy, xsub, ysub, gamma, sigma)
 
         full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
         derived = derived_subgroup(toy, full)
-        orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
+        orbits = gr.vertex_orbits(sigma, gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members))
         quo = gr.normal_quotient(sigma, orbits)
         assert quo.cover
         assert quo.graph.vertex_count == 8 and quo.graph.regular_valency() == 4

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import re
 
 import pytest
 
+from mixdih import cli
+from mixdih import graphs as gr
+from mixdih import morphisms as mo
 from mixdih import search as se
 from mixdih.cli import main
 from mixdih.pcgroup import load_presentation
@@ -43,6 +47,79 @@ def test_verify_report_stable_modulo_timings(tmp_path):
     a = _strip_timing(json.loads(one.read_text(encoding="ascii")))
     b = _strip_timing(json.loads(two.read_text(encoding="ascii")))
     assert a == b
+
+
+# sha256 prefixes of each timing-stripped report, dumped with sorted keys,
+# and of each graph export; the claim battery must emit the same bytes
+REPORT_SHA256 = {"h56": "1d21c1fb40862308", "p59": "480270a0df1b1dc6", "toy2": "f978de3fa55a11e1"}
+GRAPH_SHA256 = {"cayley": "194a487e0c674852", "incidence": "d2132608c5ccf84b", "quotient": "2a3147e9cc894af5"}
+
+# calls one verify makes to the names that build its certificate objects;
+# each is built once and every check reads it
+VERIFY_CALLS = {
+    "h56": {"extend": 7, "closure": 2, "cayley_graph": 0, "bicoset_graph": 0},
+    "toy2": {"extend": 3, "closure": 0, "cayley_graph": 1, "bicoset_graph": 1},
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture(scope="module")
+def verified_reports(tmp_path_factory):
+    """Each target's timing-stripped report, and for h56 and toy2 the
+    calls to extend, closure, cayley_graph and bicoset_graph it made."""
+    out = {}
+    for target in REPORT_SHA256:
+        calls = dict.fromkeys(VERIFY_CALLS["h56"], 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in ((mo, "extend"), (mo, "closure"), (gr, "cayley_graph"), (gr, "bicoset_graph")):
+                mp.setattr(owner, name, _counting(calls, name, getattr(owner, name)))
+            path = tmp_path_factory.mktemp(target) / "report.json"
+            assert main(["verify", target, "--report", str(path)]) == 0
+        out[target] = _strip_timing(json.loads(path.read_text(encoding="ascii"))), calls
+    return out
+
+
+@pytest.mark.parametrize("target", sorted(REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(verified_reports, target):
+    report, _ = verified_reports[target]
+    assert _sha256(json.dumps(report, sort_keys=True)) == REPORT_SHA256[target]
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_CALLS))
+def test_verify_builds_each_certificate_object_once(verified_reports, target):
+    _, calls = verified_reports[target]
+    assert calls == VERIFY_CALLS[target]
+
+
+@pytest.mark.parametrize("which", sorted(GRAPH_SHA256))
+def test_graph_export_bytes_are_pinned(capsys, which):
+    assert main(["graph", which]) == 0
+    assert _sha256(capsys.readouterr().out) == GRAPH_SHA256[which]
+
+
+def test_verify_from_file_parses_once(tmp_path, monkeypatch):
+    pc2 = tmp_path / "toy2.pc2"
+    assert main(["build", "toy2", str(pc2)]) == 0
+    loads = {"load_presentation": 0}
+    monkeypatch.setattr(cli, "load_presentation", _counting(loads, "load_presentation", cli.load_presentation))
+    report = tmp_path / "report.json"
+    assert main(["verify", "toy2", "--from-file", str(pc2), "--report", str(report)]) == 0
+    assert loads == {"load_presentation": 1}
+    checks = _strip_timing(json.loads(report.read_text(encoding="ascii")))["checks"]
+    assert [(c["name"], c["actual"]) for c in checks] == [
+        ("toy2_file_parses", True), ("toy2_consistency_violations", 0), ("toy2_order_log", 8),
+    ]
 
 
 def test_verify_flags_corrupt_power_word(tmp_path, capsys):
@@ -173,6 +250,14 @@ def test_search_levels_below_one_is_a_usage_error(capsys, levels):
         main(["search", "--levels", levels])
     assert exc.value.code == 2
     assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "many"])
+def test_search_max_survivors_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--max-survivors", cap])
+    assert exc.value.code == 2
+    assert "--max-survivors" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])

@@ -178,27 +178,21 @@ def test_line_graph_of_toy_incidence(sigma):
     assert lg.regular_valency() == 6
 
 
-def test_line_graph_correspondence(toy, blocks):
-    assert gr.verify_line_graph_correspondence(toy, *blocks)
+def test_line_graph_correspondence(toy, blocks, gamma, sigma):
+    assert gr.verify_line_graph_correspondence(toy, *blocks, gamma, sigma)
 
 
-def test_line_graph_correspondence_breaks_under_swap(monkeypatch, toy, blocks):
-    cayley_graph = gr.cayley_graph
-
-    def swapped(*args):
-        # the Cayley graph with vertices 1 and 2 exchanged
-        gamma = cayley_graph(*args)
-        perm = list(range(gamma.vertex_count))
-        perm[1], perm[2] = 2, 1
-        rows = [tuple(sorted(perm[w] for w in gamma.neighbors[v])) for v in perm]
-        assert gamma.bipartition is None
-        return gr.SimpleGraph(gamma.labels, tuple(rows))
-
-    monkeypatch.setattr(gr, "cayley_graph", swapped)
-    assert not gr.verify_line_graph_correspondence(toy, *blocks)
+def test_line_graph_correspondence_breaks_under_swap(toy, blocks, gamma, sigma):
+    # the Cayley graph with vertices 1 and 2 exchanged
+    perm = list(range(gamma.vertex_count))
+    perm[1], perm[2] = 2, 1
+    rows = [tuple(sorted(perm[w] for w in gamma.neighbors[v])) for v in perm]
+    assert gamma.bipartition is None
+    swapped = gr.SimpleGraph(gamma.labels, tuple(rows))
+    assert not gr.verify_line_graph_correspondence(toy, *blocks, swapped, sigma)
 
 
-def test_line_graph_correspondence_breaks_per_dropped_edge(monkeypatch, toy, blocks, sigma):
+def test_line_graph_correspondence_breaks_per_dropped_edge(toy, blocks, gamma, sigma):
     rng = random.Random(11)
     edge_list = sigma.edges()
     for u, w in rng.sample(edge_list, 10):
@@ -206,8 +200,7 @@ def test_line_graph_correspondence_breaks_per_dropped_edge(monkeypatch, toy, blo
         rows[u].remove(w)
         rows[w].remove(u)
         dropped = gr.SimpleGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition)
-        monkeypatch.setattr(gr, "bicoset_graph", lambda *args, g=dropped: g)
-        assert not gr.verify_line_graph_correspondence(toy, *blocks)
+        assert not gr.verify_line_graph_correspondence(toy, *blocks, gamma, dropped)
 
 
 # ── quotients ────────────────────────────────────────────────────────────────
@@ -218,7 +211,7 @@ def test_quotient_by_derived_orbits_is_complete_bipartite(toy, blocks, sigma):
     full = subgroup_igs(toy, [1 << i for i in range(8)])
     derived = derived_subgroup(toy, full)
     assert derived.order == 16
-    orbits = gr.translation_orbit_partition(toy, xsub, ysub, sigma, derived.members)
+    orbits = gr.vertex_orbits(sigma, gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members))
     assert sorted(len(b) for b in orbits) == [16] * 8
     quo = gr.normal_quotient(sigma, orbits)
     assert quo.cover

@@ -12,6 +12,7 @@ import pytest
 from mixdih import calculus as ca
 from mixdih import morphisms as mo
 from mixdih import pcgroup as pc
+from mixdih.cli import CheckRun, _checks_h56
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +83,14 @@ def test_compose_against_pointwise(h56, verified):
         assert fg.apply(u) == g.apply(f.apply(u))
 
 
-def test_twist_conjugation_check(h56):
-    assert mo.twist_conjugation_check(h56)
+def test_twist_conjugation_check(verified):
+    assert mo.twist_conjugation_check(
+        verified["x_singer_generator"], verified["y_singer_generator"], verified["twist_conjugation"]
+    )
+    # the relations fail with the singer generators exchanged
+    assert not mo.twist_conjugation_check(
+        verified["y_singer_generator"], verified["x_singer_generator"], verified["twist_conjugation"]
+    )
 
 
 def test_negative_maps_rejected(named):
@@ -121,20 +128,55 @@ def test_closure_budget(verified):
                     verified["y_singer_generator"]], cap=10)
 
 
-def test_normality_report(h56):
-    rep = mo.normality_criterion_report(h56)
-    assert rep.aut_order == 1800
-    assert rep.orbit_size == 30
-    assert rep.orbit_is_letter_set
-    assert rep.stabilizer_order == 15
-    assert rep.stabilizer_is_y_singer_cycle
-    assert rep.twist_relations_ok
-    assert set(rep.negatives_rejected) == {"x_centralizer_candidate", "x_half_turn"}
-    assert rep.ok
+def test_normality_report(h56_checks):
+    aut_order = h56_checks["h56_closure_order"]["actual"]
+    orbit_size, orbit_is_letter_set, stab_order, stab_is_y_singer_cycle, excluded, ok = (
+        h56_checks["h56_normality_hypotheses"]["actual"]
+    )
+    assert aut_order == 1800
+    assert orbit_size == 30
+    assert orbit_is_letter_set
+    assert stab_order == 15
+    assert stab_is_y_singer_cycle
+    assert h56_checks["h56_twist_conjugation_relations"]["actual"] is True
+    assert set(h56_checks["h56_negative_maps_rejected"]["actual"]) == {"x_centralizer_candidate", "x_half_turn"}
+    assert ok
     # closure order is not divisible by |GL(4,2)|**2, so the closure cannot
     # contain the direct product of both letter-block linear groups
-    assert rep.full_product_excluded
-    assert rep.aut_order % (20160 ** 2) != 0
+    assert excluded
+    assert aut_order % (20160 ** 2) != 0
+    assert all(entry["status"] == "pass" for entry in h56_checks.values())
+
+
+def _half_turn_extends(monkeypatch):
+    catalog = mo.catalog
+
+    def with_identity_half_turn(h):
+        maps = catalog(h)
+        maps["x_half_turn"] = mo._gmap(h, {})
+        return maps
+
+    monkeypatch.setattr(mo, "catalog", with_identity_half_turn)
+    return "h56_negative_maps_rejected"
+
+
+def _twist_relations_fail(monkeypatch):
+    monkeypatch.setattr(mo, "twist_conjugation_check", lambda a, b, rho: False)
+    return "h56_twist_conjugation_relations"
+
+
+@pytest.mark.parametrize("break_fact", [_twist_relations_fail, _half_turn_extends])
+def test_normality_ok_covers_twist_and_negatives(monkeypatch, h56, break_fact):
+    # the last hypothesis field reads the twist and negatives checks' results
+    broken = break_fact(monkeypatch)
+    run = CheckRun()
+    _checks_h56(run, h56)
+    entries = {entry["name"]: entry for entry in run.entries}
+    assert entries[broken]["status"] == "fail"
+    hyp = entries["h56_normality_hypotheses"]
+    assert hyp["actual"][:5] == [30, True, 15, True, True]
+    assert hyp["actual"][-1] is False
+    assert hyp["status"] == "fail"
 
 
 def test_parse_and_format_roundtrip(h56, named):

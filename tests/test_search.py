@@ -300,3 +300,9 @@ def test_search_config_rejects_threads_below_one(threads):
 def test_search_config_rejects_levels_below_one(levels):
     with pytest.raises(ValueError, match="levels"):
         se.SearchConfig(levels=levels)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_search_config_rejects_max_survivors_below_one(cap):
+    with pytest.raises(ValueError, match="max_survivors"):
+        se.SearchConfig(max_survivors=cap)
