@@ -234,7 +234,8 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
     def hypotheses():
         k = found["closure"]
         letter_set = (set(xsub.elements()) | set(ysub.elements())) - {0}
-        orbit = mo.orbit_of_letter_set(generators(), [1])  # orbit of x1
+        gens = generators()
+        orbit = mo.orbit([1], lambda u: [g.apply(u) for g in gens])  # orbit of x1
         stab = mo.pointwise_x_stabilizer(h, k)
         y_cycle = mo.closure([verified["y_singer_generator"]], cap=100)
         # a closure containing the full product of both letter-block linear

@@ -17,9 +17,10 @@ tuples.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
+from .morphisms import orbit
 from .pcgroup import PcPresentation, Subgroup, subgroup_igs
 
 MAX_EDGES = 1 << 20
@@ -109,17 +110,7 @@ class SimpleGraph:
         return lo < len(row) and row[lo] == w
 
     def is_connected(self) -> bool:
-        if not self.labels:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for w in self.neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.labels)
+        return not self.labels or len(orbit([0], lambda u: self.neighbors[u])) == len(self.labels)
 
     def girth(self) -> Optional[int]:
         """Shortest cycle length, None for forests.
@@ -373,29 +364,38 @@ def normal_quotient(g: SimpleGraph, orbits: Sequence[Sequence[int]]) -> NormalQu
 # ── orbit counting ───────────────────────────────────────────────────────────
 
 
-def vertex_orbits(g: SimpleGraph, a: ActionGens) -> List[List[int]]:
-    """Orbits of the generated group on vertices, each sorted, in the order
-    of their least vertex."""
-    out: List[List[int]] = []
-    seen: Set[int] = set()
-    for start in range(g.vertex_count):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for p in a.maps:
-                if p[u] not in orbit:
-                    orbit.add(p[u])
-                    frontier.append(p[u])
-        seen.update(orbit)
-        out.append(sorted(orbit))
+def _orbits(points: Sequence[Hashable], images: Callable[[Hashable], List[Hashable]]) -> List[Set]:
+    """The orbits of images on points, in the order of their first point.
+
+    Raises ValueError when an image is not one of the points: the maps
+    do not act on them.
+    """
+    known = set(points)
+
+    def checked(u):
+        imgs = images(u)
+        if not known.issuperset(imgs):
+            raise ValueError("a map sends a point outside the point set")
+        return imgs
+
+    seen: Set = set()
+    out: List[Set] = []
+    for u in points:
+        if u not in seen:
+            out.append(orbit([u], checked))
+            seen |= out[-1]
     return out
 
 
+def vertex_orbits(g: SimpleGraph, a: ActionGens) -> List[List[int]]:
+    """Orbits of the generated group on vertices, each sorted, in the order
+    of their least vertex.  ValueError when a map leaves the vertex set."""
+    return [sorted(o) for o in _orbits(range(g.vertex_count), lambda u: [p[u] for p in a.maps])]
+
+
 def two_arc_orbit_count(g: SimpleGraph, a: ActionGens) -> int:
-    """Orbits of the generated group on ordered paths (u, v, w), u != w."""
+    """Orbits of the generated group on ordered paths (u, v, w), u != w.
+    ValueError when a map sends a 2-arc to a non-arc."""
     arcs = [
         (u, v, w)
         for v in range(g.vertex_count)
@@ -403,22 +403,7 @@ def two_arc_orbit_count(g: SimpleGraph, a: ActionGens) -> int:
         for w in g.neighbors[v]
         if w != u
     ]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    unvisited = set(range(len(arcs)))
-    count = 0
-    while unvisited:
-        seed = unvisited.pop()
-        count += 1
-        frontier = [arcs[seed]]
-        while frontier:
-            u, v, w = frontier.pop()
-            for p in a.maps:
-                img = (p[u], p[v], p[w])
-                t = index[img]
-                if t in unvisited:
-                    unvisited.discard(t)
-                    frontier.append(img)
-    return count
+    return len(_orbits(arcs, lambda arc: [tuple(p[x] for x in arc) for p in a.maps]))
 
 
 def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bool:
@@ -426,22 +411,19 @@ def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bo
 
     Transitivity with |E| equal to the acting group's order pins the edge
     stabilizers to be trivial, which is the regularity being certified.
+    ValueError when a map sends an edge to a non-edge.
     """
     edge_list = g.edges()
     if not edge_list:
         return expected_order == 0
     if len(edge_list) != expected_order:
         return False
-    seen = {edge_list[0]}
-    frontier = [edge_list[0]]
-    while frontier:
-        u, w = frontier.pop()
-        for p in a.maps:
-            img = (min(p[u], p[w]), max(p[u], p[w]))
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return len(seen) == len(edge_list)
+
+    def images(edge):
+        u, w = edge
+        return [(min(p[u], p[w]), max(p[u], p[w])) for p in a.maps]
+
+    return len(_orbits(edge_list, images)) == 1
 
 
 # ── group actions as vertex permutations ─────────────────────────────────────

@@ -11,15 +11,19 @@ Verified automorphisms compose without re-verification.  Application is
 table-driven: the image of a normal form is the product of the images of
 its generators in index order, and consecutive index blocks are cached.
 
-The checks used by the verification targets (twist relations, letter-set
-orbit, pointwise stabilizer) take automorphisms already verified and a
-closure already computed; they extend and close nothing themselves.
+Every orbit comes from one search, orbit(seeds, images): the closure
+runs it on letter tuples, the letter-set check on group elements, and
+the graph module on vertices, 2-arcs and edges.
+
+The checks used by the verification targets (twist relations, pointwise
+stabilizer) take automorphisms already verified and a closure already
+computed; they extend and close nothing themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
 from .pcgroup import PcPresentation, subgroup_igs
@@ -36,11 +40,11 @@ __all__ = [
     "aut_power",
     "automorphism_order",
     "AutGroup",
+    "orbit",
     "closure",
     "parse_generator_map",
     "catalog",
     "twist_conjugation_check",
-    "orbit_of_letter_set",
     "pointwise_x_stabilizer",
 ]
 
@@ -54,7 +58,7 @@ class NotBijective(ValueError):
 
 
 class ClosureBudgetExceeded(RuntimeError):
-    """Automorphism closure exceeded its element budget."""
+    """An orbit or automorphism closure exceeded its element budget."""
 
 
 @dataclass(frozen=True)
@@ -223,27 +227,35 @@ class AutGroup:
         return len(self.letter_tuples)
 
 
+def orbit(
+    seeds: Iterable[Hashable],
+    images: Callable[[Hashable], Iterable[Hashable]],
+    cap: Optional[int] = None,
+) -> Set:
+    """Everything reachable from seeds, where images(u) lists u's images.
+
+    Raises ClosureBudgetExceeded rather than grow past cap elements.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for v in images(frontier.pop()):
+            if v not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise ClosureBudgetExceeded(f"orbit beyond {cap} elements")
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
 def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGroup:
-    """BFS closure under composition; automorphisms are determined by
-    their letter images, so the search runs on letter tuples."""
+    """Closure under composition; automorphisms are determined by their
+    letter images, so the orbit of the identity runs on letter tuples."""
     if not gens:
         raise ValueError("need at least one generator")
     meta: LayeredMeta = gens[0].group.meta
     start = tuple(1 << t for t in range(2 * meta.n))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            for g in gens:
-                img = tuple(g.apply(w) for w in tup)
-                if img not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureBudgetExceeded(f"closure beyond {cap} elements")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return AutGroup(seen)
+    return AutGroup(orbit([start], lambda tup: [tuple(g.apply(w) for w in tup) for g in gens], cap))
 
 
 # ── the named maps ──────────────────────────────────────────────────────────
@@ -347,22 +359,6 @@ def twist_conjugation_check(
     a_conj = compose(compose(rho_inv, a), rho)
     b_conj = compose(compose(rho_inv, b), rho)
     return a_conj == b and b_conj == compose(a, a)
-
-
-def orbit_of_letter_set(gens: Sequence[VerifiedAutomorphism], seeds: Iterable[int]) -> Set[int]:
-    """Orbit of a set of elements under the generated automorphism group."""
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = g.apply(u)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
 
 
 def pointwise_x_stabilizer(h: PcPresentation, group: AutGroup) -> Set[Tuple[int, ...]]:

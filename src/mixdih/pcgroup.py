@@ -97,7 +97,6 @@ class PcPresentation:
         self.n = n
         self.power_tails = list(power_tails)
         self.conj: Dict[Tuple[int, int], int] = {}
-        self.noncomm = [0] * n
         # clash[k]: the generators that do not commute with g_k
         self.clash = [0] * n
         for (j, i), word in conj.items():
@@ -108,7 +107,6 @@ class PcPresentation:
             if word == 1 << j:
                 continue  # trivial action, keep the table sparse
             self.conj[(j, i)] = word
-            self.noncomm[i] |= 1 << j
             self.clash[i] |= 1 << j
             self.clash[j] |= 1 << i
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
@@ -116,7 +114,6 @@ class PcPresentation:
             raise ValueError("names length != n")
         self.meta = meta
         self.label = label
-        self.identity = 0
         self.order_log = n
         self.multiply = fast_mul if fast_mul is not None else self.collect_multiply
         self._inverse = fast_inv if fast_inv is not None else self.squaring_inverse
@@ -157,7 +154,7 @@ class PcPresentation:
         bit = 1 << i
         above = w >> (i + 1) << (i + 1)
         ei = w & bit
-        if above and ((above & self.noncomm[i]) or ei):
+        if above and ((above & self.clash[i]) or ei):
             # g_i passes everything above position i, conjugating it
             words = []
             if ei:
@@ -427,7 +424,8 @@ def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[i
 
 
 def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
-    """Echelon closure of <gens> under sifting, squaring and commutation.
+    """Echelon closure of <gens> under sifting, squaring and commutation,
+    as members keyed by their leads.
 
     A new member g is commuted with each member m only when their
     supports clash (group.clash_mask): otherwise both commutators are the
@@ -467,50 +465,33 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
 def subgroup_igs(group: PcPresentation, gens: Iterable[int]) -> Subgroup:
     """Canonical echelonized IGS of the subgroup generated by gens."""
     by_lead = _close_igs(group, gens)
-    return Subgroup(group, list(by_lead.values())).canonicalize()
-
-
-def _normal_closure(group: PcPresentation, seed: Dict[int, int], normalizers: Sequence[int]) -> Dict[int, int]:
-    """Grow an igs closure until stable under conjugation by normalizers."""
-    by_lead = dict(seed)
-    changed = True
-    while changed:
-        changed = False
-        new: List[int] = []
-        sub = Subgroup(group, list(by_lead.values()))
-        for z in normalizers:
-            for m in by_lead.values():
-                c = group.conjugate(m, z)
-                if sub.sift(c):
-                    new.append(c)
-        if new:
-            by_lead = _close_igs(group, list(by_lead.values()) + new)
-            changed = True
-    return by_lead
+    members = _canonical_members(group, [by_lead[d] for d in sorted(by_lead)])
+    return Subgroup(group, members, canonical=True)
 
 
 def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgroup:
-    """Normal closure in s of the commutators of its IGS members, and of
-    their squares when asked."""
-    gens = []
+    """The subgroup generated by the commutators of s's IGS members, and by
+    their squares when asked: s' or Phi(s).
+
+    It needs no normal closure, because the members m_1..m_k are a pcgs
+    of s: s_i = <m_i..m_k> is normal in s_(i-1).  From the bottom up,
+    N_i = <[m_a, m_b] : i <= a < b> is s_i'.  Given N_(i+1) = s_(i+1)',
+    each conjugate of [m_i, m_j] by an element of s_(i+1) is [m_i, m_j]
+    times an element of s_(i+1)', so [m_i, x] lies in N_i for every x in
+    s_(i+1), since [a, bc] = [a, c] [a, b]^c.  Then N_i is normal in s_i,
+    and s_i / N_i is abelian.  With the squares added this is s' s^2,
+    which is Phi(s) in a 2-group.
+    """
     ms = s.members
     mul = group.multiply
-    for i in range(len(ms)):
-        if squares:
-            sq = mul(ms[i], ms[i])
-            if sq:
-                gens.append(sq)
-        for j in range(i + 1, len(ms)):
-            c = group.commutator(ms[i], ms[j])
-            if c:
-                gens.append(c)
-    by_lead = _close_igs(group, gens)
-    by_lead = _normal_closure(group, by_lead, ms)
-    return Subgroup(group, list(by_lead.values())).canonicalize()
+    gens = [group.commutator(ms[i], ms[j]) for i in range(len(ms)) for j in range(i + 1, len(ms))]
+    if squares:
+        gens += [mul(m, m) for m in ms]
+    return subgroup_igs(group, gens)
 
 
 def derived_subgroup(group: PcPresentation, s: Subgroup) -> Subgroup:
-    """[s,s]: commutators of IGS members, then normal closure inside s."""
+    """[s,s]: the closure of the commutators of the IGS members."""
     return _verbal_subgroup(group, s, squares=False)
 
 
@@ -598,8 +579,9 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     return out
 
 
-def kernel_members(group: PcPresentation, s: Subgroup, a: int) -> Tuple[int, ...]:
-    """Canonical IGS of the kernel of the homomorphism a: s -> C2.
+def kernel_members(group: PcPresentation, ms: Sequence[int], a: int) -> Tuple[int, ...]:
+    """Canonical IGS of the kernel of the homomorphism a: s -> C2, for s
+    given by its IGS members ms in ascending lead order.
 
     The members of s that a kills, and the products of consecutive
     members in its support, have distinct leads and all lie in the
@@ -607,7 +589,6 @@ def kernel_members(group: PcPresentation, s: Subgroup, a: int) -> Tuple[int, ...
     """
     mul = group.multiply
     top = group.top_mask
-    ms = s.members
     support = [m for t, m in enumerate(ms) if (a >> t) & 1]
     members = [m for t, m in enumerate(ms) if not (a >> t) & 1]
     members.extend(
@@ -620,7 +601,7 @@ def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:
     """All index-2 subgroups of s, as canonical Subgroups, in the order of
     c2_homomorphisms."""
     return [
-        Subgroup(group, kernel_members(group, s, a), canonical=True)
+        Subgroup(group, kernel_members(group, s.members, a), canonical=True)
         for a in c2_homomorphisms(group, s)
     ]
 

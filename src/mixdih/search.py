@@ -18,7 +18,10 @@ C2, found as GF(2) functionals on its IGS coordinates
 stabilizer meet's members are given coordinates once per survivor, a
 kernel contains the meet when the functional vanishes on all of them and
 halves it otherwise.  Only the kernels that pass are built, as canonical
-member tuples.
+member tuples (pcgroup.kernel_members).  A halved meet is itself a
+kernel, of the functional restricted to the meet, whose bit t is the
+functional's parity on the meet's member t; it is built the same way,
+and has index 2 in the old meet by construction.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
@@ -157,23 +160,14 @@ def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]
     if not halve and len(meet_rows) != req:
         return len(homs), []
     meet_coords = [m.coords(w) for w in meet_rows]
-    mul = group.multiply
     out: List[Tuple[Rows, Rows]] = []
     for a in homs:
-        outs = [w for w, c in zip(meet_rows, meet_coords) if (c & a).bit_count() & 1]
-        if bool(outs) != halve:
+        # a restricted to the meet, on the meet's own coordinates
+        b = sum(1 << t for t, c in enumerate(meet_coords) if (c & a).bit_count() & 1)
+        if bool(b) != halve:
             continue
-        if halve:
-            # the meet is the kernel of the meet -> C2 map: members inside,
-            # and a fixed outside member times each other outside member
-            ins = [w for w in meet_rows if w not in outs]
-            meet = subgroup_igs(group, ins + [mul(outs[0], w) for w in outs[1:]])
-            if meet.order_log != len(meet_rows) - 1:
-                raise AssertionError("stabilizer meet did not halve")
-            new_meet = meet.members
-        else:
-            new_meet = meet_rows
-        out.append((kernel_members(group, m, a), new_meet))
+        new_meet = kernel_members(group, meet_rows, b) if halve else meet_rows
+        out.append((kernel_members(group, rows, a), new_meet))
     return len(homs), out
 
 

@@ -279,6 +279,23 @@ def test_two_arc_count_empty_generators(sigma):
     assert gr.two_arc_orbit_count(sigma, gr.ActionGens(())) == 1536
 
 
+def test_orbit_counts_reject_maps_that_leave_the_point_set():
+    path = gr.make_graph(["a", "b", "c"], [(0, 1), (1, 2)])
+    # a map off the vertex set
+    with pytest.raises(ValueError):
+        gr.vertex_orbits(path, gr.ActionGens(((0, 5, 2),)))
+    with pytest.raises(ValueError):
+        gr.two_arc_orbit_count(path, gr.ActionGens(((0, 5, 2),)))
+    # a vertex permutation that sends the 2-arc (0, 1, 2) to a non-arc,
+    # and the edge (1, 2) to a non-edge
+    swap = gr.ActionGens(((1, 0, 2),))
+    assert gr.vertex_orbits(path, swap) == [[0, 1], [2]]
+    with pytest.raises(ValueError):
+        gr.two_arc_orbit_count(path, swap)
+    with pytest.raises(ValueError):
+        gr.edge_regular_check(path, swap, 2)
+
+
 def test_edge_regular_toy_incidence(toy, blocks, sigma):
     acts = _toy_actions(toy, blocks, sigma, False)
     assert gr.edge_regular_check(sigma, acts, 256)
@@ -294,6 +311,14 @@ def test_edge_regular_fails_on_cayley_graph(toy, gamma):
 def test_edge_regular_single_edge():
     k2 = gr.make_graph(["a", "b"], [(0, 1)])
     assert gr.edge_regular_check(k2, gr.ActionGens(((0, 1),)), 1)
+
+
+def test_edge_regular_square_under_rotation():
+    # the rotation sends the edge (0, 3) to (1, 0), which is the edge (0, 1)
+    square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    rotation = gr.action_gens(square, [(1, 2, 3, 0)])
+    assert gr.edge_regular_check(square, rotation, 4)
+    assert not gr.edge_regular_check(square, gr.action_gens(square, [(0, 3, 2, 1)]), 4)
 
 
 # ── cliques ──────────────────────────────────────────────────────────────────

@@ -5,6 +5,7 @@ the single orbit on the thirty nonidentity letter-block elements, the
 pointwise stabilizer, and the two deliberate non-examples.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -115,17 +116,34 @@ def test_collapse_rejected(h56):
         mo.extend(gmap)
 
 
+# sha256 of the repr of the sorted letter tuples of the 1800 closure,
+# first 16 hex digits, as a level-by-level search found them
+CLOSURE_SHA256 = "ad5271715d416980"
+
+
 def test_closure_order_1800(h56, verified):
     k = mo.closure([verified["x_singer_generator"],
                     verified["y_singer_generator"],
                     verified["twist_conjugation"]], cap=4000)
     assert k.order == 1800
+    assert hashlib.sha256(repr(sorted(k.letter_tuples)).encode("ascii")).hexdigest()[:16] == CLOSURE_SHA256
 
 
 def test_closure_budget(verified):
     with pytest.raises(mo.ClosureBudgetExceeded):
         mo.closure([verified["x_singer_generator"],
                     verified["y_singer_generator"]], cap=10)
+
+
+def test_orbit_and_its_budget():
+    def double_mod_7(u):
+        return [2 * u % 7]
+
+    assert mo.orbit([1], double_mod_7) == {1, 2, 4}
+    assert mo.orbit([3, 5], double_mod_7) == {3, 5, 6}
+    assert mo.orbit([1], double_mod_7, cap=3) == {1, 2, 4}
+    with pytest.raises(mo.ClosureBudgetExceeded):
+        mo.orbit([1], double_mod_7, cap=2)
 
 
 def test_normality_report(h56_checks):

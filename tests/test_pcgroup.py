@@ -30,7 +30,7 @@ def test_validation_rejects_bad_words():
 def test_trivial_conjugates_are_dropped():
     g = pc.PcPresentation(3, [0, 0, 0], {(1, 0): 2, (2, 0): 6})
     assert (1, 0) not in g.conj and (2, 0) in g.conj
-    assert g.noncomm[0] == 4
+    assert g.clash[0] == 4 and g.clash[2] == 1
 
 
 def test_collector_on_elementary_abelian():
@@ -227,6 +227,24 @@ def test_derived_subgroup_toy_oracle(toy):
     assert all(der.contains(e) for e in brute)
 
 
+def test_derived_and_frattini_match_all_commutators_on_toy_subgroups(toy):
+    # s' is generated by the commutators of all pairs of elements, and
+    # Phi(s) by those and all squares; derived_subgroup and frattini take
+    # only the IGS members' commutators and squares, with no normal closure
+    rng = random.Random(33)
+    nontrivial = 0
+    for _ in range(30):
+        s = pc.subgroup_igs(toy, [rng.getrandbits(8) for _ in range(rng.randint(1, 3))])
+        elems = s.elements()
+        comms = {toy.commutator(u, v) for u in elems for v in elems}
+        squares = {toy.multiply(u, u) for u in elems}
+        derived = pc.derived_subgroup(toy, s)
+        assert set(derived.elements()) == brute_closure(toy, comms)
+        assert set(pc.frattini(toy, s).elements()) == brute_closure(toy, comms | squares)
+        nontrivial += derived.order > 1
+    assert nontrivial >= 10
+
+
 def test_derived_and_frattini_h56(h56):
     full = pc.subgroup_igs(h56, [1 << t for t in range(56)])
     assert full.order_log == 56
@@ -334,6 +352,31 @@ def p59_survivors(p59):
 def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivors):
     for s in p59_survivors[:16]:  # levels 1-3
         assert_maximal_match_frattini(p59, s)
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode("ascii")).hexdigest()[:16]
+
+
+# sha256 of the repr of the list of derived_subgroup member tuples, and
+# of frattini member tuples, first 16 hex digits; a closure that
+# conjugated members again until nothing changed gave the same lists
+VERBAL_SHA256 = {
+    "toy2": ("9b1ac5ea0112ea29", "9b1ac5ea0112ea29"),
+    "h56": ("f7b04f64aab24366", "f7b04f64aab24366"),
+    "p59": ("327134660d3f6f00", "ed2a755526697f0d"),
+    "p59 survivors of levels 1-3": ("2af012d738300013", "910d9bc184d1dd9e"),
+}
+
+
+def test_derived_and_frattini_members_are_pinned(toy, h56, p59, p59_survivors):
+    cases = {g.label: [pc.Subgroup(g, [1 << t for t in range(g.n)], canonical=True)] for g in (toy, h56, p59)}
+    cases["p59 survivors of levels 1-3"] = p59_survivors[:16]
+    for name, subgroups in cases.items():
+        group = subgroups[0].group
+        derived = [pc.derived_subgroup(group, s).members for s in subgroups]
+        phi = [pc.frattini(group, s).members for s in subgroups]
+        assert (_sha256(derived), _sha256(phi)) == VERBAL_SHA256[name], name
 
 
 def multiply_only_divide(s, u):

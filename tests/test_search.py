@@ -238,8 +238,9 @@ CHECKPOINT_SHA256 = [
 # change that loses the clash skip in relation_rows, a closed-form
 # inverse, or the tail path (XOR in the elementary abelian tail, its
 # members as their own inverses, conjugates of tail members from
-# tail_action tables) moves them
-DESCENT_CALLS = {"multiply": 26_739, "inverse": 2_752}
+# tail_action tables), or that builds the halved stabilizer meets by a
+# subgroup closure instead of kernel_members, moves them
+DESCENT_CALLS = {"multiply": 25_949, "inverse": 1_624}
 
 
 def _counting(calls, name, fn):
