@@ -55,6 +55,7 @@ __all__ = [
     "build_h56",
     "build_p59",
     "build_toy",
+    "homomorphism_table",
     "make_rho_power",
 ]
 
@@ -79,14 +80,6 @@ class _Layout:
     d_dim: int
     pairs: Tuple[Tuple[int, int], ...]
     pair_idx: Dict[Tuple[int, int], int]
-
-    @property
-    def c_off(self) -> int:
-        return 2 * self.n
-
-    @property
-    def d_off(self) -> int:
-        return 2 * self.n + self.c_dim
 
     def c_index(self, i: int, j: int) -> int:
         return self.n * i + j
@@ -552,38 +545,47 @@ def build_toy() -> PcPresentation:
     return _layered_presentation(2, rows, "toy2")
 
 
-# ── conjugation by the twist on quotient coordinates ────────────────────────
+# ── automorphism tables; conjugation by the twist ───────────────────────────
+
+
+def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bits: int) -> List[int]:
+    """Lookup tables for the homomorphism sending generator k to images[k],
+    applied by sliced_apply(table, w, bits).
+
+    The first `bits` generators are the letters; every image of a later
+    generator must lie in the tail, where the map is GF(2)-linear and a
+    right factor is XOR.  Slice 0 holds the 2**bits products of the letter
+    images in index order, built by one multiply each; the later slices
+    are the sliced_tables of the images above the letters.
+    """
+    letters = [0]
+    for image in images[:bits]:
+        letters += [mul(x, image) for x in letters]
+    return letters + sliced_tables(images[bits:], bits)
 
 
 def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
     """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
 
-    rho is conjugation by the twist r, so rho(x-word a * y-word b) =
-    y-word a * x-word sigma(b): on the letters (the low byte) it is
-    affine, and its 256 images there are whole products from the
-    multiply.  Above the letters it is linear: c-layer bits move by
-    perm2, and d-layer bit t goes to the reduced image of its lift under
-    perm3.  So rho is a table per byte of the word, the low byte's from
-    those products and the higher bytes' from the single-bit images by
-    sliced_tables, and so are rho**2 and rho**4, built the same way from
-    the previous tables applied twice.  rho**e is at most three table
-    passes, one per bit of e.
+    rho is conjugation by the twist r: it sends x_i to y_i and y_i to
+    x_sigma(i), c-layer bits move by perm2, and d-layer bit t goes to the
+    reduced image of its lift under perm3.  Its homomorphism_table comes
+    from those generator images, and so do the tables of rho**2 and
+    rho**4, from the generator images of the previous table applied
+    twice.  rho**e is at most three table passes, one per bit of e.
     """
     meta: LayeredMeta = h.meta
     if not isinstance(meta, LayeredMeta) or meta.n != 4:
         raise ValueError("twist conjugation needs the 4+4 layered group")
     act = r_action()
-    sig = [sum(1 << SIG[i] for i in word_bits(b)) for b in range(16)]
-    r1 = [h.multiply((byte & 15) << 4, sig[byte >> 4]) for byte in range(256)]
-    above = [1 << (meta.c_off + t) for t in act.perm2]
-    above += [meta.reduce_full(1 << act.perm3[col]) << meta.d_off for col in meta.d_cols]
-    r1 += sliced_tables(above, 8)
+    images = [1 << t for t in act.perm1]
+    images += [1 << (meta.c_off + t) for t in act.perm2]
+    images += [meta.reduce_full(1 << act.perm3[col]) << meta.d_off for col in meta.d_cols]
+    r1 = homomorphism_table(h.multiply, images, 8)
 
     def square(table: List[int]) -> List[int]:
-        def image(w: int) -> int:
-            return sliced_apply(table, sliced_apply(table, w, 8), 8)
-
-        return [image(byte) for byte in range(256)] + sliced_tables([image(1 << t) for t in range(8, h.n)], 8)
+        twice = [sliced_apply(table, sliced_apply(table, 1 << t, 8), 8) for t in range(h.n)]
+        return homomorphism_table(h.multiply, twice, 8)
 
     r2 = square(r1)
     r4 = square(r2)
@@ -608,8 +610,6 @@ class ChainMeta:
     """Attached to the extension group: base quotient plus the twist."""
 
     base: PcPresentation
-    shift: int
-    rho_power: Callable[[int, int], int]
 
 
 def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
@@ -649,7 +649,7 @@ def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
         return f | (rho_power(h_inv(u >> 3), f) << 3)
 
     names = ["r", "r2", "r4"] + list(h.names)
-    meta = ChainMeta(base=h, shift=3, rho_power=rho_power)
+    meta = ChainMeta(base=h)
     return PcPresentation(
         n, ptails, conj, names=names, fast_mul=mul, fast_inv=inv, meta=meta, label="p59"
     )

@@ -16,6 +16,7 @@ import sys
 import time
 from typing import Callable, Dict, List
 
+from . import __version__ as ENGINE_VERSION
 from . import graphs as gr
 from . import morphisms as mo
 from . import search as se
@@ -32,7 +33,6 @@ from .pcgroup import (
     subgroup_igs,
 )
 
-ENGINE_VERSION = "0.1.0"
 DEFAULT_SEED = 7
 
 

@@ -8,7 +8,10 @@ sequence of such rows.  Nothing here is sparse.
 A GF(2)-linear map on words is fixed by the images of its basis bits.
 sliced_tables turns those images into lookup tables, one slice of
 2**bits entries per `bits` input bits, so that the image of a word is
-one lookup per slice, XORed together (sliced_apply).
+one lookup per slice, XORed together (sliced_apply).  An automorphism of
+the layered groups has the same table shape, with a first slice of
+letter products that are not linear (calculus.homomorphism_table), and
+sliced_apply applies it too.
 """
 
 from __future__ import annotations

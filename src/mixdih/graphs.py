@@ -87,9 +87,6 @@ class SimpleGraph:
     def label_index(self) -> Dict[str, int]:
         return {s: i for i, s in enumerate(self.labels)}
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
     def regular_valency(self) -> Optional[int]:
         """The common degree, or None if degrees differ (or no vertices)."""
         degs = {len(row) for row in self.neighbors}

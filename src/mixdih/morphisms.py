@@ -8,8 +8,13 @@ map that survives the sweep and whose letter images generate the group is
 a verified automorphism.
 
 Verified automorphisms compose without re-verification.  Application is
-table-driven: the image of a normal form is the product of the images of
-its generators in index order, and consecutive index blocks are cached.
+one calculus.homomorphism_table: the image of a normal form is the
+product of the images of its generators in index order, that is a
+letter slice of 2**(2n) products from the multiply, times the images of
+the layer generators.  Those are commutators, so they lie in the
+elementary abelian layers, where the map is linear and the product is
+XOR.  extend builds the table once, reads the right side of every
+relation from it and hands it to the automorphism it returns.
 
 Every orbit comes from one search, orbit(seeds, images): the closure
 runs it on letter tuples, the letter-set check on group elements, and
@@ -25,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .calculus import LayeredMeta
+from .calculus import LayeredMeta, homomorphism_table
+from .gf2linalg import sliced_apply
 from .pcgroup import PcPresentation, subgroup_igs
 
 __all__ = [
@@ -82,40 +88,19 @@ class GeneratorMap:
 class VerifiedAutomorphism:
     """An automorphism with verified relations, closed over all generators."""
 
-    __slots__ = ("group", "full_images", "_tables")
+    __slots__ = ("group", "full_images", "_table")
 
-    def __init__(self, group: PcPresentation, full_images: Tuple[int, ...]):
+    def __init__(self, group: PcPresentation, full_images: Tuple[int, ...], table: Optional[List[int]] = None):
         self.group = group
         self.full_images = full_images
-        self._tables = None
-
-    def _build_tables(self):
-        mul = self.group.multiply
-        chunks = []
-        for base in range(0, self.group.n, 8):
-            width = min(8, self.group.n - base)
-            table = [0] * (1 << width)
-            for m in range(1, 1 << width):
-                low = m & -m
-                rest = m ^ low
-                table[m] = mul(self.full_images[base + low.bit_length() - 1], table[rest])
-            chunks.append(table)
-        self._tables = chunks
+        self._table = table
 
     def apply(self, u: int) -> int:
         """Image of an element in normal form."""
-        if self._tables is None:
-            self._build_tables()
-        mul = self.group.multiply
-        out = 0
-        ci = 0
-        while u:
-            part = u & 255
-            if part:
-                out = mul(out, self._tables[ci][part])
-            u >>= 8
-            ci += 1
-        return out
+        bits = 2 * self.group.meta.n
+        if self._table is None:
+            self._table = homomorphism_table(self.group.multiply, self.full_images, bits)
+        return sliced_apply(self._table, u, bits)
 
     def is_identity(self) -> bool:
         return all(w == 1 << t for t, w in enumerate(self.full_images))
@@ -129,21 +114,13 @@ class VerifiedAutomorphism:
         return hash((id(self.group), self.full_images))
 
 
-def _word_image(group: PcPresentation, images: Sequence[int], word: int) -> int:
-    out = 0
-    mul = group.multiply
-    while word:
-        low = word & -word
-        out = mul(out, images[low.bit_length() - 1])
-        word ^= low
-    return out
-
-
 def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
     """Close a letter map over all generators and verify every relation.
 
-    Raises NotHomomorphism at the first violated power or conjugation
-    relation, NotBijective if the letter images fail to generate.
+    The right side of each relation is the image of a word, read from
+    the map's homomorphism_table.  Raises NotHomomorphism at the first
+    violated power or conjugation relation, NotBijective if the letter
+    images fail to generate.
     """
     group = gmap.group
     meta: LayeredMeta = group.meta
@@ -161,24 +138,25 @@ def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
         images.append(comm(cij, other))
     if len(images) != group.n:
         raise AssertionError("image closure out of step with the presentation")
+    table = homomorphism_table(mul, images, 2 * n)
 
     inverses = [group.inverse(w) for w in images]
     for i in range(group.n):
         lhs = mul(images[i], images[i])
-        rhs = _word_image(group, images, group.power_tails[i])
+        rhs = sliced_apply(table, group.power_tails[i], 2 * n)
         if lhs != rhs:
             raise NotHomomorphism(f"power relation of {group.names[i]} breaks")
     for j in range(group.n):
         for i in range(j):
             lhs = mul(mul(inverses[i], images[j]), images[i])
-            rhs = _word_image(group, images, group.conj.get((j, i), 1 << j))
+            rhs = sliced_apply(table, group.conj.get((j, i), 1 << j), 2 * n)
             if lhs != rhs:
                 raise NotHomomorphism(
                     f"conjugation relation of {group.names[j]} by {group.names[i]} breaks"
                 )
     if subgroup_igs(group, list(gmap.letter_images)).order_log != group.n:
         raise NotBijective("letter images do not generate the group")
-    return VerifiedAutomorphism(group, tuple(images))
+    return VerifiedAutomorphism(group, tuple(images), table)
 
 
 def identity_automorphism(group: PcPresentation) -> VerifiedAutomorphism:

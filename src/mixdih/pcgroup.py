@@ -252,19 +252,6 @@ class PcPresentation:
                 raise RuntimeError("runaway order; presentation inconsistent?")
         return order
 
-    def power(self, u: int, e: int) -> int:
-        if e < 0:
-            u = self.inverse(u)
-            e = -e
-        mul = self.multiply
-        acc = 0
-        while e:
-            if e & 1:
-                acc = mul(acc, u)
-            u = mul(u, u)
-            e >>= 1
-        return acc
-
     def conjugate(self, u: int, g: int) -> int:
         """u**g = g^-1 * u * g."""
         mul = self.multiply
@@ -480,11 +467,16 @@ def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgr
     times an element of s_(i+1)', so [m_i, x] lies in N_i for every x in
     s_(i+1), since [a, bc] = [a, c] [a, b]^c.  Then N_i is normal in s_i,
     and s_i / N_i is abelian.  With the squares added this is s' s^2,
-    which is Phi(s) in a 2-group.
+    which is Phi(s) in a 2-group.  A pair whose supports do not clash
+    (group.clash_mask) commutes, so its commutator is the identity and
+    is skipped without multiplying.
     """
     ms = s.members
     mul = group.multiply
-    gens = [group.commutator(ms[i], ms[j]) for i in range(len(ms)) for j in range(i + 1, len(ms))]
+    gens = []
+    for i, m in enumerate(ms):
+        clash = group.clash_mask(m)
+        gens += [group.commutator(m, later) for later in ms[i + 1 :] if clash & later]
     if squares:
         gens += [mul(m, m) for m in ms]
     return subgroup_igs(group, gens)

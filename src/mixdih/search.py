@@ -129,10 +129,6 @@ def full_group(p: PcPresentation) -> Subgroup:
     return Subgroup(p, [1 << i for i in range(p.n)], canonical=True)
 
 
-def trivial_subgroup(p: PcPresentation) -> Subgroup:
-    return Subgroup(p, [], canonical=True)
-
-
 def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
     return SearchLevel(
         depth=0,

@@ -3,8 +3,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixdih import cli
+from mixdih import __version__, cli
 from mixdih import graphs as gr
 from mixdih import morphisms as mo
 from mixdih import search as se
@@ -268,7 +270,109 @@ def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
     assert "bad checkpoint" in capsys.readouterr().err
 
 
-def test_version_flag():
+def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__ == cli.ENGINE_VERSION
+
+
+# ── fuzzed readers ───────────────────────────────────────────────────────────
+
+# every file a reader takes either works or fails with a documented exit
+# code: 1 failed checks or a rejected map, 2 two failed checks, 65 I/O,
+# 66 a bad checkpoint; no exception may escape main
+READER_EXITS = {0, 1, 2, 65, 66}
+
+_JUNK = st.text(st.characters(min_codepoint=9, max_codepoint=126), max_size=24)
+_SMALL_HEX = st.integers(-2, 1 << 9).map(lambda v: format(v, "x"))
+_INDEX = st.integers(-1, 9)
+
+
+def _pc2_text(lines):
+    return lines.map(lambda ls: "\n".join(ls) + "\n")
+
+
+def _well_formed_pc2(n):
+    """pc2 files that parse: one word per key, supported above its
+    conjugating generator, so the consistency check collects in an
+    arbitrary presentation."""
+    full = (1 << n) - 1
+    index = st.integers(0, n - 1)
+
+    def above(i, w):
+        return format((w << (i + 1)) & full, "x")
+
+    def lines(pows, conjs):
+        out = [f"pc2 v1 n={n}"] + [f"pow {i} {above(i, w)}" for i, w in pows.items()]
+        return out + [f"conj {j} {i} {above(i, w)}" for (j, i), w in conjs.items() if j > i]
+
+    pair = st.tuples(index, index).map(lambda ji: (max(ji), min(ji)))
+    word = st.integers(0, full)
+    return _pc2_text(st.builds(lines, st.dictionaries(index, word), st.dictionaries(pair, word, max_size=10)))
+
+
+_PC2 = st.one_of(
+    st.integers(1, 8).flatmap(_well_formed_pc2),
+    _pc2_text(st.builds(
+        lambda n, ls: [f"pc2 v1 n={n}"] + ls,
+        st.integers(0, 8),
+        st.lists(
+            st.one_of(
+                st.builds("pow {} {}".format, _INDEX, _SMALL_HEX),
+                st.builds("conj {} {} {}".format, _INDEX, _INDEX, _SMALL_HEX),
+                _JUNK,
+            ),
+            max_size=12,
+        ),
+    )),
+)
+_TOY_TOKEN = st.sampled_from(["x1", "x2", "y1", "y2"] * 2 + ["1", "c11", "z9", ""])
+_MAP_LINE = st.builds(lambda src, dst: f"{src} -> {'*'.join(dst)}", _TOY_TOKEN, st.lists(_TOY_TOKEN, max_size=4))
+_MAP = st.one_of(
+    st.dictionaries(st.sampled_from(["x1", "x2", "y1", "y2"]), st.lists(_TOY_TOKEN, min_size=1, max_size=3)).map(
+        lambda images: [f"{src} -> {'*'.join(dst)}" for src, dst in images.items()]
+    ),
+    st.lists(st.one_of(_MAP_LINE, _JUNK), max_size=6),
+).map(lambda lines: "\n".join(lines) + "\n")
+_MEMBER = st.one_of(st.integers(-1, 1 << 59), st.integers(0, 58).map(lambda k: 1 << k)).map(lambda v: format(v, "x"))
+_CHECKPOINT = st.builds(
+    lambda depth, rows, extra: "\n".join(
+        [f"level {depth} count {len(rows) + extra}"] + [" ".join(r) for r in rows]
+    ) + "\n",
+    st.one_of(st.integers(-1, 60), st.integers(56, 59)),
+    st.lists(st.lists(_MEMBER, min_size=1, max_size=3), max_size=3),
+    st.sampled_from([0, 0, 0, 1]),
+)
+
+
+def _as_bytes(text):
+    return st.one_of(text.map(lambda s: s.encode("ascii")), _JUNK.map(lambda s: s.encode("ascii")), st.binary(max_size=40))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _read_through_main(path, data, argv):
+    path.write_bytes(data)
+    assert main(argv) in READER_EXITS
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_as_bytes(_PC2))
+def test_fuzzed_pc2_files_exit_with_a_documented_code(fuzz_path, data):
+    _read_through_main(fuzz_path, data, ["verify", "toy2", "--from-file", str(fuzz_path), "--report", str(fuzz_path) + ".json"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_as_bytes(_MAP))
+def test_fuzzed_map_files_exit_with_a_documented_code(fuzz_path, data):
+    _read_through_main(fuzz_path, data, ["maps", "toy2", str(fuzz_path)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_as_bytes(_CHECKPOINT))
+def test_fuzzed_checkpoints_exit_with_a_documented_code(fuzz_path, data):
+    _read_through_main(fuzz_path, data, ["search", "--resume", str(fuzz_path), "--levels", "1"])

@@ -14,6 +14,7 @@ from mixdih import calculus as ca
 from mixdih import morphisms as mo
 from mixdih import pcgroup as pc
 from mixdih.cli import CheckRun, _checks_h56
+from mixdih.gf2linalg import sliced_apply
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,68 @@ def verified(h56, named):
                  "x_companion_cycle", "y_companion_cycle", "twist_conjugation"):
         out[name] = mo.extend(named[name])
     return out
+
+
+def product_of_images(group, images, w):
+    """The image of w under generator images: their product over the set
+    bits of w in index order, one multiply per bit.  The reference every
+    homomorphism_table is checked against; it shares no table with them."""
+    out = 0
+    while w:
+        low = w & -w
+        out = group.multiply(out, images[low.bit_length() - 1])
+        w ^= low
+    return out
+
+
+def _sample_words(group, seed):
+    rng = random.Random(seed)
+    return [0] + [1 << t for t in range(group.n)] + [rng.getrandbits(group.n) for _ in range(500)]
+
+
+def test_layers_above_the_letters_lie_in_the_tail(toy, h56):
+    # the tables XOR the images above the letters, which needs them in the
+    # elementary abelian tail
+    for group in (toy, h56):
+        assert group.tail <= 2 * group.meta.n
+
+
+def test_apply_matches_product_of_images(h56, toy, verified):
+    maps = list(verified.values())
+    maps.append(mo.compose(verified["x_singer_generator"], verified["twist_conjugation"]))
+    maps += [mo.extend(gmap) for gmap in mo.toy_catalog(toy).values()]
+    for k, f in enumerate(maps):
+        for w in _sample_words(f.group, 40 + k):
+            assert f.apply(w) == product_of_images(f.group, f.full_images, w)
+
+
+def test_rejected_maps_read_their_relations_from_exact_tables(monkeypatch, h56, named):
+    # extend reads the right side of every relation from the table it
+    # builds, so that table must be exact on the non-examples too
+    built = []
+
+    def recording(mul, images, bits):
+        table = ca.homomorphism_table(mul, images, bits)
+        built.append((list(images), table, bits))
+        return table
+
+    monkeypatch.setattr(mo, "homomorphism_table", recording)
+    for name in ("x_centralizer_candidate", "x_half_turn"):
+        with pytest.raises(mo.NotHomomorphism):
+            mo.extend(named[name])
+    assert len(built) == 2
+    for k, (images, table, bits) in enumerate(built):
+        assert len(images) == h56.n and bits == 8
+        for w in _sample_words(h56, 50 + k):
+            assert sliced_apply(table, w, bits) == product_of_images(h56, images, w)
+
+
+def test_rho_tables_are_products_of_their_generator_images(h56):
+    rho_power = ca.make_rho_power(h56)
+    for e in (1, 2, 4):
+        images = [rho_power(1 << t, e) for t in range(h56.n)]
+        for w in _sample_words(h56, 60 + e):
+            assert rho_power(w, e) == product_of_images(h56, images, w)
 
 
 def test_extend_is_homomorphism_on_random_products(h56, verified):

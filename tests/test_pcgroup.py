@@ -85,9 +85,13 @@ def test_inverse_and_power(toy, p59):
             iu = g.inverse(u)
             assert g.multiply(u, iu) == 0
             assert g.multiply(iu, u) == 0
-            assert g.power(u, g.element_order(u)) == 0
-            assert g.power(u, -1) == iu
-            assert g.power(u, 3) == g.multiply(g.multiply(u, u), u)
+            # u, u**2, ... up to the identity: element_order is the least
+            # such exponent, and the power before it is the inverse
+            powers = [u]
+            while powers[-1]:
+                powers.append(g.multiply(powers[-1], u))
+            assert len(powers) == g.element_order(u)
+            assert powers[-2 if u else -1] == iu
 
 
 def test_closed_form_inverse_matches_squaring(toy, h56, p59):

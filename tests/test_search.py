@@ -69,7 +69,7 @@ def test_trivial_stab_keeps_the_lattice(p59):
     # filter keeps every maximal subgroup: the lattice itself is not what
     # empties the real run
     cfg = se.SearchConfig(levels=1)
-    rep = se.run_search(p59, cfg, stab=se.trivial_subgroup(p59))
+    rep = se.run_search(p59, cfg, stab=Subgroup(p59, [], canonical=True))
     assert rep.survivor_counts == [3]
     assert not rep.no_regular_subgroup
 
