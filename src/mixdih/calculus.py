@@ -130,10 +130,11 @@ class _Tables:
 
     reduce maps a full layer-3 vector (d_dim bits) to its packed image in
     the quotient's complement coordinates; identity for the free object.
-    OUTER and TB are indexed by letter words.  TA[k] and TC[l] are linear
-    in the c layer, so each is the sliced_tables of its c-bit images, one
-    flat list of 256 entries per byte of the c layer, and reduce is
-    called once per c-bit rather than once per byte value.
+    Every table is indexed by letter words.  TA[a2] and TC[b2] are linear
+    in the c layer: each is the sliced_tables of its c-bit images, XORed
+    over the letters of the word, with 16 entries per 4 bits of the c
+    layer, so the multiply applies each with one sliced_apply.  reduce
+    is called once per c-bit and letter rather than once per table entry.
     """
 
     def __init__(self, n: int, reduce: Callable[[int], int]):
@@ -186,11 +187,20 @@ class _Tables:
             tb.append(row)
         self.TB = tb
 
-        # TA[k], TC[l]: reduced sum of [[x_i,y_j],x_k] (resp. [[x_i,y_j],y_l])
-        # over the c-bits (i,j) set; linear in the c layer, so byte-sliced
+        # TA[a2], TC[b2]: reduced sum of [[x_i,y_j],x_k] (resp. [[x_i,y_j],y_l])
+        # over the c-bits (i,j) set and the letters k in a2 (l in b2);
+        # linear in the c layer, so 4-bit sliced
         cells = [divmod(col, n) for col in range(lay.c_dim)]
-        self.TA = [sliced_tables([reduce(dx(i, j, k)) for i, j in cells], 8) for k in range(n)]
-        self.TC = [sliced_tables([reduce(dy(i, j, l)) for i, j in cells], 8) for l in range(n)]
+
+        def word_tables(per_letter):
+            # c-bit images of each letter word, in index order, by doubling
+            words = [[0] * lay.c_dim]
+            for letter in per_letter:
+                words += [[m ^ x for m, x in zip(w, letter)] for w in words]
+            return [sliced_tables(images, 4) for images in words]
+
+        self.TA = word_tables([[reduce(dx(i, j, k)) for i, j in cells] for k in range(n)])
+        self.TC = word_tables([[reduce(dy(i, j, l)) for i, j in cells] for l in range(n)])
 
 
 def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
@@ -210,34 +220,14 @@ def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
             q = OUTER[a2][b1]
             corr = TB[a2][b1]
             if g1:
-                kk = a2
-                while kk:
-                    kb = kk & -kk
-                    tak = TA[kb.bit_length() - 1]
-                    gg = g1
-                    at = 0
-                    while gg:
-                        corr ^= tak[at | (gg & 255)]
-                        gg >>= 8
-                        at += 256
-                    kk ^= kb
+                corr ^= sliced_apply(TA[a2], g1, 4)
         else:
             q = 0
             corr = 0
         gm = g1 ^ q
         b2 = (v >> n) & amask
         if b2 and gm:
-            ll = b2
-            while ll:
-                lb = ll & -ll
-                tcl = TC[lb.bit_length() - 1]
-                gg = gm
-                at = 0
-                while gg:
-                    corr ^= tcl[at | (gg & 255)]
-                    gg >>= 8
-                    at += 256
-                ll ^= lb
+            corr ^= sliced_apply(TC[b2], gm, 4)
         return (
             ((u & amask) ^ a2)
             | ((b1 ^ b2) << n)
@@ -569,10 +559,10 @@ def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
 
     rho is conjugation by the twist r: it sends x_i to y_i and y_i to
     x_sigma(i), c-layer bits move by perm2, and d-layer bit t goes to the
-    reduced image of its lift under perm3.  Its homomorphism_table comes
-    from those generator images, and so do the tables of rho**2 and
-    rho**4, from the generator images of the previous table applied
-    twice.  rho**e is at most three table passes, one per bit of e.
+    reduced image of its lift under perm3.  Each power rho**e, e = 1..7,
+    has one homomorphism_table: the generator images of rho**e are rho's
+    table applied to those of rho**(e-1).  rho**e(w) is one sliced_apply,
+    and w itself when e is 0 mod 8.
     """
     meta: LayeredMeta = h.meta
     if not isinstance(meta, LayeredMeta) or meta.n != 4:
@@ -581,26 +571,15 @@ def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
     images = [1 << t for t in act.perm1]
     images += [1 << (meta.c_off + t) for t in act.perm2]
     images += [meta.reduce_full(1 << act.perm3[col]) << meta.d_off for col in meta.d_cols]
-    r1 = homomorphism_table(h.multiply, images, 8)
-
-    def square(table: List[int]) -> List[int]:
-        twice = [sliced_apply(table, sliced_apply(table, 1 << t, 8), 8) for t in range(h.n)]
-        return homomorphism_table(h.multiply, twice, 8)
-
-    r2 = square(r1)
-    r4 = square(r2)
-    passes = [[t for bit, t in ((1, r1), (2, r2), (4, r4)) if e & bit] for e in range(8)]
+    tables: List[Optional[List[int]]] = [None, homomorphism_table(h.multiply, images, 8)]
+    power = images
+    for _ in range(2, 8):
+        power = [sliced_apply(tables[1], w, 8) for w in power]
+        tables.append(homomorphism_table(h.multiply, power, 8))
 
     def rho_power(w: int, e: int) -> int:
-        for table in passes[e & 7]:
-            out = 0
-            at = 0
-            while w:
-                out ^= table[at | (w & 255)]
-                w >>= 8
-                at += 256
-            w = out
-        return w
+        table = tables[e & 7]
+        return w if table is None else sliced_apply(table, w, 8)
 
     return rho_power
 

@@ -5,8 +5,8 @@ claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
 generic failure), 64 survivor-budget abort, 65 I/O error, 66 malformed
-checkpoint given to search --resume.  Usage errors exit 2 before any
-check runs.
+checkpoint given to search --resume, or one whose depth is past
+--levels.  Usage errors exit 2 before any check runs.
 """
 
 import argparse
@@ -255,7 +255,9 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
     run.add(
         "h56_normality_hypotheses",
         "single orbit of size 30 on the letter set, pointwise stabilizer of "
-        "order 15, and closure order not divisible by 20160^2",
+        "order 15 equal to the y-singer cycle, and closure order not divisible "
+        "by 20160^2; the last field also needs closure order 1800, the twist "
+        "relations and both non-examples rejected",
         [30, True, 15, True, True, True],
         hypotheses,
     )

@@ -11,7 +11,10 @@ sliced_tables turns those images into lookup tables, one slice of
 one lookup per slice, XORed together (sliced_apply).  An automorphism of
 the layered groups has the same table shape, with a first slice of
 letter products that are not linear (calculus.homomorphism_table), and
-sliced_apply applies it too.
+sliced_apply applies it too.  Every table in the package is applied by
+sliced_apply: the layer-3 corrections of the closed-form multiply, each
+power of the twist, every verified automorphism and the tail
+conjugation tables of the subgroup arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "lowbit_index",
     "echelon_ints",
     "reduce_by_echelon",
-    "rank_ints",
     "sliced_tables",
     "sliced_apply",
 ]
@@ -78,10 +80,6 @@ def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> in
         if (v >> p) & 1:
             v ^= b
     return v
-
-
-def rank_ints(rows: Sequence[int]) -> int:
-    return len(echelon_ints(rows)[0])
 
 
 def sliced_tables(images: Sequence[int], bits: int) -> List[int]:

@@ -508,8 +508,8 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
     its conjugate is m_j itself and its row is zero; it is skipped
     without multiplying.  Members in the tail come last, square to the
     identity and commute with each other, so they add no rows of their
-    own; the conjugate of a tail member by a top member m_i comes from
-    the tail_action table of m_i's top part.
+    own; the conjugate of a tail member by a top member m_i is one
+    sliced_apply of the tail_action table of m_i's top part.
     """
     mul = group.multiply
     top = group.top_mask
@@ -533,13 +533,7 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
             if mj & top:
                 c = mul(mul(inv, mj), mi)
             else:
-                t = mj >> tail
-                c = 0
-                at = 0
-                while t:
-                    c ^= table[at | (t & 15)]
-                    t >>= 4
-                    at += 16
+                c = sliced_apply(table, mj >> tail, 4)
             if c != mj:
                 rows.append(s.coords(c) ^ (1 << j))
     return rows

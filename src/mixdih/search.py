@@ -285,6 +285,8 @@ def run_search(
     t0 = time.perf_counter()
     if config.resume_path:
         depth, rows_list = load_checkpoint(config.resume_path)
+        if depth > config.levels:
+            raise BadCheckpoint(f"checkpoint depth {depth} is past the last level {config.levels}")
         level = _rebuild_level(p, stab, depth, rows_list)
     else:
         level = root_level(p, stab)

@@ -285,6 +285,13 @@ def test_h56_fast_mul_matches_collector(h56):
     for _ in range(120):
         u, v = rng.getrandbits(56), rng.getrandbits(56)
         assert h56.multiply(u, v) == h56.collect_multiply(u, v)
+    # every letter-word pair (a2, b2) of v, so that each word table TA[a2]
+    # and TC[b2] meets a nonzero c layer of u
+    for a2 in range(16):
+        for b2 in range(16):
+            u = rng.getrandbits(56) | 1 << (8 + rng.randrange(16))
+            v = a2 | b2 << 4 | rng.getrandbits(48) << 8
+            assert h56.multiply(u, v) == h56.collect_multiply(u, v)
 
 
 def test_toy_shape_and_agreement(toy):

@@ -53,7 +53,7 @@ def test_verify_report_stable_modulo_timings(tmp_path):
 
 # sha256 prefixes of each timing-stripped report, dumped with sorted keys,
 # and of each graph export; the claim battery must emit the same bytes
-REPORT_SHA256 = {"h56": "1d21c1fb40862308", "p59": "480270a0df1b1dc6", "toy2": "f978de3fa55a11e1"}
+REPORT_SHA256 = {"h56": "01cc5c05a821c9a5", "p59": "480270a0df1b1dc6", "toy2": "f978de3fa55a11e1"}
 GRAPH_SHA256 = {"cayley": "194a487e0c674852", "incidence": "d2132608c5ccf84b", "quotient": "2a3147e9cc894af5"}
 
 # calls one verify makes to the names that build its certificate objects;
@@ -268,6 +268,15 @@ def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
     path.write_text(text, encoding="ascii")
     assert main(["search", "--resume", str(path)]) == 66
     assert "bad checkpoint" in capsys.readouterr().err
+
+
+def test_search_resume_past_levels_exits_66(tmp_path, capsys):
+    path = tmp_path / "ck6"
+    path.write_text("level 6 count 0\n", encoding="ascii")
+    assert main(["search", "--resume", str(path), "--levels", "3"]) == 66
+    out, err = capsys.readouterr()
+    assert "bad checkpoint" in err and "depth 6 is past the last level 3" in err
+    assert "verdict" not in out + err
 
 
 def test_version_flag(capsys):

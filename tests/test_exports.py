@@ -1,5 +1,6 @@
-"""Every name a module exports is really there."""
+"""Every name a module exports is really there, and the package uses it."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -18,6 +19,23 @@ def test_all_names_exist():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"mixdih.{info.name}.__all__ names missing attributes: {missing}"
     assert declaring >= 4
+
+
+def test_public_names_are_used_in_src():
+    # a name counts as used when src/mixdih reads it as a variable or an
+    # attribute; its def or class line and its __all__ string are neither,
+    # so API that only its own unit tests call fails here
+    used = set()
+    for path in Path(mixdih.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for info in pkgutil.iter_modules(mixdih.__path__):
+        module = importlib.import_module(f"mixdih.{info.name}")
+        unused = [name for name in getattr(module, "__all__", ()) if name not in used]
+        assert not unused, f"mixdih.{info.name}.__all__ names unused in src/mixdih: {unused}"
 
 
 def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, p59):

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from mixdih.gf2linalg import echelon_ints, rank_ints, reduce_by_echelon, sliced_apply, sliced_tables
+from mixdih.gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tables
 
 
 def span_of(rows, width):
@@ -50,8 +50,8 @@ def test_echelonize_example():
 
 
 def test_rank_zero_matrix():
-    assert rank_ints([0, 0]) == 0
-    assert rank_ints([]) == 0
+    assert len(echelon_ints([0, 0])[0]) == 0
+    assert len(echelon_ints([])[0]) == 0
 
 
 def test_membership_residue():
@@ -66,7 +66,7 @@ def test_rank_against_span_enumeration():
     for _ in range(50):
         width = rng.randrange(1, 12)
         rows = [rng.randrange(1 << width) for _ in range(rng.randrange(0, 7))]
-        r = rank_ints(rows)
+        r = len(echelon_ints(rows)[0])
         assert (1 << r) == len(span_of(rows, width))
 
 

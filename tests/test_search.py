@@ -214,6 +214,15 @@ def test_resume_rejects_malformed_rows(tmp_path, toy, toy_stab):
         _resume(toy, toy_stab, path, -1, [])
 
 
+def test_resume_past_the_last_level_is_rejected(tmp_path, toy, toy_stab):
+    # an empty checkpoint at depth 3 with levels=2: no level may run, and
+    # the empty row list must not read as a finished descent
+    path = tmp_path / "ck.txt"
+    se.write_checkpoint(path, se.SearchLevel(3, 0, [], []))
+    with pytest.raises(se.BadCheckpoint, match="depth 3 is past the last level 2"):
+        se.run_search(toy, se.SearchConfig(levels=2, resume_path=path), stab=toy_stab)
+
+
 def test_load_checkpoint_wraps_parse_errors(tmp_path):
     path = tmp_path / "bad.txt"
     for text in (b"level x count 0\n", b"level 1 count 1\nzz\n", b"level 1 count 0\n\xff\n"):
