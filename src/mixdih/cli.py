@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from . import __version__ as ENGINE_VERSION
 from . import graphs as gr
@@ -34,6 +34,10 @@ from .pcgroup import (
 )
 
 DEFAULT_SEED = 7
+
+# the descent's certificate: survivors and candidates per level
+DESCENT_SURVIVORS = [2, 2, 12, 48, 128, 0]
+DESCENT_CANDIDATES = [3, 6, 14, 84, 336, 896]
 
 
 def _build_target(name: str) -> PcPresentation:
@@ -63,7 +67,12 @@ class CheckRun:
     def __init__(self):
         self.entries: List[Dict] = []
 
-    def add(self, name: str, claim: str, expected, thunk: Callable[[], object]) -> None:
+    def add(
+        self, name: str, claim: str, expected, thunk: Callable[[], object], seed: Optional[int] = None
+    ) -> None:
+        """Run thunk and record its result against expected.  A check
+        that draws random words passes the --seed they come from, and its
+        entry records it."""
         t0 = time.perf_counter()
         try:
             actual = _jsonable(thunk())
@@ -78,6 +87,8 @@ class CheckRun:
             "claim": claim,
             "seconds": round(time.perf_counter() - t0, 3),
         })
+        if seed is not None:
+            self.entries[-1]["seed"] = seed
 
     @property
     def failures(self) -> int:
@@ -319,6 +330,7 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
         "products of layered elements agree with the layered group",
         True,
         embedding,
+        seed=seed,
     )
     full = se.full_group(p)
     run.add(
@@ -456,6 +468,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "collection is associative on 10^4 random triples",
             True,
             lambda group=group, label=label: associativity(group, label),
+            seed=seed,
         )
 
     def fast_matches_collect(group):
@@ -473,6 +486,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "the closed-form product agrees with the collector on samples",
             True,
             lambda group=group: fast_matches_collect(group),
+            seed=seed,
         )
 
     def igs_canonical(group):
@@ -493,6 +507,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "shuffled and redundant generators give the same canonical IGS",
             True,
             lambda group=group: igs_canonical(group),
+            seed=seed,
         )
 
     def maximal_counts():
@@ -514,13 +529,14 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
 def _check_search(run: CheckRun, p: PcPresentation, threads: int) -> None:
     def descent():
         rep = se.run_search(p, se.SearchConfig(threads=threads))
-        return [rep.survivor_counts[-1] == 0, rep.no_regular_subgroup]
+        return [rep.survivor_counts, rep.candidate_counts, rep.no_regular_subgroup]
 
     run.add(
         "p59_no_regular_subgroup",
-        "the six-level descent ends with zero survivors, so no subgroup "
-        "acts regularly on the stabilizer cosets",
-        [True, True],
+        f"the six-level descent keeps {DESCENT_SURVIVORS} survivors of "
+        f"{DESCENT_CANDIDATES} candidates, so no subgroup acts regularly "
+        "on the stabilizer cosets",
+        [DESCENT_SURVIVORS, DESCENT_CANDIDATES, True],
         descent,
     )
 
@@ -688,8 +704,8 @@ def _parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="seed of p59_embedding_agreement and the verify all property suites;"
-        f" other checks ignore it (default {DEFAULT_SEED})",
+        help="seed of p59_embedding_agreement and the verify all property suites,"
+        f" recorded in their report entries; other checks ignore it (default {DEFAULT_SEED})",
     )
     v.add_argument("--threads", type=_positive_int, default=1, help="descent workers, for target all only (default 1)")
     v.set_defaults(func=cmd_verify)

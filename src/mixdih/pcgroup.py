@@ -8,7 +8,7 @@ its generators in increasing index order.  Power words are supported on
 indices > i; conjugate words may touch any index > i (the conjugating
 generator), which is what a permutation-style action needs.
 
-Multiplication is collection from the left with an explicit work stack.
+Multiplication is collection from the left with an explicit stack of words.
 Builders may install a structure-backed fast multiply and a closed-form
 inverse; the collector and repeated squaring stay available as the
 reference implementations, and the collector is what the consistency
@@ -139,48 +139,43 @@ class PcPresentation:
     # ── collection ──────────────────────────────────────────────────────
 
     def collect_multiply(self, u: int, v: int) -> int:
-        """Normal form of u*v by collection from the left."""
+        """Normal form of u*v by collection from the left.
+
+        The stack holds words to multiply onto u, lowest generator first.
+        A word off the tail gives up its lowest generator g_i and its rest
+        goes beneath the words that appending g_i pushes, so generators
+        append in the order of a stack of single generators.  A tail word
+        is XORed in whole: tail generators square to 1 and commute with
+        every later generator (_tail_start), so each appends as an XOR.
+        """
         if (u | v) >> self.n or u < 0 or v < 0:
             raise ValueError("exponent vector outside group width")
-        stack = word_bits(v)
-        stack.reverse()  # pop() yields v's generators left to right
-        append = self._append
+        top, clash, conj, power = self.top_mask, self.clash, self.conj, self.power_tails
+        stack = [v]
         while stack:
-            u = append(u, stack.pop(), stack)
+            word = stack.pop()
+            if not word & top:
+                u ^= word
+                continue
+            bit = word & -word
+            if word != bit:
+                stack.append(word ^ bit)
+            i = bit.bit_length() - 1
+            above = u >> (i + 1) << (i + 1)
+            ei = u & bit
+            if above and (above & clash[i] or ei):
+                # g_i passes everything above position i, conjugating it;
+                # push from the highest, so the lowest pops first
+                while above:
+                    j = above.bit_length() - 1
+                    stack.append(conj.get((j, i), 1 << j))
+                    above ^= 1 << j
+                u = (u & (bit - 1)) | (bit ^ ei)
+            else:
+                u ^= bit
+            if ei and power[i]:
+                stack.append(power[i])
         return u
-
-    def _append(self, w: int, i: int, stack: List[int]) -> int:
-        """Normal form progress for w*g_i; pushes pending generators."""
-        bit = 1 << i
-        above = w >> (i + 1) << (i + 1)
-        ei = w & bit
-        if above and ((above & self.clash[i]) or ei):
-            # g_i passes everything above position i, conjugating it
-            words = []
-            if ei:
-                pt = self.power_tails[i]
-                if pt:
-                    words.append(pt)
-            mm = above
-            conj = self.conj
-            while mm:
-                low = mm & -mm
-                j = low.bit_length() - 1
-                words.append(conj.get((j, i), low))
-                mm ^= low
-            for word in reversed(words):
-                bits = word_bits(word)
-                bits.reverse()
-                stack.extend(bits)
-            return (w & (bit - 1)) | (0 if ei else bit)
-        if not ei:
-            return w | bit
-        pt = self.power_tails[i]
-        if pt:
-            bits = word_bits(pt)
-            bits.reverse()
-            stack.extend(bits)
-        return w ^ bit
 
     # ── derived element operations ──────────────────────────────────────
 
@@ -609,13 +604,16 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
     (g_k g_j) g_i = g_k (g_j g_i) for k > j > i together with the power
     overlaps for each square.  An empty result certifies that the presented
     group has order exactly 2**n.
+
+    A triple whose generators commute pairwise (pres.clash, read from the
+    table the collector reads) is skipped: both of its sides collect to
+    g_i g_j g_k without pushing a word, so in any presentation it records
+    nothing, and the violations, their order and the cut are unchanged.
     """
     n = pres.n
     mul = pres.collect_multiply
-    pair = {}
-    for j in range(n):
-        for i in range(j):
-            pair[(j, i)] = mul(1 << j, 1 << i)
+    clash = pres.clash
+    pair = {(j, i): mul(1 << j, 1 << i) for j in range(n) for i in range(j)}
     bad: List[Tuple] = []
 
     def record(kind, idx, lhs, rhs):
@@ -623,11 +621,12 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
             bad.append((kind, idx, lhs, rhs))
 
     for k in range(n):
-        gk = 1 << k
         for j in range(k):
             pkj = pair[(k, j)]
-            for i in range(j):
-                record("assoc", (k, j, i), mul(pkj, 1 << i), mul(gk, pair[(j, i)]))
+            # the i < j for which some pair of g_i, g_j, g_k clashes
+            lower = (1 << j) - 1 if (clash[k] >> j) & 1 else (clash[k] | clash[j]) & ((1 << j) - 1)
+            for i in word_bits(lower):
+                record("assoc", (k, j, i), mul(pkj, 1 << i), mul(1 << k, pair[(j, i)]))
                 if len(bad) >= max_violations:
                     return bad
     for j in range(n):

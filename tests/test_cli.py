@@ -53,7 +53,7 @@ def test_verify_report_stable_modulo_timings(tmp_path):
 
 # sha256 prefixes of each timing-stripped report, dumped with sorted keys,
 # and of each graph export; the claim battery must emit the same bytes
-REPORT_SHA256 = {"h56": "01cc5c05a821c9a5", "p59": "480270a0df1b1dc6", "toy2": "f978de3fa55a11e1"}
+REPORT_SHA256 = {"h56": "01cc5c05a821c9a5", "p59": "3b89d50f3b1ee113", "toy2": "f978de3fa55a11e1"}
 GRAPH_SHA256 = {"cayley": "194a487e0c674852", "incidence": "d2132608c5ccf84b", "quotient": "2a3147e9cc894af5"}
 
 # calls one verify makes to the names that build its certificate objects;
@@ -213,11 +213,37 @@ def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
 
     def fake_run_search(p, config=None, stab=None):
         received.append(config.threads if config else None)
-        return se.SearchReport(stab_order_log=6, start_depth=0, survivor_counts=[0], no_regular_subgroup=True)
+        return se.SearchReport(
+            stab_order_log=6,
+            start_depth=0,
+            survivor_counts=[2, 2, 12, 48, 128, 0],
+            candidate_counts=[3, 6, 14, 84, 336, 896],
+            no_regular_subgroup=True,
+        )
 
     monkeypatch.setattr(se, "run_search", fake_run_search)
-    assert main(["verify", "all", "--threads", "3", "--report", str(tmp_path / "all.json")]) == 0
+    path = tmp_path / "all.json"
+    assert main(["verify", "all", "--threads", "3", "--seed", "5", "--report", str(path)]) == 0
     assert received == [3]
+    checks = {e["name"]: e for e in json.loads(path.read_text(encoding="ascii"))["checks"]}
+    # the headline counts appear in the report, not just the verdict
+    assert checks["p59_no_regular_subgroup"]["actual"] == [[2, 2, 12, 48, 128, 0], [3, 6, 14, 84, 336, 896], True]
+    seeded = sorted(name for name, e in checks.items() if "seed" in e)
+    assert seeded == sorted(
+        ["p59_embedding_agreement"]
+        + [f"property_{kind}_{label}" for kind in ("associativity", "fast_mul_matches_collection", "igs_canonical")
+           for label in ("h56", "p59", "toy2")]
+    )
+    assert all(checks[name]["seed"] == 5 for name in seeded)
+
+
+def test_verify_records_the_seed_only_where_it_is_drawn(tmp_path):
+    for target, seeded in (("toy2", []), ("h56", []), ("p59", ["p59_embedding_agreement"])):
+        path = tmp_path / f"{target}.json"
+        assert main(["verify", target, "--seed", "99", "--report", str(path)]) == 0
+        checks = json.loads(path.read_text(encoding="ascii"))["checks"]
+        assert [e["name"] for e in checks if "seed" in e] == seeded
+        assert all(e["seed"] == 99 for e in checks if "seed" in e)
 
 
 def test_verify_all_from_file_is_a_usage_error(tmp_path, capsys):

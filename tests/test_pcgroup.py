@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import sliced_apply
+from mixdih.gf2linalg import sliced_apply, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -138,6 +138,163 @@ def test_commutator_definition(p59):
         u, v = rng.getrandbits(59), rng.getrandbits(59)
         direct = mul(mul(mul(p59.inverse(u), p59.inverse(v)), u), v)
         assert p59.commutator(u, v) == direct
+
+
+# ── reference collector and the all-triples overlap check ──────────────────
+
+
+def reference_collect(pres, u, v):
+    """u*v by collection from the left one generator at a time: the
+    bit-by-bit collector that collect_multiply must reproduce exactly."""
+    if (u | v) >> pres.n or u < 0 or v < 0:
+        raise ValueError("exponent vector outside group width")
+    stack = word_bits(v)[::-1]
+    while stack:
+        i = stack.pop()
+        bit = 1 << i
+        above = u >> (i + 1) << (i + 1)
+        ei = u & bit
+        if above and (above & pres.clash[i] or ei):
+            # g_i passes everything above it: push g_i**2 (if u had g_i),
+            # then each g_j**g_i, j ascending, so that they pop in order
+            words = [pres.power_tails[i]] if ei else []
+            words += [pres.conj.get((j, i), 1 << j) for j in word_bits(above)]
+            for word in reversed(words):
+                stack.extend(reversed(word_bits(word)))
+            u = (u & (bit - 1)) | (0 if ei else bit)
+        else:
+            if ei:
+                stack.extend(reversed(word_bits(pres.power_tails[i])))
+            u ^= bit
+    return u
+
+
+def all_triples_check(pres, max_violations):
+    """consistency_check without the commuting-triple skip: every
+    associativity overlap, then the power overlaps, with the same cuts."""
+    n = pres.n
+    mul = pres.collect_multiply
+    pw = pres.power_tails
+    pair = {(j, i): mul(1 << j, 1 << i) for j in range(n) for i in range(j)}
+    bad = []
+
+    def record(kind, idx, lhs, rhs):
+        if lhs != rhs:
+            bad.append((kind, idx, lhs, rhs))
+
+    for k in range(n):
+        for j in range(k):
+            for i in range(j):
+                record("assoc", (k, j, i), mul(pair[(k, j)], 1 << i), mul(1 << k, pair[(j, i)]))
+                if len(bad) >= max_violations:
+                    return bad
+    for j in range(n):
+        for i in range(j):
+            record("power_left", (j, i), mul(pw[j], 1 << i), mul(1 << j, pair[(j, i)]))
+            record("power_right", (j, i), mul(1 << j, pw[i]), mul(pair[(j, i)], 1 << i))
+            if len(bad) >= max_violations:
+                return bad
+    for i in range(n):
+        record("power_cube", (i,), mul(pw[i], 1 << i), mul(1 << i, pw[i]))
+    return bad
+
+
+def flipped(pres, flips):
+    """A copy of pres with bit b flipped in each (key, b) of flips: key (i,)
+    is the power word of g_i, key (j, i) the conjugate g_j**g_i."""
+    power = list(pres.power_tails)
+    conj = dict(pres.conj)
+    for key, b in flips:
+        if len(key) == 1:
+            power[key[0]] ^= 1 << b
+        else:
+            conj[key] = conj.get(key, 1 << key[0]) ^ (1 << b)
+    return pc.PcPresentation(pres.n, power, conj)
+
+
+def test_collector_matches_reference_on_builders(toy, h56, p59):
+    rng = random.Random(51)
+    for group in (toy, h56, p59):
+        gens = [1 << i for i in range(group.n)]
+        pairs = [(rng.getrandbits(group.n), rng.getrandbits(group.n)) for _ in range(150)]
+        pairs += [(rng.getrandbits(group.n), rng.choice(gens)) for _ in range(50)]
+        pairs += [(rng.choice(gens), rng.choice(gens)) for _ in range(50)]
+        for u, v in pairs:
+            assert group.collect_multiply(u, v) == reference_collect(group, u, v)
+
+
+@st.composite
+def presentations(draw):
+    """Well-formed presentations on 1..8 generators: every power word and
+    conjugate supported above its generator, as a pc2 file may hold.
+    Some are elementary abelian (tail 0); others get a square and a
+    conjugate that push the tail to n."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    index = st.integers(0, n - 1)
+    pair = st.tuples(index, index).filter(lambda ji: ji[0] != ji[1]).map(lambda ji: (max(ji), min(ji)))
+    shape = draw(st.sampled_from(["any", "abelian", "whole"]))
+    power = [0] * n
+    conj = {}
+    if shape != "abelian":
+        for i, w in draw(st.dictionaries(index, st.integers(0, full))).items():
+            power[i] = (w << (i + 1)) & full
+        for (j, i), w in draw(st.dictionaries(pair, st.integers(0, full), max_size=10)).items():
+            conj[(j, i)] = (w << (i + 1)) & full
+    if shape == "whole" and n >= 3:
+        # g_{n-2}**2 = g_{n-1}, and g_{n-1}**g_0 = g_1 g_{n-1}
+        power[n - 2] = 1 << (n - 1)
+        conj[(n - 1, 0)] = 0b10 | 1 << (n - 1)
+    g = pc.PcPresentation(n, power, conj)
+    if shape == "abelian":
+        assert g.tail == 0
+    if shape == "whole" and n >= 3:
+        assert g.tail == n
+    return g
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(presentations(), st.data())
+def test_collector_matches_reference_on_any_presentation(g, data):
+    word = st.integers(0, (1 << g.n) - 1)
+    for u, v in data.draw(st.lists(st.tuples(word, word), min_size=1, max_size=12)):
+        assert g.collect_multiply(u, v) == reference_collect(g, u, v)
+
+
+def _toy_flip(toy):
+    key = st.sampled_from([(i,) for i in range(toy.n - 1)] + [(j, i) for j in range(toy.n) for i in range(j)])
+    return key.flatmap(lambda k: st.tuples(st.just(k), st.integers(k[-1] + 1, toy.n - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_consistency_skip_matches_all_triples_on_flipped_toy2(toy, data):
+    g = flipped(toy, data.draw(st.lists(_toy_flip(toy), min_size=1, max_size=3)))
+    for cut in (1, 16):
+        assert pc.consistency_check(g, cut) == all_triples_check(g, cut)
+
+
+def test_consistency_skip_matches_all_triples_on_flipped_h56_p59(h56, p59):
+    rng = random.Random(52)
+    cases = [
+        # a tail generator's conjugate by a top one, flipped above the tail
+        (h56, [((8, 1), 30)], "same"),
+        # a conjugate between two tail generators: the tail moves up
+        (h56, [((30, 10), 40)], "moved"),
+        # a square in p59's h56 part, and a power word in p59's tail
+        (p59, [((5,), 20)], "any"),
+        (p59, [((40,), 50)], "moved"),
+    ]
+    for group in (h56, p59):
+        for _ in range(2):
+            j = rng.randrange(1, group.n)
+            i = rng.randrange(j)
+            cases.append((group, [((j, i), rng.randrange(i + 1, group.n))], "any"))
+    for group, flips, tail in cases:
+        g = flipped(group, flips)
+        assert tail == "any" or (g.tail == group.tail) == (tail == "same")
+        for cut in (1, 16):
+            assert pc.consistency_check(g, cut) == all_triples_check(g, cut)
 
 
 # ── subgroups: toy oracles ──────────────────────────────────────────────────
