@@ -35,8 +35,9 @@ ch. 8, treat each layer of a pc series as a GF(2)-module in this way.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf2linalg import echelon_ints, lowbit_index, sliced_apply, sliced_tables, word_bits
 
@@ -600,48 +601,66 @@ def small_intersection_order(group: PcPresentation, t: Subgroup, small: Subgroup
 def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tuple]:
     """Overlap tests certifying that normal forms are unique.
 
-    Runs, with the reference collector, the standard associativity overlaps
-    (g_k g_j) g_i = g_k (g_j g_i) for k > j > i together with the power
-    overlaps for each square.  An empty result certifies that the presented
-    group has order exactly 2**n.
+    Collects, with the reference collector, both sides of the standard
+    associativity overlaps (g_k g_j) g_i = g_k (g_j g_i) for k > j > i,
+    then the power overlaps g_j^2 g_i = g_j (g_j g_i) (power_left) and
+    g_j g_i^2 = (g_j g_i) g_i (power_right) for j > i, then
+    g_i^2 g_i = g_i g_i^2 (power_cube).  Returns the first max_violations
+    overlaps whose sides differ, as (kind, index, lhs, rhs); an empty
+    result certifies that the presented group has order exactly 2**n.
 
-    A triple whose generators commute pairwise (pres.clash, read from the
-    table the collector reads) is skipped: both of its sides collect to
-    g_i g_j g_k without pushing a word, so in any presentation it records
-    nothing, and the violations, their order and the cut are unchanged.
+    Overlaps that, by collect_multiply's own code, collect equal on both
+    sides in any presentation are skipped, so the violations, their
+    order and the cut are those of the full test.  With T = pres.tail
+    (_tail_start, read from the tables the collector reads): tail words
+    are XORed in, and a tail generator's conjugates are tail words.
+
+    * A triple whose generators commute pairwise (pres.clash): both sides
+      collect to g_i g_j g_k without pushing a word.
+    * (a) An associativity triple with j >= T: both sides collect to g_i
+      followed by the XOR of g_j**g_i and g_k**g_i.
+    * (b) power_left with j >= T: g_j^2 is the empty word, and in
+      g_j (g_j g_i) the two copies of g_j**g_i cancel, so both sides
+      are g_i.
+    * (c) Both power overlaps with i >= T: every word is a tail word, so
+      both sides are XORs of the same generators.
+    * (d) Both power overlaps of a pair that commutes (pres.clash) with
+      both power words empty: both sides reduce to g_i or to g_j without
+      pushing a power word or a nontrivial conjugate.
+
+    So the pair products g_j g_i are needed only for i < T.  The
+    remaining collects per check: toy2 41, h56 2,796, p59 6,177.
     """
-    n = pres.n
+    violations = ((kind, idx, lhs, rhs) for kind, idx, lhs, rhs in _overlaps(pres) if lhs != rhs)
+    return list(islice(violations, max_violations))
+
+
+def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:
+    """(kind, index, lhs, rhs) for each overlap consistency_check runs, in
+    its order, each collected only when it is drawn."""
+    n, tail = pres.n, pres.tail
     mul = pres.collect_multiply
-    clash = pres.clash
-    pair = {(j, i): mul(1 << j, 1 << i) for j in range(n) for i in range(j)}
-    bad: List[Tuple] = []
-
-    def record(kind, idx, lhs, rhs):
-        if lhs != rhs:
-            bad.append((kind, idx, lhs, rhs))
-
+    clash, power = pres.clash, pres.power_tails
+    pair = {(j, i): mul(1 << j, 1 << i) for i in range(tail) for j in range(i + 1, n)}
     for k in range(n):
-        for j in range(k):
+        for j in range(min(k, tail)):  # (a)
             pkj = pair[(k, j)]
             # the i < j for which some pair of g_i, g_j, g_k clashes
             lower = (1 << j) - 1 if (clash[k] >> j) & 1 else (clash[k] | clash[j]) & ((1 << j) - 1)
             for i in word_bits(lower):
-                record("assoc", (k, j, i), mul(pkj, 1 << i), mul(1 << k, pair[(j, i)]))
-                if len(bad) >= max_violations:
-                    return bad
+                yield "assoc", (k, j, i), mul(pkj, 1 << i), mul(1 << k, pair[(j, i)])
     for j in range(n):
         gj = 1 << j
-        sq_j = pres.power_tails[j]
-        for i in range(j):
+        for i in range(min(j, tail)):  # (c)
+            if not (power[j] or power[i] or (clash[j] >> i) & 1):
+                continue  # (d)
             gi = 1 << i
-            record("power_left", (j, i), mul(sq_j, gi), mul(gj, pair[(j, i)]))
-            record("power_right", (j, i), mul(gj, pres.power_tails[i]), mul(pair[(j, i)], gi))
-            if len(bad) >= max_violations:
-                return bad
+            if j < tail:  # (b)
+                yield "power_left", (j, i), mul(power[j], gi), mul(gj, pair[(j, i)])
+            yield "power_right", (j, i), mul(gj, power[i]), mul(pair[(j, i)], gi)
     for i in range(n):
         gi = 1 << i
-        record("power_cube", (i,), mul(pres.power_tails[i], gi), mul(gi, pres.power_tails[i]))
-    return bad
+        yield "power_cube", (i,), mul(power[i], gi), mul(gi, power[i])
 
 
 # ── file format ─────────────────────────────────────────────────────────────

@@ -12,6 +12,7 @@ from mixdih import morphisms as mo
 from mixdih import search as se
 from mixdih.cli import main
 from mixdih.pcgroup import load_presentation
+from test_pcgroup import all_triples_check
 
 
 def _strip_timing(report: dict) -> dict:
@@ -136,6 +137,25 @@ def test_verify_flags_corrupt_power_word(tmp_path, capsys):
     rep = json.loads(report.read_text(encoding="ascii"))
     by_name = {c["name"]: c for c in rep["checks"]}
     assert by_name["toy2_consistency_violations"]["status"] == "fail"
+
+
+def test_verify_flags_corrupt_tail_conjugate(tmp_path, h56):
+    # g_8 ** g_1: a tail generator conjugated by a top one, whose
+    # associativity triples with a tail middle generator are skipped
+    assert h56.tail == 8
+    clean = tmp_path / "h56.pc2"
+    assert main(["build", "h56", str(clean)]) == 0
+    lines = clean.read_text(encoding="ascii").splitlines()
+    (row,) = [n for n, ln in enumerate(lines) if ln.startswith("conj 8 1 ")]
+    lines[row] = f"conj 8 1 {int(lines[row].split()[-1], 16) ^ 1 << 30:x}"
+    bad = tmp_path / "bad.pc2"
+    bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+    report = tmp_path / "bad.json"
+    assert main(["verify", "h56", "--from-file", str(bad), "--report", str(report)]) == 1
+    by_name = {c["name"]: c for c in json.loads(report.read_text(encoding="ascii"))["checks"]}
+    expected = len(all_triples_check(load_presentation(bad), 16))
+    assert expected > 0
+    assert by_name["h56_consistency_violations"]["actual"] == expected
 
 
 def test_verify_flags_unparseable_file(tmp_path):

@@ -170,32 +170,33 @@ def reference_collect(pres, u, v):
 
 
 def all_triples_check(pres, max_violations):
-    """consistency_check without the commuting-triple skip: every
-    associativity overlap, then the power overlaps, with the same cuts."""
+    """consistency_check without any skip: every associativity overlap,
+    then every power overlap, stopping as soon as the cut is reached."""
     n = pres.n
     mul = pres.collect_multiply
     pw = pres.power_tails
     pair = {(j, i): mul(1 << j, 1 << i) for j in range(n) for i in range(j)}
     bad = []
 
-    def record(kind, idx, lhs, rhs):
+    def full(kind, idx, lhs, rhs):
         if lhs != rhs:
             bad.append((kind, idx, lhs, rhs))
+        return len(bad) >= max_violations
 
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                record("assoc", (k, j, i), mul(pair[(k, j)], 1 << i), mul(1 << k, pair[(j, i)]))
-                if len(bad) >= max_violations:
+                if full("assoc", (k, j, i), mul(pair[(k, j)], 1 << i), mul(1 << k, pair[(j, i)])):
                     return bad
     for j in range(n):
         for i in range(j):
-            record("power_left", (j, i), mul(pw[j], 1 << i), mul(1 << j, pair[(j, i)]))
-            record("power_right", (j, i), mul(1 << j, pw[i]), mul(pair[(j, i)], 1 << i))
-            if len(bad) >= max_violations:
+            if full("power_left", (j, i), mul(pw[j], 1 << i), mul(1 << j, pair[(j, i)])):
+                return bad
+            if full("power_right", (j, i), mul(1 << j, pw[i]), mul(pair[(j, i)], 1 << i)):
                 return bad
     for i in range(n):
-        record("power_cube", (i,), mul(pw[i], 1 << i), mul(1 << i, pw[i]))
+        if full("power_cube", (i,), mul(pw[i], 1 << i), mul(1 << i, pw[i])):
+            return bad
     return bad
 
 
@@ -266,35 +267,83 @@ def _toy_flip(toy):
     return key.flatmap(lambda k: st.tuples(st.just(k), st.integers(k[-1] + 1, toy.n - 1)))
 
 
+def assert_matches_all_triples(g):
+    for cut in (1, 16):
+        bad = pc.consistency_check(g, cut)
+        assert len(bad) <= cut
+        assert bad == all_triples_check(g, cut)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(presentations())
+def test_consistency_skip_matches_all_triples_on_any_presentation(g):
+    assert_matches_all_triples(g)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_consistency_skip_matches_all_triples_on_flipped_toy2(toy, data):
-    g = flipped(toy, data.draw(st.lists(_toy_flip(toy), min_size=1, max_size=3)))
-    for cut in (1, 16):
-        assert pc.consistency_check(g, cut) == all_triples_check(g, cut)
+    assert_matches_all_triples(flipped(toy, data.draw(st.lists(_toy_flip(toy), min_size=1, max_size=3))))
+
+
+def _skipped_by_rule_d(pres):
+    """The pairs (j, i) whose power overlaps rule (d) skips: g_j and g_i
+    commute and both square to 1."""
+    pw = pres.power_tails
+    return {(j, i) for j in range(pres.n) for i in range(min(j, pres.tail))
+            if not (pw[j] or pw[i] or (pres.clash[j] >> i) & 1)}
 
 
 def test_consistency_skip_matches_all_triples_on_flipped_h56_p59(h56, p59):
     rng = random.Random(52)
+    # (flips, how the tail moves, a violation the flip must cause)
     cases = [
-        # a tail generator's conjugate by a top one, flipped above the tail
-        (h56, [((8, 1), 30)], "same"),
-        # a conjugate between two tail generators: the tail moves up
-        (h56, [((30, 10), 40)], "moved"),
+        # rule (a): a tail generator's conjugate by a top one, flipped
+        # above the tail
+        (h56, [((8, 1), 30)], "same", "assoc"),
+        # rules (a)-(c): a conjugate between two tail generators moves
+        # the tail up
+        (h56, [((30, 10), 40)], "moved", "any"),
+        # rule (d): a square of a top generator that commutes with g_0..g_2
+        (h56, [((3,), 9)], "same", "commuting power"),
+        (p59, [((7,), 20)], "same", "commuting power"),
         # a square in p59's h56 part, and a power word in p59's tail
-        (p59, [((5,), 20)], "any"),
-        (p59, [((40,), 50)], "moved"),
+        (p59, [((5,), 20)], "any", "any"),
+        (p59, [((40,), 50)], "moved", "any"),
     ]
     for group in (h56, p59):
         for _ in range(2):
             j = rng.randrange(1, group.n)
             i = rng.randrange(j)
-            cases.append((group, [((j, i), rng.randrange(i + 1, group.n))], "any"))
-    for group, flips, tail in cases:
+            cases.append((group, [((j, i), rng.randrange(i + 1, group.n))], "any", None))
+    for group, flips, tail, caught in cases:
         g = flipped(group, flips)
         assert tail == "any" or (g.tail == group.tail) == (tail == "same")
-        for cut in (1, 16):
-            assert pc.consistency_check(g, cut) == all_triples_check(g, cut)
+        assert_matches_all_triples(g)
+        bad = pc.consistency_check(g)
+        if caught == "assoc":
+            assert any(kind == "assoc" for kind, *_ in bad)
+        elif caught == "commuting power":
+            assert any(kind.startswith("power") and idx in _skipped_by_rule_d(group) for kind, idx, *_ in bad)
+        elif caught == "any":
+            assert bad
+
+
+def test_consistency_collects_are_pinned(toy, h56, p59):
+    for group, collects in ((toy, 41), (h56, 2796), (p59, 6177)):
+        calls = [0]
+        engine = group.collect_multiply
+
+        def counted(u, v):
+            calls[0] += 1
+            return engine(u, v)
+
+        group.collect_multiply = counted
+        try:
+            assert pc.consistency_check(group) == []
+        finally:
+            del group.collect_multiply
+        assert calls[0] == collects, group.label
 
 
 # ── subgroups: toy oracles ──────────────────────────────────────────────────
