@@ -13,6 +13,12 @@ Layer-3 identities used throughout: [[x_i,y_j],x_i] = [[x_i,y_j],y_j] = 1,
 Elements are packed ints: a-bits, then b-bits (the y exponents), then the
 c layer row-major, then whatever survives of layer 3 after reduction.
 
+F(4) itself (free_group), h56 and toy2 are layered pc presentations:
+quotients of F(n) by a subspace of the central layer 3, whose complement
+coordinates are their layer-3 generators.  The reduced conjugates
+[[x_i,y_j],x_k] and [[x_i,y_j],y_l] fill both the conj table and the
+closed-form multiply's tables.
+
 Multiplication is closed form.  Writing u = (a1,b1,g1,d1), v = (a2,b2,g2,d2):
 
   a = a1+a2,  b = b1+b2,  g = g1+g2+(a2 outer b1),
@@ -26,9 +32,9 @@ u's c-layer and y-part, and v's y-part past the c-layer it lands under:
       + sum_{{k<k'} in a2, j in b1}       [[x_k,y_j],x_k']
   T_C = sum_{(i,j) in g1+(a2 outer b1), l in b2}  [[x_i,y_j],y_l]
 
-Quotients are taken by reducing the layer-3 coordinates modulo a relation
-subspace; the complement coordinates become central generators of the
-resulting pc presentation.
+Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
+ch. 8-9, treat free nilpotent quotients such as F(n) as pc presentations
+in this way.
 """
 
 from __future__ import annotations
@@ -41,11 +47,8 @@ from .gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tab
 from .pcgroup import PcPresentation
 
 __all__ = [
-    "LayeredWord",
     "NonCentralRelation",
-    "free_multiply",
-    "free_inverse",
-    "commutator_expand",
+    "free_group",
     "parse_word",
     "expand_relations",
     "RAction",
@@ -125,91 +128,57 @@ def _layout(n: int) -> _Layout:
 # ── multiplication tables ───────────────────────────────────────────────────
 
 
-class _Tables:
-    """Precomputed correction tables for the closed-form multiply.
+def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
+    """The closed-form multiply of a layered presentation.
 
-    reduce maps a full layer-3 vector (d_dim bits) to its packed image in
-    the quotient's complement coordinates; identity for the free object.
-    Every table is indexed by letter words.  TA[a2] and TC[b2] are linear
-    in the c layer: each is the sliced_tables of its c-bit images, XORed
-    over the letters of the word, with 16 entries per 4 bits of the c
-    layer, so the multiply applies each with one sliced_apply.  reduce
-    is called once per c-bit and letter rather than once per table entry.
+    ax[k][cell] and by[l][cell] are the packed layer-3 words of
+    [[x_i,y_j],x_k] and [[x_i,y_j],y_l], cell = n*i + j: the conjugates
+    the presentation's conj table holds.  Every correction table is
+    indexed by letter words and is an XOR of those entries:
+
+      OUTER[a2][b1]  c-mask of {(i,j) : i in a2, j in b1}
+      TB[a2][b1]     a2 crossing b1: by[j_t][n*k + j_s] over k in a2 and
+                     j_s < j_t in b1, and ax[a_t][n*a_s + j] over
+                     a_s < a_t in a2 and j in b1
+      TA[a2], TC[b2] linear in the c layer: the sliced_tables of the
+                     c-bit images ax[k] XORed over the letters k of a2
+                     (by[l] over l in b2), 16 entries per 4 bits, so the
+                     multiply applies each with one sliced_apply
     """
-
-    def __init__(self, n: int, reduce: Callable[[int], int]):
-        lay = _layout(n)
-        self.layout = lay
-        self.n = n
-        size = 1 << n
-        self.amask = size - 1
-        self.cmask = (1 << lay.c_dim) - 1
-
-        def dx(i, j, k):
-            t = lay.dx_index(i, j, k)
-            return 0 if t is None else 1 << t
-
-        def dy(i, j, l):
-            t = lay.dy_index(i, j, l)
-            return 0 if t is None else 1 << t
-
-        # OUTER[a2][b1]: c-mask of {(i,j) : i in a2, j in b1}
-        outer = []
-        for a2 in range(size):
-            row = []
-            ai = word_bits(a2)
-            for b1 in range(size):
-                m = 0
-                for i in ai:
-                    for j in word_bits(b1):
-                        m |= 1 << lay.c_index(i, j)
-                row.append(m)
-            outer.append(row)
-        self.OUTER = outer
-
-        # TB[a2][b1]: reduced correction from a2 crossing b1
-        tb = []
-        for a2 in range(size):
-            row = []
-            ai = word_bits(a2)
-            for b1 in range(size):
-                bj = word_bits(b1)
-                m = 0
-                for k in ai:
-                    for s in range(len(bj)):
-                        for t in range(s + 1, len(bj)):
-                            m ^= dy(k, bj[s], bj[t])
-                for s in range(len(ai)):
-                    for t in range(s + 1, len(ai)):
-                        for j in bj:
-                            m ^= dx(ai[s], j, ai[t])
-                row.append(reduce(m))
-            tb.append(row)
-        self.TB = tb
-
-        # TA[a2], TC[b2]: reduced sum of [[x_i,y_j],x_k] (resp. [[x_i,y_j],y_l])
-        # over the c-bits (i,j) set and the letters k in a2 (l in b2);
-        # linear in the c layer, so 4-bit sliced
-        cells = [divmod(col, n) for col in range(lay.c_dim)]
-
-        def word_tables(per_letter):
-            # c-bit images of each letter word, in index order, by doubling
-            words = [[0] * lay.c_dim]
-            for letter in per_letter:
-                words += [[m ^ x for m, x in zip(w, letter)] for w in words]
-            return [sliced_tables(images, 4) for images in words]
-
-        self.TA = word_tables([[reduce(dx(i, j, k)) for i, j in cells] for k in range(n)])
-        self.TC = word_tables([[reduce(dy(i, j, l)) for i, j in cells] for l in range(n)])
-
-
-def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
-    n = tb.n
-    amask = tb.amask
-    cmask = tb.cmask
+    amask = (1 << n) - 1
+    c_dim = n * n
+    cmask = (1 << c_dim) - 1
     c_off = 2 * n
-    d_off = c_off + tb.layout.c_dim
-    OUTER, TB, TA, TC = tb.OUTER, tb.TB, tb.TA, tb.TC
+    d_off = c_off + c_dim
+
+    def crossing(a2: int, b1: int) -> int:
+        ai, bj = word_bits(a2), word_bits(b1)
+        m = 0
+        for s, js in enumerate(bj):
+            for jt in bj[s + 1 :]:
+                for k in ai:
+                    m ^= by[jt][n * k + js]
+        for s, a_s in enumerate(ai):
+            for a_t in ai[s + 1 :]:
+                for j in bj:
+                    m ^= ax[a_t][n * a_s + j]
+        return m
+
+    def outer(a2: int, b1: int) -> int:
+        return sum(1 << (n * i + j) for i in word_bits(a2) for j in word_bits(b1))
+
+    letter_words = range(1 << n)
+    OUTER = [[outer(a2, b1) for b1 in letter_words] for a2 in letter_words]
+    TB = [[crossing(a2, b1) for b1 in letter_words] for a2 in letter_words]
+
+    def word_tables(per_letter):
+        # c-bit images of each letter word, in index order, by doubling
+        words = [[0] * c_dim]
+        for letter in per_letter:
+            words += [[m ^ x for m, x in zip(w, letter)] for w in words]
+        return [sliced_tables(images, 4) for images in words]
+
+    TA, TC = word_tables(ax), word_tables(by)
 
     def mul(u: int, v: int) -> int:
         a2 = v & amask
@@ -238,61 +207,22 @@ def _make_mul(tb: _Tables) -> Callable[[int, int], int]:
     return mul
 
 
-@lru_cache(maxsize=None)
-def _free_mul(n: int) -> Callable[[int, int], int]:
-    return _make_mul(_Tables(n, lambda m: m))
-
-
 # ── the free object on 4+4 generators ───────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class LayeredWord:
-    """Element of F(4) in layer coordinates (a, b, c, d as packed ints)."""
+@lru_cache(maxsize=None)
+def free_group() -> PcPresentation:
+    """F(4) as a layered pc presentation: no relations, 72 generators.
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-
-    def __post_init__(self):
-        lay = _layout(4)
-        if self.a >> 4 or self.b >> 4 or self.c >> lay.c_dim or self.d >> lay.d_dim:
-            raise ValueError("layer coordinates out of range")
-
-    def pack(self) -> int:
-        return self.a | (self.b << 4) | (self.c << 8) | (self.d << 24)
-
-    @staticmethod
-    def unpack(w: int) -> "LayeredWord":
-        return LayeredWord(w & 15, (w >> 4) & 15, (w >> 8) & 0xFFFF, w >> 24)
-
-    def is_identity(self) -> bool:
-        return not (self.a | self.b | self.c | self.d)
+    Words pack as a | b << 4 | c << 8 | d << 24, with the d bits in the
+    layer-3 coordinates of _Layout.dx_index and dy_index.
+    """
+    return _layered_presentation(4, (), "F4")
 
 
-def free_multiply(u: LayeredWord, v: LayeredWord) -> LayeredWord:
-    return LayeredWord.unpack(_free_mul(4)(u.pack(), v.pack()))
-
-
-def free_inverse(u: LayeredWord) -> LayeredWord:
-    # every element has order dividing 4, so u**-1 = u**3
-    mul = _free_mul(4)
-    w = u.pack()
-    return LayeredWord.unpack(mul(mul(w, w), w))
-
-
-def commutator_expand(u: LayeredWord, v: LayeredWord) -> LayeredWord:
-    """[u,v] = u^-1 v^-1 u v, exact in the class-3 quotient."""
-    mul = _free_mul(4)
-    uu, vv = u.pack(), v.pack()
-    lhs = mul(free_inverse(u).pack(), free_inverse(v).pack())
-    return LayeredWord.unpack(mul(mul(lhs, uu), vv))
-
-
-def parse_word(text: str) -> LayeredWord:
+def parse_word(text: str) -> int:
     """Product of letters like 'x1x2y3' (1-based subscripts) in F(4)."""
-    mul = _free_mul(4)
+    mul = free_group().multiply
     acc = 0
     at = 0
     while at < len(text):
@@ -304,7 +234,7 @@ def parse_word(text: str) -> LayeredWord:
             raise ValueError(f"subscript out of range in {text!r}")
         acc = mul(acc, 1 << (sub if sym == "x" else 4 + sub))
         at += 2
-    return LayeredWord.unpack(acc)
+    return acc
 
 
 # ── the defining relations ──────────────────────────────────────────────────
@@ -330,20 +260,21 @@ _RELATION_TRIPLES = (
 
 def expand_relations() -> List[int]:
     """The two defining relation vectors, as rows in layer-3 coordinates."""
+    f = free_group()
+    d_off = f.meta.d_off
     rows = []
     for left, right in _RELATION_TRIPLES:
         def side(factors):
-            acc = LayeredWord()
+            acc = 0
             for u, v, w in factors:
-                t = commutator_expand(commutator_expand(parse_word(u), parse_word(v)), parse_word(w))
-                acc = free_multiply(acc, t)
+                t = f.commutator(f.commutator(parse_word(u), parse_word(v)), parse_word(w))
+                acc = f.multiply(acc, t)
             return acc
 
-        l, r = side(left), side(right)
-        diff = free_multiply(l, free_inverse(r))
-        if diff.a or diff.b or diff.c:
+        diff = f.multiply(side(left), f.inverse(side(right)))
+        if diff & ((1 << d_off) - 1):
             raise NonCentralRelation("relation difference not in layer 3")
-        rows.append(diff.d)
+        rows.append(diff >> d_off)
     return rows
 
 
@@ -450,7 +381,12 @@ class LayeredMeta:
 
 
 def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> PcPresentation:
-    """Quotient of F(n) by the central subspace spanned by relation_rows."""
+    """Quotient of F(n) by the central subspace spanned by relation_rows.
+
+    ax[k][cell] is reduce_full of [[x_i,y_j],x_k] and by[l][cell] that of
+    [[x_i,y_j],y_l], cell = n*i + j, and 0 where the bracket collapses.
+    They make the conj table's c-layer entries and the multiply's tables.
+    """
     lay = _layout(n)
     basis, pivots = echelon_ints(list(relation_rows))
     piv_set = set(pivots)
@@ -469,26 +405,20 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
     ngen = 2 * n + lay.c_dim + len(d_cols)
     c_off = 2 * n
     d_off = c_off + lay.c_dim
-    conj: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            cbit = 1 << (c_off + lay.c_index(i, j))
-            # y_j ** x_i = y_j * c_ij
-            conj[(n + j, i)] = (1 << (n + j)) | cbit
-    for i in range(n):
-        for j in range(n):
-            cg = c_off + lay.c_index(i, j)
-            for k in range(n):
-                if k != i:
-                    t = lay.dx_index(i, j, k)
-                    word = reduce_full(1 << t)
-                    if word:
-                        conj[(cg, k)] = (1 << cg) | (word << d_off)
-                if k != j:
-                    t = lay.dy_index(i, j, k)
-                    word = reduce_full(1 << t)
-                    if word:
-                        conj[(cg, n + k)] = (1 << cg) | (word << d_off)
+    cells = [divmod(cell, n) for cell in range(lay.c_dim)]
+    ax = [[0 if i == k else reduce_full(1 << lay.dx_index(i, j, k)) for i, j in cells] for k in range(n)]
+    by = [[0 if j == l else reduce_full(1 << lay.dy_index(i, j, l)) for i, j in cells] for l in range(n)]
+    # y_j ** x_i = y_j * c_ij
+    conj: Dict[Tuple[int, int], int] = {
+        (n + j, i): (1 << (n + j)) | (1 << (c_off + cell)) for cell, (i, j) in enumerate(cells)
+    }
+    for cell in range(lay.c_dim):
+        cg = c_off + cell
+        for k in range(n):
+            if ax[k][cell]:
+                conj[(cg, k)] = (1 << cg) | (ax[k][cell] << d_off)
+            if by[k][cell]:
+                conj[(cg, n + k)] = (1 << cg) | (by[k][cell] << d_off)
     names = [f"x{i+1}" for i in range(n)] + [f"y{j+1}" for j in range(n)]
     names += [f"c{i+1}{j+1}" for i in range(n) for j in range(n)]
     d_desc = tuple(lay.d_describe(c) for c in d_cols)
@@ -503,7 +433,7 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
         d_desc=d_desc,
         reduce_full=reduce_full,
     )
-    mul = _make_mul(_Tables(n, reduce_full))
+    mul = _make_mul(n, ax, by)
 
     def inv(u: int) -> int:
         # u**2 lies in the elementary abelian layers above the letters,

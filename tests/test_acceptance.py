@@ -241,5 +241,5 @@ def test_10_property_suites(h56, p59, toy):
         for a in subs:
             for b in subs:
                 same = a.digest() == b.digest()
-                mutual = a.contains_subgroup(b) and b.contains_subgroup(a)
+                mutual = all(a.contains(m) for m in b.members) and all(b.contains(m) for m in a.members)
                 assert same == mutual

@@ -3,7 +3,9 @@
 The main oracle is an independent string-rewriting normal former: it knows
 only the defining rewrite moves (letters sort left by kind, commutators
 spin off as new central-ish symbols) and never touches the table-driven
-closed form it is checking.
+closed form it is checking, nor the collector it also checks.  F(4) is
+free_group(), a layered pc presentation; its words are packed ints
+a | b << 4 | c << 8 | d << 24 (pack below).
 """
 
 import random
@@ -15,6 +17,12 @@ from hypothesis import strategies as st
 from mixdih import calculus as ca
 from mixdih import morphisms as mo
 from mixdih.gf2linalg import echelon_ints
+from mixdih.pcgroup import consistency_check
+
+
+def pack(a=0, b=0, c=0, d=0):
+    """An F(4) word from its layer coordinates."""
+    return a | b << 4 | c << 8 | d << 24
 
 
 # ── rewriting oracle ────────────────────────────────────────────────────────
@@ -93,74 +101,104 @@ def oracle_to_layered(word):
             d ^= 1 << lay.dx_index(sym[1], sym[2], sym[3])
         else:
             d ^= 1 << lay.dy_index(sym[1], sym[2], sym[3])
-    return ca.LayeredWord(a, b, c, d)
+    return pack(a, b, c, d)
 
 
-def letters_to_layered(letters):
-    acc = ca.LayeredWord()
+def letters_to_layered(letters, mul=None):
+    """The product of the letters in F(4), by its multiply unless given one."""
+    mul = mul or ca.free_group().multiply
+    acc = 0
     for sym in letters:
-        one = ca.LayeredWord(a=1 << sym[1]) if sym[0] == "x" else ca.LayeredWord(b=1 << sym[1])
-        acc = ca.free_multiply(acc, one)
+        acc = mul(acc, pack(a=1 << sym[1]) if sym[0] == "x" else pack(b=1 << sym[1]))
     return acc
 
 
 _LETTERS = [("x", i) for i in range(4)] + [("y", j) for j in range(4)]
 
 
+def assert_matches_oracle(letters):
+    expected = oracle_to_layered(oracle_normal_form(letters))
+    assert letters_to_layered(letters) == expected
+    assert letters_to_layered(letters, ca.free_group().collect_multiply) == expected
+
+
 def test_free_multiply_matches_rewriting_oracle():
     rng = random.Random(2024)
     for _ in range(150):
-        letters = [rng.choice(_LETTERS) for _ in range(rng.randint(0, 12))]
-        assert letters_to_layered(letters) == oracle_to_layered(oracle_normal_form(letters))
+        assert_matches_oracle([rng.choice(_LETTERS) for _ in range(rng.randint(0, 12))])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_LETTERS), max_size=10))
 def test_free_multiply_matches_oracle_hypothesis(letters):
-    assert letters_to_layered(letters) == oracle_to_layered(oracle_normal_form(letters))
+    assert_matches_oracle(letters)
 
 
 def test_basic_products():
-    y1x1 = ca.free_multiply(ca.parse_word("y1"), ca.parse_word("x1"))
-    assert y1x1 == ca.LayeredWord(a=1, b=1, c=1)  # x1*y1*c11
+    mul = ca.free_group().multiply
+    y1x1 = mul(ca.parse_word("y1"), ca.parse_word("x1"))
+    assert y1x1 == pack(a=1, b=1, c=1)  # x1*y1*c11
     u = ca.parse_word("x1y1")
-    sq = ca.free_multiply(u, u)
-    assert sq == ca.LayeredWord(c=1)  # (x1 y1)^2 = c11
-    assert ca.free_multiply(sq, sq).is_identity()  # c11^2 = 1
+    sq = mul(u, u)
+    assert sq == pack(c=1)  # (x1 y1)^2 = c11
+    assert mul(sq, sq) == 0  # c11^2 = 1
 
 
 def test_free_inverse():
+    f = ca.free_group()
     rng = random.Random(5)
     for _ in range(100):
         letters = [rng.choice(_LETTERS) for _ in range(rng.randint(0, 10))]
         u = letters_to_layered(letters)
-        assert ca.free_multiply(u, ca.free_inverse(u)).is_identity()
-        assert ca.free_multiply(ca.free_inverse(u), u).is_identity()
+        assert f.multiply(u, f.inverse(u)) == 0
+        assert f.multiply(f.inverse(u), u) == 0
 
 
 def test_commutator_expand_against_definition():
+    f = ca.free_group()
     rng = random.Random(6)
     for _ in range(60):
         u = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 6))])
         v = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 6))])
-        lhs = ca.free_multiply(ca.free_multiply(ca.free_inverse(u), ca.free_inverse(v)),
-                               ca.free_multiply(u, v))
-        assert ca.commutator_expand(u, v) == lhs
+        lhs = f.multiply(f.multiply(f.inverse(u), f.inverse(v)), f.multiply(u, v))
+        assert f.commutator(u, v) == lhs
 
 
 def test_commutator_product_rule():
     # [uv, w] = [u,w][[u,w],v][v,w]; with [u,w] in layer >= 2 and the triple
     # term central this is exact in the class-3 object
+    f = ca.free_group()
+    mul, comm = f.multiply, f.commutator
     rng = random.Random(7)
     for _ in range(40):
         u = letters_to_layered([rng.choice(_LETTERS) for _ in range(3)])
         v = letters_to_layered([rng.choice(_LETTERS) for _ in range(3)])
         w = letters_to_layered([rng.choice(_LETTERS) for _ in range(3)])
-        lhs = ca.commutator_expand(ca.free_multiply(u, v), w)
-        uw = ca.commutator_expand(u, w)
-        rhs = ca.free_multiply(uw, ca.free_multiply(ca.commutator_expand(uw, v),
-                                                    ca.commutator_expand(v, w)))
+        lhs = comm(mul(u, v), w)
+        uw = comm(u, w)
+        rhs = mul(uw, mul(comm(uw, v), comm(v, w)))
         assert lhs == rhs
+
+
+def test_free_group_is_a_consistent_presentation():
+    f = ca.free_group()
+    assert (f.n, f.label, f.tail) == (72, "F4", 8)
+    assert f.names[:8] == ["x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"]
+    assert consistency_check(f) == []
+
+
+def test_free_multiply_matches_collector_on_every_letter_cell():
+    # one pair per letter cell (a2, b1): v's x-word a2 crosses u's y-word
+    # b1, so every TB entry is read.  Both sides have random c and d
+    # layers, u's c layer is nonzero and v's y-word a2 ^ b1 runs over all
+    # 16 words, so every TA and TC word table is applied too
+    f = ca.free_group()
+    rng = random.Random(16)
+    for a2 in range(16):
+        for b1 in range(16):
+            u = pack(rng.getrandbits(4), b1, rng.getrandbits(16) | 1 << rng.randrange(16), rng.getrandbits(48))
+            v = pack(a2, a2 ^ b1, rng.getrandbits(16), rng.getrandbits(48))
+            assert f.multiply(u, v) == f.collect_multiply(u, v)
 
 
 def test_parse_word_rejects_garbage():
@@ -210,19 +248,21 @@ def test_twist_respects_multiplication_in_free_object():
     # letterwise substitution of the twist is an automorphism of F(4);
     # check on layer 2 + 3 via the c/d permutations and random products
     act = ca.r_action()
+    mul = ca.free_group().multiply
 
-    def twist(u: ca.LayeredWord) -> ca.LayeredWord:
-        letters = [("y", i) for i in range(4) if (u.a >> i) & 1]
-        letters += [("x", ca.SIG[j]) for j in range(4) if (u.b >> j) & 1]
+    def twist(u: int) -> int:
+        a, b, c, d = u & 15, (u >> 4) & 15, (u >> 8) & 0xFFFF, u >> 24
+        letters = [("y", i) for i in range(4) if (a >> i) & 1]
+        letters += [("x", ca.SIG[j]) for j in range(4) if (b >> j) & 1]
         head = letters_to_layered(letters)
-        tail = ca.LayeredWord(c=ca._apply_perm(u.c, act.perm2), d=ca._apply_perm(u.d, act.perm3))
-        return ca.free_multiply(head, tail)
+        tail = pack(c=ca._apply_perm(c, act.perm2), d=ca._apply_perm(d, act.perm3))
+        return mul(head, tail)
 
     rng = random.Random(8)
     for _ in range(60):
         u = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 8))])
         v = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 8))])
-        assert twist(ca.free_multiply(u, v)) == ca.free_multiply(twist(u), twist(v))
+        assert twist(mul(u, v)) == mul(twist(u), twist(v))
 
 
 # ── relations and the quotients ─────────────────────────────────────────────

@@ -382,14 +382,23 @@ _PC2 = st.one_of(
         ),
     )),
 )
-_TOY_TOKEN = st.sampled_from(["x1", "x2", "y1", "y2"] * 2 + ["1", "c11", "z9", ""])
-_MAP_LINE = st.builds(lambda src, dst: f"{src} -> {'*'.join(dst)}", _TOY_TOKEN, st.lists(_TOY_TOKEN, max_size=4))
-_MAP = st.one_of(
-    st.dictionaries(st.sampled_from(["x1", "x2", "y1", "y2"]), st.lists(_TOY_TOKEN, min_size=1, max_size=3)).map(
-        lambda images: [f"{src} -> {'*'.join(dst)}" for src, dst in images.items()]
-    ),
-    st.lists(st.one_of(_MAP_LINE, _JUNK), max_size=6),
-).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def _map_text(letters):
+    """Map files over a group's letters: well-formed assignments with
+    letter, identity and stray tokens, or lines mixed with junk."""
+    token = st.sampled_from(letters * 2 + ["1", "c11", "z9", ""])
+    line = st.builds(lambda src, dst: f"{src} -> {'*'.join(dst)}", token, st.lists(token, max_size=4))
+    return st.one_of(
+        st.dictionaries(st.sampled_from(letters), st.lists(token, min_size=1, max_size=3)).map(
+            lambda images: [f"{src} -> {'*'.join(dst)}" for src, dst in images.items()]
+        ),
+        st.lists(st.one_of(line, _JUNK), max_size=6),
+    ).map(lambda lines: "\n".join(lines) + "\n")
+
+
+_MAP = _map_text(["x1", "x2", "y1", "y2"])
+_H56_MAP = _map_text([f"{kind}{i}" for kind in "xy" for i in range(1, 5)])
 _MEMBER = st.one_of(st.integers(-1, 1 << 59), st.integers(0, 58).map(lambda k: 1 << k)).map(lambda v: format(v, "x"))
 _CHECKPOINT = st.builds(
     lambda depth, rows, extra: "\n".join(
@@ -425,6 +434,12 @@ def test_fuzzed_pc2_files_exit_with_a_documented_code(fuzz_path, data):
 @given(_as_bytes(_MAP))
 def test_fuzzed_map_files_exit_with_a_documented_code(fuzz_path, data):
     _read_through_main(fuzz_path, data, ["maps", "toy2", str(fuzz_path)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_as_bytes(_H56_MAP))
+def test_fuzzed_h56_map_files_exit_with_a_documented_code(fuzz_path, data):
+    _read_through_main(fuzz_path, data, ["maps", "h56", str(fuzz_path)])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

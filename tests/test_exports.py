@@ -21,13 +21,29 @@ def test_all_names_exist():
     assert declaring >= 4
 
 
+def _public_definitions(tree):
+    """The public top-level defs and classes of a module, and the public
+    methods of every class in it, as names and Class.method labels."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
 def test_public_names_are_used_in_src():
     # a name counts as used when src/mixdih reads it as a variable or an
     # attribute; its def or class line and its __all__ string are neither,
-    # so API that only its own unit tests call fails here
+    # so API that only its own unit tests call fails here.  Checked: every
+    # __all__ entry, every public top-level def and class, and every
+    # public method, of every module
+    src = Path(mixdih.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
     used = set()
-    for path in Path(mixdih.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -35,7 +51,8 @@ def test_public_names_are_used_in_src():
     for info in pkgutil.iter_modules(mixdih.__path__):
         module = importlib.import_module(f"mixdih.{info.name}")
         unused = [name for name in getattr(module, "__all__", ()) if name not in used]
-        assert not unused, f"mixdih.{info.name}.__all__ names unused in src/mixdih: {unused}"
+        unused += [label for name, label in _public_definitions(trees[info.name]) if name not in used]
+        assert not unused, f"mixdih.{info.name} public names unused in src/mixdih: {unused}"
 
 
 def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, p59):

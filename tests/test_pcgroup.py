@@ -330,7 +330,7 @@ def test_consistency_skip_matches_all_triples_on_flipped_h56_p59(h56, p59):
 
 
 def test_consistency_collects_are_pinned(toy, h56, p59):
-    for group, collects in ((toy, 41), (h56, 2796), (p59, 6177)):
+    for group, collects in ((toy, 25), (h56, 2684), (p59, 6063)):
         calls = [0]
         engine = group.collect_multiply
 
@@ -527,8 +527,8 @@ def assert_maximal_match_frattini(group, s):
     assert len({m.members for m in maxes}) == len(maxes)
     for m in maxes:
         assert m.order_log == s.order_log - 1
-        assert s.contains_subgroup(m)
-        assert m.contains_subgroup(phi)
+        assert all(s.contains(w) for w in m.members)
+        assert all(m.contains(w) for w in phi.members)
         pc.relation_rows(group, m)  # raises unless the members are an IGS
     return maxes
 
