@@ -485,12 +485,14 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
     return _verbal_subgroup(group, s, squares=True)
 
 
-def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
+def relation_rows(
+    group: PcPresentation, s: Subgroup, spans: Optional[Dict[Tuple, List[int]]] = None
+) -> List[int]:
     """The relations of s's induced pcgs, as rows over its IGS coordinates.
 
     A functional a on the coordinates of s is a homomorphism s -> C2
     exactly when parity(row & a) is 0 for every row (von Dyck): the rows
-    are coords(m_i**2), and coords(m_i**-1 m_j m_i) + e_j for i < j.
+    span coords(m_i**2) and coords(m_i**-1 m_j m_i) + e_j for i < j.
     These are the relations of a pc presentation of s, so they suffice.
     Rows from commutators would only be necessary: the pc series need
     only be subnormal, so coords is not additive on products.  Raises
@@ -501,38 +503,68 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> List[int]:
     its conjugate is m_j itself and its row is zero; it is skipped
     without multiplying.  Members in the tail come last, square to the
     identity and commute with each other, so they add no rows of their
-    own; the conjugate of a tail member by a top member m_i is one
-    sliced_apply of the tail_action table of m_i's top part.
+    own.  The squares of the top members and their conjugates of each
+    other give one coords row each.
+
+    For a top member m_i and a tail member m_j, the conjugate is
+    m_j ^ w with w = [m_j, m_i], a tail word (_tail_span), and its row
+    is coords(w): the members of s in the tail are its tail members, and
+    on their span coords is linear, since division there is XOR by
+    members with distinct leads.  So the span of these rows is
+    coords(W) for the span W of the words w, and the rows are the
+    coords of an echelon basis of W instead of one per pair.  Some w
+    lies outside s exactly when some basis vector does, so
+    NotInSubgroup is raised in the same cases.
+
+    W depends only on the top parts m_i & top of the top members and on
+    the tail members, so spans, when given, memoizes its basis under
+    that key: (tuple of top parts, tuple of tail members).
     """
     mul = group.multiply
     top = group.top_mask
-    tail = group.tail
     ms = s.members
+    k = sum(1 for m in ms if m & top)
     rows = []
-    for i, mi in enumerate(ms):
-        h = mi & top
-        if not h:
-            break
+    for i in range(k):
+        mi = ms[i]
         sq = mul(mi, mi)
         if sq:
             rows.append(s.coords(sq))
         inv = s._invs[i]
         clash = group.clash_mask(mi)
-        table = group.tail_action(h)
-        for j in range(i + 1, len(ms)):
+        for j in range(i + 1, k):
             mj = ms[j]
-            if not clash & mj:
-                continue
-            if mj & top:
+            if clash & mj:
                 c = mul(mul(inv, mj), mi)
-            else:
-                c = sliced_apply(table, mj >> tail, 4)
-            if c != mj:
-                rows.append(s.coords(c) ^ (1 << j))
+                if c != mj:
+                    rows.append(s.coords(c) ^ (1 << j))
+    # tuple of a list: a tuple grown from a generator crept peak RSS run by run
+    key = (tuple([m & top for m in ms[:k]]), ms[k:])
+    basis = spans.get(key) if spans is not None else None
+    if basis is None:
+        basis = _tail_span(group, *key)
+        if spans is not None:
+            spans[key] = basis
+    rows.extend(s.coords(b) for b in basis)
     return rows
 
 
-def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
+def _tail_span(group: PcPresentation, heads: Sequence[int], tails: Sequence[int]) -> List[int]:
+    """Echelon basis of the tail words [t, h] = t ^ t**h, for each top
+    part h in heads and tail word t in tails whose supports clash; each
+    conjugate is one sliced_apply of h's tail_action table."""
+    shift = group.tail
+    words = []
+    for h in heads:
+        clash = group.clash_mask(h)
+        table = group.tail_action(h)
+        words += [sliced_apply(table, t >> shift, 4) ^ t for t in tails if clash & t]
+    return echelon_ints(words)[0]
+
+
+def c2_homomorphisms(
+    group: PcPresentation, s: Subgroup, spans: Optional[Dict[Tuple, List[int]]] = None
+) -> List[int]:
     """The nonzero homomorphisms s -> C2, as functionals on IGS coordinates.
 
     By the Burnside basis theorem their kernels are the maximal subgroups
@@ -540,8 +572,10 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     free columns of the reduced relation rows sit at the leads outside
     Phi(s).  Functional number f sets free column t from bit t of f and
     each pivot from the parity of its row, for f = 1 .. 2**rank - 1.
+    The reduced rows depend only on the span of relation_rows, so
+    spans, relation_rows' memo of top x tail bases, changes no output.
     """
-    basis, pivots = echelon_ints(relation_rows(group, s))
+    basis, pivots = echelon_ints(relation_rows(group, s, spans))
     taken = set(pivots)
     free = [t for t in range(len(s.members)) if t not in taken]
     out = []

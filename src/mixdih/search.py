@@ -23,6 +23,13 @@ kernel, of the functional restricted to the meet, whose bit t is the
 functional's parity on the meet's member t; it is built the same way,
 and has index 2 in the old meet by construction.
 
+Most of a survivor's relations are top x tail commutators, whose span
+in the elementary abelian tail depends only on the survivor's top parts
+and tail members, and survivors of one level share a few dozen such
+spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  descend gives each
+level a fresh memo of those spans (pcgroup.relation_rows); forked
+workers each fill their own copy, and nothing is kept across levels.
+
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
 per-level expansion is an independent map over survivors; with more
@@ -150,7 +157,7 @@ def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]
     req: int = _FORK["req"]
     rows, meet_rows = payload
     m = Subgroup(group, rows, canonical=True)
-    homs = c2_homomorphisms(group, m)
+    homs = c2_homomorphisms(group, m, _FORK["spans"])
     # the meet must halve (one step above the requirement) or persist
     halve = len(meet_rows) == req + 1
     if not halve and len(meet_rows) != req:
@@ -173,6 +180,7 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     req = level.required_meet_log - 1 if level.required_meet_log > 0 else 0
     _FORK["group"] = group
     _FORK["req"] = req
+    _FORK["spans"] = {}
     payload = list(zip(level.survivors, level.meets))
     workers = config.worker_count()
     if workers > 1 and len(payload) > 1:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import sliced_apply, word_bits
+from mixdih.gf2linalg import echelon_ints, sliced_apply, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -560,8 +560,15 @@ def p59_survivors(p59):
 
 
 def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivors):
-    for s in p59_survivors[:16]:  # levels 1-3
+    """Levels 1-3 whole, and a seeded sample of 8 survivors from each of
+    levels 4 and 5, where survivors share top x tail spans; there the
+    memoized homomorphisms must equal the unmemoized ones too."""
+    rng = random.Random(33)
+    sample = rng.sample(p59_survivors[16:64], 8) + rng.sample(p59_survivors[64:192], 8)
+    spans = {}
+    for s in p59_survivors[:16] + sample:
         assert_maximal_match_frattini(p59, s)
+        assert pc.c2_homomorphisms(p59, s, spans) == pc.c2_homomorphisms(p59, s)
 
 
 def _sha256(obj) -> str:
@@ -627,8 +634,49 @@ def all_pairs_relation_rows(group, s):
 
 
 def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
+    """relation_rows spans the same relations as every pair's row.
+
+    Its top x tail rows are the coordinates of an echelon basis of the
+    commutator words rather than one row per pair, so the rows differ
+    from the reference's; their reduced echelon form, which is all
+    c2_homomorphisms reads, must not.  Once without a memo, and once
+    with one memo shared by all survivors, so later survivors hit it.
+    """
+    spans = {}
     for s in p59_survivors:
-        assert pc.relation_rows(p59, s) == all_pairs_relation_rows(p59, s)
+        reference = echelon_ints(all_pairs_relation_rows(p59, s))
+        assert echelon_ints(pc.relation_rows(p59, s)) == reference
+        assert echelon_ints(pc.relation_rows(p59, s, spans)) == reference
+    assert len(spans) < len(p59_survivors)
+
+
+def test_relation_rows_memo_keys_on_the_tail_members(p59):
+    """<x1, g_t> for each tail generator g_t: one top part, tail members
+    that differ from t to t, so no survivor may reuse another's span."""
+    x1 = 1 << p59.names.index("x1")
+    spans = {}
+    for t in range(p59.tail, p59.n):
+        s = pc.subgroup_igs(p59, [x1, 1 << t])
+        reference = echelon_ints(all_pairs_relation_rows(p59, s))
+        assert echelon_ints(pc.relation_rows(p59, s, spans)) == reference
+    assert len({heads for heads, _ in spans}) == 1 < len(spans)
+
+
+def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
+    """{x1, g15}: x1 squares to 1 and there is no top x top pair, but
+    g15**x1 = g15 * w with w a tail word outside <g15>."""
+    a = p59.names.index("x1")
+    x1, g15 = 1 << a, 1 << 15
+    assert p59.power_tails[a] == 0 and g15 >> p59.tail
+    s = pc.Subgroup(p59, [x1, g15])
+    assert not s.contains(p59.conjugate(g15, x1))
+    with pytest.raises(pc.NotInSubgroup):
+        pc.relation_rows(p59, s)
+    spans = {}
+    for _ in range(2):  # a cold memo, then a hit
+        with pytest.raises(pc.NotInSubgroup):
+            pc.relation_rows(p59, s, spans)
+        assert list(spans) == [((x1,), (g15,))]
 
 
 # ── the elementary abelian tail ─────────────────────────────────────────────

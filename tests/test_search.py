@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from mixdih import pcgroup as pc
 from mixdih import search as se
 from mixdih.graphs import letter_subgroups
 from mixdih.pcgroup import Subgroup, frattini, small_intersection_order, subgroup_igs
@@ -251,6 +252,11 @@ CHECKPOINT_SHA256 = [
 # subgroup closure instead of kernel_members, moves them
 DESCENT_CALLS = {"multiply": 25_949, "inverse": 1_624}
 
+# relation rows and top x tail span echelons (pcgroup._tail_span) of the
+# same run; a change that gives every top x tail pair its own row, or
+# that loses the per-level memo of the spans, moves them
+RELATION_WORK = {"rows": 15_732, "tail_spans": 55}
+
 
 def _counting(calls, name, fn):
     def counted(*args):
@@ -260,24 +266,51 @@ def _counting(calls, name, fn):
     return counted
 
 
+def _summing(work, name, fn):
+    def summed(*args):
+        out = fn(*args)
+        work[name] += len(out)
+        return out
+
+    return summed
+
+
 @pytest.fixture(scope="module")
 def counted_descent(p59):
     """Levels 1-6 of the descent as run_search runs it, with the p59
-    multiply and inverse calls it made."""
+    multiply and inverse calls it made and its relation work."""
     calls = dict.fromkeys(DESCENT_CALLS, 0)
+    work = dict.fromkeys(RELATION_WORK, 0)
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
+        mp.setattr(pc, "relation_rows", _summing(work, "rows", pc.relation_rows))
+        mp.setattr(pc, "_tail_span", _counting(work, "tail_spans", pc._tail_span))
         levels = [se.root_level(p59, se.stab_subgroup(p59))]
         for _ in range(6):
             levels.append(se.descend(p59, levels[-1], se.SearchConfig()))
-    return levels[1:], calls
+    return levels[1:], calls, work
 
 
 def test_descent_work_is_pinned(counted_descent):
-    levels, calls = counted_descent
+    levels, calls, _ = counted_descent
     assert [len(level.survivors) for level in levels] == [2, 2, 12, 48, 128, 0]
     assert calls == DESCENT_CALLS
+
+
+def test_relation_work_is_pinned(counted_descent):
+    assert counted_descent[2] == RELATION_WORK
+
+
+def test_parallel_matches_serial_on_p59(p59, counted_descent):
+    """Each forked worker fills its own span memo from its share of the
+    survivors; the merged levels equal the serial ones."""
+    level = se.root_level(p59, se.stab_subgroup(p59))
+    for serial in counted_descent[0]:
+        level = se.descend(p59, level, se.SearchConfig(threads=2))
+        assert (level.depth, level.required_meet_log) == (serial.depth, serial.required_meet_log)
+        assert (level.survivors, level.meets) == (serial.survivors, serial.meets)
+        assert level.candidates == serial.candidates
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
