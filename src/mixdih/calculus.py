@@ -19,6 +19,15 @@ coordinates are their layer-3 generators.  The reduced conjugates
 [[x_i,y_j],x_k] and [[x_i,y_j],y_l] fill both the conj table and the
 closed-form multiply's tables.
 
+A letter map phi fixes the image of every generator: c_{ij} must go to
+[phi x_i, phi y_j] and each layer-3 generator to one more bracket with
+phi x_k or phi y_l.  generator_images forces those images with the
+group's own commutator, and it is the only code that does: extend, the
+twist conjugation rho (make_rho_power) and the twist orbit of the
+relations (relation_space) all take their images from it.  The twist r
+is the letter map TWIST_LETTERS, x_i -> y_i and y_i -> x_{sigma(i)} with
+sigma = SIG, a single 8-cycle on the letters.
+
 Multiplication is closed form.  Writing u = (a1,b1,g1,d1), v = (a2,b2,g2,d2):
 
   a = a1+a2,  b = b1+b2,  g = g1+g2+(a2 outer b1),
@@ -51,19 +60,20 @@ __all__ = [
     "free_group",
     "parse_word",
     "expand_relations",
-    "RAction",
-    "r_action",
     "RelationSpace",
     "relation_space",
     "build_h56",
     "build_p59",
     "build_toy",
+    "generator_images",
     "homomorphism_table",
     "make_rho_power",
 ]
 
 # the order-8 cycle acting on generator subscripts, 0-based images
 SIG = (1, 3, 0, 2)
+# the twist r as a letter map of the 4+4 groups: x_i -> y_i, y_i -> x_sigma(i)
+TWIST_LETTERS = tuple(1 << (4 + i) for i in range(4)) + tuple(1 << s for s in SIG)
 
 
 class NonCentralRelation(ValueError):
@@ -83,9 +93,6 @@ class _Layout:
     d_dim: int
     pairs: Tuple[Tuple[int, int], ...]
     pair_idx: Dict[Tuple[int, int], int]
-
-    def c_index(self, i: int, j: int) -> int:
-        return self.n * i + j
 
     def dx_index(self, i: int, j: int, k: int) -> Optional[int]:
         """Coordinate of [[x_i,y_j],x_k]; None when it collapses (i == k)."""
@@ -278,57 +285,6 @@ def expand_relations() -> List[int]:
     return rows
 
 
-# ── the order-8 twist ───────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class RAction:
-    """The outer twist r: x_i -> y_i, y_i -> x_{sigma(i)}, on each layer.
-
-    perm1 permutes the 2n letter indices; perm2 and perm3 are the induced
-    permutations of the c and d layer coordinates (entry t = image of
-    basis vector t under the action).
-    """
-
-    perm1: Tuple[int, ...]
-    perm2: Tuple[int, ...]
-    perm3: Tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def r_action() -> RAction:
-    lay = _layout(4)
-    n = 4
-    perm1 = tuple(list(range(n, 2 * n)) + [SIG[i] for i in range(n)])
-    # c_{ij} = [x_i, y_j] -> [y_i, x_{sigma(j)}] = c_{sigma(j), i}^-1 = c_{sigma(j), i}
-    perm2 = [0] * lay.c_dim
-    for i in range(n):
-        for j in range(n):
-            perm2[lay.c_index(i, j)] = lay.c_index(SIG[j], i)
-    perm3 = [0] * lay.d_dim
-    for col in range(lay.d_dim):
-        kind, i, j, k = lay.d_describe(col)
-        if kind == "x":
-            # [[x_i,y_j],x_k] -> [[y_i,x_sj],y_k] = [[x_sj,y_i],y_k]^-1 ...
-            # which rewrites to the dy coordinate of (sigma j; i, k)
-            img = lay.dy_index(SIG[j], i, k)
-        else:
-            # [[x_i,y_j],y_l] -> [[y_i,x_sj],x_sl] = [[x_sj,y_i],x_sl]
-            img = lay.dx_index(SIG[j], i, SIG[k])
-        assert img is not None
-        perm3[col] = img
-    return RAction(perm1, tuple(perm2), tuple(perm3))
-
-
-def _apply_perm(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 # ── relation subspace ───────────────────────────────────────────────────────
 
 
@@ -346,13 +302,15 @@ class RelationSpace:
 
 @lru_cache(maxsize=None)
 def relation_space() -> RelationSpace:
-    act = r_action()
+    f = free_group()
+    d_off = f.meta.d_off
+    twist = sliced_tables([w >> d_off for w in generator_images(f, TWIST_LETTERS)[d_off:]], 4)
     rows = []
     for row in expand_relations():
         v = row
         for _ in range(8):
             rows.append(v)
-            v = _apply_perm(v, act.perm3)
+            v = sliced_apply(twist, v, 4)
         if v != row:
             raise AssertionError("twist on layer 3 does not have order dividing 8")
     basis, pivots = echelon_ints(rows)
@@ -367,13 +325,7 @@ class LayeredMeta:
     """Attached to layered pc presentations; geometry of the coordinates."""
 
     n: int
-    d_cols: Tuple[int, ...]
     d_desc: Tuple[Tuple[str, int, int, int], ...]
-    reduce_full: Callable[[int], int]
-
-    @property
-    def c_off(self) -> int:
-        return 2 * self.n
 
     @property
     def d_off(self) -> int:
@@ -427,12 +379,7 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
             names.append(f"d_x{i+1}y{j+1}x{k+1}")
         else:
             names.append(f"d_x{i+1}y{j+1}y{k+1}")
-    meta = LayeredMeta(
-        n=n,
-        d_cols=d_cols,
-        d_desc=d_desc,
-        reduce_full=reduce_full,
-    )
+    meta = LayeredMeta(n=n, d_desc=d_desc)
     mul = _make_mul(n, ax, by)
 
     def inv(u: int) -> int:
@@ -465,7 +412,31 @@ def build_toy() -> PcPresentation:
     return _layered_presentation(2, rows, "toy2")
 
 
-# ── automorphism tables; conjugation by the twist ───────────────────────────
+# ── letter maps, automorphism tables, conjugation by the twist ──────────────
+
+
+def generator_images(group: PcPresentation, letter_images: Sequence[int]) -> List[int]:
+    """The image of every generator of a layered group under a letter map.
+
+    letter_images are the images of x_1..x_n, y_1..y_n.  A homomorphism
+    must send c_{ij} = [x_i, y_j] to the commutator of the images of x_i
+    and y_j, and the layer-3 generator [[x_i,y_j],x_k] (or y_l) to the
+    commutator of that image with the image of x_k (or y_l); the group's
+    own commutator computes both.  Nothing is verified here: extend checks
+    the relations against these images.
+    """
+    meta: LayeredMeta = group.meta
+    n = meta.n
+    comm = group.commutator
+    images = list(letter_images)
+    for i in range(n):
+        for j in range(n):
+            images.append(comm(images[i], images[n + j]))
+    for kind, i, j, k in meta.d_desc:
+        images.append(comm(images[2 * n + n * i + j], images[k] if kind == "x" else images[n + k]))
+    if len(images) != group.n:
+        raise AssertionError("image closure out of step with the presentation")
+    return images
 
 
 def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bits: int) -> List[int]:
@@ -487,20 +458,15 @@ def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bi
 def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
     """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
 
-    rho is conjugation by the twist r: it sends x_i to y_i and y_i to
-    x_sigma(i), c-layer bits move by perm2, and d-layer bit t goes to the
-    reduced image of its lift under perm3.  Each power rho**e, e = 1..7,
-    has one homomorphism_table: the generator images of rho**e are rho's
-    table applied to those of rho**(e-1).  rho**e(w) is one sliced_apply,
-    and w itself when e is 0 mod 8.
+    rho is conjugation by the twist r, the letter map TWIST_LETTERS, and
+    its generator images are generator_images(h, TWIST_LETTERS).  Each
+    power rho**e, e = 1..7, has one homomorphism_table: the generator
+    images of rho**e are rho's table applied to those of rho**(e-1).
+    rho**e(w) is one sliced_apply, and w itself when e is 0 mod 8.
     """
-    meta: LayeredMeta = h.meta
-    if not isinstance(meta, LayeredMeta) or meta.n != 4:
+    if not isinstance(h.meta, LayeredMeta) or h.meta.n != 4:
         raise ValueError("twist conjugation needs the 4+4 layered group")
-    act = r_action()
-    images = [1 << t for t in act.perm1]
-    images += [1 << (meta.c_off + t) for t in act.perm2]
-    images += [meta.reduce_full(1 << act.perm3[col]) << meta.d_off for col in meta.d_cols]
+    images = generator_images(h, TWIST_LETTERS)
     tables: List[Optional[List[int]]] = [None, homomorphism_table(h.multiply, images, 8)]
     power = images
     for _ in range(2, 8):

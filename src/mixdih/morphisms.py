@@ -1,11 +1,11 @@
 """Endomorphisms of the layered quotient groups from generator images.
 
 A map is specified by images of the letter generators (the x and y block).
-Extension works in two steps: images of the commutator-layer generators
-are forced ([phi u, phi v] for layer 2, one more bracket for layer 3), and
-then every defining pc relation is checked against the forced images.  A
-map that survives the sweep and whose letter images generate the group is
-a verified automorphism.
+Extension works in two steps: calculus.generator_images forces the images
+of the commutator-layer generators ([phi u, phi v] for layer 2, one more
+bracket for layer 3), and then every defining pc relation is checked
+against the forced images.  A map that survives the sweep and whose
+letter images generate the group is a verified automorphism.
 
 Verified automorphisms compose without re-verification.  Application is
 one calculus.homomorphism_table: the image of a normal form is the
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .calculus import LayeredMeta, homomorphism_table
+from .calculus import LayeredMeta, generator_images, homomorphism_table
 from .gf2linalg import sliced_apply
 from .pcgroup import PcPresentation, subgroup_igs
 
@@ -117,27 +117,16 @@ class VerifiedAutomorphism:
 def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
     """Close a letter map over all generators and verify every relation.
 
-    The right side of each relation is the image of a word, read from
-    the map's homomorphism_table.  Raises NotHomomorphism at the first
+    The images of the layer generators are forced by
+    calculus.generator_images.  The right side of each relation is the
+    image of a word, read from the map's homomorphism_table.  Raises NotHomomorphism at the first
     violated power or conjugation relation, NotBijective if the letter
     images fail to generate.
     """
     group = gmap.group
-    meta: LayeredMeta = group.meta
-    n = meta.n
+    n = group.meta.n
     mul = group.multiply
-    comm = group.commutator
-    images: List[int] = list(gmap.letter_images)
-    for i in range(n):
-        for j in range(n):
-            images.append(comm(images[i], images[n + j]))
-    c_base = 2 * n
-    for kind, i, j, k in meta.d_desc:
-        cij = images[c_base + n * i + j]
-        other = images[k] if kind == "x" else images[n + k]
-        images.append(comm(cij, other))
-    if len(images) != group.n:
-        raise AssertionError("image closure out of step with the presentation")
+    images = generator_images(group, gmap.letter_images)
     table = homomorphism_table(mul, images, 2 * n)
 
     inverses = [group.inverse(w) for w in images]

@@ -9,6 +9,7 @@ a | b << 4 | c << 8 | d << 24 (pack below).
 """
 
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import morphisms as mo
-from mixdih.gf2linalg import echelon_ints
+from mixdih.gf2linalg import reduce_by_echelon, sliced_apply
 from mixdih.pcgroup import consistency_check
 
 
@@ -96,7 +97,7 @@ def oracle_to_layered(word):
         elif sym[0] == "y":
             b ^= 1 << sym[1]
         elif sym[0] == "c":
-            c ^= 1 << lay.c_index(sym[1], sym[2])
+            c ^= 1 << (4 * sym[1] + sym[2])
         elif sym[0] == "dx":
             d ^= 1 << lay.dx_index(sym[1], sym[2], sym[3])
         else:
@@ -122,7 +123,7 @@ def assert_matches_oracle(letters):
     assert letters_to_layered(letters, ca.free_group().collect_multiply) == expected
 
 
-def test_free_multiply_matches_rewriting_oracle():
+def test_free_group_multiply_and_collect_match_rewriting_oracle():
     rng = random.Random(2024)
     for _ in range(150):
         assert_matches_oracle([rng.choice(_LETTERS) for _ in range(rng.randint(0, 12))])
@@ -130,7 +131,7 @@ def test_free_multiply_matches_rewriting_oracle():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_LETTERS), max_size=10))
-def test_free_multiply_matches_oracle_hypothesis(letters):
+def test_free_group_multiply_and_collect_match_oracle_hypothesis(letters):
     assert_matches_oracle(letters)
 
 
@@ -144,7 +145,7 @@ def test_basic_products():
     assert mul(sq, sq) == 0  # c11^2 = 1
 
 
-def test_free_inverse():
+def test_free_group_inverse():
     f = ca.free_group()
     rng = random.Random(5)
     for _ in range(100):
@@ -154,7 +155,7 @@ def test_free_inverse():
         assert f.multiply(f.inverse(u), u) == 0
 
 
-def test_commutator_expand_against_definition():
+def test_free_group_commutator_against_definition():
     f = ca.free_group()
     rng = random.Random(6)
     for _ in range(60):
@@ -211,13 +212,67 @@ def test_parse_word_rejects_garbage():
 
 
 # ── the twist action ────────────────────────────────────────────────────────
+#
+# The oracle is a hand derivation of the twist r: x_i -> y_i,
+# y_i -> x_{sig(i)}: perm1 permutes the eight letters, perm2 and perm3 the
+# c and d coordinates of F(4) (entry t is the image of basis vector t),
+# each found by rewriting the bracket.  calculus.generator_images finds
+# the same images with commutators; the two share only the coordinate
+# layout.
+
+HandTwist = namedtuple("HandTwist", "perm1 perm2 perm3")
+
+
+def oracle_r_action():
+    lay = ca._layout(4)
+    n = 4
+    perm1 = tuple(list(range(n, 2 * n)) + [ca.SIG[i] for i in range(n)])
+    # c_{ij} = [x_i, y_j] -> [y_i, x_{sigma(j)}] = c_{sigma(j), i}^-1 = c_{sigma(j), i}
+    perm2 = [0] * lay.c_dim
+    for i in range(n):
+        for j in range(n):
+            perm2[n * i + j] = n * ca.SIG[j] + i
+    perm3 = [0] * lay.d_dim
+    for col in range(lay.d_dim):
+        kind, i, j, k = lay.d_describe(col)
+        if kind == "x":
+            # [[x_i,y_j],x_k] -> [[y_i,x_sj],y_k] = [[x_sj,y_i],y_k]^-1 ...
+            # which rewrites to the dy coordinate of (sigma j; i, k)
+            img = lay.dy_index(ca.SIG[j], i, k)
+        else:
+            # [[x_i,y_j],y_l] -> [[y_i,x_sj],x_sl] = [[x_sj,y_i],x_sl]
+            img = lay.dx_index(ca.SIG[j], i, ca.SIG[k])
+        assert img is not None
+        perm3[col] = img
+    return HandTwist(perm1, tuple(perm2), tuple(perm3))
+
+
+def apply_perm(mask, perm):
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+@pytest.fixture(scope="module")
+def twist_images():
+    """generator_images of the twist on F(4): 8 letters, 16 c, 48 d."""
+    return ca.generator_images(ca.free_group(), ca.TWIST_LETTERS)
+
+
+def _single_bit_indices(images, off):
+    assert all(w and w & (w - 1) == 0 and w >> off << off == w for w in images)
+    return tuple((w >> off).bit_length() - 1 for w in images)
 
 
 def test_twist_letter_action():
-    act = ca.r_action()
+    act = oracle_r_action()
     # x_i -> y_i, y_i -> x_{sig(i)}
     assert act.perm1[:4] == (4, 5, 6, 7)
     assert tuple(act.perm1[4 + i] for i in range(4)) == ca.SIG
+    assert ca.TWIST_LETTERS == tuple(1 << t for t in act.perm1)
     # a single 8-cycle on the letters
     seen = set()
     at = 0
@@ -225,6 +280,36 @@ def test_twist_letter_action():
         seen.add(at)
         at = act.perm1[at]
     assert at == 0 and len(seen) == 8
+
+
+def test_twist_generator_images_match_hand_derivation(twist_images):
+    # every one of the 16 c and 48 d basis vectors goes exactly where the
+    # rewritten brackets send it
+    act = oracle_r_action()
+    assert twist_images[:8] == list(ca.TWIST_LETTERS)
+    assert twist_images[8:24] == [pack(c=1 << t) for t in act.perm2]
+    assert twist_images[24:] == [pack(d=1 << t) for t in act.perm3]
+
+
+def test_rho_generator_images_match_hand_derivation(h56):
+    # on h56 a d image is the reduction of the lifted image modulo the
+    # relation space, in the coordinates of the surviving columns
+    act = oracle_r_action()
+    rel = ca.relation_space()
+    d_cols = [col for col in range(48) if col not in rel.pivots]
+    assert [ca._layout(4).d_describe(col) for col in d_cols] == list(h56.meta.d_desc)
+
+    def reduce_full(mask):
+        res = reduce_by_echelon(mask, list(rel.basis), list(rel.pivots))
+        return sum(1 << t for t, col in enumerate(d_cols) if res >> col & 1)
+
+    d_off = h56.meta.d_off
+    images = ca.generator_images(h56, ca.TWIST_LETTERS)
+    assert images[:8] == [1 << t for t in act.perm1]
+    assert images[8:24] == [1 << (8 + t) for t in act.perm2]
+    assert images[24:] == [reduce_full(1 << act.perm3[col]) << d_off for col in d_cols]
+    rho_power = ca.make_rho_power(h56)
+    assert [rho_power(1 << t, 1) for t in range(h56.n)] == images
 
 
 def _perm_order(perm):
@@ -237,25 +322,31 @@ def _perm_order(perm):
     return n
 
 
-def test_twist_layer_orders():
-    act = ca.r_action()
+def test_twist_layer_orders(twist_images):
+    act = oracle_r_action()
     assert _perm_order(act.perm1) == 8
     assert _perm_order(act.perm2) == 8
     assert _perm_order(act.perm3) == 8
+    # and the images generator_images forces permute each layer likewise
+    assert _perm_order(_single_bit_indices(twist_images[:8], 0)) == 8
+    assert _perm_order(_single_bit_indices(twist_images[8:24], 8)) == 8
+    assert _perm_order(_single_bit_indices(twist_images[24:], 24)) == 8
 
 
-def test_twist_respects_multiplication_in_free_object():
+def test_twist_respects_multiplication_in_free_object(twist_images):
     # letterwise substitution of the twist is an automorphism of F(4);
-    # check on layer 2 + 3 via the c/d permutations and random products
-    act = ca.r_action()
+    # check on layer 2 + 3 via the c/d permutations and random products,
+    # and that the table of the forced generator images agrees
+    act = oracle_r_action()
     mul = ca.free_group().multiply
+    table = ca.homomorphism_table(mul, twist_images, 8)
 
     def twist(u: int) -> int:
         a, b, c, d = u & 15, (u >> 4) & 15, (u >> 8) & 0xFFFF, u >> 24
         letters = [("y", i) for i in range(4) if (a >> i) & 1]
         letters += [("x", ca.SIG[j]) for j in range(4) if (b >> j) & 1]
         head = letters_to_layered(letters)
-        tail = pack(c=ca._apply_perm(c, act.perm2), d=ca._apply_perm(d, act.perm3))
+        tail = pack(c=apply_perm(c, act.perm2), d=apply_perm(d, act.perm3))
         return mul(head, tail)
 
     rng = random.Random(8)
@@ -263,6 +354,7 @@ def test_twist_respects_multiplication_in_free_object():
         u = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 8))])
         v = letters_to_layered([rng.choice(_LETTERS) for _ in range(rng.randint(0, 8))])
         assert twist(mul(u, v)) == mul(twist(u), twist(v))
+        assert sliced_apply(table, u, 8) == twist(u)
 
 
 # ── relations and the quotients ─────────────────────────────────────────────
@@ -284,28 +376,26 @@ def test_relation_space_rank_16_by_span_enumeration():
         span |= {s ^ r for s in span}
     assert len(span) == 1 << 16
     # and the span is invariant under the twist
-    act = ca.r_action()
+    act = oracle_r_action()
     for r in rows:
-        assert ca._apply_perm(r, act.perm3) in span
+        assert apply_perm(r, act.perm3) in span
 
 
 def test_relation_space_contains_relation_orbit():
     rel = ca.relation_space()
-    from mixdih.gf2linalg import reduce_by_echelon
-
-    act = ca.r_action()
+    act = oracle_r_action()
     basis = rel.basis
     for row in ca.expand_relations():
         v = row
         for _ in range(8):
             assert reduce_by_echelon(v, basis, list(rel.pivots)) == 0
-            v = ca._apply_perm(v, act.perm3)
+            v = apply_perm(v, act.perm3)
 
 
 def test_h56_shape(h56):
     assert h56.n == 56
     assert h56.names[:8] == ["x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"]
-    assert len(h56.meta.d_cols) == 32
+    assert len(h56.meta.d_desc) == 32
 
 
 def test_h56_products(h56):
@@ -358,10 +448,10 @@ def test_rho_is_an_order8_automorphism(h56):
 
 
 def test_rho_power_tables_match_repeated_rho(h56):
-    # the oracle: powers of the twist map extended letter by letter.  Both
-    # sides are homomorphism_tables, but from generator images found two
-    # ways: commutators of the letter images against perm2 and perm3
-    # through reduce_full, and compose against the squared tables
+    # the oracle: powers of the twist extended from catalog's own spelling
+    # of its letter images.  Both sides force rho's generator images with
+    # generator_images; the powers come from rho's table applied to the
+    # previous images on one side and from compose on the other
     twist = mo.extend(mo.catalog(h56)["twist_conjugation"])
     rho_power = ca.make_rho_power(h56)
     rng = random.Random(15)

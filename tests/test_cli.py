@@ -446,3 +446,68 @@ def test_fuzzed_h56_map_files_exit_with_a_documented_code(fuzz_path, data):
 @given(_as_bytes(_CHECKPOINT))
 def test_fuzzed_checkpoints_exit_with_a_documented_code(fuzz_path, data):
     _read_through_main(fuzz_path, data, ["search", "--resume", str(fuzz_path), "--levels", "1"])
+
+
+# ── fuzzed flags ─────────────────────────────────────────────────────────────
+
+# verify and search either run or fail with a documented exit code; a
+# usage error is argparse's SystemExit(2).  Paths are placeholders until
+# the test knows its directory: a writable report, or a path under a
+# directory that does not exist
+FLAG_EXITS = {0, 1, 2, 64, 65, 66}
+_WRITABLE, _ABSENT = "<writable>", "<absent>"
+
+
+def _flag(name, values, optional=True):
+    flag = values.map(lambda v: [name, v])
+    return st.one_of(st.just([]), flag) if optional else flag
+
+
+def _flags(*groups):
+    """An argv tail: one draw from each flag group, the groups in any order."""
+    return st.tuples(*groups).flatmap(st.permutations).map(lambda gs: [token for g in gs for token in g])
+
+
+def _value(valid, invalid=("0", "-1", "two", "")):
+    """A flag value: three draws in four from valid, the rest from invalid."""
+    return st.tuples(st.integers(0, 3), valid, st.sampled_from(invalid)).map(
+        lambda t: t[2] if t[0] == 0 else str(t[1])
+    )
+
+
+_VERIFY_ARGV = st.builds(
+    lambda target, tail: ["verify", target] + tail,
+    st.sampled_from(["toy2", "h56"]),
+    _flags(
+        _flag("--seed", _value(st.integers(-(1 << 70), 1 << 70), ("seven", "", "1.5"))),
+        _flag("--threads", _value(st.integers(1, 2))),
+        _flag("--report", st.sampled_from([_WRITABLE, _ABSENT])),
+        _flag("--from-file", st.just(_ABSENT)),
+    ),
+)
+_SEARCH_ARGV = _flags(
+    _flag("--levels", _value(st.integers(1, 2)), optional=False),
+    _flag("--max-survivors", _value(st.sampled_from([1, 2, 3, 10_000_000]))),
+    _flag("--threads", _value(st.integers(1, 2))),
+    _flag("--resume", st.just(_ABSENT)),
+).map(lambda tail: ["search"] + tail)
+
+
+def _exit_code(fuzz_path, argv):
+    paths = {_WRITABLE: str(fuzz_path) + ".json", _ABSENT: str(fuzz_path.parent / "absent" / "input")}
+    try:
+        return main([paths.get(token, token) for token in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_VERIFY_ARGV)
+def test_fuzzed_verify_flags_exit_with_a_documented_code(fuzz_path, argv):
+    assert _exit_code(fuzz_path, argv) in FLAG_EXITS
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_SEARCH_ARGV)
+def test_fuzzed_search_flags_exit_with_a_documented_code(fuzz_path, argv):
+    assert _exit_code(fuzz_path, argv) in FLAG_EXITS

@@ -14,7 +14,7 @@ from mixdih import calculus as ca
 from mixdih import morphisms as mo
 from mixdih import pcgroup as pc
 from mixdih.cli import CheckRun, _checks_h56
-from mixdih.gf2linalg import sliced_apply
+from mixdih.gf2linalg import echelon_ints, sliced_apply
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,56 @@ def test_collapse_rejected(h56):
     gmap = mo._gmap(h56, {"y1": "1", "y2": "1", "y3": "1", "y4": "1"})
     with pytest.raises(mo.NotBijective):
         mo.extend(gmap)
+
+
+# ── block letter maps of the free object ────────────────────────────────────
+#
+# A block map (g, h) in GL(4,2)^2 sends x_i to the x-word of g's column i
+# and y_j to the y-word of h's column j.  Checked here: every such map,
+# and every one followed by the twist, extends to an automorphism of
+# F(4), so the automorphisms of h56 that keep X and Y are those block
+# maps whose layer-3 images keep the relation space.
+
+SINGER = (0b0011, 0b0110, 0b1100, 0b0111)
+COMPANION = (0b0010, 0b0100, 0b1000, 0b1111)
+TRANSVECTION = (0b0011, 0b0010, 0b0100, 0b1000)  # x1 -> x1*x2
+IDENTITY = (0b0001, 0b0010, 0b0100, 0b1000)
+
+
+def _block_map(g, h):
+    return mo.GeneratorMap(ca.free_group(), tuple(g) + tuple(col << 4 for col in h))
+
+
+def _random_gl42(rng):
+    while True:
+        cols = tuple(rng.randrange(1, 16) for _ in range(4))
+        if len(echelon_ints(cols)[0]) == 4:
+            return cols
+
+
+def test_block_letter_maps_are_endomorphisms_of_the_free_group():
+    f = ca.free_group()
+    named = mo.catalog(f)
+    assert _block_map(SINGER, IDENTITY).letter_images == named["x_singer_generator"].letter_images
+    assert _block_map(IDENTITY, COMPANION).letter_images == named["y_companion_cycle"].letter_images
+    rng = random.Random(17)
+    pairs = [(m, IDENTITY) for m in (SINGER, COMPANION, TRANSVECTION)]
+    pairs += [(IDENTITY, m) for m in (SINGER, COMPANION, TRANSVECTION)]
+    pairs += [(_random_gl42(rng), _random_gl42(rng)) for _ in range(10)]
+    maps = [_block_map(g, h) for g, h in pairs]
+    twist = mo.extend(named["twist_conjugation"])
+    for g, h in [(SINGER, COMPANION), (TRANSVECTION, SINGER)] + pairs[-2:]:
+        block = _block_map(g, h)
+        maps.append(mo.GeneratorMap(f, tuple(twist.apply(w) for w in block.letter_images)))
+    assert len(maps) == 20
+    # extend does check relations on F(4): the x block must commute
+    with pytest.raises(mo.NotHomomorphism):
+        mo.extend(mo._gmap(f, {"x1": "y1", "y1": "x1"}))
+    for gmap in maps:
+        phi = mo.extend(gmap)
+        for _ in range(5):
+            u, v = rng.getrandbits(72), rng.getrandbits(72)
+            assert phi.apply(f.multiply(u, v)) == f.multiply(phi.apply(u), phi.apply(v))
 
 
 # sha256 of the repr of the sorted letter tuples of the 1800 closure,
