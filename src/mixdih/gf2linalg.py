@@ -46,16 +46,20 @@ def lowbit_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def echelon_ints(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
+def echelon_ints(rows: Sequence[int], start: Sequence[int] = ()) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form of integer rows.
 
     Returns (basis, pivots) with pivots strictly increasing and every pivot
     column cleared in all other basis rows.  Zero rows are dropped.  The
     basis is kept reduced as it grows, so a row meets each basis row only
     at that row's pivot: reducing it takes one XOR per pivot bit it has.
+
+    start, when given, is a basis already in that form (the basis of an
+    earlier echelon_ints call); the result is then that of start + rows,
+    which is unique, and only rows are reduced.
     """
-    by_pivot: Dict[int, int] = {}  # pivot bit -> basis row
-    pivmask = 0
+    by_pivot: Dict[int, int] = {b & -b: b for b in start}  # pivot bit -> basis row
+    pivmask = sum(by_pivot)
     for row in rows:
         hits = row & pivmask
         while hits:

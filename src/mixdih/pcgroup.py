@@ -387,20 +387,28 @@ def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[i
     From the last member down, right-multiply each member by the later
     (already canonical) members whose leading index it touches; a right
     factor from G_d leaves every exponent below d alone.  A tail factor
-    is XOR.
+    is XOR.  As in Subgroup.sift, only the set bits of m at the later
+    leads are visited, lowest first, and after each multiply only those
+    above its lead, so no test is spent on a lead m does not touch.
     """
     mul = group.multiply
     top = group.top_mask
-    members = list(members)
-    leads = [lowbit_index(m) for m in members]
-    for idx in range(len(members) - 2, -1, -1):
-        m = members[idx]
-        for later in range(idx + 1, len(members)):
-            if (m >> leads[later]) & 1:
-                t = members[later]
-                m = mul(m, t) if t & top else m ^ t
-        members[idx] = m
-    return tuple(members)
+    out = list(members)
+    by_lead: Dict[int, int] = {}  # lead bit -> canonical later member
+    later = 0
+    for idx in range(len(out) - 1, -1, -1):
+        m = out[idx]
+        hits = m & later
+        while hits:
+            low = hits & -hits
+            t = by_lead[low]
+            m = mul(m, t) if t & top else m ^ t
+            hits = m & later & -(low << 1)
+        out[idx] = m
+        low = m & -m
+        by_lead[low] = m
+        later |= low
+    return tuple(out)
 
 
 def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
@@ -487,8 +495,9 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
 
 def relation_rows(
     group: PcPresentation, s: Subgroup, spans: Optional[Dict[Tuple, List[int]]] = None
-) -> List[int]:
-    """The relations of s's induced pcgs, as rows over its IGS coordinates.
+) -> Tuple[List[int], List[int]]:
+    """The relations of s's induced pcgs, as rows over its IGS coordinates:
+    (top rows, tail block), the block a reduced echelon basis.
 
     A functional a on the coordinates of s is a homomorphism s -> C2
     exactly when parity(row & a) is 0 for every row (von Dyck): the rows
@@ -504,21 +513,15 @@ def relation_rows(
     without multiplying.  Members in the tail come last, square to the
     identity and commute with each other, so they add no rows of their
     own.  The squares of the top members and their conjugates of each
-    other give one coords row each.
+    other give one coords row each: the top rows.
 
     For a top member m_i and a tail member m_j, the conjugate is
-    m_j ^ w with w = [m_j, m_i], a tail word (_tail_span), and its row
-    is coords(w): the members of s in the tail are its tail members, and
-    on their span coords is linear, since division there is XOR by
-    members with distinct leads.  So the span of these rows is
-    coords(W) for the span W of the words w, and the rows are the
-    coords of an echelon basis of W instead of one per pair.  Some w
-    lies outside s exactly when some basis vector does, so
-    NotInSubgroup is raised in the same cases.
-
-    W depends only on the top parts m_i & top of the top members and on
-    the tail members, so spans, when given, memoizes its basis under
-    that key: (tuple of top parts, tuple of tail members).
+    m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
+    The span of these rows is the tail block (_tail_span).  It depends
+    only on the top parts m_i & top of the top members and on the tail
+    members, so spans, when given, memoizes it under that key: (tuple of
+    top parts, tuple of tail members).  A block that raises is never
+    stored, so a memo hit never skips the raise.
     """
     mul = group.multiply
     top = group.top_mask
@@ -540,26 +543,37 @@ def relation_rows(
                     rows.append(s.coords(c) ^ (1 << j))
     # tuple of a list: a tuple grown from a generator crept peak RSS run by run
     key = (tuple([m & top for m in ms[:k]]), ms[k:])
-    basis = spans.get(key) if spans is not None else None
-    if basis is None:
-        basis = _tail_span(group, *key)
+    block = spans.get(key) if spans is not None else None
+    if block is None:
+        block = _tail_span(group, s, *key)
         if spans is not None:
-            spans[key] = basis
-    rows.extend(s.coords(b) for b in basis)
-    return rows
+            spans[key] = block
+    return rows, block
 
 
-def _tail_span(group: PcPresentation, heads: Sequence[int], tails: Sequence[int]) -> List[int]:
-    """Echelon basis of the tail words [t, h] = t ^ t**h, for each top
-    part h in heads and tail word t in tails whose supports clash; each
-    conjugate is one sliced_apply of h's tail_action table."""
+def _tail_span(
+    group: PcPresentation, s: Subgroup, heads: Sequence[int], tails: Sequence[int]
+) -> List[int]:
+    """Reduced echelon basis, in s's coordinates, of the rows coords(w)
+    of the tail words w = [t, h] = t ^ t**h, for each top part h in heads
+    and tail word t in tails whose supports clash; each conjugate is one
+    sliced_apply of h's tail_action table.
+
+    The members of s in the tail are its tail members, and on their span
+    coords is linear, since division there is XOR by members with
+    distinct leads.  So the rows are the coords of an echelon basis of
+    the words, and they depend only on (heads, tails): a tail member's
+    coordinate is its index, len(heads) plus its place in tails.  Some w
+    lies outside s exactly when some basis vector does, and then coords
+    raises NotInSubgroup.
+    """
     shift = group.tail
     words = []
     for h in heads:
         clash = group.clash_mask(h)
         table = group.tail_action(h)
         words += [sliced_apply(table, t >> shift, 4) ^ t for t in tails if clash & t]
-    return echelon_ints(words)[0]
+    return echelon_ints([s.coords(b) for b in echelon_ints(words)[0]])[0]
 
 
 def c2_homomorphisms(
@@ -569,27 +583,30 @@ def c2_homomorphisms(
 
     By the Burnside basis theorem their kernels are the maximal subgroups
     of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|.  The
-    free columns of the reduced relation rows sit at the leads outside
-    Phi(s).  Functional number f sets free column t from bit t of f and
-    each pivot from the parity of its row, for f = 1 .. 2**rank - 1.
-    The reduced rows depend only on the span of relation_rows, so
-    spans, relation_rows' memo of top x tail bases, changes no output.
+    top rows of relation_rows are reduced against its tail block, which
+    is already in reduced echelon form; the free columns of the result
+    sit at the leads outside Phi(s).  Functional number f sets free
+    column t from bit t of f and each pivot from the parity of its row,
+    for f = 1 .. 2**rank - 1.  The rows are fully reduced, so each meets
+    a functional only at free columns and the parity is linear in f: the
+    functionals are built by doubling, from one per free column (its bit
+    and the pivots of the rows that have it).  The reduced rows depend
+    only on the span of the relations, so spans, relation_rows' memo of
+    tail blocks, changes no output.
     """
-    basis, pivots = echelon_ints(relation_rows(group, s, spans))
+    rows, block = relation_rows(group, s, spans)
+    basis, pivots = echelon_ints(rows, start=block)
     taken = set(pivots)
-    free = [t for t in range(len(s.members)) if t not in taken]
-    out = []
-    for f in range(1, 1 << len(free)):
-        a = 0
-        for t, col in enumerate(free):
-            if (f >> t) & 1:
-                a |= 1 << col
-        # rows are fully reduced: each meets a only at free columns
+    out = [0]
+    for col in range(len(s.members)):
+        if col in taken:
+            continue
+        a = 1 << col
         for row, p in zip(basis, pivots):
-            if (row & a).bit_count() & 1:
+            if (row >> col) & 1:
                 a |= 1 << p
-        out.append(a)
-    return out
+        out += [x ^ a for x in out]
+    return out[1:]
 
 
 def kernel_members(group: PcPresentation, ms: Sequence[int], a: int) -> Tuple[int, ...]:

@@ -27,8 +27,10 @@ Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
 and tail members, and survivors of one level share a few dozen such
 spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  descend gives each
-level a fresh memo of those spans (pcgroup.relation_rows); forked
-workers each fill their own copy, and nothing is kept across levels.
+level a fresh memo of those spans, each held as the reduced echelon
+form of its coordinates (pcgroup.relation_rows), so a survivor that
+hits the memo reduces only its top rows; forked workers each fill their
+own copy, and nothing is kept across levels.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The

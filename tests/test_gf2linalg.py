@@ -42,6 +42,27 @@ def test_echelon_matches_reference(rows):
     assert echelon_ints(rows) == reference_echelon(rows)
 
 
+def test_echelon_from_a_start_basis_matches_reference():
+    """Seeding the pivots from the basis of pre gives the reduced echelon
+    form of pre + rows: with new rows, with none, and with new rows that
+    all lie in the span of pre."""
+    rng = random.Random(41)
+    for trial in range(300):
+        width = rng.randrange(1, 70)
+        pre = [rng.getrandbits(width) for _ in range(rng.randrange(0, 20))]
+        start = echelon_ints(pre)[0]
+        if trial % 3 == 0:
+            rows = []
+        elif trial % 3 == 1:
+            rows = [0] * rng.randrange(1, 20)
+            for b in start:  # random combinations of the start basis
+                rows = [r ^ b if rng.getrandbits(1) else r for r in rows]
+        else:
+            rows = [rng.getrandbits(width) for _ in range(rng.randrange(1, 20))]
+        assert echelon_ints(rows, start=start) == reference_echelon(pre + rows)
+    assert echelon_ints([], start=[]) == ([], [])
+
+
 def test_echelonize_example():
     # columns little-end: "110" = cols {0,1} = 3, "011" = cols {1,2} = 6
     basis, pivots = echelon_ints([3, 6])

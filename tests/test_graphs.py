@@ -358,3 +358,46 @@ def test_write_graph(tmp_path):
     path = tmp_path / "k2.txt"
     gr.write_graph(k2, path)
     assert path.read_text(encoding="ascii") == "2 1\na b\n"
+
+
+# ── networkx oracle ──────────────────────────────────────────────────────────
+
+
+def _nx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.vertex_count))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_toy_graphs_match_networkx(gamma, sigma):
+    """Girth, connectivity and maximal cliques of Gamma and Sigma, each
+    against networkx's own routine on the same edge list."""
+    nx = pytest.importorskip("networkx")
+    for g in (gamma, sigma):
+        ref = _nx_graph(nx, g)
+        assert g.girth() == nx.girth(ref)
+        assert g.is_connected() == nx.is_connected(ref)
+        assert set(gr.maximal_cliques(g)) == {frozenset(c) for c in nx.find_cliques(ref)}
+    assert nx.is_bipartite(_nx_graph(nx, sigma))
+
+
+def test_toy_line_graph_correspondence_matches_networkx(toy, blocks, gamma, sigma):
+    """z -> {xsub*z, ysub*z} is a bijection from the vertices of Gamma onto
+    the vertices of networkx's line graph of Sigma, and carries the edges
+    of Gamma exactly onto its edges."""
+    nx = pytest.importorskip("networkx")
+    xsub, ysub = blocks
+    index = sigma.label_index
+    label = gr._element_label
+
+    def edge_of(z):
+        return (index["x:" + label(toy, xsub.sift(z))], index["y:" + label(toy, ysub.sift(z))])
+
+    lg = nx.line_graph(_nx_graph(nx, sigma))
+    nodes = {tuple(sorted(e)) for e in lg.nodes}
+    lg_edges = {frozenset((tuple(sorted(a)), tuple(sorted(b)))) for a, b in lg.edges}
+    image = [edge_of(z) for z in range(gamma.vertex_count)]
+    assert len(set(image)) == len(image) == len(nodes)
+    assert set(image) == nodes
+    assert {frozenset((image[u], image[w])) for u, w in gamma.edges()} == lg_edges

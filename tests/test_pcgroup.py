@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import echelon_ints, sliced_apply, word_bits
+from mixdih.gf2linalg import echelon_ints, lowbit_index, sliced_apply, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -571,6 +571,84 @@ def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivor
         assert pc.c2_homomorphisms(p59, s, spans) == pc.c2_homomorphisms(p59, s)
 
 
+def reference_canonical_members(group, members):
+    """The double loop _canonical_members replaced: from the last member
+    down, test every later lead and right-multiply by each one hit."""
+    mul = group.multiply
+    members = list(members)
+    leads = [lowbit_index(m) for m in members]
+    for idx in range(len(members) - 2, -1, -1):
+        m = members[idx]
+        for later in range(idx + 1, len(members)):
+            if (m >> leads[later]) & 1:
+                m = mul(m, members[later])
+        members[idx] = m
+    return tuple(members)
+
+
+def reference_functionals(group, s, spans):
+    """The per-f loop c2_homomorphisms replaced, on the reduced echelon
+    form of all of relation_rows: free column t from bit t of f, then
+    each pivot from the parity of its row."""
+    rows, block = pc.relation_rows(group, s, spans)
+    basis, pivots = echelon_ints(rows + block)
+    free = [t for t in range(len(s.members)) if t not in pivots]
+    out = []
+    for f in range(1, 1 << len(free)):
+        a = sum(1 << col for t, col in enumerate(free) if (f >> t) & 1)
+        for row, p in zip(basis, pivots):
+            if (row & a).bit_count() & 1:
+                a |= 1 << p
+        out.append(a)
+    return out
+
+
+def scrambled_igs(group, members, rng):
+    """Another IGS of the same subgroup, in general not canonical: each
+    member right-multiplied by a random product of about an eighth of
+    the later ones."""
+    out = list(members)
+    for idx in range(len(out) - 1):
+        for later in out[idx + 1 :]:
+            if rng.getrandbits(3) == 0:
+                out[idx] = group.multiply(out[idx], later)
+    return out
+
+
+def assert_fast_loops_match_references(group, s, rng, spans):
+    homs = pc.c2_homomorphisms(group, s, spans)
+    assert homs == reference_functionals(group, s, spans)
+    lists = [scrambled_igs(group, s.members, rng)]
+    for a in homs:  # the member lists kernel_members canonicalizes
+        support = [m for t, m in enumerate(s.members) if (a >> t) & 1]
+        kept = [m for t, m in enumerate(s.members) if not (a >> t) & 1]
+        kept += [group.multiply(u, v) for u, v in zip(support, support[1:])]
+        lists.append(sorted(kept, key=lowbit_index))
+    for members in lists:
+        assert pc._canonical_members(group, members) == reference_canonical_members(group, members)
+    assert pc._canonical_members(group, lists[0]) == s.members
+
+
+def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
+    """The whole group and every survivor of levels 1-5: the functionals
+    by doubling equal the per-f loop, and the mask-driven canonical form
+    equals the double loop on a scrambled IGS of the survivor and on the
+    member list of each of its kernels."""
+    rng = random.Random(17)
+    spans = {}
+    full = pc.Subgroup(p59, [1 << t for t in range(p59.n)], canonical=True)
+    for s in [full] + p59_survivors:
+        assert_fast_loops_match_references(p59, s, rng, spans)
+
+
+def test_fast_loops_match_references_on_random_subgroups(toy, h56):
+    rng = random.Random(18)
+    for group, count in ((toy, 40), (h56, 12)):
+        for _ in range(count):
+            s = pc.subgroup_igs(group, [rng.getrandbits(group.n) for _ in range(rng.randint(1, 4))])
+            assert_fast_loops_match_references(group, s, rng, None)
+
+
 def _sha256(obj) -> str:
     return hashlib.sha256(repr(obj).encode("ascii")).hexdigest()[:16]
 
@@ -633,20 +711,28 @@ def all_pairs_relation_rows(group, s):
     return rows
 
 
+def reduced_relations(group, s, spans=None):
+    """The reduced echelon form of relation_rows: its top rows reduced
+    against its tail block, as c2_homomorphisms reduces them."""
+    rows, block = pc.relation_rows(group, s, spans)
+    assert echelon_ints(block) == (block, [lowbit_index(b) for b in block])
+    return echelon_ints(rows, start=block)
+
+
 def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
     """relation_rows spans the same relations as every pair's row.
 
-    Its top x tail rows are the coordinates of an echelon basis of the
-    commutator words rather than one row per pair, so the rows differ
-    from the reference's; their reduced echelon form, which is all
+    Its top x tail rows are a reduced echelon block in coordinates
+    rather than one row per pair, so the rows differ from the
+    reference's; their reduced echelon form, which is all
     c2_homomorphisms reads, must not.  Once without a memo, and once
     with one memo shared by all survivors, so later survivors hit it.
     """
     spans = {}
     for s in p59_survivors:
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
-        assert echelon_ints(pc.relation_rows(p59, s)) == reference
-        assert echelon_ints(pc.relation_rows(p59, s, spans)) == reference
+        assert reduced_relations(p59, s) == reference
+        assert reduced_relations(p59, s, spans) == reference
     assert len(spans) < len(p59_survivors)
 
 
@@ -658,7 +744,7 @@ def test_relation_rows_memo_keys_on_the_tail_members(p59):
     for t in range(p59.tail, p59.n):
         s = pc.subgroup_igs(p59, [x1, 1 << t])
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
-        assert echelon_ints(pc.relation_rows(p59, s, spans)) == reference
+        assert reduced_relations(p59, s, spans) == reference
     assert len({heads for heads, _ in spans}) == 1 < len(spans)
 
 
@@ -673,10 +759,10 @@ def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
     with pytest.raises(pc.NotInSubgroup):
         pc.relation_rows(p59, s)
     spans = {}
-    for _ in range(2):  # a cold memo, then a hit
+    for _ in range(2):  # a cold memo, then the next call
         with pytest.raises(pc.NotInSubgroup):
             pc.relation_rows(p59, s, spans)
-        assert list(spans) == [((x1,), (g15,))]
+        assert spans == {}  # a block that raised is never stored
 
 
 # ── the elementary abelian tail ─────────────────────────────────────────────

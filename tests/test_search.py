@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -252,10 +253,11 @@ CHECKPOINT_SHA256 = [
 # subgroup closure instead of kernel_members, moves them
 DESCENT_CALLS = {"multiply": 25_949, "inverse": 1_624}
 
-# relation rows and top x tail span echelons (pcgroup._tail_span) of the
-# same run; a change that gives every top x tail pair its own row, or
-# that loses the per-level memo of the spans, moves them
-RELATION_WORK = {"rows": 15_732, "tail_spans": 55}
+# top relation rows reduced against a tail block, and tail blocks built
+# on a memo miss (pcgroup._tail_span), in the same run; a change that
+# reduces the top x tail pairs as top rows, or that loses the per-level
+# memo of the blocks, moves them
+RELATION_WORK = {"top_rows": 7_206, "tail_blocks": 55}
 
 
 def _counting(calls, name, fn):
@@ -266,10 +268,10 @@ def _counting(calls, name, fn):
     return counted
 
 
-def _summing(work, name, fn):
+def _summing_top_rows(work, name, fn):
     def summed(*args):
         out = fn(*args)
-        work[name] += len(out)
+        work[name] += len(out[0])
         return out
 
     return summed
@@ -284,8 +286,8 @@ def counted_descent(p59):
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
-        mp.setattr(pc, "relation_rows", _summing(work, "rows", pc.relation_rows))
-        mp.setattr(pc, "_tail_span", _counting(work, "tail_spans", pc._tail_span))
+        mp.setattr(pc, "relation_rows", _summing_top_rows(work, "top_rows", pc.relation_rows))
+        mp.setattr(pc, "_tail_span", _counting(work, "tail_blocks", pc._tail_span))
         levels = [se.root_level(p59, se.stab_subgroup(p59))]
         for _ in range(6):
             levels.append(se.descend(p59, levels[-1], se.SearchConfig()))
@@ -325,6 +327,27 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
         assert resumed.survivors == level.survivors
         assert resumed.meets == level.meets
     assert digests == CHECKPOINT_SHA256
+
+
+def test_levels_are_closed_under_conjugation_by_the_stabilizer(p59, stab, counted_descent):
+    """Conjugation by an element of the stabilizer maps a subgroup to one
+    of the same index whose meet with the stabilizer has the same order,
+    and maps its chain of maximal subgroups to another such chain; so
+    each level must hold the conjugates of its survivors.  This catches
+    a lost kernel or a faulty dedup even where a count happens to match.
+    Every survivor of levels 1-2, and a seeded 8 from each of levels 3-5,
+    conjugated by each stabilizer generator and closed by subgroup_igs."""
+    rng = random.Random(59)
+    gens = [1 << p59.names.index(nm) for nm in ("x1", "x2", "x3", "x4", "r2")]
+    levels = counted_descent[0][:5]
+    for level in levels:
+        survivors = set(level.survivors)
+        sample = level.survivors if level.depth <= 2 else rng.sample(level.survivors, 8)
+        for rows in sample:
+            for g in gens:
+                t = subgroup_igs(p59, [p59.conjugate(m, g) for m in rows])
+                assert t.members in survivors
+                assert small_intersection_order(p59, t, stab) == 1 << level.required_meet_log
 
 
 def test_worker_count_ignores_the_environment(monkeypatch):
