@@ -227,27 +227,24 @@ def free_group() -> PcPresentation:
     return _layered_presentation(4, (), "F4")
 
 
-def parse_word(text: str) -> int:
-    """Product of letters like 'x1x2y3' (1-based subscripts) in F(4)."""
-    mul = free_group().multiply
-    acc = 0
-    at = 0
-    while at < len(text):
-        sym = text[at]
-        if sym not in "xy" or at + 1 >= len(text) or not text[at + 1].isdigit():
-            raise ValueError(f"bad word {text!r} at offset {at}")
-        sub = int(text[at + 1]) - 1
-        if not 0 <= sub < 4:
-            raise ValueError(f"subscript out of range in {text!r}")
-        acc = mul(acc, 1 << (sub if sym == "x" else 4 + sub))
-        at += 2
-    return acc
+def parse_word(group: PcPresentation, text: str) -> int:
+    """Product of letter generators written like 'x3*y1' in a layered
+    group; '1' is the identity."""
+    out = 0
+    lookup = {name: t for t, name in enumerate(group.names[: 2 * group.meta.n])}
+    for token in text.replace(" ", "").split("*"):
+        if token == "1":
+            continue
+        if token not in lookup:
+            raise ValueError(f"unknown generator {token!r}")
+        out = group.multiply(out, 1 << lookup[token])
+    return out
 
 
 # ── the defining relations ──────────────────────────────────────────────────
 
-_X = "x1x2x3x4"
-_Y = "y1y2y3y4"
+_X = "x1*x2*x3*x4"
+_Y = "y1*y2*y3*y4"
 
 # each relation is (left factors, right factors), every factor a triple
 # commutator [[u, v], w] given by its three words
@@ -274,7 +271,7 @@ def expand_relations() -> List[int]:
         def side(factors):
             acc = 0
             for u, v, w in factors:
-                t = f.commutator(f.commutator(parse_word(u), parse_word(v)), parse_word(w))
+                t = f.commutator(f.commutator(parse_word(f, u), parse_word(f, v)), parse_word(f, w))
                 acc = f.multiply(acc, t)
             return acc
 

@@ -20,7 +20,7 @@ from . import __version__ as ENGINE_VERSION
 from . import graphs as gr
 from . import morphisms as mo
 from . import search as se
-from .calculus import build_h56, build_p59, build_toy
+from .calculus import SIG, build_h56, build_p59, build_toy
 from .pcgroup import (
     PcPresentation,
     consistency_check,
@@ -112,8 +112,7 @@ def _structural_checks(run: CheckRun, group: PcPresentation, label: str, order_l
 
 def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
     _structural_checks(run, h, "h56", 56)
-    full = subgroup_igs(h, [1 << i for i in range(h.n)])
-    derived = derived_subgroup(h, full)
+    derived = derived_subgroup(h, se.full_group(h))
     run.add(
         "h56_derived_order_log",
         "the derived subgroup has order 2^48",
@@ -187,7 +186,7 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
         for blk in ("x", "y"):
             singer = verified[f"{blk}_singer_generator"]
             companion = verified[f"{blk}_companion_cycle"]
-            ok = ok and mo.aut_power(singer, 3).full_images == mo.aut_power(companion, 4).full_images
+            ok = ok and mo.letter_power(singer, 3) == mo.letter_power(companion, 4)
         return ok
 
     run.add(
@@ -299,11 +298,10 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
     )
 
     def square_twist():
-        sig = (1, 3, 0, 2)
         base = p.names.index("x1")
         for i in range(4):
             xi = 1 << (base + i)
-            if p.conjugate(xi, r2) != 1 << (base + sig[i]):
+            if p.conjugate(xi, r2) != 1 << (base + SIG[i]):
                 return False
         return True
 
@@ -356,13 +354,13 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
         "p59_stab_meets_normal_part_in_x_block",
         "the stabilizer meets the layered part in the x block",
         16,
-        lambda: sum(1 for w in stab.elements() if inner.contains(w)),
+        lambda: small_intersection_order(p, inner, stab),
     )
 
 
 def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.NormalQuotient:
     """The incidence graph modulo the orbits of the derived subgroup."""
-    derived = derived_subgroup(toy, subgroup_igs(toy, [1 << i for i in range(toy.n)]))
+    derived = derived_subgroup(toy, se.full_group(toy))
     translations = gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members)
     return gr.normal_quotient(sigma, gr.vertex_orbits(sigma, translations))
 
@@ -513,7 +511,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
     def maximal_counts():
         out = []
         for group in groups.values():
-            full = subgroup_igs(group, [1 << i for i in range(group.n)])
+            full = se.full_group(group)
             rank = group.n - frattini(group, full).order_log
             out.append(len(maximal_subgroups(group, full)) == (1 << rank) - 1)
         return all(out)

@@ -231,19 +231,6 @@ def letter_connection_set(group: PcPresentation) -> Tuple[int, ...]:
     return tuple(xs + ys)
 
 
-def _coset_reps(group: PcPresentation, sub: Subgroup) -> List[int]:
-    """Canonical representatives: all masks over the non-lead bit positions."""
-    free = [i for i in range(group.n) if i not in set(sub.leads)]
-    reps = []
-    for mask in range(1 << len(free)):
-        rep = 0
-        for t, pos in enumerate(free):
-            if (mask >> t) & 1:
-                rep |= 1 << pos
-        reps.append(rep)
-    return sorted(reps)
-
-
 def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> SimpleGraph:
     """Coset incidence graph: one edge {xsub*z, ysub*z} per group element z.
 
@@ -254,15 +241,15 @@ def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> Simp
         raise TooLarge("group order above 2**20")
     if group.n - min(xsub.order_log, ysub.order_log) > 19:
         raise TooLarge("coset side above 2**19 vertices")
-    x_reps = _coset_reps(group, xsub)
-    y_reps = _coset_reps(group, ysub)
+    x_of = [xsub.sift(z) for z in range(1 << group.n)]
+    y_of = [ysub.sift(z) for z in range(1 << group.n)]
+    x_reps = sorted(set(x_of))
+    y_reps = sorted(set(y_of))
     x_index = {rep: i for i, rep in enumerate(x_reps)}
     y_index = {rep: len(x_reps) + i for i, rep in enumerate(y_reps)}
     labels = ["x:" + _element_label(group, r) for r in x_reps]
     labels += ["y:" + _element_label(group, r) for r in y_reps]
-    edges = set()
-    for z in range(1 << group.n):
-        edges.add((x_index[xsub.sift(z)], y_index[ysub.sift(z)]))
+    edges = {(x_index[a], y_index[b]) for a, b in zip(x_of, y_of)}
     part = [0] * len(x_reps) + [1] * len(y_reps)
     return make_graph(labels, edges, part)
 

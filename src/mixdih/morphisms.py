@@ -7,18 +7,22 @@ bracket for layer 3), and then every defining pc relation is checked
 against the forced images.  A map that survives the sweep and whose
 letter images generate the group is a verified automorphism.
 
-Verified automorphisms compose without re-verification.  Application is
-one calculus.homomorphism_table: the image of a normal form is the
-product of the images of its generators in index order, that is a
-letter slice of 2**(2n) products from the multiply, times the images of
-the layer generators.  Those are commutators, so they lie in the
+Application is one calculus.homomorphism_table: the image of a normal
+form is the product of the images of its generators in index order, that
+is a letter slice of 2**(2n) products from the multiply, times the images
+of the layer generators.  Those are commutators, so they lie in the
 elementary abelian layers, where the map is linear and the product is
 XOR.  extend builds the table once, reads the right side of every
 relation from it and hands it to the automorphism it returns.
 
-Every orbit comes from one search, orbit(seeds, images): the closure
-runs it on letter tuples, the letter-set check on group elements, and
-the graph module on vertices, 2-arcs and edges.
+The letters generate the group, so an automorphism is determined by its
+letter images, and everything past extend reads it only through apply on
+letter tuples: the order of f is the orbit of the identity tuple under f,
+a power is f applied e times to the letters, and the twist relations are
+compared letter by letter.  Every orbit comes from one search,
+orbit(seeds, images): the closure and the order run it on letter tuples,
+the letter-set check on group elements, and the graph module on
+vertices, 2-arcs and edges.
 
 The checks used by the verification targets (twist relations, pointwise
 stabilizer) take automorphisms already verified and a closure already
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .calculus import LayeredMeta, generator_images, homomorphism_table
+from .calculus import LayeredMeta, generator_images, homomorphism_table, parse_word
 from .gf2linalg import sliced_apply
 from .pcgroup import PcPresentation, subgroup_igs
 
@@ -41,10 +45,8 @@ __all__ = [
     "GeneratorMap",
     "VerifiedAutomorphism",
     "extend",
-    "compose",
-    "identity_automorphism",
-    "aut_power",
     "automorphism_order",
+    "letter_power",
     "AutGroup",
     "orbit",
     "closure",
@@ -86,32 +88,19 @@ class GeneratorMap:
 
 
 class VerifiedAutomorphism:
-    """An automorphism with verified relations, closed over all generators."""
+    """An automorphism with verified relations, closed over all generators,
+    with the homomorphism_table extend built for it."""
 
     __slots__ = ("group", "full_images", "_table")
 
-    def __init__(self, group: PcPresentation, full_images: Tuple[int, ...], table: Optional[List[int]] = None):
+    def __init__(self, group: PcPresentation, full_images: Tuple[int, ...], table: List[int]):
         self.group = group
         self.full_images = full_images
         self._table = table
 
     def apply(self, u: int) -> int:
         """Image of an element in normal form."""
-        bits = 2 * self.group.meta.n
-        if self._table is None:
-            self._table = homomorphism_table(self.group.multiply, self.full_images, bits)
-        return sliced_apply(self._table, u, bits)
-
-    def is_identity(self) -> bool:
-        return all(w == 1 << t for t, w in enumerate(self.full_images))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerifiedAutomorphism):
-            return NotImplemented
-        return self.group is other.group and self.full_images == other.full_images
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.full_images))
+        return sliced_apply(self._table, u, 2 * self.group.meta.n)
 
 
 def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
@@ -148,41 +137,6 @@ def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
     return VerifiedAutomorphism(group, tuple(images), table)
 
 
-def identity_automorphism(group: PcPresentation) -> VerifiedAutomorphism:
-    return VerifiedAutomorphism(group, tuple(1 << t for t in range(group.n)))
-
-
-def compose(f: VerifiedAutomorphism, g: VerifiedAutomorphism) -> VerifiedAutomorphism:
-    """f then g, as a verified automorphism."""
-    if f.group is not g.group:
-        raise ValueError("automorphisms of different groups")
-    return VerifiedAutomorphism(f.group, tuple(g.apply(w) for w in f.full_images))
-
-
-def aut_power(f: VerifiedAutomorphism, e: int) -> VerifiedAutomorphism:
-    acc = identity_automorphism(f.group)
-    step = f
-    if e < 0:
-        raise ValueError("negative powers unsupported; use the order")
-    while e:
-        if e & 1:
-            acc = compose(acc, step)
-        step = compose(step, step)
-        e >>= 1
-    return acc
-
-
-def automorphism_order(f: VerifiedAutomorphism, cap: int = 10_000) -> int:
-    acc = f
-    order = 1
-    while not acc.is_identity():
-        acc = compose(acc, f)
-        order += 1
-        if order > cap:
-            raise RuntimeError("order exceeds cap")
-    return order
-
-
 @dataclass
 class AutGroup:
     """Closure of a set of verified automorphisms, keyed by letter images."""
@@ -215,39 +169,42 @@ def orbit(
     return seen
 
 
+def _identity_letters(group: PcPresentation) -> Tuple[int, ...]:
+    return tuple(1 << t for t in range(2 * group.meta.n))
+
+
 def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGroup:
     """Closure under composition; automorphisms are determined by their
     letter images, so the orbit of the identity runs on letter tuples."""
     if not gens:
         raise ValueError("need at least one generator")
-    meta: LayeredMeta = gens[0].group.meta
-    start = tuple(1 << t for t in range(2 * meta.n))
+    start = _identity_letters(gens[0].group)
     return AutGroup(orbit([start], lambda tup: [tuple(g.apply(w) for w in tup) for g in gens], cap))
+
+
+def automorphism_order(f: VerifiedAutomorphism, cap: int = 10_000) -> int:
+    """Order of f: the size of the orbit of the identity letter tuple under
+    f.  Raises ClosureBudgetExceeded if the order exceeds cap."""
+    start = _identity_letters(f.group)
+    return len(orbit([start], lambda tup: [tuple(f.apply(w) for w in tup)], cap))
+
+
+def letter_power(f: VerifiedAutomorphism, e: int) -> Tuple[int, ...]:
+    """Letter images of f**e (e >= 0), by applying f e times."""
+    if e < 0:
+        raise ValueError("negative powers unsupported; use the order")
+    tup = _identity_letters(f.group)
+    for _ in range(e):
+        tup = tuple(f.apply(w) for w in tup)
+    return tup
 
 
 # ── the named maps ──────────────────────────────────────────────────────────
 
 
-def _img(group: PcPresentation, word: str) -> int:
-    """Parse x3*y1-style products of letter generator names."""
-    out = 0
-    lookup = {name: t for t, name in enumerate(group.names[: 2 * group.meta.n])}
-    for token in word.replace(" ", "").split("*"):
-        if token == "1":
-            continue
-        if token not in lookup:
-            raise ValueError(f"unknown generator {token!r}")
-        out = group.multiply(out, 1 << lookup[token])
-    return out
-
-
 def _gmap(group: PcPresentation, assignments: Dict[str, str]) -> GeneratorMap:
-    meta: LayeredMeta = group.meta
-    letters = group.names[: 2 * meta.n]
-    images = []
-    for name in letters:
-        images.append(_img(group, assignments.get(name, name)))
-    return GeneratorMap(group, tuple(images))
+    letters = group.names[: 2 * group.meta.n]
+    return GeneratorMap(group, tuple(parse_word(group, assignments.get(name, name)) for name in letters))
 
 
 def catalog(h: PcPresentation) -> Dict[str, GeneratorMap]:
@@ -319,13 +276,16 @@ def twist_conjugation_check(
     """The twist conjugates one singer generator to the other.
 
     With a = x-singer, b = y-singer and rho the twist conjugation, check
-    a^rho = b and b^rho = a**2 on letter images (conjugation acting on the
-    right: a^rho sends u to rho(a(rho^-1(u)))).
+    a^rho = b and b^rho = a**2, conjugation acting on the right: a^rho
+    sends u to rho(a(rho^-1(u))).  Composed with rho on the right these
+    read rho(a(u)) = b(rho(u)) and rho(b(u)) = a(a(rho(u))), which are
+    checked on the letters, since those generate the group.
     """
-    rho_inv = aut_power(rho, automorphism_order(rho) - 1)
-    a_conj = compose(compose(rho_inv, a), rho)
-    b_conj = compose(compose(rho_inv, b), rho)
-    return a_conj == b and b_conj == compose(a, a)
+    for u in _identity_letters(rho.group):
+        r = rho.apply(u)
+        if rho.apply(a.apply(u)) != b.apply(r) or rho.apply(b.apply(u)) != a.apply(a.apply(r)):
+            return False
+    return True
 
 
 def pointwise_x_stabilizer(h: PcPresentation, group: AutGroup) -> Set[Tuple[int, ...]]:

@@ -272,9 +272,9 @@ class Subgroup:
     hold identical member tuples.
     """
 
-    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_canonical")
+    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div")
 
-    def __init__(self, group: PcPresentation, members: Sequence[int], canonical: bool = False):
+    def __init__(self, group: PcPresentation, members: Sequence[int]):
         self.group = group
         self.members = tuple(sorted(members, key=lowbit_index))
         self.leads = tuple(lowbit_index(m) for m in self.members)
@@ -285,7 +285,6 @@ class Subgroup:
         self._lead_mask = sum(1 << d for d in self.leads)
         # lead bit -> (inverse of its member, coordinate bit of its member)
         self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(self.leads, self._invs))}
-        self._canonical = canonical
 
     @property
     def order_log(self) -> int:
@@ -347,14 +346,10 @@ class Subgroup:
             raise NotInSubgroup("element does not lie in the subgroup")
         return c
 
-    def canonicalize(self) -> "Subgroup":
-        if self._canonical:
-            return self
-        return Subgroup(self.group, _canonical_members(self.group, self.members), canonical=True)
-
     def digest(self) -> Tuple[int, ...]:
-        """Hashable identity: the canonical member tuple."""
-        return self.canonicalize().members
+        """Hashable identity: the canonical member tuple.  Members already
+        canonical cost no multiply."""
+        return _canonical_members(self.group, self.members)
 
     def elements(self) -> List[int]:
         """All elements, as straight products.  Capped at 2**16."""
@@ -454,7 +449,7 @@ def subgroup_igs(group: PcPresentation, gens: Iterable[int]) -> Subgroup:
     """Canonical echelonized IGS of the subgroup generated by gens."""
     by_lead = _close_igs(group, gens)
     members = _canonical_members(group, [by_lead[d] for d in sorted(by_lead)])
-    return Subgroup(group, members, canonical=True)
+    return Subgroup(group, members)
 
 
 def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgroup:
@@ -631,7 +626,7 @@ def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:
     """All index-2 subgroups of s, as canonical Subgroups, in the order of
     c2_homomorphisms."""
     return [
-        Subgroup(group, kernel_members(group, s.members, a), canonical=True)
+        Subgroup(group, kernel_members(group, s.members, a))
         for a in c2_homomorphisms(group, s)
     ]
 

@@ -135,7 +135,7 @@ def stab_subgroup(p: PcPresentation) -> Subgroup:
 
 
 def full_group(p: PcPresentation) -> Subgroup:
-    return Subgroup(p, [1 << i for i in range(p.n)], canonical=True)
+    return Subgroup(p, [1 << i for i in range(p.n)])
 
 
 def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
@@ -158,7 +158,7 @@ def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]
     group: PcPresentation = _FORK["group"]
     req: int = _FORK["req"]
     rows, meet_rows = payload
-    m = Subgroup(group, rows, canonical=True)
+    m = Subgroup(group, rows)
     homs = c2_homomorphisms(group, m, _FORK["spans"])
     # the meet must halve (one step above the requirement) or persist
     halve = len(meet_rows) == req + 1
@@ -254,10 +254,9 @@ def _checked_survivor(p: PcPresentation, rows: Rows, order_log: int) -> Subgroup
         relation_rows(p, sub)  # raises unless the straight products are closed
     except ValueError as exc:
         raise BadCheckpoint(f"a row is not an IGS: {exc}") from exc
-    canonical = sub.canonicalize()
-    if canonical.members != rows:
+    if sub.digest() != rows:
         raise BadCheckpoint("a row is not in canonical form")
-    return canonical
+    return sub
 
 
 def _rebuild_level(

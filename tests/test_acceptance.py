@@ -111,9 +111,9 @@ def test_04_automorphisms(h56, verified):
         )]
         assert orders == [15, 15, 5, 5, 8]
         for blk in ("x", "y"):
-            cube = mo.aut_power(verified[f"{blk}_singer_generator"], 3)
-            inverse = mo.aut_power(verified[f"{blk}_companion_cycle"], 4)
-            assert cube.full_images == inverse.full_images
+            cube = mo.letter_power(verified[f"{blk}_singer_generator"], 3)
+            inverse = mo.letter_power(verified[f"{blk}_companion_cycle"], 4)
+            assert cube == inverse
         assert mo.twist_conjugation_check(
             verified["x_singer_generator"], verified["y_singer_generator"], verified["twist_conjugation"]
         )
@@ -236,7 +236,7 @@ def test_10_property_suites(h56, p59, toy):
 
         # dedup soundness: equal digests exactly for equal subgroups
         level1 = se.descend(p59, se.root_level(p59, se.stab_subgroup(p59)), se.SearchConfig())
-        subs = [Subgroup(p59, rows, canonical=True) for rows in level1.survivors]
+        subs = [Subgroup(p59, rows) for rows in level1.survivors]
         assert len({s.digest() for s in subs}) == len(subs)
         for a in subs:
             for b in subs:

@@ -43,6 +43,31 @@ def product_of_images(group, images, w):
     return out
 
 
+def full_identity(group):
+    return tuple(1 << t for t in range(group.n))
+
+
+def full_compose(images, g):
+    """Generator images of 'the map with these images, then g', on all
+    generators: the reference for the engine's readings on letter tuples."""
+    return tuple(g.apply(w) for w in images)
+
+
+def full_power(f, e):
+    acc = full_identity(f.group)
+    for _ in range(e):
+        acc = full_compose(acc, f)
+    return acc
+
+
+def full_order(f):
+    acc, order = f.full_images, 1
+    while acc != full_identity(f.group):
+        acc = full_compose(acc, f)
+        order += 1
+    return order
+
+
 def _sample_words(group, seed):
     rng = random.Random(seed)
     return [0] + [1 << t for t in range(group.n)] + [rng.getrandbits(group.n) for _ in range(500)]
@@ -57,7 +82,6 @@ def test_layers_above_the_letters_lie_in_the_tail(toy, h56):
 
 def test_apply_matches_product_of_images(h56, toy, verified):
     maps = list(verified.values())
-    maps.append(mo.compose(verified["x_singer_generator"], verified["twist_conjugation"]))
     maps += [mo.extend(gmap) for gmap in mo.toy_catalog(toy).values()]
     for k, f in enumerate(maps):
         for w in _sample_words(f.group, 40 + k):
@@ -101,21 +125,32 @@ def test_extend_is_homomorphism_on_random_products(h56, verified):
             assert f.apply(h56.multiply(u, v)) == h56.multiply(f.apply(u), f.apply(v))
 
 
-def test_identity_and_apply(h56):
-    ident = mo.identity_automorphism(h56)
-    rng = random.Random(32)
-    for _ in range(20):
-        u = rng.getrandbits(56)
-        assert ident.apply(u) == u
-    assert ident.is_identity()
-
-
 def test_named_map_orders(verified):
     assert mo.automorphism_order(verified["x_singer_generator"]) == 15
     assert mo.automorphism_order(verified["y_singer_generator"]) == 15
     assert mo.automorphism_order(verified["x_companion_cycle"]) == 5
     assert mo.automorphism_order(verified["y_companion_cycle"]) == 5
     assert mo.automorphism_order(verified["twist_conjugation"]) == 8
+
+
+def test_order_matches_full_image_compose_loop(toy, verified):
+    maps = list(verified.values()) + [mo.extend(gmap) for gmap in mo.toy_catalog(toy).values()]
+    for f in maps:
+        assert mo.automorphism_order(f) == full_order(f)
+
+
+def test_order_past_cap_raises(verified):
+    f = verified["x_singer_generator"]
+    assert mo.automorphism_order(f, cap=15) == 15
+    with pytest.raises(mo.ClosureBudgetExceeded):
+        mo.automorphism_order(f, cap=14)
+
+
+def test_letter_power_matches_full_image_power(verified):
+    for f in verified.values():
+        order = full_order(f)
+        for e in range(2 * order):
+            assert mo.letter_power(f, e) == full_power(f, e)[: 2 * f.group.meta.n]
 
 
 def test_twist_conjugation_matches_rho(h56, verified):
@@ -131,20 +166,10 @@ def test_singer_powers_relate_to_companions(verified):
     # the cube of each singer generator is the inverse companion cycle
     a1 = verified["x_singer_generator"]
     b1 = verified["x_companion_cycle"]
-    assert mo.aut_power(a1, 3) == mo.aut_power(b1, 4)
+    assert mo.letter_power(a1, 3) == mo.letter_power(b1, 4)
     a2 = verified["y_singer_generator"]
     b2 = verified["y_companion_cycle"]
-    assert mo.aut_power(a2, 3) == mo.aut_power(b2, 4)
-
-
-def test_compose_against_pointwise(h56, verified):
-    f = verified["x_singer_generator"]
-    g = verified["twist_conjugation"]
-    fg = mo.compose(f, g)
-    rng = random.Random(34)
-    for _ in range(30):
-        u = rng.getrandbits(56)
-        assert fg.apply(u) == g.apply(f.apply(u))
+    assert mo.letter_power(a2, 3) == mo.letter_power(b2, 4)
 
 
 def test_twist_conjugation_check(verified):
@@ -155,6 +180,23 @@ def test_twist_conjugation_check(verified):
     assert not mo.twist_conjugation_check(
         verified["y_singer_generator"], verified["x_singer_generator"], verified["twist_conjugation"]
     )
+
+
+def test_twist_check_matches_full_image_conjugation(verified):
+    # the reference conjugates on all generator images: a^rho is rho^-1,
+    # then a, then rho, with rho^-1 the power rho**(order - 1)
+    maps = list(verified.values())
+    agree = []
+    for rho in maps:
+        rho_inv = full_power(rho, full_order(rho) - 1)
+        for a in maps:
+            a_conj = full_compose(full_compose(rho_inv, a), rho)
+            for b in maps:
+                b_conj = full_compose(full_compose(rho_inv, b), rho)
+                want = a_conj == b.full_images and b_conj == full_compose(a.full_images, a)
+                assert mo.twist_conjugation_check(a, b, rho) == want
+                agree.append(want)
+    assert len(agree) == 125 and any(agree)
 
 
 def test_negative_maps_rejected(named):

@@ -554,7 +554,7 @@ def p59_survivors(p59):
     out = []
     for _ in range(5):
         level = se.descend(p59, level, se.SearchConfig())
-        out.extend(pc.Subgroup(p59, rows, canonical=True) for rows in level.survivors)
+        out.extend(pc.Subgroup(p59, rows) for rows in level.survivors)
     assert len(out) == 2 + 2 + 12 + 48 + 128
     return out
 
@@ -636,7 +636,7 @@ def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
     member list of each of its kernels."""
     rng = random.Random(17)
     spans = {}
-    full = pc.Subgroup(p59, [1 << t for t in range(p59.n)], canonical=True)
+    full = pc.Subgroup(p59, [1 << t for t in range(p59.n)])
     for s in [full] + p59_survivors:
         assert_fast_loops_match_references(p59, s, rng, spans)
 
@@ -665,7 +665,7 @@ VERBAL_SHA256 = {
 
 
 def test_derived_and_frattini_members_are_pinned(toy, h56, p59, p59_survivors):
-    cases = {g.label: [pc.Subgroup(g, [1 << t for t in range(g.n)], canonical=True)] for g in (toy, h56, p59)}
+    cases = {g.label: [pc.Subgroup(g, [1 << t for t in range(g.n)])] for g in (toy, h56, p59)}
     cases["p59 survivors of levels 1-3"] = p59_survivors[:16]
     for name, subgroups in cases.items():
         group = subgroups[0].group

@@ -44,7 +44,7 @@ def test_level1_counts(level1):
 def test_level1_survivor_invariants(p59, stab, level1):
     phi_top = frattini(p59, se.full_group(p59))
     for rows, meet_rows in zip(level1.survivors, level1.meets):
-        sub = Subgroup(p59, rows, canonical=True)
+        sub = Subgroup(p59, rows)
         assert sub.order_log == 58
         assert all(sub.contains(m) for m in phi_top.members)
         meet = Subgroup(p59, meet_rows)
@@ -55,7 +55,7 @@ def test_level1_survivor_invariants(p59, stab, level1):
 
 
 def test_level1_survivors_are_distinct(p59, level1):
-    a, b = (Subgroup(p59, rows, canonical=True) for rows in level1.survivors)
+    a, b = (Subgroup(p59, rows) for rows in level1.survivors)
     assert a.digest() != b.digest()
     assert not (all(a.contains(m) for m in b.members) and all(b.contains(m) for m in a.members))
 
@@ -71,7 +71,7 @@ def test_trivial_stab_keeps_the_lattice(p59):
     # filter keeps every maximal subgroup: the lattice itself is not what
     # empties the real run
     cfg = se.SearchConfig(levels=1)
-    rep = se.run_search(p59, cfg, stab=Subgroup(p59, [], canonical=True))
+    rep = se.run_search(p59, cfg, stab=Subgroup(p59, []))
     assert rep.survivor_counts == [3]
     assert not rep.no_regular_subgroup
 
@@ -104,7 +104,7 @@ def test_toy_descent_finds_regular_subgroups(toy, toy_stab):
     )
     assert y_and_derived.order_log == 6
     assert y_and_derived.digest() in {
-        Subgroup(toy, rows, canonical=True).digest() for rows in rep.final_survivors
+        Subgroup(toy, rows).digest() for rows in rep.final_survivors
     }
 
 
@@ -119,7 +119,7 @@ def test_toy_descent_matches_brute_filter(toy, toy_stab):
     for mx in maximal_subgroups(toy, full):
         meet = sum(1 for w in toy_stab.elements() if mx.contains(w))
         if meet == 2:
-            keep.append(mx.canonicalize().members)
+            keep.append(mx.digest())
     assert sorted(keep) == sorted(rep.final_survivors)
 
 
@@ -201,7 +201,7 @@ def test_resume_rejects_malformed_rows(tmp_path, toy, toy_stab):
     # a subgroup of index 2 whose members are not canonical: fold the
     # last member into the first
     folded = (toy.multiply(good[0], good[-1]),) + good[1:]
-    assert Subgroup(toy, folded).canonicalize().members == good
+    assert Subgroup(toy, folded).digest() == good
     bad_rows = {
         "duplicate": [good, good],
         "canonical": [folded],
