@@ -5,9 +5,10 @@ is nilpotent of class 3, and has exponent-2 layers:
 
   layer 1   x-bits (n) and y-bits (n)
   layer 2   c_{ij} = [x_i, y_j]                       (n*n bits)
-  layer 3   [[x_i,y_j], x_k] with i < k, and
-            [[x_i,y_j], y_l] with j < l               (2n * C(n,2) bits)
+  layer 3   [[x_i,y_j], x_k] with i < k, j-major, then
+            [[x_i,y_j], y_l] with j < l, i-major      (2n * C(n,2) bits)
 
+_d_columns(n) is that layer-3 column list, and the only statement of it.
 Layer-3 identities used throughout: [[x_i,y_j],x_i] = [[x_i,y_j],y_j] = 1,
 [[x_i,y_j],x_k] = [[x_k,y_j],x_i] and [[x_i,y_j],y_l] = [[x_i,y_l],y_j].
 Elements are packed ints: a-bits, then b-bits (the y exponents), then the
@@ -15,7 +16,9 @@ c layer row-major, then whatever survives of layer 3 after reduction.
 
 F(4) itself (free_group), h56 and toy2 are layered pc presentations:
 quotients of F(n) by a subspace of the central layer 3, whose complement
-coordinates are their layer-3 generators.  The reduced conjugates
+coordinates are their layer-3 generators.  For h56 that subspace is
+relation_space(), the reduced echelon basis of the twist orbit of the
+two defining relations; toy2 kills all of layer 3.  The reduced conjugates
 [[x_i,y_j],x_k] and [[x_i,y_j],y_l] fill both the conj table and the
 closed-form multiply's tables.
 
@@ -56,11 +59,9 @@ from .gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tab
 from .pcgroup import PcPresentation
 
 __all__ = [
-    "NonCentralRelation",
     "free_group",
     "parse_word",
     "expand_relations",
-    "RelationSpace",
     "relation_space",
     "build_h56",
     "build_p59",
@@ -76,59 +77,17 @@ SIG = (1, 3, 0, 2)
 TWIST_LETTERS = tuple(1 << (4 + i) for i in range(4)) + tuple(1 << s for s in SIG)
 
 
-class NonCentralRelation(ValueError):
-    """A relation expected to be central had support below layer 3."""
-
-
-# ── index bookkeeping ───────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Bit layout of the layered structure on n+n generators."""
-
-    n: int
-    npairs: int
-    c_dim: int
-    d_dim: int
-    pairs: Tuple[Tuple[int, int], ...]
-    pair_idx: Dict[Tuple[int, int], int]
-
-    def dx_index(self, i: int, j: int, k: int) -> Optional[int]:
-        """Coordinate of [[x_i,y_j],x_k]; None when it collapses (i == k)."""
-        if i == k:
-            return None
-        p = self.pair_idx[(i, k) if i < k else (k, i)]
-        return j * self.npairs + p
-
-    def dy_index(self, i: int, j: int, l: int) -> Optional[int]:
-        if j == l:
-            return None
-        p = self.pair_idx[(j, l) if j < l else (l, j)]
-        return self.n * self.npairs + i * self.npairs + p
-
-    def d_describe(self, col: int) -> Tuple[str, int, int, int]:
-        """Inverse of dx/dy_index: ('x', i, j, k) or ('y', i, j, l), 0-based."""
-        half = self.n * self.npairs
-        if col < half:
-            j, p = divmod(col, self.npairs)
-            i, k = self.pairs[p]
-            return ("x", i, j, k)
-        i, p = divmod(col - half, self.npairs)
-        j, l = self.pairs[p]
-        return ("y", i, j, l)
+# ── layer-3 coordinates ─────────────────────────────────────────────────────
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    pairs = tuple((p, q) for p in range(n) for q in range(p + 1, n))
-    return _Layout(
-        n=n,
-        npairs=len(pairs),
-        c_dim=n * n,
-        d_dim=2 * n * len(pairs),
-        pairs=pairs,
-        pair_idx={pq: t for t, pq in enumerate(pairs)},
+def _d_columns(n: int) -> Tuple[Tuple[str, int, int, int], ...]:
+    """The layer-3 coordinates of F(n) in column order, 0-based: first
+    [[x_i,y_j],x_k] as ('x', i, j, k) with i < k, j-major over the pairs,
+    then [[x_i,y_j],y_l] as ('y', i, j, l) with j < l, i-major."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return tuple(("x", i, j, k) for j in range(n) for i, k in pairs) + tuple(
+        ("y", i, j, l) for i in range(n) for j, l in pairs
     )
 
 
@@ -221,8 +180,8 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
 def free_group() -> PcPresentation:
     """F(4) as a layered pc presentation: no relations, 72 generators.
 
-    Words pack as a | b << 4 | c << 8 | d << 24, with the d bits in the
-    layer-3 coordinates of _Layout.dx_index and dy_index.
+    Words pack as a | b << 4 | c << 8 | d << 24, with the 48 d bits in
+    the layer-3 column order of _d_columns(4), all of which it keeps.
     """
     return _layered_presentation(4, (), "F4")
 
@@ -277,7 +236,7 @@ def expand_relations() -> List[int]:
 
         diff = f.multiply(side(left), f.inverse(side(right)))
         if diff & ((1 << d_off) - 1):
-            raise NonCentralRelation("relation difference not in layer 3")
+            raise AssertionError("relation difference not in layer 3")
         rows.append(diff >> d_off)
     return rows
 
@@ -285,20 +244,12 @@ def expand_relations() -> List[int]:
 # ── relation subspace ───────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class RelationSpace:
-    """Echelonized span of the twist-orbit of the defining relations."""
-
-    basis: Tuple[int, ...]
-    pivots: Tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
 @lru_cache(maxsize=None)
-def relation_space() -> RelationSpace:
+def relation_space() -> Tuple[int, ...]:
+    """The span of the twist orbit of the defining relations, as its
+    reduced echelon basis in layer-3 coordinates: the pivot of a row is
+    its lowest bit (lowbit_index), pivots strictly increase, and each is
+    cleared in every other row."""
     f = free_group()
     d_off = f.meta.d_off
     twist = sliced_tables([w >> d_off for w in generator_images(f, TWIST_LETTERS)[d_off:]], 4)
@@ -310,8 +261,7 @@ def relation_space() -> RelationSpace:
             v = sliced_apply(twist, v, 4)
         if v != row:
             raise AssertionError("twist on layer 3 does not have order dividing 8")
-    basis, pivots = echelon_ints(rows)
-    return RelationSpace(tuple(basis), tuple(pivots))
+    return tuple(echelon_ints(rows)[0])
 
 
 # ── pc presentation builders ────────────────────────────────────────────────
@@ -336,10 +286,11 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
     [[x_i,y_j],y_l], cell = n*i + j, and 0 where the bracket collapses.
     They make the conj table's c-layer entries and the multiply's tables.
     """
-    lay = _layout(n)
+    cols = _d_columns(n)
+    col_of = {desc: c for c, desc in enumerate(cols)}
     basis, pivots = echelon_ints(list(relation_rows))
     piv_set = set(pivots)
-    d_cols = tuple(c for c in range(lay.d_dim) if c not in piv_set)
+    d_cols = tuple(c for c in range(len(cols)) if c not in piv_set)
     col_pos = {c: t for t, c in enumerate(d_cols)}
 
     def reduce_full(mask: int) -> int:
@@ -351,17 +302,25 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
             res ^= low
         return out
 
-    ngen = 2 * n + lay.c_dim + len(d_cols)
+    def bracket(kind: str, i: int, j: int, k: int) -> int:
+        # [[x_i,y_j],x_k] = [[x_k,y_j],x_i] and [[x_i,y_j],y_l] = [[x_i,y_l],y_j];
+        # a bracket with no column (i == k, or j == l) collapses to 0
+        key = ("x", min(i, k), j, max(i, k)) if kind == "x" else ("y", i, min(j, k), max(j, k))
+        c = col_of.get(key)
+        return 0 if c is None else reduce_full(1 << c)
+
+    c_dim = n * n
+    ngen = 2 * n + c_dim + len(d_cols)
     c_off = 2 * n
-    d_off = c_off + lay.c_dim
-    cells = [divmod(cell, n) for cell in range(lay.c_dim)]
-    ax = [[0 if i == k else reduce_full(1 << lay.dx_index(i, j, k)) for i, j in cells] for k in range(n)]
-    by = [[0 if j == l else reduce_full(1 << lay.dy_index(i, j, l)) for i, j in cells] for l in range(n)]
+    d_off = c_off + c_dim
+    cells = [divmod(cell, n) for cell in range(c_dim)]
+    ax = [[bracket("x", i, j, k) for i, j in cells] for k in range(n)]
+    by = [[bracket("y", i, j, l) for i, j in cells] for l in range(n)]
     # y_j ** x_i = y_j * c_ij
     conj: Dict[Tuple[int, int], int] = {
         (n + j, i): (1 << (n + j)) | (1 << (c_off + cell)) for cell, (i, j) in enumerate(cells)
     }
-    for cell in range(lay.c_dim):
+    for cell in range(c_dim):
         cg = c_off + cell
         for k in range(n):
             if ax[k][cell]:
@@ -370,12 +329,8 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
                 conj[(cg, n + k)] = (1 << cg) | (by[k][cell] << d_off)
     names = [f"x{i+1}" for i in range(n)] + [f"y{j+1}" for j in range(n)]
     names += [f"c{i+1}{j+1}" for i in range(n) for j in range(n)]
-    d_desc = tuple(lay.d_describe(c) for c in d_cols)
-    for kind, i, j, k in d_desc:
-        if kind == "x":
-            names.append(f"d_x{i+1}y{j+1}x{k+1}")
-        else:
-            names.append(f"d_x{i+1}y{j+1}y{k+1}")
+    d_desc = tuple(cols[c] for c in d_cols)
+    names += [f"d_x{i+1}y{j+1}{kind}{k+1}" for kind, i, j, k in d_desc]
     meta = LayeredMeta(n=n, d_desc=d_desc)
     mul = _make_mul(n, ax, by)
 
@@ -398,15 +353,12 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
 
 def build_h56() -> PcPresentation:
     """The mixed-dihedral quotient of F(4): order 2**56."""
-    rel = relation_space()
-    return _layered_presentation(4, rel.basis, "h56")
+    return _layered_presentation(4, relation_space(), "h56")
 
 
 def build_toy() -> PcPresentation:
     """The 2+2 analogue with all of layer 3 killed: order 2**8, class 2."""
-    lay = _layout(2)
-    rows = [1 << t for t in range(lay.d_dim)]
-    return _layered_presentation(2, rows, "toy2")
+    return _layered_presentation(2, [1 << t for t in range(len(_d_columns(2)))], "toy2")
 
 
 # ── letter maps, automorphism tables, conjugation by the twist ──────────────

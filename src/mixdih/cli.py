@@ -422,8 +422,8 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
 
     def arc_counts():
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts).maps
-        with_auts = gr.two_arc_orbit_count(sigma, gr.ActionGens(translations.maps + aut_maps))
+        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
+        with_auts = gr.two_arc_orbit_count(sigma, translations + aut_maps)
         translations_only = gr.two_arc_orbit_count(sigma, translations)
         return [with_auts, translations_only > 1]
 

@@ -159,14 +159,12 @@ def make_graph(
 # ── vertex actions ───────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class ActionGens:
-    """Adjacency-preserving vertex permutations, as image tuples."""
-
-    maps: Tuple[Tuple[int, ...], ...]
+Perms = Tuple[Tuple[int, ...], ...]
 
 
-def action_gens(graph: SimpleGraph, perms: Iterable[Sequence[int]]) -> ActionGens:
+def action_gens(graph: SimpleGraph, perms: Iterable[Sequence[int]]) -> Perms:
+    """The perms as image tuples, each checked to be a permutation of the
+    vertex set that preserves adjacency; ValueError otherwise."""
     v = graph.vertex_count
     checked = []
     for p in perms:
@@ -177,7 +175,7 @@ def action_gens(graph: SimpleGraph, perms: Iterable[Sequence[int]]) -> ActionGen
             if {p[w] for w in row} != set(graph.neighbors[p[u]]):
                 raise ValueError("permutation does not preserve adjacency")
         checked.append(p)
-    return ActionGens(tuple(checked))
+    return tuple(checked)
 
 
 # ── constructions ────────────────────────────────────────────────────────────
@@ -371,13 +369,13 @@ def _orbits(points: Sequence[Hashable], images: Callable[[Hashable], List[Hashab
     return out
 
 
-def vertex_orbits(g: SimpleGraph, a: ActionGens) -> List[List[int]]:
+def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
     """Orbits of the generated group on vertices, each sorted, in the order
     of their least vertex.  ValueError when a map leaves the vertex set."""
-    return [sorted(o) for o in _orbits(range(g.vertex_count), lambda u: [p[u] for p in a.maps])]
+    return [sorted(o) for o in _orbits(range(g.vertex_count), lambda u: [p[u] for p in a])]
 
 
-def two_arc_orbit_count(g: SimpleGraph, a: ActionGens) -> int:
+def two_arc_orbit_count(g: SimpleGraph, a: Perms) -> int:
     """Orbits of the generated group on ordered paths (u, v, w), u != w.
     ValueError when a map sends a 2-arc to a non-arc."""
     arcs = [
@@ -387,10 +385,10 @@ def two_arc_orbit_count(g: SimpleGraph, a: ActionGens) -> int:
         for w in g.neighbors[v]
         if w != u
     ]
-    return len(_orbits(arcs, lambda arc: [tuple(p[x] for x in arc) for p in a.maps]))
+    return len(_orbits(arcs, lambda arc: [tuple(p[x] for x in arc) for p in a]))
 
 
-def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bool:
+def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
     """True iff the action is transitive on edges and |E| matches the order.
 
     Transitivity with |E| equal to the acting group's order pins the edge
@@ -405,7 +403,7 @@ def edge_regular_check(g: SimpleGraph, a: ActionGens, expected_order: int) -> bo
 
     def images(edge):
         u, w = edge
-        return [(min(p[u], p[w]), max(p[u], p[w])) for p in a.maps]
+        return [(min(p[u], p[w]), max(p[u], p[w])) for p in a]
 
     return len(_orbits(edge_list, images)) == 1
 
@@ -426,7 +424,7 @@ def bicoset_translations(
     ysub: Subgroup,
     graph: SimpleGraph,
     elements: Iterable[int],
-) -> ActionGens:
+) -> Perms:
     """Right translations on coset vertices of a bicoset graph."""
     mul = group.multiply
     index = graph.label_index
@@ -447,7 +445,7 @@ def bicoset_automorphism_action(
     ysub: Subgroup,
     graph: SimpleGraph,
     auts: Iterable,
-) -> ActionGens:
+) -> Perms:
     """Coset action of verified automorphisms that permute the two blocks."""
     index = graph.label_index
     sides = [_parse_side_label(s) for s in graph.labels]

@@ -361,14 +361,6 @@ class Subgroup:
             elems = elems + [mul(m, e) for e in elems]
         return elems
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.group is other.group and self.digest() == other.digest()
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.digest()))
-
     def __repr__(self) -> str:
         return f"Subgroup(order=2^{len(self.members)} of {self.group.label or 'anon'})"
 

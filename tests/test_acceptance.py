@@ -202,8 +202,8 @@ def test_09_toy_graph_suite(toy):
         assert all(quo.graph.has_edge(u, w) for u in xs for w in ys)
 
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts).maps
-        acts = gr.ActionGens(translations.maps + aut_maps)
+        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
+        acts = translations + aut_maps
         assert gr.two_arc_orbit_count(sigma, acts) == 1
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import morphisms as mo
-from mixdih.gf2linalg import reduce_by_echelon, sliced_apply
+from mixdih.gf2linalg import lowbit_index, reduce_by_echelon, sliced_apply
 from mixdih.pcgroup import consistency_check
 
 
@@ -88,8 +88,17 @@ def oracle_normal_form(letters):
     return word
 
 
+def d_col(kind, i, j, k):
+    """The F(4) column of [[x_i,y_j],x_k] (kind 'x') or [[x_i,y_j],y_k]
+    (kind 'y'), read from free_group's layer-3 descriptors, which keep
+    all 48 columns, after [[x_i,y_j],x_k] = [[x_k,y_j],x_i] and
+    [[x_i,y_j],y_l] = [[x_i,y_l],y_j]; None where the bracket collapses."""
+    key = ("x", min(i, k), j, max(i, k)) if kind == "x" else ("y", i, min(j, k), max(j, k))
+    cols = ca.free_group().meta.d_desc
+    return cols.index(key) if key in cols else None
+
+
 def oracle_to_layered(word):
-    lay = ca._layout(4)
     a = b = c = d = 0
     for sym in word:
         if sym[0] == "x":
@@ -99,9 +108,9 @@ def oracle_to_layered(word):
         elif sym[0] == "c":
             c ^= 1 << (4 * sym[1] + sym[2])
         elif sym[0] == "dx":
-            d ^= 1 << lay.dx_index(sym[1], sym[2], sym[3])
+            d ^= 1 << d_col("x", sym[1], sym[2], sym[3])
         else:
-            d ^= 1 << lay.dy_index(sym[1], sym[2], sym[3])
+            d ^= 1 << d_col("y", sym[1], sym[2], sym[3])
     return pack(a, b, c, d)
 
 
@@ -226,24 +235,23 @@ HandTwist = namedtuple("HandTwist", "perm1 perm2 perm3")
 
 
 def oracle_r_action():
-    lay = ca._layout(4)
     n = 4
     perm1 = tuple(list(range(n, 2 * n)) + [ca.SIG[i] for i in range(n)])
     # c_{ij} = [x_i, y_j] -> [y_i, x_{sigma(j)}] = c_{sigma(j), i}^-1 = c_{sigma(j), i}
-    perm2 = [0] * lay.c_dim
+    perm2 = [0] * (n * n)
     for i in range(n):
         for j in range(n):
             perm2[n * i + j] = n * ca.SIG[j] + i
-    perm3 = [0] * lay.d_dim
-    for col in range(lay.d_dim):
-        kind, i, j, k = lay.d_describe(col)
+    cols = ca.free_group().meta.d_desc
+    perm3 = [0] * len(cols)
+    for col, (kind, i, j, k) in enumerate(cols):
         if kind == "x":
             # [[x_i,y_j],x_k] -> [[y_i,x_sj],y_k] = [[x_sj,y_i],y_k]^-1 ...
             # which rewrites to the dy coordinate of (sigma j; i, k)
-            img = lay.dy_index(ca.SIG[j], i, k)
+            img = d_col("y", ca.SIG[j], i, k)
         else:
             # [[x_i,y_j],y_l] -> [[y_i,x_sj],x_sl] = [[x_sj,y_i],x_sl]
-            img = lay.dx_index(ca.SIG[j], i, ca.SIG[k])
+            img = d_col("x", ca.SIG[j], i, ca.SIG[k])
         assert img is not None
         perm3[col] = img
     return HandTwist(perm1, tuple(perm2), tuple(perm3))
@@ -297,12 +305,14 @@ def test_rho_generator_images_match_hand_derivation(h56):
     # on h56 a d image is the reduction of the lifted image modulo the
     # relation space, in the coordinates of the surviving columns
     act = oracle_r_action()
-    rel = ca.relation_space()
-    d_cols = [col for col in range(48) if col not in rel.pivots]
-    assert [ca._layout(4).d_describe(col) for col in d_cols] == list(h56.meta.d_desc)
+    basis = ca.relation_space()
+    pivots = [lowbit_index(r) for r in basis]
+    cols = ca.free_group().meta.d_desc
+    d_cols = [col for col in range(48) if col not in pivots]
+    assert [cols[col] for col in d_cols] == list(h56.meta.d_desc)
 
     def reduce_full(mask):
-        res = reduce_by_echelon(mask, list(rel.basis), list(rel.pivots))
+        res = reduce_by_echelon(mask, basis, pivots)
         return sum(1 << t for t, col in enumerate(d_cols) if res >> col & 1)
 
     d_off = h56.meta.d_off
@@ -369,9 +379,14 @@ def test_relation_rows_are_central_and_nonzero():
 
 
 def test_relation_space_rank_16_by_span_enumeration():
-    rel = ca.relation_space()
-    rows = rel.basis
-    assert rel.rank == 16
+    rows = ca.relation_space()
+    assert len(rows) == 16
+    # the basis is reduced echelon: each row's pivot is its lowest bit,
+    # the pivots strictly increase, and each is cleared in every other row
+    pivots = [lowbit_index(r) for r in rows]
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for p, r in zip(pivots, rows):
+        assert all(s >> p & 1 == 0 for s in rows if s != r)
     # independent oracle: the XOR-span really has 2^16 distinct vectors
     span = {0}
     for r in rows:
@@ -384,13 +399,13 @@ def test_relation_space_rank_16_by_span_enumeration():
 
 
 def test_relation_space_contains_relation_orbit():
-    rel = ca.relation_space()
+    basis = ca.relation_space()
+    pivots = [lowbit_index(r) for r in basis]
     act = oracle_r_action()
-    basis = rel.basis
     for row in ca.expand_relations():
         v = row
         for _ in range(8):
-            assert reduce_by_echelon(v, basis, list(rel.pivots)) == 0
+            assert reduce_by_echelon(v, basis, pivots) == 0
             v = apply_perm(v, act.perm3)
 
 
