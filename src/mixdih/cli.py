@@ -623,7 +623,7 @@ def cmd_search(args) -> int:
         print(f"bad checkpoint: {exc}", file=sys.stderr)
         return 66
     print(f"survivors per level: {rep.survivor_counts}")
-    print(f"wall seconds: {rep.wall_seconds:.1f}")
+    print(f"wall seconds: {rep.wall_seconds:.2f}")
     if rep.no_regular_subgroup:
         print("verdict: no regular subgroup")
         return 0

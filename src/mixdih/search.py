@@ -26,23 +26,28 @@ and has index 2 in the old meet by construction.
 Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
 and tail members, and survivors of one level share a few dozen such
-spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  descend gives each
-level a fresh memo of those spans, each held as the reduced echelon
-form of its coordinates (pcgroup.relation_rows), so a survivor that
-hits the memo reduces only its top rows; forked workers each fill their
-own copy, and nothing is kept across levels.
+spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  Each level gets a
+fresh memo of those spans, each held as the reduced echelon form of its
+coordinates (pcgroup.relation_rows), so a survivor that hits the memo
+reduces only its top rows.  Every process keeps its own memo, and starts
+a new one when it is handed a survivor of a new level; a level-d
+survivor has n - d members, so no key could be shared between levels.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
 per-level expansion is an independent map over survivors; with more
-than one worker it runs on a forked process pool and the dedup map is
-merged in submission order, so counts do not depend on the worker
-count.
+than one worker, run_search forks one process pool before its first
+level, maps every level with more than one survivor onto it, and joins
+it before returning or raising.  Each task carries its level's required
+meet log, so the workers need nothing from the parent past the fork.
+The dedup map is merged in submission order, so counts do not depend on
+the worker count.
 """
 
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -150,14 +155,38 @@ def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
 # ── one descent step ─────────────────────────────────────────────────────────
 
 
+# What _expand_one reads, in this process and in each forked worker: the
+# group, and the member count and tail-block memo of the level it is on.
 _FORK: Dict[str, object] = {}
 
+# The pool of the run_search in progress, and the group it was forked for.
+_RUN: Dict[str, object] = {}
 
-def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]]]:
+
+def _start_worker(group: PcPresentation) -> None:
+    _FORK.clear()
+    _FORK["group"] = group
+
+
+@contextmanager
+def _worker_pool(group: PcPresentation, workers: int):
+    """A fork pool of `workers` processes expanding survivors of `group`,
+    terminated and joined when the block ends, also on an exception."""
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (group,))
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def _expand_one(payload: Tuple[int, Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]]]:
     """Expand one survivor: filtered maximal subgroups plus their meets."""
     group: PcPresentation = _FORK["group"]
-    req: int = _FORK["req"]
-    rows, meet_rows = payload
+    req, rows, meet_rows = payload
+    if _FORK.get("members") != len(rows):  # the first survivor of a level
+        _FORK["members"] = len(rows)
+        _FORK["spans"] = {}
     m = Subgroup(group, rows)
     homs = c2_homomorphisms(group, m, _FORK["spans"])
     # the meet must halve (one step above the requirement) or persist
@@ -178,18 +207,23 @@ def _expand_one(payload: Tuple[Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]
 
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
     """All maximal subgroups of the survivors whose stabilizer meet drops
-    to the next required order, deduplicated by canonical IGS."""
+    to the next required order, deduplicated by canonical IGS.
+
+    A level with more than one survivor, under more than one worker, is
+    expanded on the pool of the run_search in progress, or, called
+    outside a run, on a pool forked for this level alone.  Otherwise it
+    is expanded in this process, with a fresh tail-block memo."""
     req = level.required_meet_log - 1 if level.required_meet_log > 0 else 0
-    _FORK["group"] = group
-    _FORK["req"] = req
-    _FORK["spans"] = {}
-    payload = list(zip(level.survivors, level.meets))
+    payload = [(req, rows, meet_rows) for rows, meet_rows in zip(level.survivors, level.meets)]
     workers = config.worker_count()
     if workers > 1 and len(payload) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_expand_one, payload, chunksize=1)
+        if _RUN.get("group") is group:
+            results = _RUN["pool"].map(_expand_one, payload, chunksize=1)
+        else:
+            with _worker_pool(group, workers) as pool:
+                results = pool.map(_expand_one, payload, chunksize=1)
     else:
+        _FORK.update(group=group, members=None)
         results = [_expand_one(item) for item in payload]
     new: Dict[Rows, Rows] = {}
     candidates = 0
@@ -207,6 +241,21 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
         meets=list(new.values()),
         candidates=candidates,
     )
+
+
+@contextmanager
+def _run_pool(group: PcPresentation, workers: int):
+    """Make a pool of `workers` the one descend uses for `group` until the
+    block ends; a single worker needs none."""
+    if workers < 2:
+        yield
+        return
+    with _worker_pool(group, workers) as pool:
+        _RUN.update(group=group, pool=pool)
+        try:
+            yield
+        finally:
+            _RUN.clear()
 
 
 # ── checkpoints ──────────────────────────────────────────────────────────────
@@ -300,19 +349,21 @@ def run_search(
     else:
         level = root_level(p, stab)
     report = SearchReport(stab_order_log=stab.order_log, start_depth=level.depth)
-    while level.depth < config.levels:
-        level = descend(p, level, config)
-        report.required_meet_logs.append(level.required_meet_log)
-        report.survivor_counts.append(len(level.survivors))
-        report.candidate_counts.append(level.candidates)
-        if config.log:
-            config.log(
-                f"depth {level.depth}: {len(level.survivors)} survivors "
-                f"of {level.candidates} candidates (meet 2^{level.required_meet_log}) "
-                f"{time.perf_counter() - t0:.2f}s"
-            )
-        if config.checkpoint_path:
-            write_checkpoint(config.checkpoint_path, level)
+    workers = config.worker_count() if level.depth < config.levels else 1
+    with _run_pool(p, workers):
+        while level.depth < config.levels:
+            level = descend(p, level, config)
+            report.required_meet_logs.append(level.required_meet_log)
+            report.survivor_counts.append(len(level.survivors))
+            report.candidate_counts.append(level.candidates)
+            if config.log:
+                config.log(
+                    f"depth {level.depth}: {len(level.survivors)} survivors "
+                    f"of {level.candidates} candidates (meet 2^{level.required_meet_log}) "
+                    f"{time.perf_counter() - t0:.2f}s"
+                )
+            if config.checkpoint_path:
+                write_checkpoint(config.checkpoint_path, level)
     report.final_survivors = list(level.survivors)
     report.wall_seconds = time.perf_counter() - t0
     report.no_regular_subgroup = level.depth == config.levels and not level.survivors

@@ -222,6 +222,8 @@ def test_search_progress_lines_show_elapsed_seconds(capsys):
     assert main(["search", "--levels", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"depth 1: 2 survivors of 3 candidates \(meet 2\^5\) \d+\.\d\ds", lines[0])
+    # a descent of a few tenths of a second must not read as 0.2
+    assert re.fullmatch(r"wall seconds: \d+\.\d\d", lines[-1])
 
 
 def test_search_budget_abort():

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import random
 
 import pytest
@@ -313,6 +314,67 @@ def test_parallel_matches_serial_on_p59(p59, counted_descent):
         assert (level.depth, level.required_meet_log) == (serial.depth, serial.required_meet_log)
         assert (level.survivors, level.meets) == (serial.survivors, serial.meets)
         assert level.candidates == serial.candidates
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool constructed on the fork context, by its arguments."""
+    ctx = multiprocessing.get_context("fork")
+    made = []
+    real = ctx.Pool
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", counted)
+    return made
+
+
+def test_parallel_run_forks_one_pool_and_matches_serial(p59, stab, pools):
+    """run_search forks one pool for the whole run (a pool per level forked
+    five, one for each of levels 2-6) and reaches the serial run's report."""
+    serial = se.run_search(p59, se.SearchConfig(), stab)
+    assert pools == []
+    forked = se.run_search(p59, se.SearchConfig(threads=2), stab)
+    assert len(pools) == 1
+    for name in ("required_meet_logs", "survivor_counts", "candidate_counts", "final_survivors"):
+        assert getattr(forked, name) == getattr(serial, name)
+    assert forked.survivor_counts == [2, 2, 12, 48, 128, 0]
+    assert forked.no_regular_subgroup and serial.no_regular_subgroup
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "settings, error, match",
+    [
+        ({}, None, None),
+        ({"max_survivors": 10}, se.MemoryBudgetExceeded, "at depth 3"),  # 12 survivors there
+        ({"checkpoint_path": "missing/ck.txt"}, OSError, "missing"),
+    ],
+    ids=["return", "budget", "checkpoint"],
+)
+def test_no_worker_outlives_a_run(tmp_path, monkeypatch, p59, stab, pools, settings, error, match):
+    """The run's pool is joined whether the run returns, aborts on its
+    survivor cap mid-descent, or fails to write its first checkpoint."""
+    monkeypatch.chdir(tmp_path)  # which has no directory named missing
+    config = se.SearchConfig(threads=2, **settings)
+    if error is None:
+        assert se.run_search(p59, config, stab).no_regular_subgroup
+    else:
+        with pytest.raises(error, match=match):
+            se.run_search(p59, config, stab)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_run_resumed_at_its_last_level_forks_no_pool(tmp_path, p59, stab, level1, pools):
+    path = tmp_path / "ck.txt"
+    se.write_checkpoint(path, level1)
+    rep = se.run_search(p59, se.SearchConfig(levels=1, resume_path=path, threads=2), stab)
+    assert (rep.start_depth, rep.survivor_counts) == (1, [])
+    assert pools == []
+    assert multiprocessing.active_children() == []
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
