@@ -115,7 +115,6 @@ class PcPresentation:
             raise ValueError("names length != n")
         self.meta = meta
         self.label = label
-        self.order_log = n
         self.multiply = fast_mul if fast_mul is not None else self.collect_multiply
         self._inverse = fast_inv if fast_inv is not None else self.squaring_inverse
         self.tail = self._tail_start()

@@ -35,13 +35,15 @@ survivor has n - d members, so no key could be shared between levels.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
-per-level expansion is an independent map over survivors; with more
-than one worker, run_search forks one process pool before its first
-level, maps every level with more than one survivor onto it, and joins
-it before returning or raising.  Each task carries its level's required
-meet log, so the workers need nothing from the parent past the fork.
-The dedup map is merged in submission order, so counts do not depend on
-the worker count.
+per-level expansion is an independent map over survivors.  With more
+than one worker, run_search forks the one process pool of the run
+before its first level, maps every level with more than one survivor
+onto it, and terminates and joins it before returning or raising; no
+other code forks, and a descend called outside a run always expands
+its level in this process.  Each task carries its level's required meet
+log, so the workers need nothing from the parent past the fork.  The
+dedup map is merged in submission order, so counts do not depend on the
+worker count.
 """
 
 import multiprocessing
@@ -119,7 +121,6 @@ class SearchLevel:
 
 @dataclass
 class SearchReport:
-    stab_order_log: int
     start_depth: int
     required_meet_logs: List[int] = field(default_factory=list)
     survivor_counts: List[int] = field(default_factory=list)
@@ -163,23 +164,6 @@ _FORK: Dict[str, object] = {}
 _RUN: Dict[str, object] = {}
 
 
-def _start_worker(group: PcPresentation) -> None:
-    _FORK.clear()
-    _FORK["group"] = group
-
-
-@contextmanager
-def _worker_pool(group: PcPresentation, workers: int):
-    """A fork pool of `workers` processes expanding survivors of `group`,
-    terminated and joined when the block ends, also on an exception."""
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (group,))
-    try:
-        yield pool
-    finally:
-        pool.terminate()
-        pool.join()
-
-
 def _expand_one(payload: Tuple[int, Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]]]:
     """Expand one survivor: filtered maximal subgroups plus their meets."""
     group: PcPresentation = _FORK["group"]
@@ -209,19 +193,14 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     """All maximal subgroups of the survivors whose stabilizer meet drops
     to the next required order, deduplicated by canonical IGS.
 
-    A level with more than one survivor, under more than one worker, is
-    expanded on the pool of the run_search in progress, or, called
-    outside a run, on a pool forked for this level alone.  Otherwise it
-    is expanded in this process, with a fresh tail-block memo."""
+    A level with more than one survivor is expanded on the pool of the
+    run_search in progress when that pool was forked for `group`.
+    Otherwise, and always when called outside a run, it is expanded in
+    this process, with a fresh tail-block memo."""
     req = level.required_meet_log - 1 if level.required_meet_log > 0 else 0
     payload = [(req, rows, meet_rows) for rows, meet_rows in zip(level.survivors, level.meets)]
-    workers = config.worker_count()
-    if workers > 1 and len(payload) > 1:
-        if _RUN.get("group") is group:
-            results = _RUN["pool"].map(_expand_one, payload, chunksize=1)
-        else:
-            with _worker_pool(group, workers) as pool:
-                results = pool.map(_expand_one, payload, chunksize=1)
+    if _RUN.get("group") is group and len(payload) > 1:
+        results = _RUN["pool"].map(_expand_one, payload, chunksize=1)
     else:
         _FORK.update(group=group, members=None)
         results = [_expand_one(item) for item in payload]
@@ -245,17 +224,22 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
 
 @contextmanager
 def _run_pool(group: PcPresentation, workers: int):
-    """Make a pool of `workers` the one descend uses for `group` until the
-    block ends; a single worker needs none."""
+    """Fork a pool of `workers` processes, which inherit `group` in _FORK,
+    and make it the one descend uses for `group` until the block ends;
+    then terminate and join it, also on an exception.  A single worker
+    needs none."""
     if workers < 2:
         yield
         return
-    with _worker_pool(group, workers) as pool:
-        _RUN.update(group=group, pool=pool)
-        try:
-            yield
-        finally:
-            _RUN.clear()
+    _FORK.update(group=group, members=None)
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    _RUN.update(group=group, pool=pool)
+    try:
+        yield
+    finally:
+        _RUN.clear()
+        pool.terminate()
+        pool.join()
 
 
 # ── checkpoints ──────────────────────────────────────────────────────────────
@@ -348,7 +332,7 @@ def run_search(
         level = _rebuild_level(p, stab, depth, rows_list)
     else:
         level = root_level(p, stab)
-    report = SearchReport(stab_order_log=stab.order_log, start_depth=level.depth)
+    report = SearchReport(start_depth=level.depth)
     workers = config.worker_count() if level.depth < config.levels else 1
     with _run_pool(p, workers):
         while level.depth < config.levels:

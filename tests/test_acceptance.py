@@ -51,8 +51,8 @@ def test_01_group_orders():
         p = build_p59(h)
         assert consistency_check(h) == []
         assert consistency_check(p) == []
-        assert h.n == 56 and h.order_log == 56
-        assert p.n == 59 and p.order_log == 59
+        assert h.n == 56
+        assert p.n == 59
 
 
 def test_02_structure(h56, p59):

@@ -236,7 +236,6 @@ def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
     def fake_run_search(p, config=None, stab=None):
         received.append(config.threads if config else None)
         return se.SearchReport(
-            stab_order_log=6,
             start_depth=0,
             survivor_counts=[2, 2, 12, 48, 128, 0],
             candidate_counts=[3, 6, 14, 84, 336, 896],

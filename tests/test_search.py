@@ -7,7 +7,13 @@ import pytest
 from mixdih import pcgroup as pc
 from mixdih import search as se
 from mixdih.graphs import letter_subgroups
-from mixdih.pcgroup import Subgroup, frattini, small_intersection_order, subgroup_igs
+from mixdih.pcgroup import (
+    Subgroup,
+    frattini,
+    maximal_subgroups,
+    small_intersection_order,
+    subgroup_igs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +87,44 @@ def test_required_meet_sequence(p59, stab):
     level = se.root_level(p59, stab)
     assert level.required_meet_log == 6
     assert [max(6 - k, 0) for k in range(1, 7)] == [5, 4, 3, 2, 1, 0]
+
+
+def _reference_descent(group, stab, levels):
+    """Survivor counts per level and the last level's digests, keeping
+    each maximal subgroup whose stabilizer meet, counted by enumerating
+    the stabilizer, has the required order."""
+    level = {se.full_group(group).digest(): se.full_group(group)}
+    counts = []
+    for k in range(1, levels + 1):
+        need = 1 << max(stab.order_log - k, 0)
+        new = {}
+        for s in level.values():
+            for m in maximal_subgroups(group, s):
+                if small_intersection_order(group, m, stab) == need:
+                    new.setdefault(m.digest(), m)
+        level = new
+        counts.append(len(level))
+    return counts, set(level)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_descent_finds_the_regular_subgroups_of_r(p59, threads):
+    """Positive control on p59 itself: against the cyclic <r> of order 8,
+    a three-level descent must keep every subgroup of index 8 that meets
+    <r> trivially, the normal part H = <g3..g58> among them; a filter that
+    prunes too much would empty the last level, as the real run does."""
+    r = subgroup_igs(p59, [1 << p59.names.index("r")])
+    rep = se.run_search(p59, se.SearchConfig(levels=3, threads=threads), r)
+    assert rep.candidate_counts == [3, 10, 82]
+    assert rep.survivor_counts == [2, 6, 44]
+    assert not rep.no_regular_subgroup
+    final = set(rep.final_survivors)
+    assert subgroup_igs(p59, [1 << i for i in range(3, p59.n)]).digest() in final
+    # <r> is cyclic, so a meet is trivial exactly when it misses r4, its
+    # one involution
+    r4 = 1 << p59.names.index("r4")
+    assert not any(Subgroup(p59, rows).contains(r4) for rows in final)
+    assert _reference_descent(p59, r, 3) == ([2, 6, 44], final)
 
 
 # ── desk-scale runs on the 2+2-letter group ──────────────────────────────────
@@ -262,9 +306,9 @@ RELATION_WORK = {"top_rows": 7_206, "tail_blocks": 55}
 
 
 def _counting(calls, name, fn):
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return counted
 
@@ -305,30 +349,57 @@ def test_relation_work_is_pinned(counted_descent):
     assert counted_descent[2] == RELATION_WORK
 
 
-def test_parallel_matches_serial_on_p59(p59, counted_descent):
-    """Each forked worker fills its own span memo from its share of the
-    survivors; the merged levels equal the serial ones."""
-    level = se.root_level(p59, se.stab_subgroup(p59))
-    for serial in counted_descent[0]:
-        level = se.descend(p59, level, se.SearchConfig(threads=2))
-        assert (level.depth, level.required_meet_log) == (serial.depth, serial.required_meet_log)
-        assert (level.survivors, level.meets) == (serial.survivors, serial.meets)
-        assert level.candidates == serial.candidates
+def _assert_same_levels(got, serial):
+    for level, want in zip(got, serial, strict=True):
+        assert (level.depth, level.required_meet_log) == (want.depth, want.required_meet_log)
+        assert (level.survivors, level.meets) == (want.survivors, want.meets)
+        assert level.candidates == want.candidates
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every pool constructed on the fork context, by its arguments."""
+    """The map, terminate and join calls made on each pool constructed on
+    the fork context, one dict per pool."""
     ctx = multiprocessing.get_context("fork")
     made = []
     real = ctx.Pool
 
     def counted(*args, **kwargs):
-        made.append(args)
-        return real(*args, **kwargs)
+        pool = real(*args, **kwargs)
+        calls = dict.fromkeys(("map", "terminate", "join"), 0)
+        for name in calls:
+            setattr(pool, name, _counting(calls, name, getattr(pool, name)))
+        made.append(calls)
+        return pool
 
     monkeypatch.setattr(ctx, "Pool", counted)
     return made
+
+
+def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent, pools):
+    """A two-worker run maps levels 2-6 (level 1 has a single survivor)
+    onto its pool, each forked worker filling its own span memo from its
+    share of the survivors; the merged levels equal the serial ones."""
+    levels = []
+    descend = se.descend
+
+    def recorded(group, level, config):
+        levels.append(descend(group, level, config))
+        return levels[-1]
+
+    monkeypatch.setattr(se, "descend", recorded)
+    se.run_search(p59, se.SearchConfig(threads=2), stab)
+    _assert_same_levels(levels, counted_descent[0])
+    assert [pool["map"] for pool in pools] == [5]
+
+
+def test_descend_outside_a_run_forks_no_pool(p59, counted_descent, pools):
+    """Only run_search forks; a direct call expands its level in process,
+    whatever its worker count."""
+    serial = counted_descent[0]
+    level = se.descend(p59, serial[2], se.SearchConfig(threads=2))
+    assert pools == []
+    _assert_same_levels([level], [serial[3]])
 
 
 def test_parallel_run_forks_one_pool_and_matches_serial(p59, stab, pools):
@@ -346,17 +417,20 @@ def test_parallel_run_forks_one_pool_and_matches_serial(p59, stab, pools):
 
 
 @pytest.mark.parametrize(
-    "settings, error, match",
+    "settings, error, match, maps",
     [
-        ({}, None, None),
-        ({"max_survivors": 10}, se.MemoryBudgetExceeded, "at depth 3"),  # 12 survivors there
-        ({"checkpoint_path": "missing/ck.txt"}, OSError, "missing"),
+        ({}, None, None, 5),
+        ({"max_survivors": 10}, se.MemoryBudgetExceeded, "at depth 3", 2),  # 12 survivors there
+        ({"checkpoint_path": "missing/ck.txt"}, OSError, "missing", 0),
     ],
     ids=["return", "budget", "checkpoint"],
 )
-def test_no_worker_outlives_a_run(tmp_path, monkeypatch, p59, stab, pools, settings, error, match):
-    """The run's pool is joined whether the run returns, aborts on its
-    survivor cap mid-descent, or fails to write its first checkpoint."""
+def test_no_worker_outlives_a_run(
+    tmp_path, monkeypatch, p59, stab, pools, settings, error, match, maps
+):
+    """The run's pool is terminated and joined once whether the run
+    returns, aborts on its survivor cap mid-descent, or fails to write its
+    first checkpoint."""
     monkeypatch.chdir(tmp_path)  # which has no directory named missing
     config = se.SearchConfig(threads=2, **settings)
     if error is None:
@@ -364,7 +438,7 @@ def test_no_worker_outlives_a_run(tmp_path, monkeypatch, p59, stab, pools, setti
     else:
         with pytest.raises(error, match=match):
             se.run_search(p59, config, stab)
-    assert len(pools) == 1
+    assert pools == [{"map": maps, "terminate": 1, "join": 1}]
     assert multiprocessing.active_children() == []
 
 
