@@ -390,9 +390,9 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     )
     run.add(
         "toy2_incidence_girth",
-        "the coset incidence graph has girth at least 4",
-        True,
-        lambda: sigma.girth() >= 4,
+        "the coset incidence graph has girth 8",
+        8,
+        sigma.girth,
     )
     run.add(
         "toy2_line_graph_correspondence",

@@ -116,23 +116,32 @@ class SimpleGraph:
         a walk of length dist[u]+dist[w]+1 that contains a cycle no longer
         than itself, and every shortest cycle is found exactly from any of
         its own vertices, so the minimum over all starts is the girth.
+
+        Each BFS stops at the first u with 2*dist[u]+1 >= best.  The edges
+        from u and every later vertex close walks of length at least
+        2*dist[u]+1: an edge back to a vertex one level up closes one of
+        length 2*dist[u], but that edge was already seen from its upper
+        end, when u was its neighbor at the next level.  So the cutoff
+        loses no shorter cycle and the result stays exact.
         """
         best: Optional[int] = None
-        for s in range(len(self.labels)):
-            dist = {s: 0}
-            parent = {s: -1}
+        v = len(self.labels)
+        for s in range(v):
+            dist = [-1] * v
+            parent = [-1] * v
+            dist[s] = 0
             queue = [s]
-            head = 0
-            while head < len(queue):
-                u = queue[head]
-                head += 1
+            for u in queue:
+                du = dist[u]
+                if best is not None and 2 * du + 1 >= best:
+                    break
                 for w in self.neighbors[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
+                    if dist[w] < 0:
+                        dist[w] = du + 1
                         parent[w] = u
                         queue.append(w)
                     elif parent[u] != w:
-                        cand = dist[u] + dist[w] + 1
+                        cand = du + dist[w] + 1
                         if best is None or cand < best:
                             best = cand
         return best
@@ -346,25 +355,28 @@ def normal_quotient(g: SimpleGraph, orbits: Sequence[Sequence[int]]) -> NormalQu
 # ── orbit counting ───────────────────────────────────────────────────────────
 
 
-def _orbits(points: Sequence[Hashable], images: Callable[[Hashable], List[Hashable]]) -> List[Set]:
-    """The orbits of images on points, in the order of their first point.
+def _orbits(
+    points: Sequence[Hashable], a: Perms, image: Callable[[Sequence[int], Hashable], Hashable]
+) -> List[Set[int]]:
+    """The orbits of the group generated by a on points, as sets of point
+    numbers (positions in points), in the order of their first point.
 
-    Raises ValueError when an image is not one of the points: the maps
-    do not act on them.
+    image(p, u) is the image of the point u under the vertex permutation
+    p.  The points are numbered once and each permutation becomes a list
+    over point numbers, so the search runs on ints.  Raises ValueError
+    when an image is not one of the points: the maps do not act on them.
     """
-    known = set(points)
-
-    def checked(u):
-        imgs = images(u)
-        if not known.issuperset(imgs):
-            raise ValueError("a map sends a point outside the point set")
-        return imgs
-
-    seen: Set = set()
-    out: List[Set] = []
-    for u in points:
-        if u not in seen:
-            out.append(orbit([u], checked))
+    number = {u: k for k, u in enumerate(points)}
+    try:
+        moves = [[number[image(p, u)] for u in points] for p in a]
+    except KeyError:
+        raise ValueError("a map sends a point outside the point set") from None
+    by_point = list(zip(*moves)) if moves else [()] * len(points)
+    seen: Set[int] = set()
+    out: List[Set[int]] = []
+    for k in range(len(points)):
+        if k not in seen:
+            out.append(orbit([k], by_point.__getitem__))
             seen |= out[-1]
     return out
 
@@ -372,7 +384,7 @@ def _orbits(points: Sequence[Hashable], images: Callable[[Hashable], List[Hashab
 def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
     """Orbits of the generated group on vertices, each sorted, in the order
     of their least vertex.  ValueError when a map leaves the vertex set."""
-    return [sorted(o) for o in _orbits(range(g.vertex_count), lambda u: [p[u] for p in a])]
+    return [sorted(o) for o in _orbits(range(g.vertex_count), a, lambda p, u: p[u])]
 
 
 def two_arc_orbit_count(g: SimpleGraph, a: Perms) -> int:
@@ -385,7 +397,7 @@ def two_arc_orbit_count(g: SimpleGraph, a: Perms) -> int:
         for w in g.neighbors[v]
         if w != u
     ]
-    return len(_orbits(arcs, lambda arc: [tuple(p[x] for x in arc) for p in a]))
+    return len(_orbits(arcs, a, lambda p, arc: (p[arc[0]], p[arc[1]], p[arc[2]])))
 
 
 def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
@@ -401,11 +413,11 @@ def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
     if len(edge_list) != expected_order:
         return False
 
-    def images(edge):
-        u, w = edge
-        return [(min(p[u], p[w]), max(p[u], p[w])) for p in a]
+    def image(p, edge):
+        u, w = p[edge[0]], p[edge[1]]
+        return (u, w) if u < w else (w, u)
 
-    return len(_orbits(edge_list, images)) == 1
+    return len(_orbits(edge_list, a, image)) == 1
 
 
 # ── group actions as vertex permutations ─────────────────────────────────────

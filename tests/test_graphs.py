@@ -125,7 +125,7 @@ def test_bicoset_toy_shape(sigma):
     assert sigma.regular_valency() == 4
     assert sigma.edge_count == 256
     assert sigma.is_connected()
-    assert sigma.girth() >= 4
+    assert sigma.girth() == 8
 
 
 def test_bicoset_identity_cosets_adjacent(sigma):
@@ -319,6 +319,154 @@ def test_edge_regular_square_under_rotation():
     rotation = gr.action_gens(square, [(1, 2, 3, 0)])
     assert gr.edge_regular_check(square, rotation, 4)
     assert not gr.edge_regular_check(square, gr.action_gens(square, [(0, 3, 2, 1)]), 4)
+
+
+# ── the orbit counts and girth against their tuple-set references ───────────
+
+
+def ref_orbits(points, images):
+    """Orbits as sets of the points themselves, searched point by point,
+    with every image checked against the point set."""
+    known = set(points)
+
+    def checked(u):
+        imgs = images(u)
+        if not known.issuperset(imgs):
+            raise ValueError("a map sends a point outside the point set")
+        return imgs
+
+    seen, out = set(), []
+    for u in points:
+        if u not in seen:
+            out.append(mo.orbit([u], checked))
+            seen |= out[-1]
+    return out
+
+
+def ref_vertex_orbits(g, a):
+    return [sorted(o) for o in ref_orbits(range(g.vertex_count), lambda u: [p[u] for p in a])]
+
+
+def ref_two_arc_orbit_count(g, a):
+    arcs = [
+        (u, v, w) for v in range(g.vertex_count) for u in g.neighbors[v] for w in g.neighbors[v] if w != u
+    ]
+    return len(ref_orbits(arcs, lambda arc: [tuple(p[x] for x in arc) for p in a]))
+
+
+def ref_edge_regular_check(g, a, expected_order):
+    edge_list = g.edges()
+    if not edge_list:
+        return expected_order == 0
+    if len(edge_list) != expected_order:
+        return False
+
+    def images(edge):
+        u, w = edge
+        return [(min(p[u], p[w]), max(p[u], p[w])) for p in a]
+
+    return len(ref_orbits(edge_list, images)) == 1
+
+
+def ref_girth(g):
+    """Shortest cycle from a full BFS at every start vertex."""
+    best = None
+    for s in range(g.vertex_count):
+        dist, parent, queue = {s: 0}, {s: -1}, [s]
+        for u in queue:
+            for w in g.neighbors[u]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif parent[u] != w and (best is None or dist[u] + dist[w] + 1 < best):
+                    best = dist[u] + dist[w] + 1
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_orbit_counts_match_tuple_set_references(toy, blocks, sigma):
+    translations = _toy_actions(toy, blocks, sigma, False)
+    full = _toy_actions(toy, blocks, sigma, True)
+    off_vertex_set = ((999,) + tuple(range(1, 128)),)
+    # a permutation of the vertices that is no automorphism: no two
+    # vertices of a girth-8 graph share their neighbors
+    swap = list(range(128))
+    swap[0], swap[1] = 1, 0
+    for a in (translations, full, (), off_vertex_set, (tuple(swap),)):
+        for fn, ref, extra in (
+            (gr.vertex_orbits, ref_vertex_orbits, ()),
+            (gr.two_arc_orbit_count, ref_two_arc_orbit_count, ()),
+            (gr.edge_regular_check, ref_edge_regular_check, (256,)),
+        ):
+            assert _outcome(fn, sigma, a, *extra) == _outcome(ref, sigma, a, *extra)
+    assert _outcome(gr.two_arc_orbit_count, sigma, off_vertex_set) is ValueError
+    assert _outcome(gr.vertex_orbits, sigma, (tuple(swap),)) != ValueError
+    assert _outcome(gr.edge_regular_check, sigma, (tuple(swap),), 256) is ValueError
+
+
+def _random_graphs(seed):
+    """Seeded random graphs, forests and cycles with and without chords."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(60):
+        v = rng.randrange(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.5))
+        graphs.append([(u, w) for u in range(v) for w in range(u + 1, v) if rng.random() < p])
+        graphs.append([(u, rng.randrange(u)) for u in range(1, v) if rng.random() < 0.8])  # a forest
+    for k in range(3, 16):
+        cycle = [(u, (u + 1) % k) for u in range(k)]
+        graphs.append(cycle)
+        graphs.append(cycle + [(0, rng.randrange(2, k - 1))] if k > 3 else cycle)
+        graphs.append(cycle + [(k + u, k + u + 1) for u in range(3)])  # a pendant path
+    out = []
+    for edges in graphs:
+        v = 1 + max((max(e) for e in edges), default=0)
+        out.append(gr.make_graph([str(u) for u in range(v)], edges))
+    return out
+
+
+def test_girth_matches_full_bfs():
+    graphs = _random_graphs(5)
+    girths = [g.girth() for g in graphs]
+    assert girths == [ref_girth(g) for g in graphs]
+    assert None in girths and {3, 5, 7, 9, 11, 13, 15} <= set(girths)
+
+
+def test_girth_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _random_graphs(6):
+        want = nx.girth(_nx_graph(nx, g))
+        assert g.girth() == (None if want == float("inf") else want)
+
+
+# orbits of translations (and of translations with the toy automorphisms)
+# on toy2's 3-arcs and 4-arcs, counted by brute force
+S_ARC_ORBITS = {3: (4_608, 18, 1), 4: (13_824, 54, 3)}
+
+
+def _s_arcs(g, s):
+    arcs = [(u,) for u in range(g.vertex_count)]
+    for _ in range(s):
+        arcs = [arc + (w,) for arc in arcs for w in g.neighbors[arc[-1]] if len(arc) < 2 or w != arc[-2]]
+    return arcs
+
+
+@pytest.mark.parametrize("s", sorted(S_ARC_ORBITS))
+def test_s_arc_orbits_of_toy_incidence(toy, blocks, sigma, s):
+    arcs = _s_arcs(sigma, s)
+    assert len(_s_arcs(sigma, 2)) == 1536
+
+    def image(p, arc):
+        return tuple(p[x] for x in arc)
+
+    counts = [len(gr._orbits(arcs, _toy_actions(toy, blocks, sigma, full), image)) for full in (False, True)]
+    assert (len(arcs), *counts) == S_ARC_ORBITS[s]
 
 
 # ── cliques ──────────────────────────────────────────────────────────────────

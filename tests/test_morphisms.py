@@ -221,6 +221,121 @@ def test_collapse_rejected(h56):
         mo.extend(gmap)
 
 
+# ── extend against the full relation sweep ─────────────────────────────────
+
+
+def reference_extend(gmap):
+    """extend as a full sweep: every power relation, every conjugation
+    relation, and bijectivity from the subgroup_igs closure of the letter
+    images.  The reference for extend's skips and its Burnside test."""
+    group = gmap.group
+    bits = 2 * group.meta.n
+    mul = group.multiply
+    images = ca.generator_images(group, gmap.letter_images)
+    table = ca.homomorphism_table(mul, images, bits)
+    inverses = [group.inverse(w) for w in images]
+    for i in range(group.n):
+        if mul(images[i], images[i]) != sliced_apply(table, group.power_tails[i], bits):
+            raise mo.NotHomomorphism(group.names[i])
+    for j in range(group.n):
+        for i in range(j):
+            lhs = mul(mul(inverses[i], images[j]), images[i])
+            if lhs != sliced_apply(table, group.conj.get((j, i), 1 << j), bits):
+                raise mo.NotHomomorphism(group.names[j])
+    if pc.subgroup_igs(group, list(gmap.letter_images)).order_log != group.n:
+        raise mo.NotBijective("letter images do not generate the group")
+    return tuple(images)
+
+
+def _outcome(extender, gmap):
+    try:
+        result = extender(gmap)
+    except (mo.NotHomomorphism, mo.NotBijective) as exc:
+        return type(exc)
+    return getattr(result, "full_images", result)
+
+
+def _closure_sample(verified, count, seed):
+    k = mo.closure([verified["x_singer_generator"],
+                    verified["y_singer_generator"],
+                    verified["twist_conjugation"]], cap=4000)
+    return random.Random(seed).sample(sorted(k.letter_tuples), count)
+
+
+def _toy_maps(seed, count):
+    """Seeded letter maps of toy2 in four families: arbitrary words, letter
+    words, block maps, and block maps followed by the swap of the blocks."""
+    rng = random.Random(seed)
+    maps = [(0, 0, 2, 12)]
+    for _ in range(count):
+        maps.append(tuple(rng.getrandbits(8) for _ in range(4)))
+        maps.append(tuple(rng.getrandbits(4) for _ in range(4)))
+        xs = [rng.getrandbits(2) for _ in range(2)]
+        ys = [rng.getrandbits(2) << 2 for _ in range(2)]
+        maps.append(tuple(xs + ys))
+        maps.append(tuple(ys + xs))
+    return maps
+
+
+def test_extend_matches_full_sweep_on_h56(h56, named, verified):
+    gmaps = list(named.values())
+    gmaps.append(mo._gmap(h56, {"x1": "y1", "y1": "x1"}))
+    gmaps.append(mo._gmap(h56, {"y1": "1", "y2": "1", "y3": "1", "y4": "1"}))
+    gmaps += [mo.GeneratorMap(h56, tup) for tup in _closure_sample(verified, 300, 71)]
+    outcomes = [_outcome(mo.extend, gmap) for gmap in gmaps]
+    assert outcomes == [_outcome(reference_extend, gmap) for gmap in gmaps]
+    assert outcomes[5:9] == [mo.NotHomomorphism] * 3 + [mo.NotBijective]
+    assert all(isinstance(o, tuple) for o in outcomes[:5] + outcomes[9:])
+
+
+def test_extend_matches_full_sweep_on_toy_maps(toy):
+    maps = _toy_maps(72, 750)
+    outcomes = [_outcome(mo.extend, mo.GeneratorMap(toy, tup)) for tup in maps]
+    assert outcomes == [_outcome(reference_extend, mo.GeneratorMap(toy, tup)) for tup in maps]
+    # the sample meets every outcome; (0, 0, 2, 12) breaks the conjugation
+    # of y2 by y1, a pair above toy2's tail start whose image is no tail word
+    assert outcomes[0] is mo.NotHomomorphism
+    accepted = sum(isinstance(o, tuple) for o in outcomes)
+    assert accepted and outcomes.count(mo.NotBijective) and outcomes.count(mo.NotHomomorphism)
+
+
+# conjugation relations extend checks on an accepted h56 map: the pairs
+# (j, i) with i among the 8 letters, 8 * 55 - 28; the 1,128 pairs of
+# layer generators hold by construction
+CHECKED_CONJUGATIONS = 412
+
+
+def test_extend_checks_the_pinned_conjugations(monkeypatch, h56, named, verified):
+    reads = []
+
+    def counted(table, w, bits):
+        reads.append(w)
+        return sliced_apply(table, w, bits)
+
+    monkeypatch.setattr(mo, "sliced_apply", counted)
+    gmaps = [named[name] for name in verified]
+    gmaps += [mo.GeneratorMap(h56, tup) for tup in _closure_sample(verified, 20, 73)]
+    for gmap in gmaps:
+        reads.clear()
+        mo.extend(gmap)
+        # one right side per power relation, then one per checked conjugation
+        assert len(reads) - h56.n == CHECKED_CONJUGATIONS
+
+
+def test_letter_steps_read_words_past_the_letters(h56, toy):
+    # an inner automorphism sends each letter to a word with commutator
+    # bits, which the letter step reads through sliced_apply
+    for group, g in ((toy, 0b0110), (h56, 0b1000_0011)):
+        images = tuple(group.conjugate(1 << t, g) for t in range(2 * group.meta.n))
+        assert any(w >> (2 * group.meta.n) for w in images)
+        f = mo.extend(mo.GeneratorMap(group, images))
+        order = full_order(f)
+        assert mo.automorphism_order(f) == order
+        for e in range(order + 1):
+            assert mo.letter_power(f, e) == full_power(f, e)[: 2 * group.meta.n]
+        assert mo.closure([f]).order == order
+
+
 # ── block letter maps of the free object ────────────────────────────────────
 #
 # A block map (g, h) in GL(4,2)^2 sends x_i to the x-word of g's column i
