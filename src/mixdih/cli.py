@@ -423,8 +423,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     def arc_counts():
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
         aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
-        with_auts = gr.two_arc_orbit_count(sigma, translations + aut_maps)
-        translations_only = gr.two_arc_orbit_count(sigma, translations)
+        translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
         return [with_auts, translations_only > 1]
 
     run.add(

@@ -355,30 +355,42 @@ def normal_quotient(g: SimpleGraph, orbits: Sequence[Sequence[int]]) -> NormalQu
 # ── orbit counting ───────────────────────────────────────────────────────────
 
 
-def _orbits(
+def _moves(
     points: Sequence[Hashable], a: Perms, image: Callable[[Sequence[int], Hashable], Hashable]
-) -> List[Set[int]]:
-    """The orbits of the group generated by a on points, as sets of point
-    numbers (positions in points), in the order of their first point.
-
-    image(p, u) is the image of the point u under the vertex permutation
-    p.  The points are numbered once and each permutation becomes a list
-    over point numbers, so the search runs on ints.  Raises ValueError
-    when an image is not one of the points: the maps do not act on them.
-    """
+) -> List[List[int]]:
+    """Each vertex permutation p in a as a list over point numbers
+    (positions in points): entry k is the number of image(p, points[k]).
+    Raises ValueError when an image is not one of the points: the maps do
+    not act on them."""
     number = {u: k for k, u in enumerate(points)}
     try:
-        moves = [[number[image(p, u)] for u in points] for p in a]
+        return [[number[image(p, u)] for u in points] for p in a]
     except KeyError:
         raise ValueError("a map sends a point outside the point set") from None
-    by_point = list(zip(*moves)) if moves else [()] * len(points)
+
+
+def _orbit_sets(count: int, moves: Sequence[Sequence[int]]) -> List[Set[int]]:
+    """The orbits on point numbers 0..count-1 of the group generated by
+    moves, in the order of their first point."""
+    by_point = list(zip(*moves)) if moves else [()] * count
     seen: Set[int] = set()
     out: List[Set[int]] = []
-    for k in range(len(points)):
+    for k in range(count):
         if k not in seen:
             out.append(orbit([k], by_point.__getitem__))
             seen |= out[-1]
     return out
+
+
+def _orbits(
+    points: Sequence[Hashable], a: Perms, image: Callable[[Sequence[int], Hashable], Hashable]
+) -> List[Set[int]]:
+    """The orbits of the group generated by a on points, as sets of point
+    numbers, in the order of their first point; image(p, u) is the image
+    of the point u under the vertex permutation p.  The points are
+    numbered once and each permutation becomes a list over point numbers
+    (_moves), so the search runs on ints."""
+    return _orbit_sets(len(points), _moves(points, a, image))
 
 
 def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
@@ -387,8 +399,10 @@ def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
     return [sorted(o) for o in _orbits(range(g.vertex_count), a, lambda p, u: p[u])]
 
 
-def two_arc_orbit_count(g: SimpleGraph, a: Perms) -> int:
-    """Orbits of the generated group on ordered paths (u, v, w), u != w.
+def two_arc_orbit_counts(g: SimpleGraph, a: Perms, b: Perms) -> Tuple[int, int]:
+    """Orbit counts on ordered paths (u, v, w), u != w, of the group
+    generated by a and of the one generated by a and b.  The 2-arcs are
+    numbered and each map's move list is built once for both counts.
     ValueError when a map sends a 2-arc to a non-arc."""
     arcs = [
         (u, v, w)
@@ -397,7 +411,8 @@ def two_arc_orbit_count(g: SimpleGraph, a: Perms) -> int:
         for w in g.neighbors[v]
         if w != u
     ]
-    return len(_orbits(arcs, a, lambda p, arc: (p[arc[0]], p[arc[1]], p[arc[2]])))
+    moves = _moves(arcs, list(a) + list(b), lambda p, arc: (p[arc[0]], p[arc[1]], p[arc[2]]))
+    return len(_orbit_sets(len(arcs), moves[: len(a)])), len(_orbit_sets(len(arcs), moves))
 
 
 def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:

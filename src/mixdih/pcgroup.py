@@ -50,6 +50,7 @@ __all__ = [
     "derived_subgroup",
     "frattini",
     "relation_rows",
+    "tail_block_key",
     "c2_homomorphisms",
     "kernel_members",
     "maximal_subgroups",
@@ -504,15 +505,14 @@ def relation_rows(
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on the top parts m_i & top of the top members and on the tail
-    members, so spans, when given, memoizes it under that key: (tuple of
-    top parts, tuple of tail members).  A block that raises is never
-    stored, so a memo hit never skips the raise.
+    only on tail_block_key(group, s.members), so spans, when given,
+    memoizes it under that key.  A block that raises is never stored, so
+    a memo hit never skips the raise.
     """
     mul = group.multiply
-    top = group.top_mask
     ms = s.members
-    k = sum(1 for m in ms if m & top)
+    key = tail_block_key(group, ms)
+    k = len(key[0])
     rows = []
     for i in range(k):
         mi = ms[i]
@@ -527,14 +527,23 @@ def relation_rows(
                 c = mul(mul(inv, mj), mi)
                 if c != mj:
                     rows.append(s.coords(c) ^ (1 << j))
-    # tuple of a list: a tuple grown from a generator crept peak RSS run by run
-    key = (tuple([m & top for m in ms[:k]]), ms[k:])
     block = spans.get(key) if spans is not None else None
     if block is None:
         block = _tail_span(group, s, *key)
         if spans is not None:
             spans[key] = block
     return rows, block
+
+
+def tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """What the tail block of the subgroup with IGS members (ascending
+    leads) depends on: (top parts m & top of its top members, its tail
+    members).  The top members come first, so the tail members are the
+    rest."""
+    top = group.top_mask
+    k = sum(1 for m in members if m & top)
+    # tuple of a list: a tuple grown from a generator crept peak RSS run by run
+    return tuple([m & top for m in members[:k]]), tuple(members[k:])
 
 
 def _tail_span(

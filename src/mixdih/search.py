@@ -25,28 +25,28 @@ and has index 2 in the old meet by construction.
 
 Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
-and tail members, and survivors of one level share a few dozen such
-spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  Each level gets a
-fresh memo of those spans, each held as the reduced echelon form of its
-coordinates (pcgroup.relation_rows), so a survivor that hits the memo
-reduces only its top rows.  Every process keeps its own memo, and starts
-a new one when it is handed a survivor of a new level; a level-d
-survivor has n - d members, so no key could be shared between levels.
+and tail members (pcgroup.tail_block_key), and survivors of one level
+share a few dozen such spans at most (p59: 1, 2, 2, 6, 14, 30 per
+level).  Each level's survivors are grouped by that key, and each group
+is expanded with its own memo, which holds the span as the reduced
+echelon form of its coordinates (pcgroup.relation_rows); so each span is
+built once per run, by the first survivor of its group, and each
+survivor reduces only its top rows against it.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
-per-level expansion is an independent map over survivors.  With more
+per-level expansion is an independent map over the groups.  With more
 than one worker, run_search forks the one process pool of the run
-before its first level, maps every level with more than one survivor
-onto it, and terminates and joins it before returning or raising; no
-other code forks, and a descend called outside a run always expands
-its level in this process.  Each task carries its level's required meet
-log, so the workers need nothing from the parent past the fork.  The
-dedup map is merged in submission order, so counts do not depend on the
-worker count.
+before its first level, maps every level with more than one group onto
+it, one task per group, largest first, and terminates and joins it
+before returning or raising; no other code forks, and a descend called
+outside a run always expands its level in this process.  Each task
+carries its level's required meet log, so the workers need nothing from
+the parent past the fork.  The results are put back in survivor order
+and the dedup map is merged in that order, so counts do not depend on
+the worker count.
 """
 
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -60,6 +60,7 @@ from .pcgroup import (
     kernel_members,
     relation_rows,
     subgroup_igs,
+    tail_block_key,
 )
 
 # Unused here; perfbench/traced.py wraps them under these names.
@@ -156,23 +157,22 @@ def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
 # ── one descent step ─────────────────────────────────────────────────────────
 
 
-# What _expand_one reads, in this process and in each forked worker: the
-# group, and the member count and tail-block memo of the level it is on.
+# What _expand_group reads, in this process and in each forked worker: the
+# group of the level it is on.
 _FORK: Dict[str, object] = {}
 
 # The pool of the run_search in progress, and the group it was forked for.
 _RUN: Dict[str, object] = {}
 
+Expansion = Tuple[int, List[Tuple[Rows, Rows]]]
 
-def _expand_one(payload: Tuple[int, Rows, Rows]) -> Tuple[int, List[Tuple[Rows, Rows]]]:
+
+def _expand_one(
+    group: PcPresentation, spans: Dict, req: int, rows: Rows, meet_rows: Rows
+) -> Expansion:
     """Expand one survivor: filtered maximal subgroups plus their meets."""
-    group: PcPresentation = _FORK["group"]
-    req, rows, meet_rows = payload
-    if _FORK.get("members") != len(rows):  # the first survivor of a level
-        _FORK["members"] = len(rows)
-        _FORK["spans"] = {}
     m = Subgroup(group, rows)
-    homs = c2_homomorphisms(group, m, _FORK["spans"])
+    homs = c2_homomorphisms(group, m, spans)
     # the meet must halve (one step above the requirement) or persist
     halve = len(meet_rows) == req + 1
     if not halve and len(meet_rows) != req:
@@ -189,21 +189,46 @@ def _expand_one(payload: Tuple[int, Rows, Rows]) -> Tuple[int, List[Tuple[Rows, 
     return len(homs), out
 
 
+def _expand_group(payload: Tuple[int, List[Rows], List[Rows]]) -> List[Expansion]:
+    """Expand survivors that share one tail-block key, in order, with one
+    tail-block memo that lives as long as this call."""
+    req, survivors, meets = payload
+    group: PcPresentation = _FORK["group"]
+    spans: Dict = {}
+    return [
+        _expand_one(group, spans, req, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)
+    ]
+
+
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
     """All maximal subgroups of the survivors whose stabilizer meet drops
     to the next required order, deduplicated by canonical IGS.
 
-    A level with more than one survivor is expanded on the pool of the
-    run_search in progress when that pool was forked for `group`.
-    Otherwise, and always when called outside a run, it is expanded in
-    this process, with a fresh tail-block memo."""
+    The survivors are grouped by tail_block_key, and each group is one
+    task, expanded with its own tail-block memo, so each block is built
+    once.  A level with more than one group is expanded on the pool of
+    the run_search in progress when that pool was forked for `group`,
+    largest group first.  Otherwise, and always when called outside a
+    run, its groups are expanded in this process.  Either way the
+    results are merged in survivor order."""
     req = level.required_meet_log - 1 if level.required_meet_log > 0 else 0
-    payload = [(req, rows, meet_rows) for rows, meet_rows in zip(level.survivors, level.meets)]
+    by_key: Dict[Tuple, List[int]] = {}
+    for i, rows in enumerate(level.survivors):
+        by_key.setdefault(tail_block_key(group, rows), []).append(i)
+    # largest first, so that a pool pulling one task at a time ends even
+    groups = sorted(by_key.values(), key=len, reverse=True)
+    payload = [
+        (req, [level.survivors[i] for i in idx], [level.meets[i] for i in idx]) for idx in groups
+    ]
     if _RUN.get("group") is group and len(payload) > 1:
-        results = _RUN["pool"].map(_expand_one, payload, chunksize=1)
+        done = _RUN["pool"].map(_expand_group, payload, chunksize=1)
     else:
-        _FORK.update(group=group, members=None)
-        results = [_expand_one(item) for item in payload]
+        _FORK["group"] = group
+        done = [_expand_group(item) for item in payload]
+    results: List[Expansion] = [None] * len(level.survivors)
+    for idx, out in zip(groups, done):
+        for i, expansion in zip(idx, out):
+            results[i] = expansion
     new: Dict[Rows, Rows] = {}
     candidates = 0
     for seen, pairs in results:
@@ -231,7 +256,9 @@ def _run_pool(group: PcPresentation, workers: int):
     if workers < 2:
         yield
         return
-    _FORK.update(group=group, members=None)
+    import multiprocessing  # only here: serial runs and verify never fork
+
+    _FORK["group"] = group
     pool = multiprocessing.get_context("fork").Pool(workers)
     _RUN.update(group=group, pool=pool)
     try:

@@ -203,8 +203,8 @@ def test_09_toy_graph_suite(toy):
 
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
         aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
-        acts = translations + aut_maps
-        assert gr.two_arc_orbit_count(sigma, acts) == 1
+        translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
+        assert with_auts == 1 < translations_only
 
 
 def test_10_property_suites(h56, p59, toy):

@@ -260,23 +260,27 @@ def _toy_actions(toy, blocks, sigma, with_auts):
     return perms
 
 
+def two_arc_orbit_count(g, a):
+    return gr.two_arc_orbit_counts(g, a, ())[0]
+
+
 def test_two_arc_count_with_full_generators(toy, blocks, sigma):
-    assert gr.two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True)) == 1
+    assert two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True)) == 1
 
 
 def test_two_arc_count_translations_only(toy, blocks, sigma):
-    assert gr.two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False)) > 1
+    assert two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False)) > 1
 
 
 def test_two_arc_count_monotone_under_more_generators(toy, blocks, sigma):
-    few = gr.two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False))
-    more = gr.two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True))
+    few = two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False))
+    more = two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True))
     assert more <= few
 
 
 def test_two_arc_count_empty_generators(sigma):
     # 128 vertices, valency 4: 128*4*3 ordered 2-arcs, one orbit apiece
-    assert gr.two_arc_orbit_count(sigma, ()) == 1536
+    assert two_arc_orbit_count(sigma, ()) == 1536
 
 
 def test_orbit_counts_reject_maps_that_leave_the_point_set():
@@ -285,13 +289,15 @@ def test_orbit_counts_reject_maps_that_leave_the_point_set():
     with pytest.raises(ValueError):
         gr.vertex_orbits(path, ((0, 5, 2),))
     with pytest.raises(ValueError):
-        gr.two_arc_orbit_count(path, ((0, 5, 2),))
+        two_arc_orbit_count(path, ((0, 5, 2),))
+    with pytest.raises(ValueError):  # also when only the second set leaves it
+        gr.two_arc_orbit_counts(path, (), ((0, 5, 2),))
     # a vertex permutation that sends the 2-arc (0, 1, 2) to a non-arc,
     # and the edge (1, 2) to a non-edge
     swap = ((1, 0, 2),)
     assert gr.vertex_orbits(path, swap) == [[0, 1], [2]]
     with pytest.raises(ValueError):
-        gr.two_arc_orbit_count(path, swap)
+        two_arc_orbit_count(path, swap)
     with pytest.raises(ValueError):
         gr.edge_regular_check(path, swap, 2)
 
@@ -401,11 +407,17 @@ def test_orbit_counts_match_tuple_set_references(toy, blocks, sigma):
     for a in (translations, full, (), off_vertex_set, (tuple(swap),)):
         for fn, ref, extra in (
             (gr.vertex_orbits, ref_vertex_orbits, ()),
-            (gr.two_arc_orbit_count, ref_two_arc_orbit_count, ()),
+            (two_arc_orbit_count, ref_two_arc_orbit_count, ()),
             (gr.edge_regular_check, ref_edge_regular_check, (256,)),
         ):
             assert _outcome(fn, sigma, a, *extra) == _outcome(ref, sigma, a, *extra)
-    assert _outcome(gr.two_arc_orbit_count, sigma, off_vertex_set) is ValueError
+    assert _outcome(two_arc_orbit_count, sigma, off_vertex_set) is ValueError
+    # both counts of one call, as the toy2 check takes them
+    auts = full[len(translations):]
+    assert gr.two_arc_orbit_counts(sigma, translations, auts) == (
+        ref_two_arc_orbit_count(sigma, translations),
+        ref_two_arc_orbit_count(sigma, full),
+    )
     assert _outcome(gr.vertex_orbits, sigma, (tuple(swap),)) != ValueError
     assert _outcome(gr.edge_regular_check, sigma, (tuple(swap),), 256) is ValueError
 

@@ -1,6 +1,10 @@
 import hashlib
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +304,7 @@ DESCENT_CALLS = {"multiply": 25_949, "inverse": 1_624}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
-# reduces the top x tail pairs as top rows, or that loses the per-level
+# reduces the top x tail pairs as top rows, or that loses the per-key
 # memo of the blocks, moves them
 RELATION_WORK = {"top_rows": 7_206, "tail_blocks": 55}
 
@@ -378,8 +382,8 @@ def pools(monkeypatch):
 
 def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent, pools):
     """A two-worker run maps levels 2-6 (level 1 has a single survivor)
-    onto its pool, each forked worker filling its own span memo from its
-    share of the survivors; the merged levels equal the serial ones."""
+    onto its pool, one task per tail-block key, each expanded with its own
+    memo; the levels, merged in survivor order, equal the serial ones."""
     levels = []
     descend = se.descend
 
@@ -391,6 +395,68 @@ def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent,
     se.run_search(p59, se.SearchConfig(threads=2), stab)
     _assert_same_levels(levels, counted_descent[0])
     assert [pool["map"] for pool in pools] == [5]
+
+
+@pytest.fixture(scope="module")
+def forked_work(p59, stab):
+    """A two-worker run_search on p59; the tail blocks built across all of
+    its processes, counted in a Value the workers inherit; and, for each
+    map call on its pool, the survivor count of each task it ships."""
+    ctx = multiprocessing.get_context("fork")
+    built = ctx.Value("i", 0)
+    shipped = []
+    tail_span, real_pool = pc._tail_span, ctx.Pool
+
+    def counted_span(*args):
+        with built.get_lock():
+            built.value += 1
+        return tail_span(*args)
+
+    def recording_pool(*args, **kwargs):
+        pool = real_pool(*args, **kwargs)
+        real_map = pool.map
+
+        def mapped(fn, tasks, chunksize=None):
+            shipped.append([len(survivors) for _, survivors, _ in tasks])
+            return real_map(fn, tasks, chunksize)
+
+        pool.map = mapped
+        return pool
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pc, "_tail_span", counted_span)
+        mp.setattr(ctx, "Pool", recording_pool)
+        report = se.run_search(p59, se.SearchConfig(threads=2), stab)
+    return report, built.value, shipped
+
+
+def test_parallel_run_builds_each_tail_block_once(forked_work):
+    """A memo per forked worker would build a block again in each worker
+    that meets its key; a memo per tail-block key builds each block once,
+    exactly the serial run's count."""
+    report, built, _ = forked_work
+    assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
+    assert built == RELATION_WORK["tail_blocks"]
+
+
+def test_parallel_run_ships_one_task_per_tail_block_key(forked_work):
+    """Levels 2-6 share 2, 2, 6, 14 and 30 tail-block keys among their
+    2, 2, 12, 48 and 128 survivors; each key is one task, and the tasks
+    go out largest first (one task per survivor would ship 192)."""
+    _, _, shipped = forked_work
+    assert [len(tasks) for tasks in shipped] == [2, 2, 6, 14, 30]
+    assert [sum(tasks) for tasks in shipped] == [2, 2, 12, 48, 128]
+    assert all(tasks == sorted(tasks, reverse=True) for tasks in shipped)
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    """Only a run that forks a pool imports multiprocessing, so a serial
+    run or a verify does not pay for the import."""
+    src = str(Path(se.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mixdih.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
 
 
 def test_descend_outside_a_run_forks_no_pool(p59, counted_descent, pools):
