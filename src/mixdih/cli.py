@@ -358,10 +358,15 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
     )
 
 
+def _right_translations(group: PcPresentation, elements) -> List[Callable[[int], int]]:
+    """The maps z -> z*w, one per element w."""
+    return [lambda z, w=w: group.multiply(z, w) for w in elements]
+
+
 def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.NormalQuotient:
     """The incidence graph modulo the orbits of the derived subgroup."""
     derived = derived_subgroup(toy, se.full_group(toy))
-    translations = gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members)
+    translations = gr.bicoset_action(toy, xsub, ysub, sigma, _right_translations(toy, derived.members))
     return gr.normal_quotient(sigma, gr.vertex_orbits(sigma, translations))
 
 
@@ -416,13 +421,13 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         [8, 4, True, True],
         quotient_shape,
     )
-    translations = gr.bicoset_translations(
-        toy, xsub, ysub, sigma, [1 << i for i in range(toy.n)]
+    translations = gr.bicoset_action(
+        toy, xsub, ysub, sigma, _right_translations(toy, [1 << i for i in range(toy.n)])
     )
 
     def arc_counts():
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
+        aut_maps = gr.bicoset_action(toy, xsub, ysub, sigma, [aut.apply for aut in auts])
         translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
         return [with_auts, translations_only > 1]
 

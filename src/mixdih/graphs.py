@@ -9,10 +9,15 @@ full-size incidence graph is never built and all claims about it are
 handled group-theoretically by the search module.
 
 Vertices carry canonical string labels (sift residues in fixed-width
-hex) so exported graph files are byte-stable.  Graphs are immutable once
-built: construction is a flat sweep over vertices or group elements
-followed by a validation pass, and every accessor works on frozen
-tuples.
+hex) so exported graph files are byte-stable.  A coset vertex is
+numbered by its side and its sift residue, labelled "x:3c" or "y:1f";
+one writer and one reader (_coset_label, _coset_of) own that format.
+One coset action (bicoset_action) turns any map on group elements that
+permutes the block cosets, a right translation or an automorphism, into
+a vertex permutation.  The line-graph claim is checked by counting, with
+no line graph built.  Graphs are immutable once built: construction is a
+flat sweep over vertices or group elements followed by a validation
+pass, and every accessor works on frozen tuples.
 """
 
 from dataclasses import dataclass
@@ -22,8 +27,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 from .calculus import LayeredMeta
 from .morphisms import orbit
 from .pcgroup import PcPresentation, Subgroup, subgroup_igs
-
-MAX_EDGES = 1 << 20
 
 
 class TooLarge(ValueError):
@@ -238,6 +241,20 @@ def letter_connection_set(group: PcPresentation) -> Tuple[int, ...]:
     return tuple(xs + ys)
 
 
+def _coset_label(group: PcPresentation, side: int, residue: int) -> str:
+    """The label of a coset vertex: side 0 is the x block, side 1 the y
+    block, and residue the coset's sift residue."""
+    return "xy"[side] + ":" + _element_label(group, residue)
+
+
+def _coset_of(label: str) -> Tuple[int, int]:
+    """The side and representative of a coset vertex, from its label."""
+    side, _, hexpart = label.partition(":")
+    if side not in ("x", "y") or not hexpart:
+        raise ValueError(f"not a coset label: {label!r}")
+    return "xy".index(side), int(hexpart, 16)
+
+
 def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> SimpleGraph:
     """Coset incidence graph: one edge {xsub*z, ysub*z} per group element z.
 
@@ -254,29 +271,11 @@ def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> Simp
     y_reps = sorted(set(y_of))
     x_index = {rep: i for i, rep in enumerate(x_reps)}
     y_index = {rep: len(x_reps) + i for i, rep in enumerate(y_reps)}
-    labels = ["x:" + _element_label(group, r) for r in x_reps]
-    labels += ["y:" + _element_label(group, r) for r in y_reps]
+    labels = [_coset_label(group, 0, r) for r in x_reps]
+    labels += [_coset_label(group, 1, r) for r in y_reps]
     edges = {(x_index[a], y_index[b]) for a, b in zip(x_of, y_of)}
     part = [0] * len(x_reps) + [1] * len(y_reps)
     return make_graph(labels, edges, part)
-
-
-def line_graph(g: SimpleGraph) -> SimpleGraph:
-    """Vertices the edges of g, adjacent when they share an endpoint."""
-    edge_list = g.edges()
-    if len(edge_list) > MAX_EDGES:
-        raise TooLarge("edge count above 2**20")
-    labels = [f"{g.labels[u]}|{g.labels[w]}" for u, w in edge_list]
-    incident: List[List[int]] = [[] for _ in g.labels]
-    for e, (u, w) in enumerate(edge_list):
-        incident[u].append(e)
-        incident[w].append(e)
-    edges = set()
-    for bundle in incident:
-        for a in range(len(bundle)):
-            for b in range(a + 1, len(bundle)):
-                edges.add((bundle[a], bundle[b]))
-    return make_graph(labels, edges)
 
 
 def verify_line_graph_correspondence(
@@ -288,25 +287,31 @@ def verify_line_graph_correspondence(
 ) -> bool:
     """Check that z -> {xsub*z, ysub*z} identifies gamma, the Cayley graph
     on the letter connection set, with the line graph of sigma, the coset
-    incidence graph.
+    incidence graph, without building the line graph.
 
-    The check is exact: the map must be a bijection from Cayley vertices
-    onto incidence edges and must carry neighborhoods onto neighborhoods.
+    The map must be a bijection from the vertices of gamma onto the edges
+    of sigma, every edge of gamma must go to two edges of sigma that share
+    an endpoint, and |E(gamma)| must equal the sum over the vertices v of
+    sigma of C(deg v, 2), the edge count of the line graph.  A vertex
+    bijection that carries edges to edges, between graphs with equal edge
+    counts, carries the edges onto the edges, so the check is exact.
     """
-    lg = line_graph(sigma)
-    lg_index = lg.label_index
-    images = []
-    for z in range(1 << group.n):
-        key = "x:%s|y:%s" % (_element_label(group, xsub.sift(z)), _element_label(group, ysub.sift(z)))
-        if key not in lg_index:
-            return False
-        images.append(lg_index[key])
-    if len(set(images)) != lg.vertex_count:
+    if gamma.vertex_count != 1 << group.n:
         return False
-    for g in range(gamma.vertex_count):
-        if {images[h] for h in gamma.neighbors[g]} != set(lg.neighbors[images[g]]):
+    index = sigma.label_index
+    ends = []
+    for z in range(1 << group.n):
+        u = index.get(_coset_label(group, 0, xsub.sift(z)))
+        w = index.get(_coset_label(group, 1, ysub.sift(z)))
+        if u is None or w is None or not sigma.has_edge(u, w):
             return False
-    return True
+        ends.append((u, w))
+    if not len(set(ends)) == len(ends) == sigma.edge_count:
+        return False
+    for g, h in gamma.edges():
+        if not set(ends[g]) & set(ends[h]):
+            return False
+    return gamma.edge_count == sum(len(row) * (len(row) - 1) // 2 for row in sigma.neighbors)
 
 
 # ── quotients ────────────────────────────────────────────────────────────────
@@ -382,21 +387,11 @@ def _orbit_sets(count: int, moves: Sequence[Sequence[int]]) -> List[Set[int]]:
     return out
 
 
-def _orbits(
-    points: Sequence[Hashable], a: Perms, image: Callable[[Sequence[int], Hashable], Hashable]
-) -> List[Set[int]]:
-    """The orbits of the group generated by a on points, as sets of point
-    numbers, in the order of their first point; image(p, u) is the image
-    of the point u under the vertex permutation p.  The points are
-    numbered once and each permutation becomes a list over point numbers
-    (_moves), so the search runs on ints."""
-    return _orbit_sets(len(points), _moves(points, a, image))
-
-
 def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
     """Orbits of the generated group on vertices, each sorted, in the order
     of their least vertex.  ValueError when a map leaves the vertex set."""
-    return [sorted(o) for o in _orbits(range(g.vertex_count), a, lambda p, u: p[u])]
+    v = g.vertex_count
+    return [sorted(o) for o in _orbit_sets(v, _moves(range(v), a, lambda p, u: p[u]))]
 
 
 def two_arc_orbit_counts(g: SimpleGraph, a: Perms, b: Perms) -> Tuple[int, int]:
@@ -432,68 +427,46 @@ def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
         u, w = p[edge[0]], p[edge[1]]
         return (u, w) if u < w else (w, u)
 
-    return len(_orbits(edge_list, a, image)) == 1
+    return len(_orbit_sets(len(edge_list), _moves(edge_list, a, image))) == 1
 
 
 # ── group actions as vertex permutations ─────────────────────────────────────
 
 
-def _parse_side_label(label: str) -> Tuple[str, int]:
-    side, _, hexpart = label.partition(":")
-    if side not in ("x", "y") or not hexpart:
-        raise ValueError(f"not a coset label: {label!r}")
-    return side, int(hexpart, 16)
-
-
-def bicoset_translations(
+def bicoset_action(
     group: PcPresentation,
     xsub: Subgroup,
     ysub: Subgroup,
     graph: SimpleGraph,
-    elements: Iterable[int],
+    maps: Iterable[Callable[[int], int]],
 ) -> Perms:
-    """Right translations on coset vertices of a bicoset graph."""
-    mul = group.multiply
-    index = graph.label_index
-    sides = [_parse_side_label(s) for s in graph.labels]
-    perms = []
-    for w in elements:
-        p = []
-        for side, rep in sides:
-            sub = xsub if side == "x" else ysub
-            p.append(index[f"{side}:" + _element_label(group, sub.sift(mul(rep, w)))])
-        perms.append(tuple(p))
-    return action_gens(graph, perms)
+    """The vertex permutations of a bicoset graph induced by maps on group
+    elements, each a right translation z -> z*w or an automorphism's apply.
 
-
-def bicoset_automorphism_action(
-    group: PcPresentation,
-    xsub: Subgroup,
-    ysub: Subgroup,
-    graph: SimpleGraph,
-    auts: Iterable,
-) -> Perms:
-    """Coset action of verified automorphisms that permute the two blocks."""
+    A map f sends the block S to the block S' one of whose right cosets
+    holds f(1) and f(m) for every member m of S: S itself for a
+    translation, f(S) for an automorphism.  The coset S*z then goes to the
+    coset S'*f(z).  ValueError when no block fits, or (from action_gens)
+    when the result is not an automorphism of the graph.
+    """
+    subs = (xsub, ysub)
+    cosets = [_coset_of(label) for label in graph.labels]
     index = graph.label_index
-    sides = [_parse_side_label(s) for s in graph.labels]
-    subs = {"x": xsub, "y": ysub}
     perms = []
-    for aut in auts:
-        image_side = {}
-        for side, sub in subs.items():
-            imgs = [aut.apply(m) for m in sub.members]
-            if all(xsub.contains(v) for v in imgs):
-                image_side[side] = "x"
-            elif all(ysub.contains(v) for v in imgs):
-                image_side[side] = "y"
+    for f in maps:
+        homes = [target.sift(f(0)) for target in subs]
+        image = []
+        for sub in subs:
+            for t, target in enumerate(subs):
+                if all(target.sift(f(m)) == homes[t] for m in sub.members):
+                    image.append(t)
+                    break
             else:
-                raise ValueError("automorphism does not permute the letter blocks")
-        p = []
-        for side, rep in sides:
-            tside = image_side[side]
-            nxt = subs[tside].sift(aut.apply(rep))
-            p.append(index[f"{tside}:" + _element_label(group, nxt)])
-        perms.append(tuple(p))
+                raise ValueError("map does not permute the letter block cosets")
+        perms.append(tuple(
+            index[_coset_label(group, image[side], subs[image[side]].sift(f(rep)))]
+            for side, rep in cosets
+        ))
     return action_gens(graph, perms)
 
 

@@ -294,41 +294,16 @@ class Subgroup:
     def order(self) -> int:
         return 1 << len(self.members)
 
-    def sift(self, u: int) -> int:
-        """Residue of u after left-division at each leading index, ascending.
-
-        Zero iff u is a member, in any presentation.  When conjugate words
-        never go below the index of the conjugated generator (true for the
-        layered quotients, where corrections move up the layers), the
-        residue has zero exponent at every leading index and is the
-        canonical representative of the right coset (self)*u.
+    def _divide(self, u: int) -> Tuple[int, int]:
+        """Left-divide u by the members at each leading index, ascending:
+        the residue, and the coordinate bits of the members divided by
+        (bit t for members[t]).
 
         Each step jumps to the next leading index above the last one at
         which the current u has exponent 1; the leads in between are
         skipped exactly as a scan over all leads would skip them.  Once u
         lies in the tail, so does every member left to divide by, and
         the division is XOR.
-        """
-        mul = self.group.multiply
-        top = self.group.top_mask
-        div = self._div
-        lead_mask = self._lead_mask
-        hits = u & lead_mask
-        while hits:
-            low = hits & -hits
-            u = mul(div[low][0], u) if u & top else u ^ div[low][0]
-            hits = u & lead_mask & -(low << 1)
-        return u
-
-    def contains(self, u: int) -> bool:
-        return self.sift(u) == 0
-
-    def coords(self, u: int) -> int:
-        """Exponents of u as a straight product of the members.
-
-        The same ascending left-division as sift; bit t is set when it
-        divides by members[t].  Raises NotInSubgroup when the residue is
-        not the identity.
         """
         mul = self.group.multiply
         top = self.group.top_mask
@@ -342,6 +317,28 @@ class Subgroup:
             u = mul(inv, u) if u & top else u ^ inv
             c |= bit
             hits = u & lead_mask & -(low << 1)
+        return u, c
+
+    def sift(self, u: int) -> int:
+        """Residue of u after left-division at each leading index, ascending.
+
+        Zero iff u is a member, in any presentation.  When conjugate words
+        never go below the index of the conjugated generator (true for the
+        layered quotients, where corrections move up the layers), the
+        residue has zero exponent at every leading index and is the
+        canonical representative of the right coset (self)*u.
+        """
+        return self._divide(u)[0]
+
+    def contains(self, u: int) -> bool:
+        return self._divide(u)[0] == 0
+
+    def coords(self, u: int) -> int:
+        """Exponents of u as a straight product of the members: bit t is
+        set when the division divides by members[t].  Raises
+        NotInSubgroup when the residue is not the identity.
+        """
+        u, c = self._divide(u)
         if u:
             raise NotInSubgroup("element does not lie in the subgroup")
         return c

@@ -185,15 +185,16 @@ def test_09_toy_graph_suite(toy):
         assert sigma.regular_valency() == 4
         assert sigma.edge_count == 256
 
-        translations = gr.bicoset_translations(
-            toy, xsub, ysub, sigma, [1 << i for i in range(toy.n)]
-        )
+        def right_translations(elements):
+            return [lambda z, w=w: toy.multiply(z, w) for w in elements]
+
+        translations = gr.bicoset_action(toy, xsub, ysub, sigma, right_translations([1 << i for i in range(toy.n)]))
         assert gr.edge_regular_check(sigma, translations, 256)
         assert gr.verify_line_graph_correspondence(toy, xsub, ysub, gamma, sigma)
 
         full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
         derived = derived_subgroup(toy, full)
-        orbits = gr.vertex_orbits(sigma, gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members))
+        orbits = gr.vertex_orbits(sigma, gr.bicoset_action(toy, xsub, ysub, sigma, right_translations(derived.members)))
         quo = gr.normal_quotient(sigma, orbits)
         assert quo.cover
         assert quo.graph.vertex_count == 8 and quo.graph.regular_valency() == 4
@@ -202,7 +203,7 @@ def test_09_toy_graph_suite(toy):
         assert all(quo.graph.has_edge(u, w) for u in xs for w in ys)
 
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_automorphism_action(toy, xsub, ysub, sigma, auts)
+        aut_maps = gr.bicoset_action(toy, xsub, ysub, sigma, [aut.apply for aut in auts])
         translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
         assert with_auts == 1 < translations_only
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -163,21 +164,6 @@ def test_edge_criterion_matches_intersection_oracle(toy, blocks, sigma):
 # ── line graphs ──────────────────────────────────────────────────────────────
 
 
-def test_line_graph_classics():
-    k22 = gr.make_graph(["a", "b", "c", "d"], [(0, 2), (0, 3), (1, 2), (1, 3)])
-    lg = gr.line_graph(k22)
-    assert lg.vertex_count == 4 and lg.regular_valency() == 2 and lg.is_connected()
-    k2 = gr.make_graph(["a", "b"], [(0, 1)])
-    lone = gr.line_graph(k2)
-    assert lone.vertex_count == 1 and lone.edge_count == 0
-
-
-def test_line_graph_of_toy_incidence(sigma):
-    lg = gr.line_graph(sigma)
-    assert lg.vertex_count == 256
-    assert lg.regular_valency() == 6
-
-
 def test_line_graph_correspondence(toy, blocks, gamma, sigma):
     assert gr.verify_line_graph_correspondence(toy, *blocks, gamma, sigma)
 
@@ -203,6 +189,28 @@ def test_line_graph_correspondence_breaks_per_dropped_edge(toy, blocks, gamma, s
         assert not gr.verify_line_graph_correspondence(toy, *blocks, gamma, dropped)
 
 
+def test_line_graph_correspondence_breaks_per_missing_cayley_edge(toy, blocks, gamma, sigma):
+    # every other clause still holds; only the edge count sees the gap
+    u, w = random.Random(5).choice(gamma.edges())
+    rows = [list(row) for row in gamma.neighbors]
+    rows[u].remove(w)
+    rows[w].remove(u)
+    missing = gr.SimpleGraph(gamma.labels, tuple(tuple(r) for r in rows))
+    assert not gr.verify_line_graph_correspondence(toy, *blocks, missing, sigma)
+
+
+def test_line_graph_correspondence_needs_a_bijection():
+    # both blocks are the same order-2 subgroup of C2 x C2, so each of the
+    # two edges of Sigma comes from two elements; against an edgeless
+    # Gamma every other clause holds
+    v4 = PcPresentation(2, [0, 0], {})
+    a = subgroup_igs(v4, [1])
+    sigma = gr.bicoset_graph(v4, a, a)
+    assert sigma.edge_count == 2
+    edgeless = gr.make_graph(["0", "1", "2", "3"], [])
+    assert not gr.verify_line_graph_correspondence(v4, a, a, edgeless, sigma)
+
+
 # ── quotients ────────────────────────────────────────────────────────────────
 
 
@@ -211,7 +219,8 @@ def test_quotient_by_derived_orbits_is_complete_bipartite(toy, blocks, sigma):
     full = subgroup_igs(toy, [1 << i for i in range(8)])
     derived = derived_subgroup(toy, full)
     assert derived.order == 16
-    orbits = gr.vertex_orbits(sigma, gr.bicoset_translations(toy, xsub, ysub, sigma, derived.members))
+    translations = gr.bicoset_action(toy, xsub, ysub, sigma, _translations(toy, derived.members))
+    orbits = gr.vertex_orbits(sigma, translations)
     assert sorted(len(b) for b in orbits) == [16] * 8
     quo = gr.normal_quotient(sigma, orbits)
     assert quo.cover
@@ -252,12 +261,48 @@ def test_quotient_rejects_bad_partition():
 # ── orbit counting ───────────────────────────────────────────────────────────
 
 
+def _translations(group, elements):
+    return [lambda z, w=w: group.multiply(z, w) for w in elements]
+
+
+def _toy_aut_maps(toy):
+    return [mo.extend(g).apply for g in mo.toy_catalog(toy).values()]
+
+
 def _toy_actions(toy, blocks, sigma, with_auts):
-    perms = gr.bicoset_translations(toy, *blocks, sigma, [1 << i for i in range(8)])
+    perms = gr.bicoset_action(toy, *blocks, sigma, _translations(toy, [1 << i for i in range(8)]))
     if with_auts:
-        auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        perms = perms + gr.bicoset_automorphism_action(toy, *blocks, sigma, auts)
+        perms = perms + gr.bicoset_action(toy, *blocks, sigma, _toy_aut_maps(toy))
     return perms
+
+
+def _digest(perms):
+    return hashlib.sha256(repr(perms).encode("ascii")).hexdigest()[:16]
+
+
+# sha256 prefixes of the vertex perms of toy2's generator translations, of
+# its catalog automorphisms and of its derived-subgroup translations
+TOY_ACTION_SHA256 = {
+    "translations": "da8dfe4e62678268",
+    "automorphisms": "5a43b0a51b2628b3",
+    "derived": "8df7274928cd33cd",
+}
+
+
+def test_bicoset_action_perms_are_pinned(toy, blocks, sigma):
+    derived = derived_subgroup(toy, subgroup_igs(toy, [1 << i for i in range(8)]))
+    maps = {
+        "translations": _translations(toy, [1 << i for i in range(8)]),
+        "automorphisms": _toy_aut_maps(toy),
+        "derived": _translations(toy, derived.members),
+    }
+    perms = {name: gr.bicoset_action(toy, *blocks, sigma, m) for name, m in maps.items()}
+    assert {name: _digest(p) for name, p in perms.items()} == TOY_ACTION_SHA256
+
+
+def test_bicoset_action_rejects_map_off_the_block_cosets(toy, blocks, sigma):
+    with pytest.raises(ValueError, match="letter block cosets"):
+        gr.bicoset_action(toy, *blocks, sigma, [lambda z: (z * 5) & 255])
 
 
 def two_arc_orbit_count(g, a):
@@ -477,7 +522,10 @@ def test_s_arc_orbits_of_toy_incidence(toy, blocks, sigma, s):
     def image(p, arc):
         return tuple(p[x] for x in arc)
 
-    counts = [len(gr._orbits(arcs, _toy_actions(toy, blocks, sigma, full), image)) for full in (False, True)]
+    counts = [
+        len(gr._orbit_sets(len(arcs), gr._moves(arcs, _toy_actions(toy, blocks, sigma, full), image)))
+        for full in (False, True)
+    ]
     assert (len(arcs), *counts) == S_ARC_ORBITS[s]
 
 
