@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .calculus import LayeredMeta, generator_images, homomorphism_table, parse_word
+from .calculus import TWIST_LETTERS, LayeredMeta, generator_images, homomorphism_table, parse_word
 from .gf2linalg import echelon_ints, sliced_apply
 from .pcgroup import PcPresentation
 
@@ -244,9 +244,10 @@ def catalog(h: PcPresentation) -> Dict[str, GeneratorMap]:
     """The named candidate maps on the 4+4 layered quotient.
 
     The two singer generators and the two companion cycles act on one
-    letter block and fix the other; the twist conjugation interleaves the
-    blocks.  The last two entries are the deliberate non-examples: a
-    centralizing candidate on the x block and the half-turn x-reversal.
+    letter block and fix the other; the twist conjugation, TWIST_LETTERS,
+    interleaves the blocks (p59 and rho are built from it too).  The last
+    two entries are the deliberate non-examples: a centralizing candidate
+    on the x block and the half-turn x-reversal.
     """
     return {
         "x_singer_generator": _gmap(h, {
@@ -257,9 +258,7 @@ def catalog(h: PcPresentation) -> Dict[str, GeneratorMap]:
             "x1": "x2", "x2": "x3", "x3": "x4", "x4": "x1*x2*x3*x4"}),
         "y_companion_cycle": _gmap(h, {
             "y1": "y2", "y2": "y3", "y3": "y4", "y4": "y1*y2*y3*y4"}),
-        "twist_conjugation": _gmap(h, {
-            "x1": "y1", "x2": "y2", "x3": "y3", "x4": "y4",
-            "y1": "x2", "y2": "x4", "y3": "x1", "y4": "x3"}),
+        "twist_conjugation": GeneratorMap(h, TWIST_LETTERS),
         "x_centralizer_candidate": _gmap(h, {
             "x2": "x1*x3", "x3": "x2*x3", "x4": "x2*x4"}),
         "x_half_turn": _gmap(h, {

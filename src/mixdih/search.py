@@ -45,6 +45,10 @@ carries its level's required meet log, so the workers need nothing from
 the parent past the fork.  The results are put back in survivor order
 and the dedup map is merged in that order, so counts do not depend on
 the worker count.
+
+A checkpoint is checked by recomputing its level, which must equal its
+rows in order: so a resume costs a fresh run up to that level, and a
+truncated, edited or foreign checkpoint gives no verdict.
 """
 
 import os
@@ -58,7 +62,6 @@ from .pcgroup import (
     Subgroup,
     c2_homomorphisms,
     kernel_members,
-    relation_rows,
     subgroup_igs,
     tail_block_key,
 )
@@ -173,10 +176,7 @@ def _expand_one(
     """Expand one survivor: filtered maximal subgroups plus their meets."""
     m = Subgroup(group, rows)
     homs = c2_homomorphisms(group, m, spans)
-    # the meet must halve (one step above the requirement) or persist
-    halve = len(meet_rows) == req + 1
-    if not halve and len(meet_rows) != req:
-        return len(homs), []
+    halve = len(meet_rows) == req + 1  # else the meet is trivial and persists
     meet_coords = [m.coords(w) for w in meet_rows]
     out: List[Tuple[Rows, Rows]] = []
     for a in homs:
@@ -302,43 +302,6 @@ def load_checkpoint(path) -> Tuple[int, List[Rows]]:
     return depth, rows
 
 
-def _checked_survivor(p: PcPresentation, rows: Rows, order_log: int) -> Subgroup:
-    """rows as a Subgroup, if they are the canonical IGS of a subgroup of
-    order 2**order_log."""
-    if len(rows) != order_log:
-        raise BadCheckpoint(f"a row of {len(rows)} members cannot have order 2**{order_log}")
-    if any(m <= 0 or m >> p.n for m in rows):
-        raise BadCheckpoint("a row has members outside the group")
-    try:
-        sub = Subgroup(p, rows)
-        relation_rows(p, sub)  # raises unless the straight products are closed
-    except ValueError as exc:
-        raise BadCheckpoint(f"a row is not an IGS: {exc}") from exc
-    if sub.digest() != rows:
-        raise BadCheckpoint("a row is not in canonical form")
-    return sub
-
-
-def _rebuild_level(
-    p: PcPresentation, stab: Subgroup, depth: int, rows_list: List[Rows]
-) -> SearchLevel:
-    """Check checkpointed survivors and reattach their stabilizer meets."""
-    if not 0 <= depth <= p.n:
-        raise BadCheckpoint(f"depth {depth} outside 0..{p.n}")
-    if len(set(rows_list)) != len(rows_list):
-        raise BadCheckpoint("duplicate survivor rows")
-    req = max(stab.order_log - depth, 0)
-    meets: List[Rows] = []
-    stab_elems = stab.elements()
-    for rows in rows_list:
-        m = _checked_survivor(p, rows, p.n - depth)
-        meet = subgroup_igs(p, [w for w in stab_elems if m.contains(w)])
-        if meet.order_log != req:
-            raise BadCheckpoint("checkpoint inconsistent with the stabilizer")
-        meets.append(meet.members)
-    return SearchLevel(depth, req, list(rows_list), meets)
-
-
 # ── the full run ─────────────────────────────────────────────────────────────
 
 
@@ -348,17 +311,24 @@ def run_search(
     stab: Optional[Subgroup] = None,
 ) -> SearchReport:
     """Breadth-first descent from the whole group; empty final level means
-    no subgroup acts regularly on the stabilizer's coset space."""
+    no subgroup acts regularly on the stabilizer's coset space.  A resume
+    first recomputes the checkpoint's level, serially and before the pool
+    forks, and raises BadCheckpoint unless its survivors are the
+    checkpoint's rows; it reports, logs and writes only the later levels."""
     config = config or SearchConfig()
     stab = stab if stab is not None else stab_subgroup(p)
     t0 = time.perf_counter()
+    level = root_level(p, stab)
     if config.resume_path:
-        depth, rows_list = load_checkpoint(config.resume_path)
+        depth, rows = load_checkpoint(config.resume_path)
+        if depth < 0:
+            raise BadCheckpoint(f"checkpoint depth {depth} is negative")
         if depth > config.levels:
             raise BadCheckpoint(f"checkpoint depth {depth} is past the last level {config.levels}")
-        level = _rebuild_level(p, stab, depth, rows_list)
-    else:
-        level = root_level(p, stab)
+        while level.depth < depth:
+            level = descend(p, level, config)
+        if level.survivors != rows:
+            raise BadCheckpoint(f"rows are not the {len(level.survivors)} survivors of level {depth}")
     report = SearchReport(start_depth=level.depth)
     workers = config.worker_count() if level.depth < config.levels else 1
     with _run_pool(p, workers):

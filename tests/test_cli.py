@@ -326,6 +326,24 @@ def test_search_resume_past_levels_exits_66(tmp_path, capsys):
     assert "verdict" not in out + err
 
 
+def test_search_resume_from_a_forged_level_exits_66(tmp_path, capsys):
+    """A checkpoint is checked by recomputing its level, so neither an
+    empty level 5 nor one real level-5 row under a count of 1 reaches a
+    verdict."""
+    real = tmp_path / "ck5"
+    assert main(["search", "--levels", "5", "--checkpoint", str(real)]) == 1
+    lines = real.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "level 5 count 128"
+    capsys.readouterr()
+    forged = tmp_path / "forged"
+    for text in ("level 5 count 0\n", f"level 5 count 1\n{lines[1]}\n"):
+        forged.write_text(text, encoding="ascii")
+        assert main(["search", "--resume", str(forged)]) == 66
+        out, err = capsys.readouterr()
+        assert "bad checkpoint" in err and "survivors of level 5" in err
+        assert "verdict:" not in out + err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -72,3 +72,33 @@ def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, p59):
     assert traced.descent_layers(traced.Tracer(), p59)
     assert traced.battery_layers(traced.Tracer())
     assert traced.search.SearchConfig().worker_count() == 1
+
+
+def _imported_names(tree):
+    """(name, line) for each name an import in the module binds, at the
+    line of its alias; __future__ imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+
+
+def test_imported_names_are_read():
+    # no linter is installed, so this is pyflakes' F401 on src/mixdih: a
+    # name a module imports must be read in that module (a loaded Name,
+    # which includes annotations and attribute bases), unless its import
+    # line says "# noqa: F401", as a deliberate re-export does
+    src = Path(mixdih.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree)
+            if name not in read and "# noqa: F401" not in lines[line - 1]
+        ]
+    assert not unread, f"imported names never read: {unread}"

@@ -258,8 +258,8 @@ def test_resume_rejects_malformed_rows(tmp_path, toy, toy_stab):
         "IGS": [tuple(1 << i for i in (0, 1, 2, 3, 5, 6, 7))],  # no c11 = [y1, x1]
         "outside": [(-1,) + good[1:]],
     }
-    for what, rows in bad_rows.items():
-        with pytest.raises(se.BadCheckpoint, match=what):
+    for rows in bad_rows.values():
+        with pytest.raises(se.BadCheckpoint, match="not the 12 survivors of level 1"):
             _resume(toy, toy_stab, path, 1, rows)
     with pytest.raises(se.BadCheckpoint, match="depth"):
         _resume(toy, toy_stab, path, -1, [])
@@ -522,13 +522,49 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
     for level in counted_descent[0]:
         se.write_checkpoint(tmp_path / "ck.txt", level)
         digests.append(hashlib.sha256((tmp_path / "ck.txt").read_bytes()).hexdigest()[:16])
-        # descend is deterministic in these fields, so resuming from any
-        # level reaches the verdict of a fresh run
-        resumed = se._rebuild_level(p59, stab, *se.load_checkpoint(tmp_path / "ck.txt"))
-        assert (resumed.depth, resumed.required_meet_log) == (level.depth, level.required_meet_log)
-        assert resumed.survivors == level.survivors
-        assert resumed.meets == level.meets
+        # descend is deterministic, so a run resumed from these bytes
+        # recomputes this level and accepts it
+        config = se.SearchConfig(levels=level.depth, resume_path=tmp_path / "ck.txt")
+        resumed = se.run_search(p59, config, stab)
+        assert (resumed.start_depth, resumed.final_survivors) == (level.depth, level.survivors)
     assert digests == CHECKPOINT_SHA256
+
+
+# p59 multiply and inverse calls of a serial six-level run_search given
+# the stabilizer (DESCENT_CALLS less the calls that build it); a resumed
+# run recomputes its checkpoint's level, so it makes them too
+RUN_CALLS = {"multiply": 25_863, "inverse": 1_612}
+
+
+def _counted_run(p59, stab, config):
+    calls = dict.fromkeys(RUN_CALLS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
+        report = se.run_search(p59, config, stab)
+    return report, calls
+
+
+@pytest.fixture(scope="module")
+def fresh_run(p59, stab):
+    return _counted_run(p59, stab, se.SearchConfig())
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_resume_from_each_level_is_a_fresh_run(tmp_path, p59, stab, counted_descent, fresh_run, depth):
+    """A run resumed from any level's checkpoint makes the fresh run's
+    multiplies and inverses, and reaches its survivors and verdict: the
+    checkpoint is checked by recomputing its level, never trusted."""
+    fresh, fresh_calls = fresh_run
+    assert fresh_calls == RUN_CALLS
+    path = tmp_path / "ck.txt"
+    se.write_checkpoint(path, counted_descent[0][depth - 1])
+    resumed, calls = _counted_run(p59, stab, se.SearchConfig(resume_path=path))
+    assert calls == RUN_CALLS
+    assert resumed.start_depth == depth
+    assert resumed.survivor_counts == fresh.survivor_counts[depth:]
+    assert resumed.final_survivors == fresh.final_survivors == []
+    assert resumed.no_regular_subgroup and fresh.no_regular_subgroup
 
 
 def test_levels_are_closed_under_conjugation_by_the_stabilizer(p59, stab, counted_descent):
