@@ -5,8 +5,9 @@ claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
 generic failure), 64 survivor-budget abort, 65 I/O error, 66 a --resume
-checkpoint that is malformed, past --levels, or not the level the
-descent recomputes.  Usage errors exit 2 before any check runs.
+checkpoint that is malformed, has a negative depth or one past --levels,
+or is not the level the descent recomputes.  Usage errors exit 2 before
+any check runs.
 """
 
 import argparse

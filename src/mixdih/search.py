@@ -47,7 +47,7 @@ and the dedup map is merged in that order, so counts do not depend on
 the worker count.
 
 A checkpoint is checked by recomputing its level, which must equal its
-rows in order: so a resume costs a fresh run up to that level, and a
+rows in order: so a resume does all the work of a fresh run, and a
 truncated, edited or foreign checkpoint gives no verdict.
 """
 
@@ -312,28 +312,30 @@ def run_search(
 ) -> SearchReport:
     """Breadth-first descent from the whole group; empty final level means
     no subgroup acts regularly on the stabilizer's coset space.  A resume
-    first recomputes the checkpoint's level, serially and before the pool
-    forks, and raises BadCheckpoint unless its survivors are the
-    checkpoint's rows; it reports, logs and writes only the later levels."""
+    runs the same descent, on the same pool, raises BadCheckpoint unless
+    the checkpoint's level has its rows, and reports only later levels."""
     config = config or SearchConfig()
     stab = stab if stab is not None else stab_subgroup(p)
     t0 = time.perf_counter()
     level = root_level(p, stab)
+    depth, rows = 0, level.survivors
     if config.resume_path:
         depth, rows = load_checkpoint(config.resume_path)
         if depth < 0:
             raise BadCheckpoint(f"checkpoint depth {depth} is negative")
         if depth > config.levels:
             raise BadCheckpoint(f"checkpoint depth {depth} is past the last level {config.levels}")
-        while level.depth < depth:
-            level = descend(p, level, config)
-        if level.survivors != rows:
-            raise BadCheckpoint(f"rows are not the {len(level.survivors)} survivors of level {depth}")
-    report = SearchReport(start_depth=level.depth)
-    workers = config.worker_count() if level.depth < config.levels else 1
+    report = SearchReport(start_depth=depth)
+    workers = config.worker_count() if depth < config.levels else 1
     with _run_pool(p, workers):
-        while level.depth < config.levels:
+        while True:
+            if level.depth == depth and level.survivors != rows:
+                raise BadCheckpoint(f"rows are not the {len(level.survivors)} survivors of level {depth}")
+            if level.depth == config.levels:
+                break
             level = descend(p, level, config)
+            if level.depth <= depth:
+                continue  # still recomputing the checkpoint's level
             report.required_meet_logs.append(level.required_meet_log)
             report.survivor_counts.append(len(level.survivors))
             report.candidate_counts.append(level.candidates)

@@ -517,6 +517,22 @@ def test_run_resumed_at_its_last_level_forks_no_pool(tmp_path, p59, stab, level1
     assert multiprocessing.active_children() == []
 
 
+def test_resume_recomputes_on_the_run_pool(tmp_path, p59, stab, counted_descent, pools):
+    """A resume descends like a fresh run, so a two-worker resume from
+    level 4 maps each of levels 2-6 onto its one pool, as a fresh run
+    does; a forged level 4 fails after levels 2-4, and the pool is
+    joined either way."""
+    path = tmp_path / "ck.txt"
+    se.write_checkpoint(path, counted_descent[0][3])
+    rep = se.run_search(p59, se.SearchConfig(resume_path=path, threads=2), stab)
+    assert (rep.start_depth, rep.survivor_counts) == (4, [128, 0])
+    se.write_checkpoint(path, se.SearchLevel(4, 1, [], []))
+    with pytest.raises(se.BadCheckpoint, match="not the 48 survivors of level 4"):
+        se.run_search(p59, se.SearchConfig(resume_path=path, threads=2), stab)
+    assert pools == [{"map": 5, "terminate": 1, "join": 1}, {"map": 3, "terminate": 1, "join": 1}]
+    assert multiprocessing.active_children() == []
+
+
 def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
     digests = []
     for level in counted_descent[0]:
