@@ -4,10 +4,9 @@ Subcommands: build (write a presentation file), verify (run the named
 claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
-generic failure), 64 survivor-budget abort, 65 I/O error, 66 a --resume
-checkpoint that is malformed, has a negative depth or one past --levels,
-or is not the level the descent recomputes.  Usage errors exit 2 before
-any check runs.
+generic failure), 64 survivor-budget abort, 65 I/O error.  Usage
+errors, --levels past the stabilizer's six halvings among them, exit 2
+before any check runs.
 """
 
 import argparse
@@ -615,7 +614,6 @@ def cmd_search(args) -> int:
         levels=args.levels,
         max_survivors=args.max_survivors,
         checkpoint_path=args.checkpoint,
-        resume_path=args.resume,
         threads=args.threads,
         log=lambda msg: print(msg, flush=True),
     )
@@ -624,9 +622,6 @@ def cmd_search(args) -> int:
     except se.MemoryBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 64
-    except se.BadCheckpoint as exc:
-        print(f"bad checkpoint: {exc}", file=sys.stderr)
-        return 66
     print(f"survivors per level: {rep.survivor_counts}")
     print(f"wall seconds: {rep.wall_seconds:.2f}")
     if rep.no_regular_subgroup:
@@ -714,10 +709,9 @@ def _parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
-    s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, at least 1 (default 6)")
+    s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, 1 to 6 (default 6)")
     s.add_argument("--max-survivors", type=_positive_int, default=10_000_000, help="survivors per level before exit 64, at least 1")
     s.add_argument("--checkpoint", help="write each completed level here")
-    s.add_argument("--resume", help="resume from a checkpoint file")
     s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
 
@@ -740,6 +734,8 @@ def main(argv=None) -> int:
         ap.error("verify all builds its groups; --from-file needs h56, p59 or toy2")
     if args.command == "verify" and args.target != "all" and args.threads != 1:
         ap.error("only verify all runs the descent, so only it takes --threads")
+    if args.command == "search" and args.levels > len(DESCENT_SURVIVORS):
+        ap.error(f"--levels must be at most {len(DESCENT_SURVIVORS)}, the stabilizer's order log")
     try:
         return args.func(args)
     except OSError as exc:

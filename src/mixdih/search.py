@@ -10,7 +10,8 @@ only keep the meet or halve it, so any regular subgroup sits at the
 bottom of a six-step chain of maximal subgroups whose stabilizer meets
 halve at every level.  The run expands those chains breadth-first with
 canonical deduplication; an empty sixth level proves that no regular
-subgroup exists.
+subgroup exists.  A run goes no deeper than the stabilizer's order log,
+where the meet is trivial and cannot halve again.
 
 A survivor's maximal subgroups are the kernels of its homomorphisms to
 C2, found as GF(2) functionals on its IGS coordinates
@@ -41,14 +42,13 @@ before its first level, maps every level with more than one group onto
 it, one task per group, largest first, and terminates and joins it
 before returning or raising; no other code forks, and a descend called
 outside a run always expands its level in this process.  Each task
-carries its level's required meet log, so the workers need nothing from
+carries its survivors and their meets, so the workers need nothing from
 the parent past the fork.  The results are put back in survivor order
 and the dedup map is merged in that order, so counts do not depend on
 the worker count.
 
-A checkpoint is checked by recomputing its level, which must equal its
-rows in order: so a resume does all the work of a fresh run, and a
-truncated, edited or foreign checkpoint gives no verdict.
+A checkpoint file is an export of one level's survivors, rewritten after
+each level; the engine never reads it back.
 """
 
 import os
@@ -81,16 +81,11 @@ class MemoryBudgetExceeded(RuntimeError):
         self.cap = cap
 
 
-class BadCheckpoint(ValueError):
-    """A checkpoint file that does not hold a valid descent level."""
-
-
 @dataclass
 class SearchConfig:
     levels: int = 6
     max_survivors: int = 10_000_000
     checkpoint_path: Optional[str] = None
-    resume_path: Optional[str] = None
     threads: int = 1
     log: Optional[Callable[[str], None]] = None
 
@@ -113,7 +108,9 @@ class SearchLevel:
     survivors[i] is the canonical IGS of a subgroup and meets[i] the IGS
     of its meet with the vertex stabilizer; the meet order is
     2**required_meet_log for every survivor t, which together with the
-    order 2**(n-depth) certifies t * stab = whole group.
+    order 2**(n-depth) certifies t * stab = whole group.  Each level
+    halves the meet, so required_meet_log is the stabilizer's order log
+    less depth.
     """
 
     depth: int
@@ -125,7 +122,6 @@ class SearchLevel:
 
 @dataclass
 class SearchReport:
-    start_depth: int
     required_meet_logs: List[int] = field(default_factory=list)
     survivor_counts: List[int] = field(default_factory=list)
     candidate_counts: List[int] = field(default_factory=list)
@@ -170,39 +166,33 @@ _RUN: Dict[str, object] = {}
 Expansion = Tuple[int, List[Tuple[Rows, Rows]]]
 
 
-def _expand_one(
-    group: PcPresentation, spans: Dict, req: int, rows: Rows, meet_rows: Rows
-) -> Expansion:
-    """Expand one survivor: filtered maximal subgroups plus their meets."""
+def _expand_one(group: PcPresentation, spans: Dict, rows: Rows, meet_rows: Rows) -> Expansion:
+    """Expand one survivor: the maximal subgroups that halve its meet, plus
+    their meets."""
     m = Subgroup(group, rows)
     homs = c2_homomorphisms(group, m, spans)
-    halve = len(meet_rows) == req + 1  # else the meet is trivial and persists
     meet_coords = [m.coords(w) for w in meet_rows]
     out: List[Tuple[Rows, Rows]] = []
     for a in homs:
         # a restricted to the meet, on the meet's own coordinates
         b = sum(1 << t for t, c in enumerate(meet_coords) if (c & a).bit_count() & 1)
-        if bool(b) != halve:
-            continue
-        new_meet = kernel_members(group, meet_rows, b) if halve else meet_rows
-        out.append((kernel_members(group, rows, a), new_meet))
+        if b:
+            out.append((kernel_members(group, rows, a), kernel_members(group, meet_rows, b)))
     return len(homs), out
 
 
-def _expand_group(payload: Tuple[int, List[Rows], List[Rows]]) -> List[Expansion]:
+def _expand_group(payload: Tuple[List[Rows], List[Rows]]) -> List[Expansion]:
     """Expand survivors that share one tail-block key, in order, with one
     tail-block memo that lives as long as this call."""
-    req, survivors, meets = payload
+    survivors, meets = payload
     group: PcPresentation = _FORK["group"]
     spans: Dict = {}
-    return [
-        _expand_one(group, spans, req, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)
-    ]
+    return [_expand_one(group, spans, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)]
 
 
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
-    """All maximal subgroups of the survivors whose stabilizer meet drops
-    to the next required order, deduplicated by canonical IGS.
+    """All maximal subgroups of the survivors that halve their stabilizer
+    meet, deduplicated by canonical IGS.
 
     The survivors are grouped by tail_block_key, and each group is one
     task, expanded with its own tail-block memo, so each block is built
@@ -211,15 +201,12 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     largest group first.  Otherwise, and always when called outside a
     run, its groups are expanded in this process.  Either way the
     results are merged in survivor order."""
-    req = level.required_meet_log - 1 if level.required_meet_log > 0 else 0
     by_key: Dict[Tuple, List[int]] = {}
     for i, rows in enumerate(level.survivors):
         by_key.setdefault(tail_block_key(group, rows), []).append(i)
     # largest first, so that a pool pulling one task at a time ends even
     groups = sorted(by_key.values(), key=len, reverse=True)
-    payload = [
-        (req, [level.survivors[i] for i in idx], [level.meets[i] for i in idx]) for idx in groups
-    ]
+    payload = [([level.survivors[i] for i in idx], [level.meets[i] for i in idx]) for idx in groups]
     if _RUN.get("group") is group and len(payload) > 1:
         done = _RUN["pool"].map(_expand_group, payload, chunksize=1)
     else:
@@ -240,7 +227,7 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
                     raise MemoryBudgetExceeded(level.depth + 1, config.max_survivors)
     return SearchLevel(
         depth=level.depth + 1,
-        required_meet_log=req,
+        required_meet_log=level.required_meet_log - 1,
         survivors=list(new.keys()),
         meets=list(new.values()),
         candidates=candidates,
@@ -284,24 +271,6 @@ def write_checkpoint(path, level: SearchLevel) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path) -> Tuple[int, List[Rows]]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
-            raise ValueError("empty checkpoint")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "level" or head[2] != "count":
-            raise ValueError(f"bad checkpoint header {lines[0]!r}")
-        depth, count = int(head[1]), int(head[3])
-        rows = [tuple(int(tok, 16) for tok in ln.split()) for ln in lines[1:]]
-    except ValueError as exc:  # also undecodable bytes and bad numbers
-        raise BadCheckpoint(f"{path}: {exc}") from exc
-    if len(rows) != count:
-        raise BadCheckpoint("checkpoint row count mismatch")
-    return depth, rows
-
-
 # ── the full run ─────────────────────────────────────────────────────────────
 
 
@@ -310,32 +279,20 @@ def run_search(
     config: Optional[SearchConfig] = None,
     stab: Optional[Subgroup] = None,
 ) -> SearchReport:
-    """Breadth-first descent from the whole group; empty final level means
-    no subgroup acts regularly on the stabilizer's coset space.  A resume
-    runs the same descent, on the same pool, raises BadCheckpoint unless
-    the checkpoint's level has its rows, and reports only later levels."""
+    """Breadth-first descent from the whole group, one level per halving
+    of the stabilizer meet; an empty final level means no subgroup acts
+    regularly on the stabilizer's coset space.  Raises ValueError, before
+    any level runs, for more levels than the stabilizer's order log."""
     config = config or SearchConfig()
     stab = stab if stab is not None else stab_subgroup(p)
+    if config.levels > stab.order_log:
+        raise ValueError(f"levels {config.levels} is past the stabilizer's order 2^{stab.order_log}")
     t0 = time.perf_counter()
     level = root_level(p, stab)
-    depth, rows = 0, level.survivors
-    if config.resume_path:
-        depth, rows = load_checkpoint(config.resume_path)
-        if depth < 0:
-            raise BadCheckpoint(f"checkpoint depth {depth} is negative")
-        if depth > config.levels:
-            raise BadCheckpoint(f"checkpoint depth {depth} is past the last level {config.levels}")
-    report = SearchReport(start_depth=depth)
-    workers = config.worker_count() if depth < config.levels else 1
-    with _run_pool(p, workers):
-        while True:
-            if level.depth == depth and level.survivors != rows:
-                raise BadCheckpoint(f"rows are not the {len(level.survivors)} survivors of level {depth}")
-            if level.depth == config.levels:
-                break
+    report = SearchReport()
+    with _run_pool(p, config.worker_count()):
+        while level.depth < config.levels:
             level = descend(p, level, config)
-            if level.depth <= depth:
-                continue  # still recomputing the checkpoint's level
             report.required_meet_logs.append(level.required_meet_log)
             report.survivor_counts.append(len(level.survivors))
             report.candidate_counts.append(level.candidates)
@@ -349,5 +306,5 @@ def run_search(
                 write_checkpoint(config.checkpoint_path, level)
     report.final_survivors = list(level.survivors)
     report.wall_seconds = time.perf_counter() - t0
-    report.no_regular_subgroup = level.depth == config.levels and not level.survivors
+    report.no_regular_subgroup = not level.survivors
     return report

@@ -236,7 +236,6 @@ def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
     def fake_run_search(p, config=None, stab=None):
         received.append(config.threads if config else None)
         return se.SearchReport(
-            start_depth=0,
             survivor_counts=[2, 2, 12, 48, 128, 0],
             candidate_counts=[3, 6, 14, 84, 336, 896],
             no_regular_subgroup=True,
@@ -293,8 +292,8 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("levels", ["0", "-2", "six"])
-def test_search_levels_below_one_is_a_usage_error(capsys, levels):
+@pytest.mark.parametrize("levels", ["0", "-2", "six", "7"])
+def test_search_levels_out_of_range_is_a_usage_error(capsys, levels):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--levels", levels])
     assert exc.value.code == 2
@@ -309,39 +308,24 @@ def test_search_max_survivors_below_one_is_a_usage_error(capsys, cap):
     assert "--max-survivors" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["once upon a time\n", "level 1 count 2\n1\n1\n"])
-def test_search_resume_malformed_checkpoint(tmp_path, capsys, text):
-    path = tmp_path / "ck.txt"
-    path.write_text(text, encoding="ascii")
-    assert main(["search", "--resume", str(path)]) == 66
-    assert "bad checkpoint" in capsys.readouterr().err
+def test_search_checkpoint_holds_the_last_level(tmp_path, p59):
+    path = tmp_path / "ck"
+    assert main(["search", "--levels", "2", "--checkpoint", str(path)]) == 1
+    level = se.root_level(p59, se.stab_subgroup(p59))
+    for _ in range(2):
+        level = se.descend(p59, level, se.SearchConfig())
+    want = tmp_path / "want"
+    se.write_checkpoint(want, level)
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_text(encoding="ascii").splitlines()[0] == "level 2 count 2"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck", "want"]  # no ck.tmp
 
 
-def test_search_resume_past_levels_exits_66(tmp_path, capsys):
-    path = tmp_path / "ck6"
-    path.write_text("level 6 count 0\n", encoding="ascii")
-    assert main(["search", "--resume", str(path), "--levels", "3"]) == 66
+def test_search_checkpoint_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    assert main(["search", "--levels", "1", "--checkpoint", str(tmp_path / "absent" / "ck")]) == 65
     out, err = capsys.readouterr()
-    assert "bad checkpoint" in err and "depth 6 is past the last level 3" in err
-    assert "verdict" not in out + err
-
-
-def test_search_resume_from_a_forged_level_exits_66(tmp_path, capsys):
-    """A checkpoint is checked by recomputing its level, so neither an
-    empty level 5 nor one real level-5 row under a count of 1 reaches a
-    verdict."""
-    real = tmp_path / "ck5"
-    assert main(["search", "--levels", "5", "--checkpoint", str(real)]) == 1
-    lines = real.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "level 5 count 128"
-    capsys.readouterr()
-    forged = tmp_path / "forged"
-    for text in ("level 5 count 0\n", f"level 5 count 1\n{lines[1]}\n"):
-        forged.write_text(text, encoding="ascii")
-        assert main(["search", "--resume", str(forged)]) == 66
-        out, err = capsys.readouterr()
-        assert "bad checkpoint" in err and "survivors of level 5" in err
-        assert "verdict:" not in out + err
+    assert "i/o error" in err
+    assert "verdict:" not in out + err
 
 
 def test_version_flag(capsys):
@@ -354,9 +338,9 @@ def test_version_flag(capsys):
 # ── fuzzed readers ───────────────────────────────────────────────────────────
 
 # every file a reader takes either works or fails with a documented exit
-# code: 1 failed checks or a rejected map, 2 two failed checks, 65 I/O,
-# 66 a bad checkpoint; no exception may escape main
-READER_EXITS = {0, 1, 2, 65, 66}
+# code: 1 failed checks or a rejected map, 2 two failed checks, 65 I/O;
+# no exception may escape main
+READER_EXITS = {0, 1, 2, 65}
 
 _JUNK = st.text(st.characters(min_codepoint=9, max_codepoint=126), max_size=24)
 _SMALL_HEX = st.integers(-2, 1 << 9).map(lambda v: format(v, "x"))
@@ -418,17 +402,6 @@ def _map_text(letters):
 
 _MAP = _map_text(["x1", "x2", "y1", "y2"])
 _H56_MAP = _map_text([f"{kind}{i}" for kind in "xy" for i in range(1, 5)])
-_MEMBER = st.one_of(st.integers(-1, 1 << 59), st.integers(0, 58).map(lambda k: 1 << k)).map(lambda v: format(v, "x"))
-_CHECKPOINT = st.builds(
-    lambda depth, rows, extra: "\n".join(
-        [f"level {depth} count {len(rows) + extra}"] + [" ".join(r) for r in rows]
-    ) + "\n",
-    st.one_of(st.integers(-1, 60), st.integers(56, 59)),
-    st.lists(st.lists(_MEMBER, min_size=1, max_size=3), max_size=3),
-    st.sampled_from([0, 0, 0, 1]),
-)
-
-
 def _as_bytes(text):
     return st.one_of(text.map(lambda s: s.encode("ascii")), _JUNK.map(lambda s: s.encode("ascii")), st.binary(max_size=40))
 
@@ -461,19 +434,13 @@ def test_fuzzed_h56_map_files_exit_with_a_documented_code(fuzz_path, data):
     _read_through_main(fuzz_path, data, ["maps", "h56", str(fuzz_path)])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_as_bytes(_CHECKPOINT))
-def test_fuzzed_checkpoints_exit_with_a_documented_code(fuzz_path, data):
-    _read_through_main(fuzz_path, data, ["search", "--resume", str(fuzz_path), "--levels", "1"])
-
-
 # ── fuzzed flags ─────────────────────────────────────────────────────────────
 
 # verify and search either run or fail with a documented exit code; a
 # usage error is argparse's SystemExit(2).  Paths are placeholders until
-# the test knows its directory: a writable report, or a path under a
-# directory that does not exist
-FLAG_EXITS = {0, 1, 2, 64, 65, 66}
+# the test knows its directory: a writable report or checkpoint, or a path
+# under a directory that does not exist
+FLAG_EXITS = {0, 1, 2, 64, 65}
 _WRITABLE, _ABSENT = "<writable>", "<absent>"
 
 
@@ -508,7 +475,7 @@ _SEARCH_ARGV = _flags(
     _flag("--levels", _value(st.integers(1, 2)), optional=False),
     _flag("--max-survivors", _value(st.sampled_from([1, 2, 3, 10_000_000]))),
     _flag("--threads", _value(st.integers(1, 2))),
-    _flag("--resume", st.just(_ABSENT)),
+    _flag("--checkpoint", st.sampled_from([_WRITABLE, _ABSENT])),
 ).map(lambda tail: ["search"] + tail)
 
 

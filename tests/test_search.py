@@ -77,14 +77,13 @@ def test_descend_is_deterministic(p59, stab, level1):
     assert again.meets == level1.meets
 
 
-def test_trivial_stab_keeps_the_lattice(p59):
-    # with a trivial stabilizer the meet requirement is vacuous, so the
-    # filter keeps every maximal subgroup: the lattice itself is not what
-    # empties the real run
-    cfg = se.SearchConfig(levels=1)
-    rep = se.run_search(p59, cfg, stab=Subgroup(p59, []))
-    assert rep.survivor_counts == [3]
-    assert not rep.no_regular_subgroup
+def test_levels_past_the_stabilizer_are_rejected(p59, pools):
+    # each level halves the stabilizer meet, so a trivial stabilizer
+    # leaves no level to run; the run refuses before it forks
+    cfg = se.SearchConfig(levels=1, threads=2)
+    with pytest.raises(ValueError, match="stabilizer"):
+        se.run_search(p59, cfg, stab=Subgroup(p59, []))
+    assert pools == []
 
 
 def test_required_meet_sequence(p59, stab):
@@ -182,37 +181,10 @@ def test_parallel_matches_serial(toy, toy_stab):
 def test_checkpoint_roundtrip(tmp_path, toy, toy_stab):
     path = tmp_path / "descent.txt"
     one = se.run_search(toy, se.SearchConfig(levels=2, checkpoint_path=path), stab=toy_stab)
-    depth, rows = se.load_checkpoint(path)
-    assert depth == 2 and rows == one.final_survivors
-
-    # replay the first level only, then resume from the file
-    se.write_checkpoint(
-        path,
-        se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig()),
-    )
-    resumed = se.run_search(
-        toy, se.SearchConfig(levels=2, resume_path=path), stab=toy_stab
-    )
-    assert resumed.start_depth == 1
-    assert resumed.final_survivors == one.final_survivors
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("once upon a time\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        se.load_checkpoint(path)
-
-
-def test_resume_validates_meets(tmp_path, toy, toy_stab):
-    # a checkpoint whose survivors do not meet the stabilizer correctly
-    # must be rejected instead of silently descending
-    path = tmp_path / "wrong.txt"
-    level = se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig())
-    level.depth = 2  # lie about the depth: required meet drops to 1
-    se.write_checkpoint(path, level)
-    with pytest.raises(ValueError):
-        se.run_search(toy, se.SearchConfig(levels=3, resume_path=path), stab=toy_stab)
+    head, *lines = path.read_text(encoding="ascii").splitlines()
+    assert head == f"level 2 count {len(one.final_survivors)}"
+    assert [tuple(int(tok, 16) for tok in ln.split()) for ln in lines] == one.final_survivors
+    assert one.final_survivors  # toy2 keeps survivors, so the rows are checked
 
 
 def test_budget_abort(toy, toy_stab):
@@ -235,51 +207,6 @@ def test_write_checkpoint_replaces_whole(tmp_path, toy, toy_stab, monkeypatch):
     with pytest.raises(OSError):
         se.write_checkpoint(path, se.descend(toy, level1, se.SearchConfig()))
     assert path.read_bytes() == before
-
-
-def _resume(toy, toy_stab, path, depth, rows):
-    se.write_checkpoint(path, se.SearchLevel(depth, 0, rows, []))
-    return se.run_search(toy, se.SearchConfig(levels=2, resume_path=path), stab=toy_stab)
-
-
-def test_resume_rejects_malformed_rows(tmp_path, toy, toy_stab):
-    level1 = se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig())
-    good = level1.survivors[0]
-    path = tmp_path / "ck.txt"
-    assert _resume(toy, toy_stab, path, 1, level1.survivors).start_depth == 1
-    # a subgroup of index 2 whose members are not canonical: fold the
-    # last member into the first
-    folded = (toy.multiply(good[0], good[-1]),) + good[1:]
-    assert Subgroup(toy, folded).digest() == good
-    bad_rows = {
-        "duplicate": [good, good],
-        "canonical": [folded],
-        "order": [good[1:]],
-        "IGS": [tuple(1 << i for i in (0, 1, 2, 3, 5, 6, 7))],  # no c11 = [y1, x1]
-        "outside": [(-1,) + good[1:]],
-    }
-    for rows in bad_rows.values():
-        with pytest.raises(se.BadCheckpoint, match="not the 12 survivors of level 1"):
-            _resume(toy, toy_stab, path, 1, rows)
-    with pytest.raises(se.BadCheckpoint, match="depth"):
-        _resume(toy, toy_stab, path, -1, [])
-
-
-def test_resume_past_the_last_level_is_rejected(tmp_path, toy, toy_stab):
-    # an empty checkpoint at depth 3 with levels=2: no level may run, and
-    # the empty row list must not read as a finished descent
-    path = tmp_path / "ck.txt"
-    se.write_checkpoint(path, se.SearchLevel(3, 0, [], []))
-    with pytest.raises(se.BadCheckpoint, match="depth 3 is past the last level 2"):
-        se.run_search(toy, se.SearchConfig(levels=2, resume_path=path), stab=toy_stab)
-
-
-def test_load_checkpoint_wraps_parse_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    for text in (b"level x count 0\n", b"level 1 count 1\nzz\n", b"level 1 count 0\n\xff\n"):
-        path.write_bytes(text)
-        with pytest.raises(se.BadCheckpoint):
-            se.load_checkpoint(path)
 
 
 # sha256 of each level's checkpoint bytes, first 16 hex digits; the
@@ -417,7 +344,7 @@ def forked_work(p59, stab):
         real_map = pool.map
 
         def mapped(fn, tasks, chunksize=None):
-            shipped.append([len(survivors) for _, survivors, _ in tasks])
+            shipped.append([len(survivors) for survivors, _ in tasks])
             return real_map(fn, tasks, chunksize)
 
         pool.map = mapped
@@ -508,79 +435,35 @@ def test_no_worker_outlives_a_run(
     assert multiprocessing.active_children() == []
 
 
-def test_run_resumed_at_its_last_level_forks_no_pool(tmp_path, p59, stab, level1, pools):
-    path = tmp_path / "ck.txt"
-    se.write_checkpoint(path, level1)
-    rep = se.run_search(p59, se.SearchConfig(levels=1, resume_path=path, threads=2), stab)
-    assert (rep.start_depth, rep.survivor_counts) == (1, [])
-    assert pools == []
-    assert multiprocessing.active_children() == []
-
-
-def test_resume_recomputes_on_the_run_pool(tmp_path, p59, stab, counted_descent, pools):
-    """A resume descends like a fresh run, so a two-worker resume from
-    level 4 maps each of levels 2-6 onto its one pool, as a fresh run
-    does; a forged level 4 fails after levels 2-4, and the pool is
-    joined either way."""
-    path = tmp_path / "ck.txt"
-    se.write_checkpoint(path, counted_descent[0][3])
-    rep = se.run_search(p59, se.SearchConfig(resume_path=path, threads=2), stab)
-    assert (rep.start_depth, rep.survivor_counts) == (4, [128, 0])
-    se.write_checkpoint(path, se.SearchLevel(4, 1, [], []))
-    with pytest.raises(se.BadCheckpoint, match="not the 48 survivors of level 4"):
-        se.run_search(p59, se.SearchConfig(resume_path=path, threads=2), stab)
-    assert pools == [{"map": 5, "terminate": 1, "join": 1}, {"map": 3, "terminate": 1, "join": 1}]
-    assert multiprocessing.active_children() == []
-
-
 def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
     digests = []
     for level in counted_descent[0]:
         se.write_checkpoint(tmp_path / "ck.txt", level)
         digests.append(hashlib.sha256((tmp_path / "ck.txt").read_bytes()).hexdigest()[:16])
-        # descend is deterministic, so a run resumed from these bytes
-        # recomputes this level and accepts it
-        config = se.SearchConfig(levels=level.depth, resume_path=tmp_path / "ck.txt")
-        resumed = se.run_search(p59, config, stab)
-        assert (resumed.start_depth, resumed.final_survivors) == (level.depth, level.survivors)
     assert digests == CHECKPOINT_SHA256
 
 
 # p59 multiply and inverse calls of a serial six-level run_search given
-# the stabilizer (DESCENT_CALLS less the calls that build it); a resumed
-# run recomputes its checkpoint's level, so it makes them too
+# the stabilizer (DESCENT_CALLS less the calls that build it)
 RUN_CALLS = {"multiply": 25_863, "inverse": 1_612}
-
-
-def _counted_run(p59, stab, config):
-    calls = dict.fromkeys(RUN_CALLS, 0)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
-        report = se.run_search(p59, config, stab)
-    return report, calls
 
 
 @pytest.fixture(scope="module")
 def fresh_run(p59, stab):
-    return _counted_run(p59, stab, se.SearchConfig())
+    """A serial six-level run_search and the p59 calls it made."""
+    calls = dict.fromkeys(RUN_CALLS, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
+        report = se.run_search(p59, se.SearchConfig(), stab)
+    return report, calls
 
 
-@pytest.mark.parametrize("depth", range(1, 7))
-def test_resume_from_each_level_is_a_fresh_run(tmp_path, p59, stab, counted_descent, fresh_run, depth):
-    """A run resumed from any level's checkpoint makes the fresh run's
-    multiplies and inverses, and reaches its survivors and verdict: the
-    checkpoint is checked by recomputing its level, never trusted."""
-    fresh, fresh_calls = fresh_run
-    assert fresh_calls == RUN_CALLS
-    path = tmp_path / "ck.txt"
-    se.write_checkpoint(path, counted_descent[0][depth - 1])
-    resumed, calls = _counted_run(p59, stab, se.SearchConfig(resume_path=path))
+def test_run_search_work_is_pinned(fresh_run):
+    report, calls = fresh_run
+    assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
+    assert report.no_regular_subgroup
     assert calls == RUN_CALLS
-    assert resumed.start_depth == depth
-    assert resumed.survivor_counts == fresh.survivor_counts[depth:]
-    assert resumed.final_survivors == fresh.final_survivors == []
-    assert resumed.no_regular_subgroup and fresh.no_regular_subgroup
 
 
 def test_levels_are_closed_under_conjugation_by_the_stabilizer(p59, stab, counted_descent):
