@@ -44,6 +44,7 @@ from .gf2linalg import echelon_ints, lowbit_index, sliced_apply, sliced_tables, 
 __all__ = [
     "PcPresentation",
     "Subgroup",
+    "ProductMemo",
     "NotInSubgroup",
     "SmallTooLarge",
     "subgroup_igs",
@@ -262,6 +263,54 @@ class PcPresentation:
         return f"PcPresentation({self.label or 'anon'}, n={self.n})"
 
 
+class ProductMemo:
+    """What the subgroups of one group share, keyed by member and word
+    values and never by a subgroup's coordinates:
+
+    * inverses: the inverse of each top member;
+    * products: u * v, for the square of each top member and for each
+      top step of a left division (the inverse of a top member times a
+      word);
+    * conjugates: m_j ** m_i for each clashing pair of top members;
+    * spans: tail blocks under their tail_block_key (relation_rows).
+
+    A miss calls the group's multiply or inverse, looked up at call
+    time.  The survivors of a descent share few top members (p59: 127
+    in a run), so most of their products are hits.
+    """
+
+    __slots__ = ("group", "inverses", "products", "conjugates", "spans")
+
+    def __init__(self, group: PcPresentation):
+        self.group = group
+        self.inverses: Dict[int, int] = {}
+        self.products: Dict[Tuple[int, int], int] = {}
+        self.conjugates: Dict[Tuple[int, int], int] = {}
+        self.spans: Dict[Tuple, List[int]] = {}
+
+    def inverse(self, u: int) -> int:
+        inv = self.inverses.get(u)
+        if inv is None:
+            inv = self.inverses[u] = self.group.inverse(u)
+        return inv
+
+    def multiply(self, u: int, v: int) -> int:
+        key = (u, v)
+        w = self.products.get(key)
+        if w is None:
+            w = self.products[key] = self.group.multiply(u, v)
+        return w
+
+    def conjugate(self, u: int, g: int) -> int:
+        """u**g = g^-1 * u * g."""
+        key = (u, g)
+        w = self.conjugates.get(key)
+        if w is None:
+            mul = self.group.multiply
+            w = self.conjugates[key] = mul(mul(self.inverse(g), u), g)
+        return w
+
+
 class Subgroup:
     """A subgroup held as an echelonized induced generating sequence.
 
@@ -270,18 +319,23 @@ class Subgroup:
     order.  Canonical form additionally clears, in every member, the bits
     sitting at the other members' leading indices; two equal subgroups then
     hold identical member tuples.
+
+    Given a memo, the inverses of the top members and the top steps of
+    each division come from it.
     """
 
-    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div")
+    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_memo")
 
-    def __init__(self, group: PcPresentation, members: Sequence[int]):
+    def __init__(self, group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None):
         self.group = group
         self.members = tuple(sorted(members, key=lowbit_index))
         self.leads = tuple(lowbit_index(m) for m in self.members)
         if len(set(self.leads)) != len(self.members) or any(m == 0 for m in self.members):
             raise ValueError("IGS members need distinct leading indices")
         top = group.top_mask
-        self._invs = tuple(group.inverse(m) if m & top else m for m in self.members)
+        inverse = group.inverse if memo is None else memo.inverse
+        self._invs = tuple(inverse(m) if m & top else m for m in self.members)
+        self._memo = memo
         self._lead_mask = sum(1 << d for d in self.leads)
         # lead bit -> (inverse of its member, coordinate bit of its member)
         self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(self.leads, self._invs))}
@@ -305,7 +359,7 @@ class Subgroup:
         lies in the tail, so does every member left to divide by, and
         the division is XOR.
         """
-        mul = self.group.multiply
+        mul = self.group.multiply if self._memo is None else self._memo.multiply
         top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
@@ -478,7 +532,7 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
 
 
 def relation_rows(
-    group: PcPresentation, s: Subgroup, spans: Optional[Dict[Tuple, List[int]]] = None
+    group: PcPresentation, s: Subgroup, memo: Optional[ProductMemo] = None
 ) -> Tuple[List[int], List[int]]:
     """The relations of s's induced pcgs, as rows over its IGS coordinates:
     (top rows, tail block), the block a reduced echelon basis.
@@ -502,9 +556,10 @@ def relation_rows(
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on tail_block_key(group, s.members), so spans, when given,
-    memoizes it under that key.  A block that raises is never stored, so
-    a memo hit never skips the raise.
+    only on tail_block_key(group, s.members).  A memo, when given, holds
+    the block under that key, and the squares and top x top conjugates
+    under the members multiplied.  A block that raises is never stored,
+    so a memo hit never skips the raise.
     """
     mul = group.multiply
     ms = s.members
@@ -513,7 +568,7 @@ def relation_rows(
     rows = []
     for i in range(k):
         mi = ms[i]
-        sq = mul(mi, mi)
+        sq = mul(mi, mi) if memo is None else memo.multiply(mi, mi)
         if sq:
             rows.append(s.coords(sq))
         inv = s._invs[i]
@@ -521,14 +576,14 @@ def relation_rows(
         for j in range(i + 1, k):
             mj = ms[j]
             if clash & mj:
-                c = mul(mul(inv, mj), mi)
+                c = mul(mul(inv, mj), mi) if memo is None else memo.conjugate(mj, mi)
                 if c != mj:
                     rows.append(s.coords(c) ^ (1 << j))
-    block = spans.get(key) if spans is not None else None
+    block = memo.spans.get(key) if memo is not None else None
     if block is None:
         block = _tail_span(group, s, *key)
-        if spans is not None:
-            spans[key] = block
+        if memo is not None:
+            memo.spans[key] = block
     return rows, block
 
 
@@ -569,7 +624,7 @@ def _tail_span(
 
 
 def c2_homomorphisms(
-    group: PcPresentation, s: Subgroup, spans: Optional[Dict[Tuple, List[int]]] = None
+    group: PcPresentation, s: Subgroup, memo: Optional[ProductMemo] = None
 ) -> List[int]:
     """The nonzero homomorphisms s -> C2, as functionals on IGS coordinates.
 
@@ -583,10 +638,10 @@ def c2_homomorphisms(
     a functional only at free columns and the parity is linear in f: the
     functionals are built by doubling, from one per free column (its bit
     and the pivots of the rows that have it).  The reduced rows depend
-    only on the span of the relations, so spans, relation_rows' memo of
-    tail blocks, changes no output.
+    only on the span of the relations, so a memo, which relation_rows
+    reads, changes no output.
     """
-    rows, block = relation_rows(group, s, spans)
+    rows, block = relation_rows(group, s, memo)
     basis, pivots = echelon_ints(rows, start=block)
     taken = set(pivots)
     out = [0]

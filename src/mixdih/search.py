@@ -28,11 +28,23 @@ Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
 and tail members (pcgroup.tail_block_key), and survivors of one level
 share a few dozen such spans at most (p59: 1, 2, 2, 6, 14, 30 per
-level).  Each level's survivors are grouped by that key, and each group
-is expanded with its own memo, which holds the span as the reduced
-echelon form of its coordinates (pcgroup.relation_rows); so each span is
-built once per run, by the first survivor of its group, and each
-survivor reduces only its top rows against it.
+level).  Each level's survivors are grouped by that key, one task per
+group, so each span is built once per run, by the first survivor of its
+group, as the reduced echelon form of its coordinates
+(pcgroup.relation_rows); each survivor reduces only its top rows
+against it.
+
+The survivors of a run also share most of their top members, and so
+the products their relations and divisions need.  run_search makes one
+memo (pcgroup.ProductMemo) per process per run: the inverse and the
+square of each top member, the conjugate of each clashing pair of top
+members, each top step of a left division, and the spans.  It is keyed
+by member and word values, never by a survivor's coordinates, so a
+memo hit equals the product it stands for.  The memo is made before the
+pool is forked, so each worker inherits it empty and fills its own, and
+it is dropped when the run returns or raises; nothing is kept from one
+run to the next.  A descend called outside a run uses a memo of its
+own for that call.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
@@ -43,9 +55,9 @@ it, one task per group, largest first, and terminates and joins it
 before returning or raising; no other code forks, and a descend called
 outside a run always expands its level in this process.  Each task
 carries its survivors and their meets, so the workers need nothing from
-the parent past the fork.  The results are put back in survivor order
-and the dedup map is merged in that order, so counts do not depend on
-the worker count.
+the parent past the fork but the group and the empty memo.  The results
+are put back in survivor order and the dedup map is merged in that
+order, so counts do not depend on the worker count.
 
 A checkpoint file is an export of one level's survivors, rewritten after
 each level; the engine never reads it back.
@@ -53,12 +65,13 @@ each level; the engine never reads it back.
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .pcgroup import (
     PcPresentation,
+    ProductMemo,
     Subgroup,
     c2_homomorphisms,
     kernel_members,
@@ -156,21 +169,19 @@ def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
 # ── one descent step ─────────────────────────────────────────────────────────
 
 
-# What _expand_group reads, in this process and in each forked worker: the
-# group of the level it is on.
-_FORK: Dict[str, object] = {}
-
-# The pool of the run_search in progress, and the group it was forked for.
+# The run_search in progress: its group, its memo and, when it forked one,
+# its pool.  A forked worker inherits the group and the memo as they were
+# at the fork, the memo still empty, and fills its own copy.
 _RUN: Dict[str, object] = {}
 
 Expansion = Tuple[int, List[Tuple[Rows, Rows]]]
 
 
-def _expand_one(group: PcPresentation, spans: Dict, rows: Rows, meet_rows: Rows) -> Expansion:
+def _expand_one(group: PcPresentation, memo: ProductMemo, rows: Rows, meet_rows: Rows) -> Expansion:
     """Expand one survivor: the maximal subgroups that halve its meet, plus
     their meets."""
-    m = Subgroup(group, rows)
-    homs = c2_homomorphisms(group, m, spans)
+    m = Subgroup(group, rows, memo)
+    homs = c2_homomorphisms(group, m, memo)
     meet_coords = [m.coords(w) for w in meet_rows]
     out: List[Tuple[Rows, Rows]] = []
     for a in homs:
@@ -181,13 +192,18 @@ def _expand_one(group: PcPresentation, spans: Dict, rows: Rows, meet_rows: Rows)
     return len(homs), out
 
 
-def _expand_group(payload: Tuple[List[Rows], List[Rows]]) -> List[Expansion]:
-    """Expand survivors that share one tail-block key, in order, with one
-    tail-block memo that lives as long as this call."""
+def _expand_group(
+    group: PcPresentation, memo: ProductMemo, payload: Tuple[List[Rows], List[Rows]]
+) -> List[Expansion]:
+    """Expand survivors that share one tail-block key, in order."""
     survivors, meets = payload
-    group: PcPresentation = _FORK["group"]
-    spans: Dict = {}
-    return [_expand_one(group, spans, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)]
+    return [_expand_one(group, memo, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)]
+
+
+def _expand_task(payload: Tuple[List[Rows], List[Rows]]) -> List[Expansion]:
+    """_expand_group in a forked worker, on the run's group and on the
+    worker's own copy of the run's memo."""
+    return _expand_group(_RUN["group"], _RUN["memo"], payload)
 
 
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
@@ -195,23 +211,24 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     meet, deduplicated by canonical IGS.
 
     The survivors are grouped by tail_block_key, and each group is one
-    task, expanded with its own tail-block memo, so each block is built
-    once.  A level with more than one group is expanded on the pool of
-    the run_search in progress when that pool was forked for `group`,
-    largest group first.  Otherwise, and always when called outside a
-    run, its groups are expanded in this process.  Either way the
-    results are merged in survivor order."""
+    task, so each tail block is built by one process.  Within the
+    run_search in progress for `group`, the survivors are expanded with
+    the run's memo, and a level with more than one group goes to the
+    run's pool, when it forked one, largest group first.  Otherwise its
+    groups are expanded in this process; a call outside a run uses a
+    memo of its own.  Either way the results are merged in survivor
+    order."""
     by_key: Dict[Tuple, List[int]] = {}
     for i, rows in enumerate(level.survivors):
         by_key.setdefault(tail_block_key(group, rows), []).append(i)
     # largest first, so that a pool pulling one task at a time ends even
     groups = sorted(by_key.values(), key=len, reverse=True)
     payload = [([level.survivors[i] for i in idx], [level.meets[i] for i in idx]) for idx in groups]
-    if _RUN.get("group") is group and len(payload) > 1:
-        done = _RUN["pool"].map(_expand_group, payload, chunksize=1)
+    run = _RUN if _RUN.get("group") is group else {"memo": ProductMemo(group)}
+    if "pool" in run and len(payload) > 1:
+        done = run["pool"].map(_expand_task, payload, chunksize=1)
     else:
-        _FORK["group"] = group
-        done = [_expand_group(item) for item in payload]
+        done = [_expand_group(group, run["memo"], item) for item in payload]
     results: List[Expansion] = [None] * len(level.survivors)
     for idx, out in zip(groups, done):
         for i, expansion in zip(idx, out):
@@ -235,25 +252,24 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
 
 
 @contextmanager
-def _run_pool(group: PcPresentation, workers: int):
-    """Fork a pool of `workers` processes, which inherit `group` in _FORK,
-    and make it the one descend uses for `group` until the block ends;
-    then terminate and join it, also on an exception.  A single worker
-    needs none."""
-    if workers < 2:
-        yield
-        return
-    import multiprocessing  # only here: serial runs and verify never fork
-
-    _FORK["group"] = group
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    _RUN.update(group=group, pool=pool)
+def _run(group: PcPresentation, workers: int):
+    """Make the run's memo for `group` and, for more than one worker, fork
+    a pool of `workers` processes, which inherit the memo empty; descend
+    uses both for `group` until the block ends.  Then drop the memo, and
+    terminate and join the pool, also on an exception."""
+    _RUN.update(group=group, memo=ProductMemo(group))
+    pool = None
     try:
+        if workers > 1:
+            import multiprocessing  # only here: serial runs and verify never fork
+
+            pool = _RUN["pool"] = multiprocessing.get_context("fork").Pool(workers)
         yield
     finally:
         _RUN.clear()
-        pool.terminate()
-        pool.join()
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 # ── checkpoints ──────────────────────────────────────────────────────────────
@@ -261,14 +277,20 @@ def _run_pool(group: PcPresentation, workers: int):
 
 def write_checkpoint(path, level: SearchLevel) -> None:
     """Write the level next to path, then move it into place, so a crash
-    mid-write leaves the previous checkpoint whole."""
+    mid-write leaves the previous checkpoint whole.  A write or move that
+    fails removes the file next to path before the error propagates."""
     lines = [f"level {level.depth} count {len(level.survivors)}"]
     for rows in level.survivors:
         lines.append(" ".join(format(m, "x") for m in rows))
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # open may have failed before making it
+            os.remove(tmp)
+        raise
 
 
 # ── the full run ─────────────────────────────────────────────────────────────
@@ -290,7 +312,7 @@ def run_search(
     t0 = time.perf_counter()
     level = root_level(p, stab)
     report = SearchReport()
-    with _run_pool(p, config.worker_count()):
+    with _run(p, config.worker_count()):
         while level.depth < config.levels:
             level = descend(p, level, config)
             report.required_meet_logs.append(level.required_meet_log)

@@ -328,6 +328,15 @@ def test_search_checkpoint_in_a_missing_directory_is_an_io_error(tmp_path, capsy
     assert "verdict:" not in out + err
 
 
+def test_search_checkpoint_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    """The write to ck.tmp succeeds and the move onto the directory fails:
+    exit 65, and the temp file is removed."""
+    (tmp_path / "ck").mkdir()
+    assert main(["search", "--levels", "1", "--checkpoint", str(tmp_path / "ck")]) == 65
+    assert "i/o error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

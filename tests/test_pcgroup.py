@@ -565,10 +565,10 @@ def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivor
     memoized homomorphisms must equal the unmemoized ones too."""
     rng = random.Random(33)
     sample = rng.sample(p59_survivors[16:64], 8) + rng.sample(p59_survivors[64:192], 8)
-    spans = {}
+    memo = pc.ProductMemo(p59)
     for s in p59_survivors[:16] + sample:
         assert_maximal_match_frattini(p59, s)
-        assert pc.c2_homomorphisms(p59, s, spans) == pc.c2_homomorphisms(p59, s)
+        assert pc.c2_homomorphisms(p59, s, memo) == pc.c2_homomorphisms(p59, s)
 
 
 def reference_canonical_members(group, members):
@@ -586,11 +586,11 @@ def reference_canonical_members(group, members):
     return tuple(members)
 
 
-def reference_functionals(group, s, spans):
+def reference_functionals(group, s, memo):
     """The per-f loop c2_homomorphisms replaced, on the reduced echelon
     form of all of relation_rows: free column t from bit t of f, then
     each pivot from the parity of its row."""
-    rows, block = pc.relation_rows(group, s, spans)
+    rows, block = pc.relation_rows(group, s, memo)
     basis, pivots = echelon_ints(rows + block)
     free = [t for t in range(len(s.members)) if t not in pivots]
     out = []
@@ -615,9 +615,9 @@ def scrambled_igs(group, members, rng):
     return out
 
 
-def assert_fast_loops_match_references(group, s, rng, spans):
-    homs = pc.c2_homomorphisms(group, s, spans)
-    assert homs == reference_functionals(group, s, spans)
+def assert_fast_loops_match_references(group, s, rng, memo):
+    homs = pc.c2_homomorphisms(group, s, memo)
+    assert homs == reference_functionals(group, s, memo)
     lists = [scrambled_igs(group, s.members, rng)]
     for a in homs:  # the member lists kernel_members canonicalizes
         support = [m for t, m in enumerate(s.members) if (a >> t) & 1]
@@ -635,10 +635,10 @@ def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
     equals the double loop on a scrambled IGS of the survivor and on the
     member list of each of its kernels."""
     rng = random.Random(17)
-    spans = {}
+    memo = pc.ProductMemo(p59)
     full = pc.Subgroup(p59, [1 << t for t in range(p59.n)])
     for s in [full] + p59_survivors:
-        assert_fast_loops_match_references(p59, s, rng, spans)
+        assert_fast_loops_match_references(p59, s, rng, memo)
 
 
 def test_fast_loops_match_references_on_random_subgroups(toy, h56):
@@ -711,10 +711,10 @@ def all_pairs_relation_rows(group, s):
     return rows
 
 
-def reduced_relations(group, s, spans=None):
+def reduced_relations(group, s, memo=None):
     """The reduced echelon form of relation_rows: its top rows reduced
     against its tail block, as c2_homomorphisms reduces them."""
-    rows, block = pc.relation_rows(group, s, spans)
+    rows, block = pc.relation_rows(group, s, memo)
     assert echelon_ints(block) == (block, [lowbit_index(b) for b in block])
     return echelon_ints(rows, start=block)
 
@@ -728,24 +728,24 @@ def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
     c2_homomorphisms reads, must not.  Once without a memo, and once
     with one memo shared by all survivors, so later survivors hit it.
     """
-    spans = {}
+    memo = pc.ProductMemo(p59)
     for s in p59_survivors:
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
         assert reduced_relations(p59, s) == reference
-        assert reduced_relations(p59, s, spans) == reference
-    assert len(spans) < len(p59_survivors)
+        assert reduced_relations(p59, s, memo) == reference
+    assert len(memo.spans) < len(p59_survivors)
 
 
 def test_relation_rows_memo_keys_on_the_tail_members(p59):
     """<x1, g_t> for each tail generator g_t: one top part, tail members
     that differ from t to t, so no survivor may reuse another's span."""
     x1 = 1 << p59.names.index("x1")
-    spans = {}
+    memo = pc.ProductMemo(p59)
     for t in range(p59.tail, p59.n):
         s = pc.subgroup_igs(p59, [x1, 1 << t])
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
-        assert reduced_relations(p59, s, spans) == reference
-    assert len({heads for heads, _ in spans}) == 1 < len(spans)
+        assert reduced_relations(p59, s, memo) == reference
+    assert len({heads for heads, _ in memo.spans}) == 1 < len(memo.spans)
 
 
 def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
@@ -758,11 +758,11 @@ def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
     assert not s.contains(p59.conjugate(g15, x1))
     with pytest.raises(pc.NotInSubgroup):
         pc.relation_rows(p59, s)
-    spans = {}
+    memo = pc.ProductMemo(p59)
     for _ in range(2):  # a cold memo, then the next call
         with pytest.raises(pc.NotInSubgroup):
-            pc.relation_rows(p59, s, spans)
-        assert spans == {}  # a block that raised is never stored
+            pc.relation_rows(p59, s, memo)
+        assert memo.spans == {}  # a block that raised is never stored
 
 
 # ── the elementary abelian tail ─────────────────────────────────────────────

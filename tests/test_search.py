@@ -86,10 +86,9 @@ def test_levels_past_the_stabilizer_are_rejected(p59, pools):
     assert pools == []
 
 
-def test_required_meet_sequence(p59, stab):
-    level = se.root_level(p59, stab)
-    assert level.required_meet_log == 6
-    assert [max(6 - k, 0) for k in range(1, 7)] == [5, 4, 3, 2, 1, 0]
+def test_required_meet_sequence(p59, stab, fresh_run):
+    assert se.root_level(p59, stab).required_meet_log == 6
+    assert fresh_run[0].required_meet_logs == [5, 4, 3, 2, 1, 0]
 
 
 def _reference_descent(group, stab, levels):
@@ -99,7 +98,7 @@ def _reference_descent(group, stab, levels):
     level = {se.full_group(group).digest(): se.full_group(group)}
     counts = []
     for k in range(1, levels + 1):
-        need = 1 << max(stab.order_log - k, 0)
+        need = 1 << (stab.order_log - k)
         new = {}
         for s in level.values():
             for m in maximal_subgroups(group, s):
@@ -207,6 +206,7 @@ def test_write_checkpoint_replaces_whole(tmp_path, toy, toy_stab, monkeypatch):
     with pytest.raises(OSError):
         se.write_checkpoint(path, se.descend(toy, level1, se.SearchConfig()))
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]  # ck.txt.tmp removed
 
 
 # sha256 of each level's checkpoint bytes, first 16 hex digits; the
@@ -221,13 +221,14 @@ CHECKPOINT_SHA256 = [
 ]
 
 
-# p59 multiply and inverse calls of a serial six-level run_search; a
-# change that loses the clash skip in relation_rows, a closed-form
-# inverse, or the tail path (XOR in the elementary abelian tail, its
-# members as their own inverses, conjugates of tail members from
-# tail_action tables), or that builds the halved stabilizer meets by a
+# p59 multiply and inverse calls of stab_subgroup and six descend calls
+# outside a run, each call with a product memo of its own; a change that
+# loses the clash skip in relation_rows, a closed-form inverse, the tail
+# path (XOR in the elementary abelian tail, its members as their own
+# inverses, conjugates of tail members from tail_action tables) or a kind
+# of entry in the memo, or that builds the halved stabilizer meets by a
 # subgroup closure instead of kernel_members, moves them
-DESCENT_CALLS = {"multiply": 25_949, "inverse": 1_624}
+DESCENT_CALLS = {"multiply": 10_211, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
@@ -309,8 +310,9 @@ def pools(monkeypatch):
 
 def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent, pools):
     """A two-worker run maps levels 2-6 (level 1 has a single survivor)
-    onto its pool, one task per tail-block key, each expanded with its own
-    memo; the levels, merged in survivor order, equal the serial ones."""
+    onto its pool, one task per tail-block key, each worker with its own
+    copy of the run's memo; the levels, merged in survivor order, equal
+    the serial ones."""
     levels = []
     descend = se.descend
 
@@ -358,9 +360,10 @@ def forked_work(p59, stab):
 
 
 def test_parallel_run_builds_each_tail_block_once(forked_work):
-    """A memo per forked worker would build a block again in each worker
-    that meets its key; a memo per tail-block key builds each block once,
-    exactly the serial run's count."""
+    """Each worker fills its own memo, and each tail-block key is one task,
+    so one worker meets each key and builds its block once: exactly the
+    serial run's count.  A task per survivor would build a block again in
+    each worker that meets its key."""
     report, built, _ = forked_work
     assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
     assert built == RELATION_WORK["tail_blocks"]
@@ -444,12 +447,12 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
 
 
 # p59 multiply and inverse calls of a serial six-level run_search given
-# the stabilizer (DESCENT_CALLS less the calls that build it)
-RUN_CALLS = {"multiply": 25_863, "inverse": 1_612}
+# the stabilizer: the misses of the run's one product memo, which all six
+# levels share, and the products the memo does not hold
+RUN_CALLS = {"multiply": 8_983, "inverse": 138}
 
 
-@pytest.fixture(scope="module")
-def fresh_run(p59, stab):
+def _counted_run(p59, stab):
     """A serial six-level run_search and the p59 calls it made."""
     calls = dict.fromkeys(RUN_CALLS, 0)
     with pytest.MonkeyPatch.context() as mp:
@@ -459,11 +462,44 @@ def fresh_run(p59, stab):
     return report, calls
 
 
+@pytest.fixture(scope="module")
+def fresh_run(p59, stab):
+    return _counted_run(p59, stab)
+
+
 def test_run_search_work_is_pinned(fresh_run):
     report, calls = fresh_run
     assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
     assert report.no_regular_subgroup
     assert calls == RUN_CALLS
+
+
+def test_the_memo_does_not_outlive_its_run(p59, stab):
+    """Two runs back to back in one process: a memo kept past its run
+    would save the second run some of the first run's calls."""
+    for _ in range(2):
+        assert _counted_run(p59, stab)[1] == RUN_CALLS
+        assert se._RUN == {}
+
+
+def test_a_shared_memo_expands_as_a_fresh_one(p59, stab):
+    """Every survivor of levels 0-5, expanded with one memo shared across
+    its level and with a memo of its own, gives the same kernels and
+    meets: the memo holds nothing that depends on a survivor's
+    coordinates.  The levels are walked here, from the fresh-memo
+    expansions, so a faulty shared memo cannot hide behind them."""
+    level = [(se.full_group(p59).members, stab.members)]
+    counts = []
+    for _ in range(6):
+        shared, new = pc.ProductMemo(p59), {}
+        for rows, meet_rows in level:
+            fresh = se._expand_one(p59, pc.ProductMemo(p59), rows, meet_rows)
+            assert se._expand_one(p59, shared, rows, meet_rows) == fresh
+            for key, meet in fresh[1]:
+                new.setdefault(key, meet)
+        level = list(new.items())
+        counts.append(len(level))
+    assert counts == [2, 2, 12, 48, 128, 0]
 
 
 def test_levels_are_closed_under_conjugation_by_the_stabilizer(p59, stab, counted_descent):
