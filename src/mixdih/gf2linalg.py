@@ -25,6 +25,7 @@ __all__ = [
     "word_bits",
     "lowbit_index",
     "echelon_ints",
+    "pivot_reach",
     "reduce_by_echelon",
     "sliced_tables",
     "sliced_apply",
@@ -50,32 +51,56 @@ def echelon_ints(rows: Sequence[int], start: Sequence[int] = ()) -> Tuple[List[i
     """Reduced row echelon form of integer rows.
 
     Returns (basis, pivots) with pivots strictly increasing and every pivot
-    column cleared in all other basis rows.  Zero rows are dropped.  The
-    basis is kept reduced as it grows, so a row meets each basis row only
-    at that row's pivot: reducing it takes one XOR per pivot bit it has.
+    column cleared in all other basis rows.  Zero rows are dropped.  A row
+    is reduced at the pivots it hits, lowest first, and joins the basis at
+    its lowest bit; the basis is reduced once at the end, from its highest
+    pivot down.  So a row costs one XOR per pivot it hits.
 
     start, when given, is a basis already in that form (the basis of an
     earlier echelon_ints call); the result is then that of start + rows,
-    which is unique, and only rows are reduced.
+    which is unique.  Each row is first reduced against start in one
+    whole-word pass (pivot_reach): a tail block reaches 2 columns.
     """
     by_pivot: Dict[int, int] = {b & -b: b for b in start}  # pivot bit -> basis row
-    pivmask = sum(by_pivot)
+    pivmask = start_mask = sum(by_pivot)
+    reached = pivot_reach(start, start_mask)
     for row in rows:
+        hits = row & start_mask
+        row ^= hits
+        for col, pivs in reached:
+            if (hits & pivs).bit_count() & 1:
+                row ^= col
         hits = row & pivmask
         while hits:
             low = hits & -hits
             row ^= by_pivot[low]
-            hits ^= low
-        if row == 0:
-            continue
-        low = row & -row
-        for bit, b in by_pivot.items():
-            if b & low:
-                by_pivot[bit] = b ^ row
+            hits = row & pivmask & -(low << 1)
+        if row:
+            by_pivot[row & -row] = row
+            pivmask |= row & -row
+    for low in sorted(by_pivot, reverse=True):
+        row = by_pivot[low]
+        hits = row & pivmask ^ low
+        while hits:
+            row ^= by_pivot[hits & -hits]
+            hits &= hits - 1
         by_pivot[low] = row
-        pivmask |= low
     order = sorted(by_pivot)
     return [by_pivot[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
+
+
+def pivot_reach(basis: Sequence[int], pivmask: int) -> List[Tuple[int, int]]:
+    """Each column bit that rows reduced at each other's pivots reach off
+    them, with the pivots of its rows: reducing by the rows at pivots
+    `hits` clears them and flips each column by parity(hits & pivots)."""
+    reach: Dict[int, int] = {}
+    for b in basis:
+        off = b & ~pivmask
+        while off:
+            col = off & -off
+            reach[col] = reach.get(col, 0) | (b & -b)
+            off ^= col
+    return list(reach.items())
 
 
 def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> int:

@@ -39,7 +39,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, lowbit_index, sliced_apply, sliced_tables, word_bits
+from .gf2linalg import echelon_ints, lowbit_index, pivot_reach, sliced_apply, sliced_tables, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -268,10 +268,12 @@ class ProductMemo:
     values and never by a subgroup's coordinates:
 
     * inverses: the inverse of each top member;
-    * products: u * v, for the square of each top member and for each
-      top step of a left division (the inverse of a top member times a
-      word);
+    * products: u * v, for the square of each top member, each top
+      step of a left division (the inverse of a top member times a word)
+      and each product of members that builds a kernel;
     * conjugates: m_j ** m_i for each clashing pair of top members;
+    * images: the echelon basis of the tail words [t, h] under (top
+      part h, tail members), which tail blocks share (_tail_span);
     * spans: tail blocks under their tail_block_key (relation_rows).
 
     A miss calls the group's multiply or inverse, looked up at call
@@ -279,13 +281,14 @@ class ProductMemo:
     in a run), so most of their products are hits.
     """
 
-    __slots__ = ("group", "inverses", "products", "conjugates", "spans")
+    __slots__ = ("group", "inverses", "products", "conjugates", "images", "spans")
 
     def __init__(self, group: PcPresentation):
         self.group = group
         self.inverses: Dict[int, int] = {}
         self.products: Dict[Tuple[int, int], int] = {}
         self.conjugates: Dict[Tuple[int, int], int] = {}
+        self.images: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         self.spans: Dict[Tuple, List[int]] = {}
 
     def inverse(self, u: int) -> int:
@@ -322,23 +325,39 @@ class Subgroup:
 
     Given a memo, the inverses of the top members and the top steps of
     each division come from it.
+
+    When the tail members are reduced at each other's leads, as in every
+    canonical IGS, _reach and _runs let _divide divide by them in one step;
+    otherwise both are None.
     """
 
-    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_memo")
+    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_memo", "_reach", "_runs")
 
     def __init__(self, group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None):
         self.group = group
-        self.members = tuple(sorted(members, key=lowbit_index))
-        self.leads = tuple(lowbit_index(m) for m in self.members)
-        if len(set(self.leads)) != len(self.members) or any(m == 0 for m in self.members):
+        leads = [lowbit_index(m) for m in members]
+        if any(a >= b for a, b in zip(leads, leads[1:])):
+            leads, members = zip(*sorted(zip(leads, members)))
+        if 0 in members or len(set(leads)) != len(leads):
             raise ValueError("IGS members need distinct leading indices")
+        self.members = members = tuple(members)
+        self.leads = tuple(leads)
         top = group.top_mask
         inverse = group.inverse if memo is None else memo.inverse
-        self._invs = tuple(inverse(m) if m & top else m for m in self.members)
+        self._invs = tuple(inverse(m) if m & top else m for m in members)
         self._memo = memo
-        self._lead_mask = sum(1 << d for d in self.leads)
+        self._lead_mask = sum(1 << d for d in leads)
         # lead bit -> (inverse of its member, coordinate bit of its member)
-        self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(self.leads, self._invs))}
+        self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(leads, self._invs))}
+        k = sum(1 for d in leads if d < group.tail)  # the top members
+        tail_leads = self._lead_mask >> group.tail << group.tail
+        self._reach = self._runs = None
+        if not any(m & (m - 1) & tail_leads for m in members[k:]):
+            self._reach = pivot_reach(members[k:], tail_leads)
+            runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
+            for t in range(k, len(leads)):
+                runs[leads[t] - t] = runs.get(leads[t] - t, 0) | 1 << t
+            self._runs = list(runs.items())
 
     @property
     def order_log(self) -> int:
@@ -357,20 +376,30 @@ class Subgroup:
         which the current u has exponent 1; the leads in between are
         skipped exactly as a scan over all leads would skip them.  Once u
         lies in the tail, so does every member left to divide by, and
-        the division is XOR.
+        the division is XOR.  When _runs is set, no XOR moves a later
+        lead, so pivot_reach gives the residue in one step, and the hit
+        leads, shifted run by run, the coordinates.
         """
         mul = self.group.multiply if self._memo is None else self._memo.multiply
         top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
+        one_step = self._runs is not None
         c = 0
         hits = u & lead_mask
-        while hits:
+        while hits and (u & top or not one_step):
             low = hits & -hits
             inv, bit = div[low]
             u = mul(inv, u) if u & top else u ^ inv
             c |= bit
             hits = u & lead_mask & -(low << 1)
+        if hits:
+            u ^= hits
+            for col, pivs in self._reach:
+                if (hits & pivs).bit_count() & 1:
+                    u ^= col
+            for shift, coords in self._runs:
+                c |= hits >> shift & coords
         return u, c
 
     def sift(self, u: int) -> int:
@@ -419,7 +448,9 @@ class Subgroup:
 # ── subgroup construction ───────────────────────────────────────────────────
 
 
-def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[int, ...]:
+def _canonical_members(
+    group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None
+) -> Tuple[int, ...]:
     """Canonical form of an IGS given in ascending lead order.
 
     From the last member down, right-multiply each member by the later
@@ -429,7 +460,7 @@ def _canonical_members(group: PcPresentation, members: Sequence[int]) -> Tuple[i
     leads are visited, lowest first, and after each multiply only those
     above its lead, so no test is spent on a lead m does not touch.
     """
-    mul = group.multiply
+    mul = group.multiply if memo is None else memo.multiply
     top = group.top_mask
     out = list(members)
     by_lead: Dict[int, int] = {}  # lead bit -> canonical later member
@@ -581,7 +612,7 @@ def relation_rows(
                     rows.append(s.coords(c) ^ (1 << j))
     block = memo.spans.get(key) if memo is not None else None
     if block is None:
-        block = _tail_span(group, s, *key)
+        block = _tail_span(group, s, key, memo)
         if memo is not None:
             memo.spans[key] = block
     return rows, block
@@ -598,13 +629,14 @@ def tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple
     return tuple([m & top for m in members[:k]]), tuple(members[k:])
 
 
-def _tail_span(
-    group: PcPresentation, s: Subgroup, heads: Sequence[int], tails: Sequence[int]
-) -> List[int]:
+def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple, memo: Optional[ProductMemo]) -> List[int]:
     """Reduced echelon basis, in s's coordinates, of the rows coords(w)
     of the tail words w = [t, h] = t ^ t**h, for each top part h in heads
-    and tail word t in tails whose supports clash; each conjugate is one
-    sliced_apply of h's tail_action table.
+    and tail word t in tails whose supports clash, (heads, tails) = key;
+    each conjugate is one sliced_apply of h's tail_action table.  The
+    words of each h reduce to an echelon basis, its image, which a memo
+    holds under (h, tails); the block reduces the images from the
+    largest one (echelon_ints' start).
 
     The members of s in the tail are its tail members, and on their span
     coords is linear, since division there is XOR by members with
@@ -614,13 +646,21 @@ def _tail_span(
     lies outside s exactly when some basis vector does, and then coords
     raises NotInSubgroup.
     """
+    heads, tails = key
     shift = group.tail
-    words = []
+    images = {} if memo is None else memo.images
+    bases = []
     for h in heads:
-        clash = group.clash_mask(h)
-        table = group.tail_action(h)
-        words += [sliced_apply(table, t >> shift, 4) ^ t for t in tails if clash & t]
-    return echelon_ints([s.coords(b) for b in echelon_ints(words)[0]])[0]
+        basis = images.get((h, tails))
+        if basis is None:
+            clash = group.clash_mask(h)
+            table = group.tail_action(h)
+            words = [sliced_apply(table, t >> shift, 4) ^ t for t in tails if clash & t]
+            basis = images[(h, tails)] = echelon_ints(words)[0]
+        bases.append(basis)
+    bases.sort(key=len)
+    words = echelon_ints([w for basis in bases[:-1] for w in basis], start=bases[-1] if bases else ())[0]
+    return echelon_ints([s.coords(b) for b in words])[0]
 
 
 def c2_homomorphisms(
@@ -656,22 +696,24 @@ def c2_homomorphisms(
     return out[1:]
 
 
-def kernel_members(group: PcPresentation, ms: Sequence[int], a: int) -> Tuple[int, ...]:
+def kernel_members(
+    group: PcPresentation, ms: Sequence[int], a: int, memo: Optional[ProductMemo] = None
+) -> Tuple[int, ...]:
     """Canonical IGS of the kernel of the homomorphism a: s -> C2, for s
     given by its IGS members ms in ascending lead order.
 
     The members of s that a kills, and the products of consecutive
     members in its support, have distinct leads and all lie in the
-    kernel, which has index 2.
+    kernel, which has index 2.  A memo, when given, holds the products.
     """
-    mul = group.multiply
+    mul = group.multiply if memo is None else memo.multiply
     top = group.top_mask
     support = [m for t, m in enumerate(ms) if (a >> t) & 1]
     members = [m for t, m in enumerate(ms) if not (a >> t) & 1]
     members.extend(
         mul(u, v) if v & top else u ^ v for u, v in zip(support, support[1:])
     )
-    return _canonical_members(group, sorted(members, key=lowbit_index))
+    return _canonical_members(group, sorted(members, key=lowbit_index), memo)
 
 
 def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:

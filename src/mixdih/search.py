@@ -35,16 +35,17 @@ group, as the reduced echelon form of its coordinates
 against it.
 
 The survivors of a run also share most of their top members, and so
-the products their relations and divisions need.  run_search makes one
-memo (pcgroup.ProductMemo) per process per run: the inverse and the
-square of each top member, the conjugate of each clashing pair of top
-members, each top step of a left division, and the spans.  It is keyed
-by member and word values, never by a survivor's coordinates, so a
-memo hit equals the product it stands for.  The memo is made before the
-pool is forked, so each worker inherits it empty and fills its own, and
-it is dropped when the run returns or raises; nothing is kept from one
-run to the next.  A descend called outside a run uses a memo of its
-own for that call.
+the products their relations, divisions and kernels need.  run_search
+makes one memo (pcgroup.ProductMemo) per process per run: the inverse
+and the square of each top member, the conjugate of each clashing pair
+of top members, each top step of a left division, each product that
+builds a kernel, the echelon basis of each top part's tail words, and
+the spans.  It is keyed by member and word values, never by a
+survivor's coordinates, so a memo hit equals the product it stands
+for.  The memo is made before the pool is forked, so each worker
+inherits it empty and fills its own, and it is dropped when the run
+returns or raises; nothing is kept from one run to the next.  A
+descend called outside a run uses a memo of its own for that call.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
@@ -188,7 +189,7 @@ def _expand_one(group: PcPresentation, memo: ProductMemo, rows: Rows, meet_rows:
         # a restricted to the meet, on the meet's own coordinates
         b = sum(1 << t for t, c in enumerate(meet_coords) if (c & a).bit_count() & 1)
         if b:
-            out.append((kernel_members(group, rows, a), kernel_members(group, meet_rows, b)))
+            out.append((kernel_members(group, rows, a, memo), kernel_members(group, meet_rows, b, memo)))
     return len(homs), out
 
 

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from mixdih.gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tables
+from mixdih.gf2linalg import echelon_ints, pivot_reach, reduce_by_echelon, sliced_apply, sliced_tables
 
 
 def span_of(rows, width):
@@ -42,15 +42,36 @@ def test_echelon_matches_reference(rows):
     assert echelon_ints(rows) == reference_echelon(rows)
 
 
+def block_shaped(rng, width, codim):
+    """A reduced echelon basis of codimension codim in `width` columns,
+    as the tail blocks are: its rows reach at most codim columns off
+    their pivots, the free ones."""
+    free = set(rng.sample(range(width), codim))
+    return [1 << p | sum(1 << f for f in free if f > p and rng.getrandbits(1)) for p in range(width) if p not in free]
+
+
 def test_echelon_from_a_start_basis_matches_reference():
     """Seeding the pivots from the basis of pre gives the reduced echelon
     form of pre + rows: with new rows, with none, and with new rows that
-    all lie in the span of pre."""
+    all lie in the span of pre.  The starts are random, of the tail
+    blocks' shape (codimension 0-2, at most 2 columns reached off the
+    pivots), or of low rank in many columns, so their rows reach many."""
     rng = random.Random(41)
-    for trial in range(300):
-        width = rng.randrange(1, 70)
-        pre = [rng.getrandbits(width) for _ in range(rng.randrange(0, 20))]
+    reached = set()
+    for trial in range(600):
+        width = rng.randrange(2, 70)
+        shape, codim = trial // 3 % 3, trial // 9 % 3  # trial % 3 picks the rows
+        if shape == 0:
+            pre = [rng.getrandbits(width) for _ in range(rng.randrange(0, 20))]
+        elif shape == 1:
+            pre = block_shaped(rng, width, codim)
+        else:
+            pre = [rng.getrandbits(width) for _ in range(rng.randrange(1, 5))]
         start = echelon_ints(pre)[0]
+        reach = pivot_reach(start, sum(b & -b for b in start))
+        if shape == 1:
+            assert start == pre and len(reach) <= codim
+        reached.add(len(reach))
         if trial % 3 == 0:
             rows = []
         elif trial % 3 == 1:
@@ -60,6 +81,7 @@ def test_echelon_from_a_start_basis_matches_reference():
         else:
             rows = [rng.getrandbits(width) for _ in range(rng.randrange(1, 20))]
         assert echelon_ints(rows, start=start) == reference_echelon(pre + rows)
+    assert {0, 1, 2} <= reached and max(reached) > 40
     assert echelon_ints([], start=[]) == ([], [])
 
 

@@ -410,6 +410,23 @@ def test_sift_residue_is_coset_canonical(toy):
         assert s.sift(v) == r
 
 
+def test_subgroup_takes_each_lead_once_and_rejects_bad_leads(monkeypatch, toy):
+    """Members in ascending lead order are kept as given, members out of
+    order are sorted, and either way each lead is computed once; a zero
+    member or a repeated lead raises."""
+    calls = []
+    monkeypatch.setattr(pc, "lowbit_index", lambda m: calls.append(m) or lowbit_index(m))
+    members = [0b11, 0b1100, 0b110000]
+    for given in (members, members[::-1], [members[1], members[0], members[2]]):
+        calls.clear()
+        s = pc.Subgroup(toy, given)
+        assert (s.members, s.leads) == (tuple(members), (0, 2, 4))
+        assert sorted(calls) == sorted(members)
+    for bad in ([0, 1], [1, 0], [2, 0, 1], [0b11, 0b1], [0b1, 0b11], [0b10, 0b1, 0b110]):
+        with pytest.raises(ValueError, match="distinct leading indices"):
+            pc.Subgroup(toy, bad)
+
+
 def test_coset_partition(toy):
     s = pc.subgroup_igs(toy, [1 << 2, 1 << 3])
     reps = {s.sift(u) for u in range(256)}
@@ -746,6 +763,10 @@ def test_relation_rows_memo_keys_on_the_tail_members(p59):
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
         assert reduced_relations(p59, s, memo) == reference
     assert len({heads for heads, _ in memo.spans}) == 1 < len(memo.spans)
+    # one image per (top part, tail members) of a block, none shared
+    # across tail members, though every block has the same top part
+    assert set(memo.images) == {(h, tails) for heads, tails in memo.spans for h in heads}
+    assert len({tails for _, tails in memo.images}) == len(memo.images) == len(memo.spans)
 
 
 def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
@@ -832,11 +853,26 @@ def test_tail_action_cache_is_bounded():
     assert len(group._actions) == pc.ACTION_CACHE_CAP < 1 << group.tail
 
 
+def unreduced_tail_subgroups(group):
+    """<x1, g_a g_b, g_b> for consecutive tail generators g_a, g_b and for
+    the first and last: the member g_a g_b has bit b at g_b's lead, so
+    the tail members are not reduced at each other's leads."""
+    x1 = 1 << group.names.index("x1")
+    pairs = [(a, a + 1) for a in range(group.tail, group.n - 1)] + [(group.tail, group.n - 1)]
+    return [pc.Subgroup(group, [x1, 1 << a | 1 << b, 1 << b]) for a, b in pairs]
+
+
 def test_xor_division_matches_multiply_reference(toy, p59, p59_survivors):
+    """Canonical subgroups, whose tail members are reduced at each other's
+    leads, divide a tail word in one step; subgroups whose tail members
+    are not keep the loop.  Both must equal the multiply-only division."""
     rng = random.Random(43)
     cases = [(p59, s) for s in p59_survivors[::24]]
     cases += [(toy, pc.subgroup_igs(toy, [rng.getrandbits(8) for _ in range(3)])) for _ in range(8)]
-    for group, s in cases:
+    assert all(s._runs is not None for _, s in cases)
+    unreduced = [(g, s) for g in (toy, p59) for s in unreduced_tail_subgroups(g)]
+    assert len(unreduced) > 2 and all(s._runs is None for _, s in unreduced)
+    for group, s in cases + unreduced:
         tail = ~group.top_mask
         words = [rng.getrandbits(group.n) for _ in range(20)]
         words += [w & tail for w in words]

@@ -222,13 +222,14 @@ CHECKPOINT_SHA256 = [
 
 
 # p59 multiply and inverse calls of stab_subgroup and six descend calls
-# outside a run, each call with a product memo of its own; a change that
-# loses the clash skip in relation_rows, a closed-form inverse, the tail
-# path (XOR in the elementary abelian tail, its members as their own
-# inverses, conjugates of tail members from tail_action tables) or a kind
-# of entry in the memo, or that builds the halved stabilizer meets by a
-# subgroup closure instead of kernel_members, moves them
-DESCENT_CALLS = {"multiply": 10_211, "inverse": 227}
+# outside a run, each call with a product memo of its own, through which
+# the kernel products of kernel_members go too; a change that loses the
+# clash skip in relation_rows, a closed-form inverse, the tail path (XOR
+# in the elementary abelian tail, its members as their own inverses,
+# conjugates of tail members from tail_action tables) or a kind of entry
+# in the memo, or that builds the halved stabilizer meets by a subgroup
+# closure instead of kernel_members, moves them
+DESCENT_CALLS = {"multiply": 8_338, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
@@ -448,8 +449,10 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
 
 # p59 multiply and inverse calls of a serial six-level run_search given
 # the stabilizer: the misses of the run's one product memo, which all six
-# levels share, and the products the memo does not hold
-RUN_CALLS = {"multiply": 8_983, "inverse": 138}
+# levels share and which the kernel products of kernel_members and
+# _canonical_members go through too, and the products the memo does not
+# hold
+RUN_CALLS = {"multiply": 7_049, "inverse": 138}
 
 
 def _counted_run(p59, stab):
