@@ -265,7 +265,9 @@ class PcPresentation:
 
 class ProductMemo:
     """What the subgroups of one group share, keyed by member and word
-    values and never by a subgroup's coordinates:
+    values and never by a subgroup's coordinates, so any subgroups of
+    the group may share one (every Subgroup holds one, its own unless
+    given one):
 
     * inverses: the inverse of each top member;
     * products: u * v, for the square of each top member, each top
@@ -323,15 +325,17 @@ class Subgroup:
     sitting at the other members' leading indices; two equal subgroups then
     hold identical member tuples.
 
-    Given a memo, the inverses of the top members and the top steps of
-    each division come from it.
+    The tail members must be reduced at each other's leads, as in every
+    canonical IGS; _reach and _runs then let _divide divide by them in
+    one step.  A zero member, a repeated lead or an unreduced tail
+    member raises ValueError.
 
-    When the tail members are reduced at each other's leads, as in every
-    canonical IGS, _reach and _runs let _divide divide by them in one step;
-    otherwise both are None.
+    The memo attribute is a ProductMemo, the one given or a new one; the
+    inverses of the top members, the top steps of each division and the
+    relations of relation_rows come from it.
     """
 
-    __slots__ = ("group", "members", "leads", "_invs", "_lead_mask", "_div", "_memo", "_reach", "_runs")
+    __slots__ = ("group", "members", "leads", "memo", "_lead_mask", "_div", "_reach", "_runs")
 
     def __init__(self, group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None):
         self.group = group
@@ -342,22 +346,21 @@ class Subgroup:
             raise ValueError("IGS members need distinct leading indices")
         self.members = members = tuple(members)
         self.leads = tuple(leads)
-        top = group.top_mask
-        inverse = group.inverse if memo is None else memo.inverse
-        self._invs = tuple(inverse(m) if m & top else m for m in members)
-        self._memo = memo
         self._lead_mask = sum(1 << d for d in leads)
-        # lead bit -> (inverse of its member, coordinate bit of its member)
-        self._div = {1 << d: (inv, 1 << t) for t, (d, inv) in enumerate(zip(leads, self._invs))}
         k = sum(1 for d in leads if d < group.tail)  # the top members
         tail_leads = self._lead_mask >> group.tail << group.tail
-        self._reach = self._runs = None
-        if not any(m & (m - 1) & tail_leads for m in members[k:]):
-            self._reach = pivot_reach(members[k:], tail_leads)
-            runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
-            for t in range(k, len(leads)):
-                runs[leads[t] - t] = runs.get(leads[t] - t, 0) | 1 << t
-            self._runs = list(runs.items())
+        if any(m & (m - 1) & tail_leads for m in members[k:]):
+            raise ValueError("IGS tail members need to be reduced at each other's leading indices")
+        self.memo = memo = memo or ProductMemo(group)
+        # lead bit -> (inverse of its member, coordinate bit of its member)
+        self._div = {
+            1 << d: (memo.inverse(m) if t < k else m, 1 << t) for t, (d, m) in enumerate(zip(leads, members))
+        }
+        self._reach = pivot_reach(members[k:], tail_leads)
+        runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
+        for t in range(k, len(leads)):
+            runs[leads[t] - t] = runs.get(leads[t] - t, 0) | 1 << t
+        self._runs = list(runs.items())
 
     @property
     def order_log(self) -> int:
@@ -374,23 +377,24 @@ class Subgroup:
 
         Each step jumps to the next leading index above the last one at
         which the current u has exponent 1; the leads in between are
-        skipped exactly as a scan over all leads would skip them.  Once u
-        lies in the tail, so does every member left to divide by, and
-        the division is XOR.  When _runs is set, no XOR moves a later
-        lead, so pivot_reach gives the residue in one step, and the hit
-        leads, shifted run by run, the coordinates.
+        skipped exactly as a scan over all leads would skip them.  Each
+        step off the tail multiplies through the memo.  Once u lies in
+        the tail, so does every member left to divide by, and the rest
+        of the division is XOR by tail members; as they are reduced at
+        each other's leads, no XOR moves a later lead, so the hit leads
+        give the residue in one step (pivot_reach) and, shifted run by
+        run, the coordinates.
         """
-        mul = self.group.multiply if self._memo is None else self._memo.multiply
+        mul = self.memo.multiply
         top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
-        one_step = self._runs is not None
         c = 0
         hits = u & lead_mask
-        while hits and (u & top or not one_step):
+        while hits and u & top:
             low = hits & -hits
             inv, bit = div[low]
-            u = mul(inv, u) if u & top else u ^ inv
+            u = mul(inv, u)
             c |= bit
             hits = u & lead_mask & -(low << 1)
         if hits:
@@ -429,7 +433,7 @@ class Subgroup:
     def digest(self) -> Tuple[int, ...]:
         """Hashable identity: the canonical member tuple.  Members already
         canonical cost no multiply."""
-        return _canonical_members(self.group, self.members)
+        return _canonical_members(self.group, self.members, self.memo)
 
     def elements(self) -> List[int]:
         """All elements, as straight products.  Capped at 2**16."""
@@ -448,9 +452,7 @@ class Subgroup:
 # ── subgroup construction ───────────────────────────────────────────────────
 
 
-def _canonical_members(
-    group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None
-) -> Tuple[int, ...]:
+def _canonical_members(group: PcPresentation, members: Sequence[int], memo: ProductMemo) -> Tuple[int, ...]:
     """Canonical form of an IGS given in ascending lead order.
 
     From the last member down, right-multiply each member by the later
@@ -458,9 +460,10 @@ def _canonical_members(
     factor from G_d leaves every exponent below d alone.  A tail factor
     is XOR.  As in Subgroup.sift, only the set bits of m at the later
     leads are visited, lowest first, and after each multiply only those
-    above its lead, so no test is spent on a lead m does not touch.
+    above its lead, so no test is spent on a lead m does not touch.  A
+    top factor multiplies through the memo.
     """
-    mul = group.multiply if memo is None else memo.multiply
+    mul = memo.multiply
     top = group.top_mask
     out = list(members)
     by_lead: Dict[int, int] = {}  # lead bit -> canonical later member
@@ -520,10 +523,12 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
 
 
 def subgroup_igs(group: PcPresentation, gens: Iterable[int]) -> Subgroup:
-    """Canonical echelonized IGS of the subgroup generated by gens."""
+    """Canonical echelonized IGS of the subgroup generated by gens, with
+    a memo of its own, through which its canonical form was built."""
     by_lead = _close_igs(group, gens)
-    members = _canonical_members(group, [by_lead[d] for d in sorted(by_lead)])
-    return Subgroup(group, members)
+    memo = ProductMemo(group)
+    members = _canonical_members(group, [by_lead[d] for d in sorted(by_lead)], memo)
+    return Subgroup(group, members, memo)
 
 
 def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgroup:
@@ -562,9 +567,7 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
     return _verbal_subgroup(group, s, squares=True)
 
 
-def relation_rows(
-    group: PcPresentation, s: Subgroup, memo: Optional[ProductMemo] = None
-) -> Tuple[List[int], List[int]]:
+def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[int]]:
     """The relations of s's induced pcgs, as rows over its IGS coordinates:
     (top rows, tail block), the block a reduced echelon basis.
 
@@ -587,34 +590,31 @@ def relation_rows(
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on tail_block_key(group, s.members).  A memo, when given, holds
-    the block under that key, and the squares and top x top conjugates
-    under the members multiplied.  A block that raises is never stored,
-    so a memo hit never skips the raise.
+    only on tail_block_key(group, s.members).  s.memo holds the block
+    under that key, and the squares and top x top conjugates under the
+    members multiplied.  A block that raises is never stored, so a memo
+    hit never skips the raise.
     """
-    mul = group.multiply
+    memo = s.memo
     ms = s.members
     key = tail_block_key(group, ms)
     k = len(key[0])
     rows = []
     for i in range(k):
         mi = ms[i]
-        sq = mul(mi, mi) if memo is None else memo.multiply(mi, mi)
+        sq = memo.multiply(mi, mi)
         if sq:
             rows.append(s.coords(sq))
-        inv = s._invs[i]
         clash = group.clash_mask(mi)
         for j in range(i + 1, k):
             mj = ms[j]
             if clash & mj:
-                c = mul(mul(inv, mj), mi) if memo is None else memo.conjugate(mj, mi)
+                c = memo.conjugate(mj, mi)
                 if c != mj:
                     rows.append(s.coords(c) ^ (1 << j))
-    block = memo.spans.get(key) if memo is not None else None
+    block = memo.spans.get(key)
     if block is None:
-        block = _tail_span(group, s, key, memo)
-        if memo is not None:
-            memo.spans[key] = block
+        block = memo.spans[key] = _tail_span(group, s, key)
     return rows, block
 
 
@@ -629,12 +629,12 @@ def tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple
     return tuple([m & top for m in members[:k]]), tuple(members[k:])
 
 
-def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple, memo: Optional[ProductMemo]) -> List[int]:
+def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
     """Reduced echelon basis, in s's coordinates, of the rows coords(w)
     of the tail words w = [t, h] = t ^ t**h, for each top part h in heads
     and tail word t in tails whose supports clash, (heads, tails) = key;
     each conjugate is one sliced_apply of h's tail_action table.  The
-    words of each h reduce to an echelon basis, its image, which a memo
+    words of each h reduce to an echelon basis, its image, which s.memo
     holds under (h, tails); the block reduces the images from the
     largest one (echelon_ints' start).
 
@@ -648,7 +648,7 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple, memo: Optional[Pr
     """
     heads, tails = key
     shift = group.tail
-    images = {} if memo is None else memo.images
+    images = s.memo.images
     bases = []
     for h in heads:
         basis = images.get((h, tails))
@@ -663,9 +663,7 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple, memo: Optional[Pr
     return echelon_ints([s.coords(b) for b in words])[0]
 
 
-def c2_homomorphisms(
-    group: PcPresentation, s: Subgroup, memo: Optional[ProductMemo] = None
-) -> List[int]:
+def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     """The nonzero homomorphisms s -> C2, as functionals on IGS coordinates.
 
     By the Burnside basis theorem their kernels are the maximal subgroups
@@ -678,10 +676,10 @@ def c2_homomorphisms(
     a functional only at free columns and the parity is linear in f: the
     functionals are built by doubling, from one per free column (its bit
     and the pivots of the rows that have it).  The reduced rows depend
-    only on the span of the relations, so a memo, which relation_rows
-    reads, changes no output.
+    only on the span of the relations, so the memo s holds, shared or
+    its own, changes no output.
     """
-    rows, block = relation_rows(group, s, memo)
+    rows, block = relation_rows(group, s)
     basis, pivots = echelon_ints(rows, start=block)
     taken = set(pivots)
     out = [0]
@@ -696,17 +694,16 @@ def c2_homomorphisms(
     return out[1:]
 
 
-def kernel_members(
-    group: PcPresentation, ms: Sequence[int], a: int, memo: Optional[ProductMemo] = None
-) -> Tuple[int, ...]:
+def kernel_members(group: PcPresentation, ms: Sequence[int], a: int, memo: ProductMemo) -> Tuple[int, ...]:
     """Canonical IGS of the kernel of the homomorphism a: s -> C2, for s
     given by its IGS members ms in ascending lead order.
 
     The members of s that a kills, and the products of consecutive
     members in its support, have distinct leads and all lie in the
-    kernel, which has index 2.  A memo, when given, holds the products.
+    kernel, which has index 2.  The products, and those of the canonical
+    form, go through the memo.
     """
-    mul = group.multiply if memo is None else memo.multiply
+    mul = memo.multiply
     top = group.top_mask
     support = [m for t, m in enumerate(ms) if (a >> t) & 1]
     members = [m for t, m in enumerate(ms) if not (a >> t) & 1]
@@ -718,11 +715,9 @@ def kernel_members(
 
 def maximal_subgroups(group: PcPresentation, s: Subgroup) -> List[Subgroup]:
     """All index-2 subgroups of s, as canonical Subgroups, in the order of
-    c2_homomorphisms."""
-    return [
-        Subgroup(group, kernel_members(group, s.members, a))
-        for a in c2_homomorphisms(group, s)
-    ]
+    c2_homomorphisms.  They are built through s.memo and share it."""
+    memo = s.memo
+    return [Subgroup(group, kernel_members(group, s.members, a, memo), memo) for a in c2_homomorphisms(group, s)]
 
 
 def small_intersection_order(group: PcPresentation, t: Subgroup, small: Subgroup) -> int:

@@ -35,17 +35,20 @@ group, as the reduced echelon form of its coordinates
 against it.
 
 The survivors of a run also share most of their top members, and so
-the products their relations, divisions and kernels need.  run_search
-makes one memo (pcgroup.ProductMemo) per process per run: the inverse
-and the square of each top member, the conjugate of each clashing pair
-of top members, each top step of a left division, each product that
-builds a kernel, the echelon basis of each top part's tail words, and
-the spans.  It is keyed by member and word values, never by a
-survivor's coordinates, so a memo hit equals the product it stands
-for.  The memo is made before the pool is forked, so each worker
-inherits it empty and fills its own, and it is dropped when the run
-returns or raises; nothing is kept from one run to the next.  A
-descend called outside a run uses a memo of its own for that call.
+the products their relations, divisions and kernels need.  Every
+pcgroup.Subgroup multiplies through a memo (pcgroup.ProductMemo), its
+own unless it is given one, and run_search makes one per process per
+run, which the Subgroup of every survivor and its kernels share: the
+inverse and the square of each top member, the conjugate of each
+clashing pair of top members, each top step of a left division, each
+product that builds a kernel, the echelon basis of each top part's
+tail words, and the spans.  It is keyed by member and word values,
+never by a survivor's coordinates, so a memo hit equals the product it
+stands for.  The memo is made before the pool is forked, so each
+worker inherits it empty and fills its own, and it is dropped when the
+run returns or raises; nothing is kept from one run to the next.  A
+descend called outside a run shares a memo of its own among that
+call's survivors.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
@@ -182,7 +185,7 @@ def _expand_one(group: PcPresentation, memo: ProductMemo, rows: Rows, meet_rows:
     """Expand one survivor: the maximal subgroups that halve its meet, plus
     their meets."""
     m = Subgroup(group, rows, memo)
-    homs = c2_homomorphisms(group, m, memo)
+    homs = c2_homomorphisms(group, m)
     meet_coords = [m.coords(w) for w in meet_rows]
     out: List[Tuple[Rows, Rows]] = []
     for a in homs:

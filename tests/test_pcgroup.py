@@ -410,10 +410,11 @@ def test_sift_residue_is_coset_canonical(toy):
         assert s.sift(v) == r
 
 
-def test_subgroup_takes_each_lead_once_and_rejects_bad_leads(monkeypatch, toy):
+def test_subgroup_takes_each_lead_once_and_rejects_bad_leads(monkeypatch, toy, p59):
     """Members in ascending lead order are kept as given, members out of
     order are sorted, and either way each lead is computed once; a zero
-    member or a repeated lead raises."""
+    member, a repeated lead or tail members unreduced at each other's
+    leads raise."""
     calls = []
     monkeypatch.setattr(pc, "lowbit_index", lambda m: calls.append(m) or lowbit_index(m))
     members = [0b11, 0b1100, 0b110000]
@@ -425,6 +426,11 @@ def test_subgroup_takes_each_lead_once_and_rejects_bad_leads(monkeypatch, toy):
     for bad in ([0, 1], [1, 0], [2, 0, 1], [0b11, 0b1], [0b1, 0b11], [0b10, 0b1, 0b110]):
         with pytest.raises(ValueError, match="distinct leading indices"):
             pc.Subgroup(toy, bad)
+    unreduced = [(g, bad) for g in (toy, p59) for bad in unreduced_tail_subgroups(g)]
+    assert len(unreduced) > 2
+    for group, bad in unreduced:
+        with pytest.raises(ValueError, match="reduced at each other's leading indices"):
+            pc.Subgroup(group, bad)
 
 
 def test_coset_partition(toy):
@@ -579,13 +585,14 @@ def p59_survivors(p59):
 def test_maximal_subgroups_match_frattini_oracle_p59_survivors(p59, p59_survivors):
     """Levels 1-3 whole, and a seeded sample of 8 survivors from each of
     levels 4 and 5, where survivors share top x tail spans; there the
-    memoized homomorphisms must equal the unmemoized ones too."""
+    homomorphisms through one memo shared by all of them must equal
+    those through each survivor's own memo too."""
     rng = random.Random(33)
     sample = rng.sample(p59_survivors[16:64], 8) + rng.sample(p59_survivors[64:192], 8)
-    memo = pc.ProductMemo(p59)
+    shared = pc.ProductMemo(p59)
     for s in p59_survivors[:16] + sample:
         assert_maximal_match_frattini(p59, s)
-        assert pc.c2_homomorphisms(p59, s, memo) == pc.c2_homomorphisms(p59, s)
+        assert pc.c2_homomorphisms(p59, pc.Subgroup(p59, s.members, shared)) == pc.c2_homomorphisms(p59, s)
 
 
 def reference_canonical_members(group, members):
@@ -603,11 +610,11 @@ def reference_canonical_members(group, members):
     return tuple(members)
 
 
-def reference_functionals(group, s, memo):
+def reference_functionals(group, s):
     """The per-f loop c2_homomorphisms replaced, on the reduced echelon
     form of all of relation_rows: free column t from bit t of f, then
     each pivot from the parity of its row."""
-    rows, block = pc.relation_rows(group, s, memo)
+    rows, block = pc.relation_rows(group, s)
     basis, pivots = echelon_ints(rows + block)
     free = [t for t in range(len(s.members)) if t not in pivots]
     out = []
@@ -632,9 +639,12 @@ def scrambled_igs(group, members, rng):
     return out
 
 
-def assert_fast_loops_match_references(group, s, rng, memo):
-    homs = pc.c2_homomorphisms(group, s, memo)
-    assert homs == reference_functionals(group, s, memo)
+def assert_fast_loops_match_references(group, s, rng, shared):
+    """The homomorphisms, through s's own memo and through the memo
+    shared by all cases, and the canonical forms equal their references."""
+    homs = pc.c2_homomorphisms(group, s)
+    assert homs == reference_functionals(group, s)
+    assert pc.c2_homomorphisms(group, pc.Subgroup(group, s.members, shared)) == homs
     lists = [scrambled_igs(group, s.members, rng)]
     for a in homs:  # the member lists kernel_members canonicalizes
         support = [m for t, m in enumerate(s.members) if (a >> t) & 1]
@@ -642,8 +652,8 @@ def assert_fast_loops_match_references(group, s, rng, memo):
         kept += [group.multiply(u, v) for u, v in zip(support, support[1:])]
         lists.append(sorted(kept, key=lowbit_index))
     for members in lists:
-        assert pc._canonical_members(group, members) == reference_canonical_members(group, members)
-    assert pc._canonical_members(group, lists[0]) == s.members
+        assert pc._canonical_members(group, members, shared) == reference_canonical_members(group, members)
+    assert pc._canonical_members(group, lists[0], s.memo) == s.members
 
 
 def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
@@ -652,18 +662,19 @@ def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
     equals the double loop on a scrambled IGS of the survivor and on the
     member list of each of its kernels."""
     rng = random.Random(17)
-    memo = pc.ProductMemo(p59)
+    shared = pc.ProductMemo(p59)
     full = pc.Subgroup(p59, [1 << t for t in range(p59.n)])
     for s in [full] + p59_survivors:
-        assert_fast_loops_match_references(p59, s, rng, memo)
+        assert_fast_loops_match_references(p59, s, rng, shared)
 
 
 def test_fast_loops_match_references_on_random_subgroups(toy, h56):
     rng = random.Random(18)
     for group, count in ((toy, 40), (h56, 12)):
+        shared = pc.ProductMemo(group)
         for _ in range(count):
             s = pc.subgroup_igs(group, [rng.getrandbits(group.n) for _ in range(rng.randint(1, 4))])
-            assert_fast_loops_match_references(group, s, rng, None)
+            assert_fast_loops_match_references(group, s, rng, shared)
 
 
 def _sha256(obj) -> str:
@@ -728,10 +739,10 @@ def all_pairs_relation_rows(group, s):
     return rows
 
 
-def reduced_relations(group, s, memo=None):
+def reduced_relations(group, s):
     """The reduced echelon form of relation_rows: its top rows reduced
     against its tail block, as c2_homomorphisms reduces them."""
-    rows, block = pc.relation_rows(group, s, memo)
+    rows, block = pc.relation_rows(group, s)
     assert echelon_ints(block) == (block, [lowbit_index(b) for b in block])
     return echelon_ints(rows, start=block)
 
@@ -742,15 +753,16 @@ def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
     Its top x tail rows are a reduced echelon block in coordinates
     rather than one row per pair, so the rows differ from the
     reference's; their reduced echelon form, which is all
-    c2_homomorphisms reads, must not.  Once without a memo, and once
-    with one memo shared by all survivors, so later survivors hit it.
+    c2_homomorphisms reads, must not.  Once through each survivor's own
+    memo, and once through one memo shared by all survivors, so later
+    survivors hit it.
     """
-    memo = pc.ProductMemo(p59)
+    shared = pc.ProductMemo(p59)
     for s in p59_survivors:
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
         assert reduced_relations(p59, s) == reference
-        assert reduced_relations(p59, s, memo) == reference
-    assert len(memo.spans) < len(p59_survivors)
+        assert reduced_relations(p59, pc.Subgroup(p59, s.members, shared)) == reference
+    assert len(shared.spans) < len(p59_survivors)
 
 
 def test_relation_rows_memo_keys_on_the_tail_members(p59):
@@ -761,7 +773,8 @@ def test_relation_rows_memo_keys_on_the_tail_members(p59):
     for t in range(p59.tail, p59.n):
         s = pc.subgroup_igs(p59, [x1, 1 << t])
         reference = echelon_ints(all_pairs_relation_rows(p59, s))
-        assert reduced_relations(p59, s, memo) == reference
+        assert reduced_relations(p59, s) == reference
+        assert reduced_relations(p59, pc.Subgroup(p59, s.members, memo)) == reference
     assert len({heads for heads, _ in memo.spans}) == 1 < len(memo.spans)
     # one image per (top part, tail members) of a block, none shared
     # across tail members, though every block has the same top part
@@ -777,13 +790,10 @@ def test_relation_rows_raise_on_a_top_tail_conjugate(p59):
     assert p59.power_tails[a] == 0 and g15 >> p59.tail
     s = pc.Subgroup(p59, [x1, g15])
     assert not s.contains(p59.conjugate(g15, x1))
-    with pytest.raises(pc.NotInSubgroup):
-        pc.relation_rows(p59, s)
-    memo = pc.ProductMemo(p59)
     for _ in range(2):  # a cold memo, then the next call
         with pytest.raises(pc.NotInSubgroup):
-            pc.relation_rows(p59, s, memo)
-        assert memo.spans == {}  # a block that raised is never stored
+            pc.relation_rows(p59, s)
+        assert s.memo.spans == {}  # a block that raised is never stored
 
 
 # ── the elementary abelian tail ─────────────────────────────────────────────
@@ -854,25 +864,23 @@ def test_tail_action_cache_is_bounded():
 
 
 def unreduced_tail_subgroups(group):
-    """<x1, g_a g_b, g_b> for consecutive tail generators g_a, g_b and for
-    the first and last: the member g_a g_b has bit b at g_b's lead, so
-    the tail members are not reduced at each other's leads."""
+    """The member lists of <x1, g_a g_b, g_b> for consecutive tail
+    generators g_a, g_b and for the first and last: the member g_a g_b
+    has bit b at g_b's lead, so the tail members are not reduced at each
+    other's leads."""
     x1 = 1 << group.names.index("x1")
     pairs = [(a, a + 1) for a in range(group.tail, group.n - 1)] + [(group.tail, group.n - 1)]
-    return [pc.Subgroup(group, [x1, 1 << a | 1 << b, 1 << b]) for a, b in pairs]
+    return [[x1, 1 << a | 1 << b, 1 << b] for a, b in pairs]
 
 
 def test_xor_division_matches_multiply_reference(toy, p59, p59_survivors):
     """Canonical subgroups, whose tail members are reduced at each other's
-    leads, divide a tail word in one step; subgroups whose tail members
-    are not keep the loop.  Both must equal the multiply-only division."""
+    leads as every Subgroup's must be, divide a tail word in one step,
+    which must equal the multiply-only division."""
     rng = random.Random(43)
     cases = [(p59, s) for s in p59_survivors[::24]]
     cases += [(toy, pc.subgroup_igs(toy, [rng.getrandbits(8) for _ in range(3)])) for _ in range(8)]
-    assert all(s._runs is not None for _, s in cases)
-    unreduced = [(g, s) for g in (toy, p59) for s in unreduced_tail_subgroups(g)]
-    assert len(unreduced) > 2 and all(s._runs is None for _, s in unreduced)
-    for group, s in cases + unreduced:
+    for group, s in cases:
         tail = ~group.top_mask
         words = [rng.getrandbits(group.n) for _ in range(20)]
         words += [w & tail for w in words]
@@ -891,6 +899,29 @@ def test_xor_division_matches_multiply_reference(toy, p59, p59_survivors):
                     s.coords(u)
             else:
                 assert s.coords(u) == c
+
+
+def test_kernels_share_the_memo_of_their_subgroup(p59):
+    """maximal_subgroups builds the kernels of the whole group through its
+    memo and hands it to each; they sift and give coordinates as copies
+    with memos of their own do.  Two subgroup_igs calls share none."""
+    rng = random.Random(44)
+    full = pc.Subgroup(p59, [1 << t for t in range(p59.n)])
+    maxes = pc.maximal_subgroups(p59, full)
+    assert len(maxes) > 2 and all(m.memo is full.memo for m in maxes)
+    words = [rng.getrandbits(p59.n) for _ in range(40)]
+    for m in maxes:
+        fresh = pc.Subgroup(p59, m.members)
+        assert fresh.memo is not full.memo
+        inside = [p59.multiply(rng.choice(m.members), rng.choice(m.members)) for _ in range(20)]
+        for u in words + inside:
+            assert m.sift(u) == fresh.sift(u)
+            if not fresh.sift(u):
+                assert m.coords(u) == fresh.coords(u)
+        assert all(m.contains(u) for u in inside)
+    gens = [1 << p59.names.index(nm) for nm in ("x1", "x2", "r2")]
+    a, b = pc.subgroup_igs(p59, gens), pc.subgroup_igs(p59, gens)
+    assert a.members == b.members and a.memo is not b.memo
 
 
 def test_small_intersection_order(p59):
