@@ -51,7 +51,6 @@ __all__ = [
     "derived_subgroup",
     "frattini",
     "relation_rows",
-    "tail_block_key",
     "c2_homomorphisms",
     "kernel_members",
     "maximal_subgroups",
@@ -270,26 +269,25 @@ class ProductMemo:
     given one):
 
     * inverses: the inverse of each top member;
-    * products: u * v, for the square of each top member, each top
-      step of a left division (the inverse of a top member times a word)
-      and each product of members that builds a kernel;
-    * conjugates: m_j ** m_i for each clashing pair of top members;
+    * products: u * v, for the square of each top member, the two
+      products of m_j ** m_i for each clashing pair of top members, each
+      top step of a left division (the inverse of a top member times a
+      word) and each product of members that builds a kernel;
     * images: the echelon basis of the tail words [t, h] under (top
       part h, tail members), which tail blocks share (_tail_span);
-    * spans: tail blocks under their tail_block_key (relation_rows).
+    * spans: tail blocks under their _tail_block_key (relation_rows).
 
     A miss calls the group's multiply or inverse, looked up at call
     time.  The survivors of a descent share few top members (p59: 127
     in a run), so most of their products are hits.
     """
 
-    __slots__ = ("group", "inverses", "products", "conjugates", "images", "spans")
+    __slots__ = ("group", "inverses", "products", "images", "spans")
 
     def __init__(self, group: PcPresentation):
         self.group = group
         self.inverses: Dict[int, int] = {}
         self.products: Dict[Tuple[int, int], int] = {}
-        self.conjugates: Dict[Tuple[int, int], int] = {}
         self.images: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         self.spans: Dict[Tuple, List[int]] = {}
 
@@ -308,12 +306,7 @@ class ProductMemo:
 
     def conjugate(self, u: int, g: int) -> int:
         """u**g = g^-1 * u * g."""
-        key = (u, g)
-        w = self.conjugates.get(key)
-        if w is None:
-            mul = self.group.multiply
-            w = self.conjugates[key] = mul(mul(self.inverse(g), u), g)
-        return w
+        return self.multiply(self.multiply(self.inverse(g), u), g)
 
 
 class Subgroup:
@@ -590,14 +583,14 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on tail_block_key(group, s.members).  s.memo holds the block
-    under that key, and the squares and top x top conjugates under the
-    members multiplied.  A block that raises is never stored, so a memo
-    hit never skips the raise.
+    only on _tail_block_key(group, s.members), which nothing else reads.
+    s.memo holds the block under that key, and the products of the
+    squares and the top x top conjugates under their factors.  A block
+    that raises is never stored, so a memo hit never skips the raise.
     """
     memo = s.memo
     ms = s.members
-    key = tail_block_key(group, ms)
+    key = _tail_block_key(group, ms)
     k = len(key[0])
     rows = []
     for i in range(k):
@@ -618,7 +611,7 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
     return rows, block
 
 
-def tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """What the tail block of the subgroup with IGS members (ascending
     leads) depends on: (top parts m & top of its top members, its tail
     members).  The top members come first, so the tail members are the

@@ -26,42 +26,41 @@ and has index 2 in the old meet by construction.
 
 Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
-and tail members (pcgroup.tail_block_key), and survivors of one level
-share a few dozen such spans at most (p59: 1, 2, 2, 6, 14, 30 per
-level).  Each level's survivors are grouped by that key, one task per
-group, so each span is built once per run, by the first survivor of its
-group, as the reduced echelon form of its coordinates
-(pcgroup.relation_rows); each survivor reduces only its top rows
-against it.
+and tail members, and survivors of one level share a few dozen such
+spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  The memo holds each
+span, built as the reduced echelon form of its coordinates the first
+time a survivor needs it (pcgroup.relation_rows); each survivor reduces
+only its top rows against it.
 
 The survivors of a run also share most of their top members, and so
 the products their relations, divisions and kernels need.  Every
 pcgroup.Subgroup multiplies through a memo (pcgroup.ProductMemo), its
 own unless it is given one, and run_search makes one per process per
 run, which the Subgroup of every survivor and its kernels share: the
-inverse and the square of each top member, the conjugate of each
-clashing pair of top members, each top step of a left division, each
-product that builds a kernel, the echelon basis of each top part's
-tail words, and the spans.  It is keyed by member and word values,
-never by a survivor's coordinates, so a memo hit equals the product it
-stands for.  The memo is made before the pool is forked, so each
-worker inherits it empty and fills its own, and it is dropped when the
-run returns or raises; nothing is kept from one run to the next.  A
-descend called outside a run shares a memo of its own among that
-call's survivors.
+inverse and the square of each top member, the two products that
+conjugate each clashing pair of top members, each top step of a left
+division, each product that builds a kernel, the echelon basis of each
+top part's tail words, and the spans.  It is keyed by member and word
+values, never by a survivor's coordinates, so a memo hit equals the
+product it stands for.  The memo is made before the pool is forked, so
+each worker inherits it empty and fills its own, and it is dropped
+when the run returns or raises; nothing is kept from one run to the
+next.  A descend called outside a run shares a memo of its own among
+that call's survivors.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
-per-level expansion is an independent map over the groups.  With more
-than one worker, run_search forks the one process pool of the run
-before its first level, maps every level with more than one group onto
-it, one task per group, largest first, and terminates and joins it
-before returning or raising; no other code forks, and a descend called
-outside a run always expands its level in this process.  Each task
-carries its survivors and their meets, so the workers need nothing from
-the parent past the fork but the group and the empty memo.  The results
-are put back in survivor order and the dedup map is merged in that
-order, so counts do not depend on the worker count.
+per-level expansion is an independent map over the survivors.  With
+more than one worker, run_search forks the one process pool of the run
+before its first level, maps every level with more than one survivor
+onto it, one task per survivor in survivor order, and terminates and
+joins it before returning or raising; no other code forks, and a
+descend called outside a run always expands its level in this process.
+Each task carries its survivor and its meet, so the workers need
+nothing from the parent past the fork but the group and the empty memo.
+The map returns the results in survivor order and the dedup map is
+merged in that order, so counts do not depend on the worker count; a
+span that survivors in two workers need is built in both.
 
 A checkpoint file is an export of one level's survivors, rewritten after
 each level; the engine never reads it back.
@@ -80,7 +79,6 @@ from .pcgroup import (
     c2_homomorphisms,
     kernel_members,
     subgroup_igs,
-    tail_block_key,
 )
 
 # Unused here; perfbench/traced.py wraps them under these names.
@@ -196,52 +194,33 @@ def _expand_one(group: PcPresentation, memo: ProductMemo, rows: Rows, meet_rows:
     return len(homs), out
 
 
-def _expand_group(
-    group: PcPresentation, memo: ProductMemo, payload: Tuple[List[Rows], List[Rows]]
-) -> List[Expansion]:
-    """Expand survivors that share one tail-block key, in order."""
-    survivors, meets = payload
-    return [_expand_one(group, memo, rows, meet_rows) for rows, meet_rows in zip(survivors, meets)]
-
-
-def _expand_task(payload: Tuple[List[Rows], List[Rows]]) -> List[Expansion]:
-    """_expand_group in a forked worker, on the run's group and on the
+def _expand_task(pair: Tuple[Rows, Rows]) -> Expansion:
+    """_expand_one in a forked worker, on the run's group and on the
     worker's own copy of the run's memo."""
-    return _expand_group(_RUN["group"], _RUN["memo"], payload)
+    return _expand_one(_RUN["group"], _RUN["memo"], *pair)
 
 
 def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> SearchLevel:
     """All maximal subgroups of the survivors that halve their stabilizer
     meet, deduplicated by canonical IGS.
 
-    The survivors are grouped by tail_block_key, and each group is one
-    task, so each tail block is built by one process.  Within the
-    run_search in progress for `group`, the survivors are expanded with
-    the run's memo, and a level with more than one group goes to the
-    run's pool, when it forked one, largest group first.  Otherwise its
-    groups are expanded in this process; a call outside a run uses a
-    memo of its own.  Either way the results are merged in survivor
-    order."""
-    by_key: Dict[Tuple, List[int]] = {}
-    for i, rows in enumerate(level.survivors):
-        by_key.setdefault(tail_block_key(group, rows), []).append(i)
-    # largest first, so that a pool pulling one task at a time ends even
-    groups = sorted(by_key.values(), key=len, reverse=True)
-    payload = [([level.survivors[i] for i in idx], [level.meets[i] for i in idx]) for idx in groups]
+    Within the run_search in progress for `group`, the survivors are
+    expanded with the run's memo, and a level with more than one
+    survivor goes to the run's pool, when it forked one, one task per
+    survivor.  Otherwise they are expanded in this process; a call
+    outside a run uses a memo of its own.  Either way the results come
+    back, and are merged, in survivor order."""
+    pairs = list(zip(level.survivors, level.meets))
     run = _RUN if _RUN.get("group") is group else {"memo": ProductMemo(group)}
-    if "pool" in run and len(payload) > 1:
-        done = run["pool"].map(_expand_task, payload, chunksize=1)
+    if "pool" in run and len(pairs) > 1:
+        results = run["pool"].map(_expand_task, pairs)
     else:
-        done = [_expand_group(group, run["memo"], item) for item in payload]
-    results: List[Expansion] = [None] * len(level.survivors)
-    for idx, out in zip(groups, done):
-        for i, expansion in zip(idx, out):
-            results[i] = expansion
+        results = [_expand_one(group, run["memo"], rows, meet_rows) for rows, meet_rows in pairs]
     new: Dict[Rows, Rows] = {}
     candidates = 0
-    for seen, pairs in results:
+    for seen, kernels in results:
         candidates += seen
-        for key, meet_rows in pairs:
+        for key, meet_rows in kernels:
             if key not in new:
                 new[key] = meet_rows
                 if len(new) > config.max_survivors:

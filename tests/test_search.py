@@ -229,7 +229,7 @@ CHECKPOINT_SHA256 = [
 # conjugates of tail members from tail_action tables) or a kind of entry
 # in the memo, or that builds the halved stabilizer meets by a subgroup
 # closure instead of kernel_members, moves them
-DESCENT_CALLS = {"multiply": 8_338, "inverse": 227}
+DESCENT_CALLS = {"multiply": 8_312, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
@@ -311,9 +311,9 @@ def pools(monkeypatch):
 
 def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent, pools):
     """A two-worker run maps levels 2-6 (level 1 has a single survivor)
-    onto its pool, one task per tail-block key, each worker with its own
-    copy of the run's memo; the levels, merged in survivor order, equal
-    the serial ones."""
+    onto its pool, one task per survivor, each worker with its own copy
+    of the run's memo; the levels, merged in survivor order, equal the
+    serial ones."""
     levels = []
     descend = se.descend
 
@@ -327,57 +327,30 @@ def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent,
     assert [pool["map"] for pool in pools] == [5]
 
 
-@pytest.fixture(scope="module")
-def forked_work(p59, stab):
-    """A two-worker run_search on p59; the tail blocks built across all of
-    its processes, counted in a Value the workers inherit; and, for each
-    map call on its pool, the survivor count of each task it ships."""
+def test_parallel_run_ships_each_level_in_survivor_order(monkeypatch, p59, stab, counted_descent):
+    """Each map call on the pool of a two-worker run ships its level's
+    (survivor, meet) pairs, one task each, in survivor order: levels 2-6
+    with 2, 2, 12, 48 and 128 survivors (level 1 has a single survivor
+    and is expanded in this process)."""
     ctx = multiprocessing.get_context("fork")
-    built = ctx.Value("i", 0)
-    shipped = []
-    tail_span, real_pool = pc._tail_span, ctx.Pool
-
-    def counted_span(*args):
-        with built.get_lock():
-            built.value += 1
-        return tail_span(*args)
+    shipped, real_pool = [], ctx.Pool
 
     def recording_pool(*args, **kwargs):
         pool = real_pool(*args, **kwargs)
         real_map = pool.map
 
-        def mapped(fn, tasks, chunksize=None):
-            shipped.append([len(survivors) for survivors, _ in tasks])
-            return real_map(fn, tasks, chunksize)
+        def mapped(fn, tasks, *rest, **options):
+            shipped.append(list(tasks))
+            return real_map(fn, shipped[-1], *rest, **options)
 
         pool.map = mapped
         return pool
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pc, "_tail_span", counted_span)
-        mp.setattr(ctx, "Pool", recording_pool)
-        report = se.run_search(p59, se.SearchConfig(threads=2), stab)
-    return report, built.value, shipped
-
-
-def test_parallel_run_builds_each_tail_block_once(forked_work):
-    """Each worker fills its own memo, and each tail-block key is one task,
-    so one worker meets each key and builds its block once: exactly the
-    serial run's count.  A task per survivor would build a block again in
-    each worker that meets its key."""
-    report, built, _ = forked_work
-    assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
-    assert built == RELATION_WORK["tail_blocks"]
-
-
-def test_parallel_run_ships_one_task_per_tail_block_key(forked_work):
-    """Levels 2-6 share 2, 2, 6, 14 and 30 tail-block keys among their
-    2, 2, 12, 48 and 128 survivors; each key is one task, and the tasks
-    go out largest first (one task per survivor would ship 192)."""
-    _, _, shipped = forked_work
-    assert [len(tasks) for tasks in shipped] == [2, 2, 6, 14, 30]
-    assert [sum(tasks) for tasks in shipped] == [2, 2, 12, 48, 128]
-    assert all(tasks == sorted(tasks, reverse=True) for tasks in shipped)
+    monkeypatch.setattr(ctx, "Pool", recording_pool)
+    assert se.run_search(p59, se.SearchConfig(threads=2), stab).no_regular_subgroup
+    serial = counted_descent[0]
+    assert shipped == [list(zip(level.survivors, level.meets)) for level in serial[:5]]
+    assert [len(tasks) for tasks in shipped] == [2, 2, 12, 48, 128]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
@@ -452,7 +425,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path, p59, stab, counted_descent):
 # levels share and which the kernel products of kernel_members and
 # _canonical_members go through too, and the products the memo does not
 # hold
-RUN_CALLS = {"multiply": 7_049, "inverse": 138}
+RUN_CALLS = {"multiply": 7_028, "inverse": 138}
 
 
 def _counted_run(p59, stab):
