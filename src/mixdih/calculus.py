@@ -436,7 +436,7 @@ class ChainMeta:
     base: PcPresentation
 
 
-def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
+def build_p59(h: PcPresentation) -> PcPresentation:
     """Extension of the 2**56 group by the order-8 twist: order 2**59.
 
     Elements are r**e * h with e in 0..7; the cyclic part is carried by
@@ -445,8 +445,6 @@ def build_p59(h: Optional[PcPresentation] = None) -> PcPresentation:
     by 3.  With rho(h) = h**r, (r**e h)(r**f k) = r**(e+f) rho**f(h) k and
     (r**e h)**-1 = r**-e rho**-e(h**-1).
     """
-    if h is None:
-        h = build_h56()
     rho_power = make_rho_power(h)
 
     n = 59

@@ -3,8 +3,12 @@
 Subcommands: build (write a presentation file), verify (run the named
 claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
-file).  Exit codes: 0 success, 1..63 the number of failed checks (or a
-generic failure), 64 survivor-budget abort, 65 I/O error.  Usage
+file).  The targets h56, p59 and toy2 come from one table, TARGETS,
+which gives each its order log and its claim battery.  Exit codes: 0
+success, 1..63 the number of failed checks (or a generic failure), 64
+survivor-budget abort, 65 I/O error.  A --from-file path that is missing
+or unreadable is a failed <target>_file_parses check, so verify exits 1
+and still writes its report; maps exits 65 on a missing file.  Usage
 errors, --levels past the stabilizer's six halvings among them, exit 2
 before any check runs.
 """
@@ -40,14 +44,15 @@ DESCENT_SURVIVORS = [2, 2, 12, 48, 128, 0]
 DESCENT_CANDIDATES = [3, 6, 14, 84, 336, 896]
 
 
-def _build_target(name: str) -> PcPresentation:
-    if name == "toy2":
-        return build_toy()
-    if name == "h56":
-        return build_h56()
+def _build_target(name: str, built: Optional[Dict[str, PcPresentation]] = None) -> PcPresentation:
+    """Build target name into built and return it; p59 extends the h56
+    already in built, which is built first if it is missing."""
+    built = {} if built is None else built
     if name == "p59":
-        return build_p59(build_h56())
-    raise ValueError(f"unknown target {name!r}")
+        built[name] = build_p59(built["h56"] if "h56" in built else _build_target("h56", built))
+    else:
+        built[name] = build_h56() if name == "h56" else build_toy()
+    return built[name]
 
 
 # ── verification checks ──────────────────────────────────────────────────────
@@ -62,17 +67,17 @@ def _jsonable(value):
 
 
 class CheckRun:
-    """Collects named checks; each records expected vs actual and timing."""
+    """Collects named checks; each records expected vs actual and timing.
+    seed is the run's --seed, from which every random word is drawn."""
 
-    def __init__(self):
+    def __init__(self, seed: int = DEFAULT_SEED):
+        self.seed = seed
         self.entries: List[Dict] = []
 
-    def add(
-        self, name: str, claim: str, expected, thunk: Callable[[], object], seed: Optional[int] = None
-    ) -> None:
+    def add(self, name: str, claim: str, expected, thunk: Callable[[], object], seeded: bool = False) -> None:
         """Run thunk and record its result against expected.  A check
-        that draws random words passes the --seed they come from, and its
-        entry records it."""
+        that draws random words from run.seed is seeded, and its entry
+        records the seed."""
         t0 = time.perf_counter()
         try:
             actual = _jsonable(thunk())
@@ -87,12 +92,8 @@ class CheckRun:
             "claim": claim,
             "seconds": round(time.perf_counter() - t0, 3),
         })
-        if seed is not None:
-            self.entries[-1]["seed"] = seed
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for e in self.entries if e["status"] != "pass")
+        if seeded:
+            self.entries[-1]["seed"] = self.seed
 
 
 def _structural_checks(run: CheckRun, group: PcPresentation, label: str, order_log: int) -> None:
@@ -111,7 +112,6 @@ def _structural_checks(run: CheckRun, group: PcPresentation, label: str, order_l
 
 
 def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
-    _structural_checks(run, h, "h56", 56)
     derived = derived_subgroup(h, se.full_group(h))
     run.add(
         "h56_derived_order_log",
@@ -273,8 +273,7 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
     )
 
 
-def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
-    _structural_checks(run, p, "p59", 59)
+def _checks_p59(run: CheckRun, p: PcPresentation) -> None:
     r = 1 << p.names.index("r")
     r2 = 1 << p.names.index("r2")
     run.add(
@@ -313,9 +312,9 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
         square_twist,
     )
 
-    def embedding(seed=seed):
+    def embedding():
         h = p.meta.base
-        rng = random.Random(seed)
+        rng = random.Random(run.seed)
         for _ in range(200):
             a = rng.getrandbits(h.n)
             b = rng.getrandbits(h.n)
@@ -328,7 +327,7 @@ def _checks_p59(run: CheckRun, p: PcPresentation, seed: int) -> None:
         "products of layered elements agree with the layered group",
         True,
         embedding,
-        seed=seed,
+        seeded=True,
     )
     full = se.full_group(p)
     run.add(
@@ -371,7 +370,6 @@ def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.
 
 
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
-    _structural_checks(run, toy, "toy2", 8)
     xsub, ysub = gr.letter_subgroups(toy)
     gamma = gr.cayley_graph(toy, gr.letter_connection_set(toy))
     sigma = gr.bicoset_graph(toy, xsub, ysub)
@@ -452,9 +450,9 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     )
 
 
-def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: int) -> None:
+def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None:
     def associativity(group, label):
-        rng = random.Random(seed ^ sum(map(ord, label)))
+        rng = random.Random(run.seed ^ sum(map(ord, label)))
         mul = group.multiply
         for _ in range(10_000):
             u = rng.getrandbits(group.n)
@@ -470,11 +468,11 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "collection is associative on 10^4 random triples",
             True,
             lambda group=group, label=label: associativity(group, label),
-            seed=seed,
+            seeded=True,
         )
 
     def fast_matches_collect(group):
-        rng = random.Random(seed + 13)
+        rng = random.Random(run.seed + 13)
         for _ in range(300):
             u = rng.getrandbits(group.n)
             v = rng.getrandbits(group.n)
@@ -488,12 +486,12 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "the closed-form product agrees with the collector on samples",
             True,
             lambda group=group: fast_matches_collect(group),
-            seed=seed,
+            seeded=True,
         )
 
     def igs_canonical(group):
         gens = [1 << i for i in range(0, group.n, 2)]
-        rng = random.Random(seed)
+        rng = random.Random(run.seed)
         base = subgroup_igs(group, gens).digest()
         for _ in range(5):
             shuffled = gens[:]
@@ -509,7 +507,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation], seed: i
             "shuffled and redundant generators give the same canonical IGS",
             True,
             lambda group=group: igs_canonical(group),
-            seed=seed,
+            seeded=True,
         )
 
     def maximal_counts():
@@ -543,6 +541,11 @@ def _check_search(run: CheckRun, p: PcPresentation, threads: int) -> None:
     )
 
 
+# each verify target in `verify all` order, its group's order log and its
+# battery; never a builder, which _build_target looks up when it calls it
+TARGETS = {"h56": (56, _checks_h56), "p59": (59, _checks_p59), "toy2": (8, _checks_toy2)}
+
+
 # ── subcommands ──────────────────────────────────────────────────────────────
 
 
@@ -560,36 +563,28 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = CheckRun()
+    run = CheckRun(args.seed)
     t0 = time.perf_counter()
     built: Dict[str, PcPresentation] = {}
-    if args.from_file:
-        expected_n = {"toy2": 8, "h56": 56, "p59": 59}[args.target]
+    for name in TARGETS if args.target == "all" else [args.target]:
+        order_log, battery = TARGETS[name]
+        if args.from_file:
 
-        def parse():
-            built[args.target] = load_presentation(args.from_file)
-            return True
+            def parse():
+                built[name] = load_presentation(args.from_file)
+                return True
 
-        run.add(f"{args.target}_file_parses", "the presentation file parses", True, parse)
-        if run.failures == 0:
-            _structural_checks(run, built[args.target], args.target, expected_n)
-    else:
-        targets = ["h56", "p59", "toy2"] if args.target == "all" else [args.target]
-        if "h56" in targets or "p59" in targets:
-            built["h56"] = build_h56()
-        if "p59" in targets:
-            built["p59"] = build_p59(built["h56"])
-        if "toy2" in targets:
-            built["toy2"] = build_toy()
-        if "h56" in targets:
-            _checks_h56(run, built["h56"])
-        if "p59" in targets:
-            _checks_p59(run, built["p59"], args.seed)
-        if "toy2" in targets:
-            _checks_toy2(run, built["toy2"])
-        if args.target == "all":
-            _checks_properties(run, built, args.seed)
-            _check_search(run, built["p59"], args.threads)
+            run.add(f"{name}_file_parses", "the presentation file parses", True, parse)
+        else:
+            _build_target(name, built)
+        if name not in built:
+            break
+        _structural_checks(run, built[name], name, order_log)
+        if not args.from_file:
+            battery(run, built[name])
+    if args.target == "all":
+        _checks_properties(run, built)
+        _check_search(run, built["p59"], args.threads)
     report = {
         "engine_version": ENGINE_VERSION,
         "target": args.target,
@@ -605,7 +600,7 @@ def cmd_verify(args) -> int:
     failed = [e["name"] for e in run.entries if e["status"] != "pass"]
     if failed:
         print(f"{len(failed)} checks failed: {', '.join(failed)}", file=sys.stderr)
-    return min(run.failures, 63)
+    return min(len(failed), 63)
 
 
 def cmd_search(args) -> int:
@@ -690,12 +685,12 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a group and write its presentation file")
-    b.add_argument("target", choices=["h56", "p59", "toy2"])
+    b.add_argument("target", choices=list(TARGETS))
     b.add_argument("out", help="output path for the presentation file")
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run the named checks and write a JSON report")
-    v.add_argument("target", choices=["h56", "p59", "toy2", "all"])
+    v.add_argument("target", choices=[*TARGETS, "all"])
     v.add_argument("--report", help="write the JSON report here instead of stdout")
     v.add_argument("--from-file", help="check a presentation file instead of building")
     v.add_argument(
@@ -731,7 +726,7 @@ def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
     if args.command == "verify" and args.target == "all" and args.from_file:
-        ap.error("verify all builds its groups; --from-file needs h56, p59 or toy2")
+        ap.error("verify all builds its groups; --from-file needs a single target")
     if args.command == "verify" and args.target != "all" and args.threads != 1:
         ap.error("only verify all runs the descent, so only it takes --threads")
     if args.command == "search" and args.levels > len(DESCENT_SURVIVORS):
