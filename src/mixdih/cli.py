@@ -5,12 +5,13 @@ claim checks and emit a JSON report), search (the regular-subgroup
 descent), graph (desk-scale graph export), maps (check a letter map
 file).  The targets h56, p59 and toy2 come from one table, TARGETS,
 which gives each its order log and its claim battery.  Exit codes: 0
-success, 1..63 the number of failed checks (or a generic failure), 64
-survivor-budget abort, 65 I/O error.  A --from-file path that is missing
-or unreadable is a failed <target>_file_parses check, so verify exits 1
-and still writes its report; maps exits 65 on a missing file.  Usage
-errors, --levels past the stabilizer's six halvings among them, exit 2
-before any check runs.
+success, 1..63 the number of failed checks (or a generic failure), 65
+I/O error.  A --report path that cannot be written exits 65 before the
+first check.  A --from-file path that is missing or unreadable is a
+failed <target>_file_parses check, so verify exits 1 and still writes
+its report; maps exits 65 on a missing file.  Usage errors, --levels
+past the stabilizer's six halvings among them, exit 2 before any check
+runs.
 """
 
 import argparse
@@ -563,6 +564,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.report:
+        # fail an unwritable path before the first check; appending creates
+        # the file without truncating a --from-file path that is also the
+        # report path, which is read before the report replaces it
+        open(args.report, "a", encoding="ascii").close()
     run = CheckRun(args.seed)
     t0 = time.perf_counter()
     built: Dict[str, PcPresentation] = {}
@@ -607,16 +613,11 @@ def cmd_search(args) -> int:
     p = _build_target("p59")
     cfg = se.SearchConfig(
         levels=args.levels,
-        max_survivors=args.max_survivors,
         checkpoint_path=args.checkpoint,
         threads=args.threads,
         log=lambda msg: print(msg, flush=True),
     )
-    try:
-        rep = se.run_search(p, cfg)
-    except se.MemoryBudgetExceeded as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 64
+    rep = se.run_search(p, cfg)
     print(f"survivors per level: {rep.survivor_counts}")
     print(f"wall seconds: {rep.wall_seconds:.2f}")
     if rep.no_regular_subgroup:
@@ -668,8 +669,7 @@ def cmd_maps(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """--threads, --levels and --max-survivors: an int of at least 1, else a
-    usage error."""
+    """--threads and --levels: an int of at least 1, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -705,7 +705,6 @@ def _parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
     s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, 1 to 6 (default 6)")
-    s.add_argument("--max-survivors", type=_positive_int, default=10_000_000, help="survivors per level before exit 64, at least 1")
     s.add_argument("--checkpoint", help="write each completed level here")
     s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)

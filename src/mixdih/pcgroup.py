@@ -271,7 +271,7 @@ class ProductMemo:
     * inverses: the inverse of each top member;
     * products: u * v, for the square of each top member, the two
       products of m_j ** m_i for each clashing pair of top members, each
-      top step of a left division (the inverse of a top member times a
+      top step of a coords division (the inverse of a top member times a
       word) and each product of members that builds a kernel;
     * images: the echelon basis of the tail words [t, h] under (top
       part h, tail members), which tail blocks share (_tail_span);
@@ -324,8 +324,9 @@ class Subgroup:
     member raises ValueError.
 
     The memo attribute is a ProductMemo, the one given or a new one; the
-    inverses of the top members, the top steps of each division and the
-    relations of relation_rows come from it.
+    inverses of the top members, each top step of a coords division and
+    the relations of relation_rows come from it.  sift and contains
+    divide with the group's multiply and store nothing in it.
     """
 
     __slots__ = ("group", "members", "leads", "memo", "_lead_mask", "_div", "_reach", "_runs")
@@ -363,7 +364,7 @@ class Subgroup:
     def order(self) -> int:
         return 1 << len(self.members)
 
-    def _divide(self, u: int) -> Tuple[int, int]:
+    def _divide(self, u: int, mul: Callable[[int, int], int]) -> Tuple[int, int]:
         """Left-divide u by the members at each leading index, ascending:
         the residue, and the coordinate bits of the members divided by
         (bit t for members[t]).
@@ -371,14 +372,13 @@ class Subgroup:
         Each step jumps to the next leading index above the last one at
         which the current u has exponent 1; the leads in between are
         skipped exactly as a scan over all leads would skip them.  Each
-        step off the tail multiplies through the memo.  Once u lies in
+        step off the tail multiplies with mul.  Once u lies in
         the tail, so does every member left to divide by, and the rest
         of the division is XOR by tail members; as they are reduced at
         each other's leads, no XOR moves a later lead, so the hit leads
         give the residue in one step (pivot_reach) and, shifted run by
         run, the coordinates.
         """
-        mul = self.memo.multiply
         top = self.group.top_mask
         div = self._div
         lead_mask = self._lead_mask
@@ -407,18 +407,27 @@ class Subgroup:
         layered quotients, where corrections move up the layers), the
         residue has zero exponent at every leading index and is the
         canonical representative of the right coset (self)*u.
+
+        It multiplies with the group's multiply, not through the memo, so
+        sifting any number of words leaves the memo as it was.
         """
-        return self._divide(u)[0]
+        return self._divide(u, self.group.multiply)[0]
 
     def contains(self, u: int) -> bool:
-        return self._divide(u)[0] == 0
+        """Whether u is a member; like sift, it leaves the memo alone."""
+        return self._divide(u, self.group.multiply)[0] == 0
 
     def coords(self, u: int) -> int:
         """Exponents of u as a straight product of the members: bit t is
         set when the division divides by members[t].  Raises
         NotInSubgroup when the residue is not the identity.
+
+        Its top steps go through the memo.  Its callers (relation_rows,
+        _tail_span, the descent's meet filter) divide squares, conjugates
+        and meet members, which the members determine, so what it stores
+        is bounded by the subgroups the memo serves.
         """
-        u, c = self._divide(u)
+        u, c = self._divide(u, self.memo.multiply)
         if u:
             raise NotInSubgroup("element does not lie in the subgroup")
         return c

@@ -38,7 +38,7 @@ pcgroup.Subgroup multiplies through a memo (pcgroup.ProductMemo), its
 own unless it is given one, and run_search makes one per process per
 run, which the Subgroup of every survivor and its kernels share: the
 inverse and the square of each top member, the two products that
-conjugate each clashing pair of top members, each top step of a left
+conjugate each clashing pair of top members, each top step of a coords
 division, each product that builds a kernel, the echelon basis of each
 top part's tail words, and the spans.  It is keyed by member and word
 values, never by a survivor's coordinates, so a memo hit equals the
@@ -87,19 +87,9 @@ from .pcgroup import frattini, maximal_subgroups  # noqa: F401
 Rows = Tuple[int, ...]
 
 
-class MemoryBudgetExceeded(RuntimeError):
-    """A level outgrew the configured survivor cap."""
-
-    def __init__(self, depth: int, cap: int):
-        super().__init__(f"survivor cap {cap} exceeded at depth {depth}")
-        self.depth = depth
-        self.cap = cap
-
-
 @dataclass
 class SearchConfig:
     levels: int = 6
-    max_survivors: int = 10_000_000
     checkpoint_path: Optional[str] = None
     threads: int = 1
     log: Optional[Callable[[str], None]] = None
@@ -109,8 +99,6 @@ class SearchConfig:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if self.max_survivors < 1:
-            raise ValueError(f"max_survivors must be at least 1, got {self.max_survivors}")
 
     def worker_count(self) -> int:
         return self.threads
@@ -209,7 +197,8 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     survivor goes to the run's pool, when it forked one, one task per
     survivor.  Otherwise they are expanded in this process; a call
     outside a run uses a memo of its own.  Either way the results come
-    back, and are merged, in survivor order."""
+    back, and are merged, in survivor order.  config is not read; it
+    stays in the signature that perfbench/traced.py wraps."""
     pairs = list(zip(level.survivors, level.meets))
     run = _RUN if _RUN.get("group") is group else {"memo": ProductMemo(group)}
     if "pool" in run and len(pairs) > 1:
@@ -221,10 +210,7 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     for seen, kernels in results:
         candidates += seen
         for key, meet_rows in kernels:
-            if key not in new:
-                new[key] = meet_rows
-                if len(new) > config.max_survivors:
-                    raise MemoryBudgetExceeded(level.depth + 1, config.max_survivors)
+            new.setdefault(key, meet_rows)
     return SearchLevel(
         depth=level.depth + 1,
         required_meet_log=level.required_meet_log - 1,

@@ -164,6 +164,22 @@ def test_verify_from_a_missing_file_is_a_failed_check(tmp_path):
     assert entry["actual"].startswith("error: FileNotFoundError: ")
 
 
+def test_verify_fails_an_unwritable_report_before_the_first_check(tmp_path, monkeypatch, capsys):
+    builds = {"build_h56": 0}
+    monkeypatch.setattr(cli, "build_h56", _counting(builds, "build_h56", cli.build_h56))
+    assert main(["verify", "h56", "--report", str(tmp_path / "missing" / "r.json")]) == 65
+    assert builds == {"build_h56": 0}
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_verify_reads_a_from_file_path_before_reporting_over_it(tmp_path):
+    path = tmp_path / "toy2.pc2"
+    assert main(["build", "toy2", str(path)]) == 0
+    assert main(["verify", "toy2", "--from-file", str(path), "--report", str(path)]) == 0
+    checks = json.loads(path.read_text(encoding="ascii"))["checks"]
+    assert (checks[0]["name"], checks[0]["status"]) == ("toy2_file_parses", "pass")
+
+
 def test_verify_flags_corrupt_power_word(tmp_path, capsys):
     clean = tmp_path / "toy2.pc2"
     assert main(["build", "toy2", str(clean)]) == 0
@@ -265,10 +281,6 @@ def test_search_progress_lines_show_elapsed_seconds(capsys):
     assert re.fullmatch(r"wall seconds: \d+\.\d\d", lines[-1])
 
 
-def test_search_budget_abort():
-    assert main(["search", "--levels", "1", "--max-survivors", "1"]) == 64
-
-
 def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
     received = []
 
@@ -337,14 +349,6 @@ def test_search_levels_out_of_range_is_a_usage_error(capsys, levels):
         main(["search", "--levels", levels])
     assert exc.value.code == 2
     assert "--levels" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cap", ["0", "-5", "many"])
-def test_search_max_survivors_below_one_is_a_usage_error(capsys, cap):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--max-survivors", cap])
-    assert exc.value.code == 2
-    assert "--max-survivors" in capsys.readouterr().err
 
 
 def test_search_checkpoint_holds_the_last_level(tmp_path, p59):
@@ -488,7 +492,7 @@ def test_fuzzed_h56_map_files_exit_with_a_documented_code(fuzz_path, data):
 # usage error is argparse's SystemExit(2).  Paths are placeholders until
 # the test knows its directory: a writable report or checkpoint, or a path
 # under a directory that does not exist
-FLAG_EXITS = {0, 1, 2, 64, 65}
+FLAG_EXITS = {0, 1, 2, 65}
 _WRITABLE, _ABSENT = "<writable>", "<absent>"
 
 
@@ -521,7 +525,6 @@ _VERIFY_ARGV = st.builds(
 )
 _SEARCH_ARGV = _flags(
     _flag("--levels", _value(st.integers(1, 2)), optional=False),
-    _flag("--max-survivors", _value(st.sampled_from([1, 2, 3, 10_000_000]))),
     _flag("--threads", _value(st.integers(1, 2))),
     _flag("--checkpoint", st.sampled_from([_WRITABLE, _ABSENT])),
 ).map(lambda tail: ["search"] + tail)

@@ -924,6 +924,27 @@ def test_kernels_share_the_memo_of_their_subgroup(p59):
     assert a.members == b.members and a.memo is not b.memo
 
 
+def test_sift_and_contains_leave_the_memo_alone(p59):
+    """sift and contains divide with the group's multiply, so 1,000 of
+    each on distinct words leave the memo as it was: what it holds is
+    bounded by the subgroup, not by the words divided.  Their residues
+    are the multiply-only division's."""
+    stab = pc.subgroup_igs(p59, [1 << p59.names.index(nm) for nm in ("x1", "x2", "x3", "x4", "r2")])
+    rng = random.Random(45)
+    distinct = dict.fromkeys(stab.elements())  # so that some words are members
+    while len(distinct) < 2_000:
+        distinct[rng.getrandbits(p59.n)] = None
+    words = list(distinct)
+    rng.shuffle(words)
+    sizes = (len(stab.memo.products), len(stab.memo.inverses))
+    for u in words[:1_000]:
+        assert stab.sift(u) == multiply_only_divide(stab, u)[1]
+    for u in words[1_000:]:
+        assert stab.contains(u) == (multiply_only_divide(stab, u)[1] == 0)
+    assert any(stab.contains(u) for u in words[1_000:])
+    assert (len(stab.memo.products), len(stab.memo.inverses)) == sizes
+
+
 def test_small_intersection_order(p59):
     stab = pc.subgroup_igs(p59, [1 << 1] + [1 << (3 + i) for i in range(4)])
     assert pc.small_intersection_order(p59, stab, stab) == 64

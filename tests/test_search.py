@@ -186,11 +186,6 @@ def test_checkpoint_roundtrip(tmp_path, toy, toy_stab):
     assert one.final_survivors  # toy2 keeps survivors, so the rows are checked
 
 
-def test_budget_abort(toy, toy_stab):
-    with pytest.raises(se.MemoryBudgetExceeded):
-        se.run_search(toy, se.SearchConfig(levels=1, max_survivors=1), stab=toy_stab)
-
-
 def test_write_checkpoint_replaces_whole(tmp_path, toy, toy_stab, monkeypatch):
     path = tmp_path / "ck.txt"
     level1 = se.descend(toy, se.root_level(toy, toy_stab), se.SearchConfig())
@@ -386,21 +381,26 @@ def test_parallel_run_forks_one_pool_and_matches_serial(p59, stab, pools):
     assert multiprocessing.active_children() == []
 
 
+def _raise_at_depth_3(line):
+    if line.startswith("depth 3:"):
+        raise RuntimeError(line)
+
+
 @pytest.mark.parametrize(
     "settings, error, match, maps",
     [
         ({}, None, None, 5),
-        ({"max_survivors": 10}, se.MemoryBudgetExceeded, "at depth 3", 2),  # 12 survivors there
+        ({"log": _raise_at_depth_3}, RuntimeError, "depth 3:", 2),  # after the maps of levels 2 and 3
         ({"checkpoint_path": "missing/ck.txt"}, OSError, "missing", 0),
     ],
-    ids=["return", "budget", "checkpoint"],
+    ids=["return", "abort", "checkpoint"],
 )
 def test_no_worker_outlives_a_run(
     tmp_path, monkeypatch, p59, stab, pools, settings, error, match, maps
 ):
     """The run's pool is terminated and joined once whether the run
-    returns, aborts on its survivor cap mid-descent, or fails to write its
-    first checkpoint."""
+    returns, aborts mid-descent, or fails to write its first
+    checkpoint."""
     monkeypatch.chdir(tmp_path)  # which has no directory named missing
     config = se.SearchConfig(threads=2, **settings)
     if error is None:
@@ -515,9 +515,3 @@ def test_search_config_rejects_threads_below_one(threads):
 def test_search_config_rejects_levels_below_one(levels):
     with pytest.raises(ValueError, match="levels"):
         se.SearchConfig(levels=levels)
-
-
-@pytest.mark.parametrize("cap", [0, -5])
-def test_search_config_rejects_max_survivors_below_one(cap):
-    with pytest.raises(ValueError, match="max_survivors"):
-        se.SearchConfig(max_survivors=cap)
