@@ -363,17 +363,16 @@ def _right_translations(group: PcPresentation, elements) -> List[Callable[[int],
     return [lambda z, w=w: group.multiply(z, w) for w in elements]
 
 
-def _toy_quotient(toy: PcPresentation, xsub, ysub, sigma: gr.SimpleGraph) -> gr.NormalQuotient:
+def _toy_quotient(toy: PcPresentation, sigma: gr.BicosetGraph) -> gr.NormalQuotient:
     """The incidence graph modulo the orbits of the derived subgroup."""
     derived = derived_subgroup(toy, se.full_group(toy))
-    translations = gr.bicoset_action(toy, xsub, ysub, sigma, _right_translations(toy, derived.members))
+    translations = gr.bicoset_action(sigma, _right_translations(toy, derived.members))
     return gr.normal_quotient(sigma, gr.vertex_orbits(sigma, translations))
 
 
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
-    xsub, ysub = gr.letter_subgroups(toy)
     gamma = gr.cayley_graph(toy, gr.letter_connection_set(toy))
-    sigma = gr.bicoset_graph(toy, xsub, ysub)
+    sigma = gr.bicoset_graph(toy, *gr.letter_subgroups(toy))
     run.add(
         "toy2_cayley_shape",
         "the Cayley graph has 256 vertices, valency 6, and is connected",
@@ -402,11 +401,11 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         "toy2_line_graph_correspondence",
         "element-to-edge identifies the Cayley graph with the line graph",
         True,
-        lambda: gr.verify_line_graph_correspondence(toy, xsub, ysub, gamma, sigma),
+        lambda: gr.verify_line_graph_correspondence(gamma, sigma),
     )
 
     def quotient_shape():
-        quo = _toy_quotient(toy, xsub, ysub, sigma)
+        quo = _toy_quotient(toy, sigma)
         q = quo.graph
         xs = [i for i in range(q.vertex_count) if q.bipartition[i] == 0]
         ys = [i for i in range(q.vertex_count) if q.bipartition[i] == 1]
@@ -420,13 +419,11 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         [8, 4, True, True],
         quotient_shape,
     )
-    translations = gr.bicoset_action(
-        toy, xsub, ysub, sigma, _right_translations(toy, [1 << i for i in range(toy.n)])
-    )
+    translations = gr.bicoset_action(sigma, _right_translations(toy, [1 << i for i in range(toy.n)]))
 
     def arc_counts():
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_action(toy, xsub, ysub, sigma, [aut.apply for aut in auts])
+        aut_maps = gr.bicoset_action(sigma, [aut.apply for aut in auts])
         translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
         return [with_auts, translations_only > 1]
 
@@ -447,7 +444,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         "toy2_cliques_are_letter_cosets",
         "the maximal cliques of the Cayley graph are the letter-block cosets",
         True,
-        lambda: gr.cliques_are_letter_cosets(toy, xsub, ysub, gamma),
+        lambda: gr.cliques_are_letter_cosets(gamma, sigma),
     )
 
 
@@ -629,13 +626,12 @@ def cmd_search(args) -> int:
 
 def cmd_graph(args) -> int:
     toy = _build_target("toy2")
-    xsub, ysub = gr.letter_subgroups(toy)
     if args.which == "cayley":
         graph = gr.cayley_graph(toy, gr.letter_connection_set(toy))
-    elif args.which == "incidence":
-        graph = gr.bicoset_graph(toy, xsub, ysub)
     else:
-        graph = _toy_quotient(toy, xsub, ysub, gr.bicoset_graph(toy, xsub, ysub)).graph
+        graph = gr.bicoset_graph(toy, *gr.letter_subgroups(toy))
+        if args.which == "quotient":
+            graph = _toy_quotient(toy, graph).graph
     if args.emit_graph:
         gr.write_graph(graph, args.emit_graph)
         print(f"wrote {graph.vertex_count} vertices, {graph.edge_count} edges")
@@ -679,6 +675,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """--report, --from-file, --checkpoint and --emit-graph: a non-empty
+    path, else a usage error; an empty one would be read as not given."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mixdih", description=__doc__)
     ap.add_argument("--version", action="version", version=ENGINE_VERSION)
@@ -691,8 +695,8 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the named checks and write a JSON report")
     v.add_argument("target", choices=[*TARGETS, "all"])
-    v.add_argument("--report", help="write the JSON report here instead of stdout")
-    v.add_argument("--from-file", help="check a presentation file instead of building")
+    v.add_argument("--report", type=_path, help="write the JSON report here instead of stdout")
+    v.add_argument("--from-file", type=_path, help="check a presentation file instead of building")
     v.add_argument(
         "--seed",
         type=int,
@@ -705,13 +709,13 @@ def _parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
     s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, 1 to 6 (default 6)")
-    s.add_argument("--checkpoint", help="write each completed level here")
+    s.add_argument("--checkpoint", type=_path, help="write each completed level here")
     s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
 
     g = sub.add_parser("graph", help="export a desk-scale graph")
     g.add_argument("which", choices=["cayley", "incidence", "quotient"])
-    g.add_argument("--emit-graph", help="write the adjacency text here")
+    g.add_argument("--emit-graph", type=_path, help="write the adjacency text here")
     g.set_defaults(func=cmd_graph)
 
     m = sub.add_parser("maps", help="check a letter map file against a group")

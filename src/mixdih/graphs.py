@@ -11,18 +11,19 @@ handled group-theoretically by the search module.
 Vertices carry canonical string labels (sift residues in fixed-width
 hex) so exported graph files are byte-stable.  A coset vertex is
 numbered by its side and its sift residue, labelled "x:3c" or "y:1f";
-one writer and one reader (_coset_label, _coset_of) own that format.
-One coset action (bicoset_action) turns any map on group elements that
-permutes the block cosets, a right translation or an automorphism, into
-a vertex permutation.  The line-graph claim is checked by counting, with
-no line graph built.  Graphs are immutable once built: construction is a
+labels are written once, for export, and cosets are read from the
+incidence graph's element-to-edge map (BicosetGraph.ends), which
+bicoset_graph builds with the only sifts here.  One coset action
+(bicoset_action) turns any map on group elements that permutes the
+block cosets, a right translation or an automorphism, into a vertex
+permutation.  The line-graph claim is checked by counting, with no line
+graph built.  Graphs are immutable once built: construction is a
 flat sweep over vertices or group elements followed by a validation
 pass, and every accessor works on frozen tuples.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
 from .morphisms import orbit
@@ -85,10 +86,6 @@ class SimpleGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(row) for row in self.neighbors) // 2
-
-    @cached_property
-    def label_index(self) -> Dict[str, int]:
-        return {s: i for i, s in enumerate(self.labels)}
 
     def regular_valency(self) -> Optional[int]:
         """The common degree, or None if degrees differ (or no vertices)."""
@@ -247,15 +244,19 @@ def _coset_label(group: PcPresentation, side: int, residue: int) -> str:
     return "xy"[side] + ":" + _element_label(group, residue)
 
 
-def _coset_of(label: str) -> Tuple[int, int]:
-    """The side and representative of a coset vertex, from its label."""
-    side, _, hexpart = label.partition(":")
-    if side not in ("x", "y") or not hexpart:
-        raise ValueError(f"not a coset label: {label!r}")
-    return "xy".index(side), int(hexpart, 16)
+@dataclass(frozen=True)
+class BicosetGraph(SimpleGraph):
+    """A coset incidence graph with its element-to-edge map: ends[z] is
+    the vertex pair (xsub*z, ysub*z) of the edge that element z indexes.
+
+    The map is kept as built, not validated here;
+    verify_line_graph_correspondence checks it against the edges.
+    """
+
+    ends: Tuple[Tuple[int, int], ...] = ()
 
 
-def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> SimpleGraph:
+def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> BicosetGraph:
     """Coset incidence graph: one edge {xsub*z, ysub*z} per group element z.
 
     Cosets intersect exactly when they arise from a common z, and when the
@@ -273,21 +274,25 @@ def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> Simp
     y_index = {rep: len(x_reps) + i for i, rep in enumerate(y_reps)}
     labels = [_coset_label(group, 0, r) for r in x_reps]
     labels += [_coset_label(group, 1, r) for r in y_reps]
-    edges = {(x_index[a], y_index[b]) for a, b in zip(x_of, y_of)}
-    part = [0] * len(x_reps) + [1] * len(y_reps)
-    return make_graph(labels, edges, part)
+    ends = tuple((x_index[a], y_index[b]) for a, b in zip(x_of, y_of))
+    g = make_graph(labels, ends, [0] * len(x_reps) + [1] * len(y_reps))
+    return BicosetGraph(g.labels, g.neighbors, g.bipartition, ends)
 
 
-def verify_line_graph_correspondence(
-    group: PcPresentation,
-    xsub: Subgroup,
-    ysub: Subgroup,
-    gamma: SimpleGraph,
-    sigma: SimpleGraph,
-) -> bool:
-    """Check that z -> {xsub*z, ysub*z} identifies gamma, the Cayley graph
-    on the letter connection set, with the line graph of sigma, the coset
-    incidence graph, without building the line graph.
+def _cosets(graph: BicosetGraph) -> List[List[int]]:
+    """Each vertex's coset: the elements whose edges end at it, ascending."""
+    cosets: List[List[int]] = [[] for _ in range(graph.vertex_count)]
+    for z, pair in enumerate(graph.ends):
+        for v in pair:
+            cosets[v].append(z)
+    return cosets
+
+
+def verify_line_graph_correspondence(gamma: SimpleGraph, sigma: BicosetGraph) -> bool:
+    """Check that sigma's element-to-edge map z -> {xsub*z, ysub*z}
+    identifies gamma, the Cayley graph on the letter connection set, with
+    the line graph of sigma, the coset incidence graph, without building
+    the line graph.
 
     The map must be a bijection from the vertices of gamma onto the edges
     of sigma, every edge of gamma must go to two edges of sigma that share
@@ -296,16 +301,9 @@ def verify_line_graph_correspondence(
     bijection that carries edges to edges, between graphs with equal edge
     counts, carries the edges onto the edges, so the check is exact.
     """
-    if gamma.vertex_count != 1 << group.n:
+    ends = sigma.ends
+    if gamma.vertex_count != len(ends) or not all(sigma.has_edge(u, w) for u, w in ends):
         return False
-    index = sigma.label_index
-    ends = []
-    for z in range(1 << group.n):
-        u = index.get(_coset_label(group, 0, xsub.sift(z)))
-        w = index.get(_coset_label(group, 1, ysub.sift(z)))
-        if u is None or w is None or not sigma.has_edge(u, w):
-            return False
-        ends.append((u, w))
     if not len(set(ends)) == len(ends) == sigma.edge_count:
         return False
     for g, h in gamma.edges():
@@ -433,40 +431,31 @@ def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
 # ── group actions as vertex permutations ─────────────────────────────────────
 
 
-def bicoset_action(
-    group: PcPresentation,
-    xsub: Subgroup,
-    ysub: Subgroup,
-    graph: SimpleGraph,
-    maps: Iterable[Callable[[int], int]],
-) -> Perms:
+def bicoset_action(graph: BicosetGraph, maps: Iterable[Callable[[int], int]]) -> Perms:
     """The vertex permutations of a bicoset graph induced by maps on group
     elements, each a right translation z -> z*w or an automorphism's apply.
 
-    A map f sends the block S to the block S' one of whose right cosets
-    holds f(1) and f(m) for every member m of S: S itself for a
-    translation, f(S) for an automorphism.  The coset S*z then goes to the
-    coset S'*f(z).  ValueError when no block fits, or (from action_gens)
-    when the result is not an automorphism of the graph.
+    The block on side s is the set of elements whose edges share the end
+    ends[0][s].  A map f sends it to the side t on which every f(m), m in
+    the block, has the same end: the block itself for a translation, f's
+    image of it for an automorphism.  The coset vertex v, holding z, then
+    goes to ends[f(z)][t].  ValueError when no side fits, or (from
+    action_gens) when the result is not an automorphism of the graph.
     """
-    subs = (xsub, ysub)
-    cosets = [_coset_of(label) for label in graph.labels]
-    index = graph.label_index
+    ends = graph.ends
+    cosets = _cosets(graph)
+    blocks = [cosets[v] for v in ends[0]]
     perms = []
     for f in maps:
-        homes = [target.sift(f(0)) for target in subs]
-        image = []
-        for sub in subs:
-            for t, target in enumerate(subs):
-                if all(target.sift(f(m)) == homes[t] for m in sub.members):
-                    image.append(t)
+        side = []
+        for block in blocks:
+            for t in (0, 1):
+                if len({ends[f(m)][t] for m in block}) == 1:
+                    side.append(t)
                     break
             else:
                 raise ValueError("map does not permute the letter block cosets")
-        perms.append(tuple(
-            index[_coset_label(group, image[side], subs[image[side]].sift(f(rep)))]
-            for side, rep in cosets
-        ))
+        perms.append(tuple(ends[f(c[0])][side[s]] for s, c in zip(graph.bipartition, cosets)))
     return action_gens(graph, perms)
 
 
@@ -474,37 +463,37 @@ def bicoset_action(
 
 
 def maximal_cliques(g: SimpleGraph) -> List[frozenset]:
-    """All maximal cliques (pivoting Bron-Kerbosch), for desk-scale graphs."""
-    nb = [set(row) for row in g.neighbors]
+    """All maximal cliques (pivoting Bron-Kerbosch), for desk-scale graphs.
+
+    The recursion is a module function: a nested one would refer to
+    itself and leave each call's sets to the cyclic garbage collector.
+    """
     out: List[frozenset] = []
-
-    def expand(r: Set[int], p: Set[int], x: Set[int]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(p & nb[u]))
-        for v in list(p - nb[pivot]):
-            expand(r | {v}, p & nb[v], x & nb[v])
-            p.discard(v)
-            x.add(v)
-
-    expand(set(), set(range(g.vertex_count)), set())
+    _expand([set(row) for row in g.neighbors], set(), set(range(g.vertex_count)), set(), out)
     return out
 
 
-def cliques_are_letter_cosets(
-    group: PcPresentation, xsub: Subgroup, ysub: Subgroup, gamma: SimpleGraph
-) -> bool:
+def _expand(nb: List[Set[int]], r: Set[int], p: Set[int], x: Set[int], out: List[frozenset]) -> None:
+    """One Bron-Kerbosch step: each maximal clique holding r, within r | p
+    and avoiding x, onto out."""
+    if not p and not x:
+        out.append(frozenset(r))
+        return
+    pivot = max(p | x, key=lambda u: len(p & nb[u]))
+    for v in list(p - nb[pivot]):
+        _expand(nb, r | {v}, p & nb[v], x & nb[v], out)
+        p.discard(v)
+        x.add(v)
+
+
+def cliques_are_letter_cosets(gamma: SimpleGraph, sigma: BicosetGraph) -> bool:
     """Exhaustive check that the maximal cliques of the Cayley graph are
-    exactly the right cosets of the two letter blocks."""
-    mul = group.multiply
-    xs = xsub.elements()
-    ys = ysub.elements()
-    expected = set()
-    for z in range(1 << group.n):
-        expected.add(frozenset(mul(x, z) for x in xs))
-        expected.add(frozenset(mul(y, z) for y in ys))
-    return set(maximal_cliques(gamma)) == expected
+    exactly the right cosets of the two letter blocks, read from sigma's
+    element-to-edge map: vertex v's coset holds each z whose edge ends at
+    v.  Under the line-graph correspondence these are sigma's vertex
+    stars, the maximal cliques of the line graph of a triangle-free
+    graph."""
+    return set(maximal_cliques(gamma)) == {frozenset(c) for c in _cosets(sigma)}
 
 
 # ── export ───────────────────────────────────────────────────────────────────

@@ -93,11 +93,10 @@ class VerifiedAutomorphism:
     """An automorphism with verified relations, closed over all generators,
     with the homomorphism_table extend built for it."""
 
-    __slots__ = ("group", "full_images", "_table")
+    __slots__ = ("group", "_table")
 
-    def __init__(self, group: PcPresentation, full_images: Tuple[int, ...], table: List[int]):
+    def __init__(self, group: PcPresentation, table: List[int]):
         self.group = group
-        self.full_images = full_images
         self._table = table
 
     def apply(self, u: int) -> int:
@@ -157,7 +156,7 @@ def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
     letter_part = (1 << bits) - 1
     if len(echelon_ints([w & letter_part for w in gmap.letter_images])[0]) != bits:
         raise NotBijective("letter images do not generate the group")
-    return VerifiedAutomorphism(group, tuple(images), table)
+    return VerifiedAutomorphism(group, table)
 
 
 @dataclass

@@ -329,7 +329,7 @@ class Subgroup:
     divide with the group's multiply and store nothing in it.
     """
 
-    __slots__ = ("group", "members", "leads", "memo", "_lead_mask", "_div", "_reach", "_runs")
+    __slots__ = ("group", "members", "memo", "_lead_mask", "_div", "_reach", "_runs")
 
     def __init__(self, group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None):
         self.group = group
@@ -339,7 +339,6 @@ class Subgroup:
         if 0 in members or len(set(leads)) != len(leads):
             raise ValueError("IGS members need distinct leading indices")
         self.members = members = tuple(members)
-        self.leads = tuple(leads)
         self._lead_mask = sum(1 << d for d in leads)
         k = sum(1 for d in leads if d < group.tail)  # the top members
         tail_leads = self._lead_mask >> group.tail << group.tail

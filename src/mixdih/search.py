@@ -44,9 +44,13 @@ top part's tail words, and the spans.  It is keyed by member and word
 values, never by a survivor's coordinates, so a memo hit equals the
 product it stands for.  The memo is made before the pool is forked, so
 each worker inherits it empty and fills its own, and it is dropped
-when the run returns or raises; nothing is kept from one run to the
-next.  A descend called outside a run shares a memo of its own among
-that call's survivors.
+when the run returns or raises; no product is kept from one run to the
+next.  The presentation keeps its conj table and the tail-action table
+of each top part whose commutators a span needs
+(PcPresentation.tail_action, at most ACTION_CACHE_CAP of them, a cap
+p59 does not reach), so repeated runs in one process reuse those tables
+and a CLI run builds them once.  A descend called outside a run shares
+a memo of its own among that call's survivors.
 
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The

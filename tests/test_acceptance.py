@@ -173,13 +173,12 @@ def test_08_non_cayley_search(p59):
 
 def test_09_toy_graph_suite(toy):
     with _Budget(30):
-        xsub, ysub = gr.letter_subgroups(toy)
         gamma = gr.cayley_graph(toy, gr.letter_connection_set(toy))
         assert gamma.vertex_count == 256
         assert gamma.regular_valency() == 6
         assert gamma.is_connected()
 
-        sigma = gr.bicoset_graph(toy, xsub, ysub)
+        sigma = gr.bicoset_graph(toy, *gr.letter_subgroups(toy))
         assert sigma.vertex_count == 128
         assert sigma.bipartition is not None and sum(sigma.bipartition) == 64
         assert sigma.regular_valency() == 4
@@ -188,13 +187,13 @@ def test_09_toy_graph_suite(toy):
         def right_translations(elements):
             return [lambda z, w=w: toy.multiply(z, w) for w in elements]
 
-        translations = gr.bicoset_action(toy, xsub, ysub, sigma, right_translations([1 << i for i in range(toy.n)]))
+        translations = gr.bicoset_action(sigma, right_translations([1 << i for i in range(toy.n)]))
         assert gr.edge_regular_check(sigma, translations, 256)
-        assert gr.verify_line_graph_correspondence(toy, xsub, ysub, gamma, sigma)
+        assert gr.verify_line_graph_correspondence(gamma, sigma)
 
         full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
         derived = derived_subgroup(toy, full)
-        orbits = gr.vertex_orbits(sigma, gr.bicoset_action(toy, xsub, ysub, sigma, right_translations(derived.members)))
+        orbits = gr.vertex_orbits(sigma, gr.bicoset_action(sigma, right_translations(derived.members)))
         quo = gr.normal_quotient(sigma, orbits)
         assert quo.cover
         assert quo.graph.vertex_count == 8 and quo.graph.regular_valency() == 4
@@ -203,7 +202,7 @@ def test_09_toy_graph_suite(toy):
         assert all(quo.graph.has_edge(u, w) for u in xs for w in ys)
 
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_action(toy, xsub, ysub, sigma, [aut.apply for aut in auts])
+        aut_maps = gr.bicoset_action(sigma, [aut.apply for aut in auts])
         translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
         assert with_auts == 1 < translations_only
 

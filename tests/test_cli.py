@@ -115,6 +115,27 @@ def test_verify_builds_each_certificate_object_once(verified_reports, target):
     assert calls == VERIFY_CALLS[target]
 
 
+# toy2 multiply calls of one verify toy2, counted on the group that
+# cli.build_toy returns, so every check's products are counted but the
+# builder's own are not
+TOY_CALLS = {"multiply": 3_899}
+
+
+def test_verify_toy2_work_is_pinned(tmp_path, monkeypatch):
+    calls = dict.fromkeys(TOY_CALLS, 0)
+    build_toy = cli.build_toy
+
+    def counted_build():
+        toy = build_toy()
+        for name in calls:
+            monkeypatch.setattr(toy, name, _counting(calls, name, getattr(toy, name)))
+        return toy
+
+    monkeypatch.setattr(cli, "build_toy", counted_build)
+    assert main(["verify", "toy2", "--report", str(tmp_path / "report.json")]) == 0
+    assert calls == TOY_CALLS
+
+
 @pytest.mark.parametrize("which", sorted(GRAPH_SHA256))
 def test_graph_export_bytes_are_pinned(capsys, which):
     assert main(["graph", which]) == 0
@@ -341,6 +362,26 @@ def test_threads_below_one_is_a_usage_error(capsys, command, threads):
         main(command + ["--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "toy2", "--report", ""],
+    ["verify", "toy2", "--from-file", ""],
+    ["verify", "all", "--from-file", ""],
+    ["search", "--checkpoint", ""],
+    ["graph", "quotient", "--emit-graph", ""],
+])
+def test_an_empty_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """An empty path is refused, not read as an option left out."""
+    builds = {"build_toy": 0}
+    monkeypatch.setattr(cli, "build_toy", _counting(builds, "build_toy", cli.build_toy))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert builds == {"build_toy": 0}
 
 
 @pytest.mark.parametrize("levels", ["0", "-2", "six", "7"])

@@ -130,8 +130,8 @@ def test_bicoset_toy_shape(sigma):
 
 
 def test_bicoset_identity_cosets_adjacent(sigma):
-    xi = sigma.label_index["x:00"]
-    yi = sigma.label_index["y:00"]
+    xi = sigma.labels.index("x:00")
+    yi = sigma.labels.index("y:00")
     assert sigma.has_edge(xi, yi)
 
 
@@ -156,47 +156,47 @@ def test_edge_criterion_matches_intersection_oracle(toy, blocks, sigma):
         h = rng.randrange(256)
         g = rng.randrange(256)
         direct = _cosets_intersect_directly(toy, xsub, ysub, h, g)
-        xi = sigma.label_index["x:" + format(xsub.sift(h), "02x")]
-        yi = sigma.label_index["y:" + format(ysub.sift(g), "02x")]
+        xi = sigma.labels.index("x:" + format(xsub.sift(h), "02x"))
+        yi = sigma.labels.index("y:" + format(ysub.sift(g), "02x"))
         assert sigma.has_edge(xi, yi) == direct
 
 
 # ── line graphs ──────────────────────────────────────────────────────────────
 
 
-def test_line_graph_correspondence(toy, blocks, gamma, sigma):
-    assert gr.verify_line_graph_correspondence(toy, *blocks, gamma, sigma)
+def test_line_graph_correspondence(gamma, sigma):
+    assert gr.verify_line_graph_correspondence(gamma, sigma)
 
 
-def test_line_graph_correspondence_breaks_under_swap(toy, blocks, gamma, sigma):
+def test_line_graph_correspondence_breaks_under_swap(gamma, sigma):
     # the Cayley graph with vertices 1 and 2 exchanged
     perm = list(range(gamma.vertex_count))
     perm[1], perm[2] = 2, 1
     rows = [tuple(sorted(perm[w] for w in gamma.neighbors[v])) for v in perm]
     assert gamma.bipartition is None
     swapped = gr.SimpleGraph(gamma.labels, tuple(rows))
-    assert not gr.verify_line_graph_correspondence(toy, *blocks, swapped, sigma)
+    assert not gr.verify_line_graph_correspondence(swapped, sigma)
 
 
-def test_line_graph_correspondence_breaks_per_dropped_edge(toy, blocks, gamma, sigma):
+def test_line_graph_correspondence_breaks_per_dropped_edge(gamma, sigma):
     rng = random.Random(11)
     edge_list = sigma.edges()
     for u, w in rng.sample(edge_list, 10):
         rows = [list(row) for row in sigma.neighbors]
         rows[u].remove(w)
         rows[w].remove(u)
-        dropped = gr.SimpleGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition)
-        assert not gr.verify_line_graph_correspondence(toy, *blocks, gamma, dropped)
+        dropped = gr.BicosetGraph(sigma.labels, tuple(tuple(r) for r in rows), sigma.bipartition, sigma.ends)
+        assert not gr.verify_line_graph_correspondence(gamma, dropped)
 
 
-def test_line_graph_correspondence_breaks_per_missing_cayley_edge(toy, blocks, gamma, sigma):
+def test_line_graph_correspondence_breaks_per_missing_cayley_edge(gamma, sigma):
     # every other clause still holds; only the edge count sees the gap
     u, w = random.Random(5).choice(gamma.edges())
     rows = [list(row) for row in gamma.neighbors]
     rows[u].remove(w)
     rows[w].remove(u)
     missing = gr.SimpleGraph(gamma.labels, tuple(tuple(r) for r in rows))
-    assert not gr.verify_line_graph_correspondence(toy, *blocks, missing, sigma)
+    assert not gr.verify_line_graph_correspondence(missing, sigma)
 
 
 def test_line_graph_correspondence_needs_a_bijection():
@@ -208,18 +208,17 @@ def test_line_graph_correspondence_needs_a_bijection():
     sigma = gr.bicoset_graph(v4, a, a)
     assert sigma.edge_count == 2
     edgeless = gr.make_graph(["0", "1", "2", "3"], [])
-    assert not gr.verify_line_graph_correspondence(v4, a, a, edgeless, sigma)
+    assert not gr.verify_line_graph_correspondence(edgeless, sigma)
 
 
 # ── quotients ────────────────────────────────────────────────────────────────
 
 
-def test_quotient_by_derived_orbits_is_complete_bipartite(toy, blocks, sigma):
-    xsub, ysub = blocks
+def test_quotient_by_derived_orbits_is_complete_bipartite(toy, sigma):
     full = subgroup_igs(toy, [1 << i for i in range(8)])
     derived = derived_subgroup(toy, full)
     assert derived.order == 16
-    translations = gr.bicoset_action(toy, xsub, ysub, sigma, _translations(toy, derived.members))
+    translations = gr.bicoset_action(sigma, _translations(toy, derived.members))
     orbits = gr.vertex_orbits(sigma, translations)
     assert sorted(len(b) for b in orbits) == [16] * 8
     quo = gr.normal_quotient(sigma, orbits)
@@ -269,10 +268,10 @@ def _toy_aut_maps(toy):
     return [mo.extend(g).apply for g in mo.toy_catalog(toy).values()]
 
 
-def _toy_actions(toy, blocks, sigma, with_auts):
-    perms = gr.bicoset_action(toy, *blocks, sigma, _translations(toy, [1 << i for i in range(8)]))
+def _toy_actions(toy, sigma, with_auts):
+    perms = gr.bicoset_action(sigma, _translations(toy, [1 << i for i in range(8)]))
     if with_auts:
-        perms = perms + gr.bicoset_action(toy, *blocks, sigma, _toy_aut_maps(toy))
+        perms = perms + gr.bicoset_action(sigma, _toy_aut_maps(toy))
     return perms
 
 
@@ -289,37 +288,37 @@ TOY_ACTION_SHA256 = {
 }
 
 
-def test_bicoset_action_perms_are_pinned(toy, blocks, sigma):
+def test_bicoset_action_perms_are_pinned(toy, sigma):
     derived = derived_subgroup(toy, subgroup_igs(toy, [1 << i for i in range(8)]))
     maps = {
         "translations": _translations(toy, [1 << i for i in range(8)]),
         "automorphisms": _toy_aut_maps(toy),
         "derived": _translations(toy, derived.members),
     }
-    perms = {name: gr.bicoset_action(toy, *blocks, sigma, m) for name, m in maps.items()}
+    perms = {name: gr.bicoset_action(sigma, m) for name, m in maps.items()}
     assert {name: _digest(p) for name, p in perms.items()} == TOY_ACTION_SHA256
 
 
-def test_bicoset_action_rejects_map_off_the_block_cosets(toy, blocks, sigma):
+def test_bicoset_action_rejects_map_off_the_block_cosets(sigma):
     with pytest.raises(ValueError, match="letter block cosets"):
-        gr.bicoset_action(toy, *blocks, sigma, [lambda z: (z * 5) & 255])
+        gr.bicoset_action(sigma, [lambda z: (z * 5) & 255])
 
 
 def two_arc_orbit_count(g, a):
     return gr.two_arc_orbit_counts(g, a, ())[0]
 
 
-def test_two_arc_count_with_full_generators(toy, blocks, sigma):
-    assert two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True)) == 1
+def test_two_arc_count_with_full_generators(toy, sigma):
+    assert two_arc_orbit_count(sigma, _toy_actions(toy, sigma, True)) == 1
 
 
-def test_two_arc_count_translations_only(toy, blocks, sigma):
-    assert two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False)) > 1
+def test_two_arc_count_translations_only(toy, sigma):
+    assert two_arc_orbit_count(sigma, _toy_actions(toy, sigma, False)) > 1
 
 
-def test_two_arc_count_monotone_under_more_generators(toy, blocks, sigma):
-    few = two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, False))
-    more = two_arc_orbit_count(sigma, _toy_actions(toy, blocks, sigma, True))
+def test_two_arc_count_monotone_under_more_generators(toy, sigma):
+    few = two_arc_orbit_count(sigma, _toy_actions(toy, sigma, False))
+    more = two_arc_orbit_count(sigma, _toy_actions(toy, sigma, True))
     assert more <= few
 
 
@@ -347,8 +346,8 @@ def test_orbit_counts_reject_maps_that_leave_the_point_set():
         gr.edge_regular_check(path, swap, 2)
 
 
-def test_edge_regular_toy_incidence(toy, blocks, sigma):
-    acts = _toy_actions(toy, blocks, sigma, False)
+def test_edge_regular_toy_incidence(toy, sigma):
+    acts = _toy_actions(toy, sigma, False)
     assert gr.edge_regular_check(sigma, acts, 256)
     assert not gr.edge_regular_check(sigma, acts, 512)
 
@@ -441,9 +440,9 @@ def _outcome(fn, *args):
         return ValueError
 
 
-def test_orbit_counts_match_tuple_set_references(toy, blocks, sigma):
-    translations = _toy_actions(toy, blocks, sigma, False)
-    full = _toy_actions(toy, blocks, sigma, True)
+def test_orbit_counts_match_tuple_set_references(toy, sigma):
+    translations = _toy_actions(toy, sigma, False)
+    full = _toy_actions(toy, sigma, True)
     off_vertex_set = ((999,) + tuple(range(1, 128)),)
     # a permutation of the vertices that is no automorphism: no two
     # vertices of a girth-8 graph share their neighbors
@@ -515,7 +514,7 @@ def _s_arcs(g, s):
 
 
 @pytest.mark.parametrize("s", sorted(S_ARC_ORBITS))
-def test_s_arc_orbits_of_toy_incidence(toy, blocks, sigma, s):
+def test_s_arc_orbits_of_toy_incidence(toy, sigma, s):
     arcs = _s_arcs(sigma, s)
     assert len(_s_arcs(sigma, 2)) == 1536
 
@@ -523,7 +522,7 @@ def test_s_arc_orbits_of_toy_incidence(toy, blocks, sigma, s):
         return tuple(p[x] for x in arc)
 
     counts = [
-        len(gr._orbit_sets(len(arcs), gr._moves(arcs, _toy_actions(toy, blocks, sigma, full), image)))
+        len(gr._orbit_sets(len(arcs), gr._moves(arcs, _toy_actions(toy, sigma, full), image)))
         for full in (False, True)
     ]
     assert (len(arcs), *counts) == S_ARC_ORBITS[s]
@@ -532,11 +531,11 @@ def test_s_arc_orbits_of_toy_incidence(toy, blocks, sigma, s):
 # ── cliques ──────────────────────────────────────────────────────────────────
 
 
-def test_maximal_cliques_are_letter_cosets(toy, blocks, gamma):
+def test_maximal_cliques_are_letter_cosets(gamma, sigma):
     cliques = gr.maximal_cliques(gamma)
     assert len(cliques) == 128
     assert all(len(c) == 4 for c in cliques)
-    assert gr.cliques_are_letter_cosets(toy, *blocks, gamma)
+    assert gr.cliques_are_letter_cosets(gamma, sigma)
 
 
 def test_maximal_cliques_small_oracle():
@@ -593,19 +592,21 @@ def test_toy_graphs_match_networkx(gamma, sigma):
 def test_toy_line_graph_correspondence_matches_networkx(toy, blocks, gamma, sigma):
     """z -> {xsub*z, ysub*z} is a bijection from the vertices of Gamma onto
     the vertices of networkx's line graph of Sigma, and carries the edges
-    of Gamma exactly onto its edges."""
+    of Gamma exactly onto its edges.  The map is derived here from sifts
+    and labels, apart from bicoset_graph, and must equal Sigma's ends."""
     nx = pytest.importorskip("networkx")
     xsub, ysub = blocks
-    index = sigma.label_index
     label = gr._element_label
 
     def edge_of(z):
-        return (index["x:" + label(toy, xsub.sift(z))], index["y:" + label(toy, ysub.sift(z))])
+        x = sigma.labels.index("x:" + label(toy, xsub.sift(z)))
+        return x, sigma.labels.index("y:" + label(toy, ysub.sift(z)))
 
     lg = nx.line_graph(_nx_graph(nx, sigma))
     nodes = {tuple(sorted(e)) for e in lg.nodes}
     lg_edges = {frozenset((tuple(sorted(a)), tuple(sorted(b)))) for a, b in lg.edges}
     image = [edge_of(z) for z in range(gamma.vertex_count)]
+    assert image == list(sigma.ends)
     assert len(set(image)) == len(image) == len(nodes)
     assert set(image) == nodes
     assert {frozenset((image[u], image[w])) for u, w in gamma.edges()} == lg_edges
