@@ -15,6 +15,7 @@ runs.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -444,7 +445,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         "toy2_cliques_are_letter_cosets",
         "the maximal cliques of the Cayley graph are the letter-block cosets",
         True,
-        lambda: gr.cliques_are_letter_cosets(gamma, sigma),
+        lambda: gr.cliques_are_letter_cosets(toy),
     )
 
 
@@ -683,7 +684,10 @@ def _path(text: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once: its objects form reference cycles, which a
+    parser per call would leave to the cyclic collector."""
     ap = argparse.ArgumentParser(prog="mixdih", description=__doc__)
     ap.add_argument("--version", action="version", version=ENGINE_VERSION)
     sub = ap.add_subparsers(dest="command", required=True)

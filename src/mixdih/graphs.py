@@ -3,8 +3,8 @@
 Two constructions share the letter-block subgroups of a built group: the
 Cayley graph on the inverse-closed union of the two blocks, and the
 coset incidence graph whose vertices are the right cosets of the two
-blocks and whose edges are indexed by group elements.  Everything here
-materializes vertex sets, so entry points are capped at desk scale; the
+blocks and whose edges are indexed by group elements.  The constructions
+materialize vertex sets, so they are capped at desk scale; the
 full-size incidence graph is never built and all claims about it are
 handled group-theoretically by the search module.
 
@@ -17,17 +17,20 @@ bicoset_graph builds with the only sifts here.  One coset action
 (bicoset_action) turns any map on group elements that permutes the
 block cosets, a right translation or an automorphism, into a vertex
 permutation.  The line-graph claim is checked by counting, with no line
-graph built.  Graphs are immutable once built: construction is a
-flat sweep over vertices or group elements followed by a validation
-pass, and every accessor works on frozen tuples.
+graph built, and the clique claim is proved from the letter blocks
+(cliques_are_letter_cosets), with no graph built and no clique search.
+Graphs are immutable once built: construction is a flat sweep over
+vertices or group elements followed by a validation pass, and every
+accessor works on frozen tuples.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
 from .morphisms import orbit
-from .pcgroup import PcPresentation, Subgroup, subgroup_igs
+from .pcgroup import PcPresentation, Subgroup, small_intersection_order, subgroup_igs
 
 
 class TooLarge(ValueError):
@@ -97,14 +100,8 @@ class SimpleGraph:
 
     def has_edge(self, u: int, w: int) -> bool:
         row = self.neighbors[u]
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] < w:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(row) and row[lo] == w
+        k = bisect_left(row, w)
+        return k < len(row) and row[k] == w
 
     def is_connected(self) -> bool:
         return not self.labels or len(orbit([0], lambda u: self.neighbors[u])) == len(self.labels)
@@ -462,38 +459,24 @@ def bicoset_action(graph: BicosetGraph, maps: Iterable[Callable[[int], int]]) ->
 # ── cliques ──────────────────────────────────────────────────────────────────
 
 
-def maximal_cliques(g: SimpleGraph) -> List[frozenset]:
-    """All maximal cliques (pivoting Bron-Kerbosch), for desk-scale graphs.
+def cliques_are_letter_cosets(group: PcPresentation) -> bool:
+    """True when the maximal cliques of the Cayley graph on the letter
+    connection set S are the right cosets of the letter blocks X and Y.
 
-    The recursion is a module function: a nested one would refer to
-    itself and leave each call's sets to the cyclic garbage collector.
+    Checked are the two facts the proof needs: S = (X | Y) - 1, and X
+    meets Y trivially.  Vertices a and b are adjacent when a*b^-1 is in
+    S.  Take s in X - 1 and t in Y - 1: were s*t^-1 in X, t would lie in
+    X, and were it in Y, s would lie in Y, so it is not in S, and no
+    clique through 1 meets both blocks.  Each block is a clique, so the
+    maximal cliques through 1 are X and Y.  Right translations are
+    automorphisms that act transitively, so those through g are X*g and
+    Y*g.
     """
-    out: List[frozenset] = []
-    _expand([set(row) for row in g.neighbors], set(), set(range(g.vertex_count)), set(), out)
-    return out
-
-
-def _expand(nb: List[Set[int]], r: Set[int], p: Set[int], x: Set[int], out: List[frozenset]) -> None:
-    """One Bron-Kerbosch step: each maximal clique holding r, within r | p
-    and avoiding x, onto out."""
-    if not p and not x:
-        out.append(frozenset(r))
-        return
-    pivot = max(p | x, key=lambda u: len(p & nb[u]))
-    for v in list(p - nb[pivot]):
-        _expand(nb, r | {v}, p & nb[v], x & nb[v], out)
-        p.discard(v)
-        x.add(v)
-
-
-def cliques_are_letter_cosets(gamma: SimpleGraph, sigma: BicosetGraph) -> bool:
-    """Exhaustive check that the maximal cliques of the Cayley graph are
-    exactly the right cosets of the two letter blocks, read from sigma's
-    element-to-edge map: vertex v's coset holds each z whose edge ends at
-    v.  Under the line-graph correspondence these are sigma's vertex
-    stars, the maximal cliques of the line graph of a triangle-free
-    graph."""
-    return set(maximal_cliques(gamma)) == {frozenset(c) for c in _cosets(sigma)}
+    xsub, ysub = letter_subgroups(group)
+    blocks = set(xsub.elements()) | set(ysub.elements())
+    if set(letter_connection_set(group)) != blocks - {0}:
+        return False
+    return small_intersection_order(group, xsub, ysub) == 1
 
 
 # ── export ───────────────────────────────────────────────────────────────────

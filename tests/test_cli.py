@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -118,7 +119,7 @@ def test_verify_builds_each_certificate_object_once(verified_reports, target):
 # toy2 multiply calls of one verify toy2, counted on the group that
 # cli.build_toy returns, so every check's products are counted but the
 # builder's own are not
-TOY_CALLS = {"multiply": 3_899}
+TOY_CALLS = {"multiply": 3_912}
 
 
 def test_verify_toy2_work_is_pinned(tmp_path, monkeypatch):
@@ -134,6 +135,24 @@ def test_verify_toy2_work_is_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_toy", counted_build)
     assert main(["verify", "toy2", "--report", str(tmp_path / "report.json")]) == 0
     assert calls == TOY_CALLS
+
+
+def test_repeated_main_leaves_no_parser_cycles(tmp_path):
+    # the parser is built once per process: a warm second call must leave
+    # no argparse object to the cyclic collector
+    report = str(tmp_path / "report.json")
+    assert main(["verify", "toy2", "--report", report]) == 0
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify", "toy2", "--report", report]) == 0
+        gc.collect()
+        modules = {type(obj).__module__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert "argparse" not in modules
 
 
 @pytest.mark.parametrize("which", sorted(GRAPH_SHA256))

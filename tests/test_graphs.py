@@ -5,7 +5,7 @@ import pytest
 
 from mixdih import graphs as gr
 from mixdih import morphisms as mo
-from mixdih.pcgroup import PcPresentation, derived_subgroup, subgroup_igs
+from mixdih.pcgroup import PcPresentation, consistency_check, derived_subgroup, subgroup_igs
 
 
 @pytest.fixture(scope="module")
@@ -531,17 +531,84 @@ def test_s_arc_orbits_of_toy_incidence(toy, sigma, s):
 # ── cliques ──────────────────────────────────────────────────────────────────
 
 
-def test_maximal_cliques_are_letter_cosets(gamma, sigma):
-    cliques = gr.maximal_cliques(gamma)
+def maximal_cliques(g):
+    """All maximal cliques (pivoting Bron-Kerbosch), the oracle that
+    cliques_are_letter_cosets' lemma is checked against.
+
+    The recursion is a module function: a nested one would refer to
+    itself and leave each call's sets to the cyclic garbage collector.
+    """
+    out = []
+    _expand([set(row) for row in g.neighbors], set(), set(range(g.vertex_count)), set(), out)
+    return out
+
+
+def _expand(nb, r, p, x, out):
+    """One Bron-Kerbosch step: each maximal clique holding r, within r | p
+    and avoiding x, onto out."""
+    if not p and not x:
+        out.append(frozenset(r))
+        return
+    pivot = max(p | x, key=lambda u: len(p & nb[u]))
+    for v in list(p - nb[pivot]):
+        _expand(nb, r | {v}, p & nb[v], x & nb[v], out)
+        p.discard(v)
+        x.add(v)
+
+
+def _letter_cosets(sigma):
+    """The right cosets of the letter blocks, read from sigma's ends."""
+    return {frozenset(c) for c in gr._cosets(sigma)}
+
+
+def test_maximal_cliques_are_letter_cosets(toy, gamma, sigma):
+    cliques = maximal_cliques(gamma)
     assert len(cliques) == 128
     assert all(len(c) == 4 for c in cliques)
-    assert gr.cliques_are_letter_cosets(gamma, sigma)
+    assert set(cliques) == _letter_cosets(sigma)
+    assert gr.cliques_are_letter_cosets(toy) is True
 
 
 def test_maximal_cliques_small_oracle():
     # triangle with a pendant vertex: cliques {0,1,2} and {2,3}
     g = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert set(gr.maximal_cliques(g)) == {frozenset({0, 1, 2}), frozenset({2, 3})}
+    assert set(maximal_cliques(g)) == {frozenset({0, 1, 2}), frozenset({2, 3})}
+
+
+def test_clique_lemma_and_oracle_reject_a_mixed_connection_element(toy, sigma, monkeypatch):
+    """With w = x1*y1 and its inverse added to S, the blocks no longer
+    give S, and the cliques are no longer the letter cosets."""
+    w = toy.multiply(1, 4)
+    conn = gr.letter_connection_set(toy) + (w, toy.inverse(w))
+    cliques = maximal_cliques(gr.cayley_graph(toy, conn))
+    assert len(cliques) == 384
+    assert {len(c) for c in cliques} == {3, 4}
+    assert set(cliques) != _letter_cosets(sigma)
+    monkeypatch.setattr(gr, "letter_connection_set", lambda group: conn)
+    assert gr.cliques_are_letter_cosets(toy) is False
+
+
+def test_clique_lemma_and_oracle_hold_with_a_trivial_commutator(toy):
+    """Dropping toy2's conjugate y1^x1 makes [x1, y1] = 1: the group stays
+    consistent and Sigma's girth drops to 4, but the lemma uses no
+    commutator, and the cliques are still the letter cosets."""
+    conj = {key: word for key, word in toy.conj.items() if key != (2, 0)}
+    mutant = PcPresentation(toy.n, toy.power_tails, conj, names=toy.names, meta=toy.meta, label=toy.label)
+    assert consistency_check(mutant) == []
+    sigma = gr.bicoset_graph(mutant, *gr.letter_subgroups(mutant))
+    assert sigma.girth() == 4
+    gamma = gr.cayley_graph(mutant, gr.letter_connection_set(mutant))
+    assert set(maximal_cliques(gamma)) == _letter_cosets(sigma)
+    assert gr.cliques_are_letter_cosets(mutant) is True
+
+
+def test_clique_lemma_rejects_blocks_that_meet(toy, blocks, monkeypatch):
+    xsub, _ = blocks
+    monkeypatch.setattr(gr, "letter_subgroups", lambda group: (xsub, xsub))
+    assert gr.cliques_are_letter_cosets(toy) is False
+    # with S the x block less 1, S = (X | X) - 1 holds and only the meet fails
+    monkeypatch.setattr(gr, "letter_connection_set", lambda group: tuple(xsub.elements()[1:]))
+    assert gr.cliques_are_letter_cosets(toy) is False
 
 
 # ── export ───────────────────────────────────────────────────────────────────
@@ -585,7 +652,7 @@ def test_toy_graphs_match_networkx(gamma, sigma):
         ref = _nx_graph(nx, g)
         assert g.girth() == nx.girth(ref)
         assert g.is_connected() == nx.is_connected(ref)
-        assert set(gr.maximal_cliques(g)) == {frozenset(c) for c in nx.find_cliques(ref)}
+        assert set(maximal_cliques(g)) == {frozenset(c) for c in nx.find_cliques(ref)}
     assert nx.is_bipartite(_nx_graph(nx, sigma))
 
 
