@@ -26,10 +26,10 @@ A letter map phi fixes the image of every generator: c_{ij} must go to
 [phi x_i, phi y_j] and each layer-3 generator to one more bracket with
 phi x_k or phi y_l.  generator_images forces those images with the
 group's own commutator, and it is the only code that does: extend, the
-twist conjugation rho (make_rho_power) and the twist orbit of the
-relations (relation_space) all take their images from it.  The twist r
-is the letter map TWIST_LETTERS, x_i -> y_i and y_i -> x_{sigma(i)} with
-sigma = SIG, a single 8-cycle on the letters.
+split extensions h:S by letter maps (split_extension, p59 = h56:<r>) and
+the twist orbit of the relations (relation_space) all take their images
+from it.  The twist r is the letter map TWIST_LETTERS, x_i -> y_i and
+y_i -> x_{sigma(i)} with sigma = SIG, a single 8-cycle on the letters.
 
 Multiplication is closed form.  Writing u = (a1,b1,g1,d1), v = (a2,b2,g2,d2):
 
@@ -53,9 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, reduce_by_echelon, sliced_apply, sliced_tables, word_bits
+from .gf2linalg import echelon_ints, lowbit_index, reduce_by_echelon, sliced_apply, sliced_tables, word_bits
 from .pcgroup import PcPresentation
 
 __all__ = [
@@ -68,7 +68,7 @@ __all__ = [
     "build_toy",
     "generator_images",
     "homomorphism_table",
-    "make_rho_power",
+    "split_extension",
 ]
 
 # the order-8 cycle acting on generator subscripts, 0-based images
@@ -404,74 +404,67 @@ def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bi
     return letters + sliced_tables(images[bits:], bits)
 
 
-def make_rho_power(h: PcPresentation) -> Callable[[int, int], int]:
-    """(w, e) -> rho**e(w) on packed coordinates of the 4+4 layered group.
-
-    rho is conjugation by the twist r, the letter map TWIST_LETTERS, and
-    its generator images are generator_images(h, TWIST_LETTERS).  Each
-    power rho**e, e = 1..7, has one homomorphism_table: the generator
-    images of rho**e are rho's table applied to those of rho**(e-1).
-    rho**e(w) is one sliced_apply, and w itself when e is 0 mod 8.
-    """
-    if not isinstance(h.meta, LayeredMeta) or h.meta.n != 4:
-        raise ValueError("twist conjugation needs the 4+4 layered group")
-    images = generator_images(h, TWIST_LETTERS)
-    tables: List[Optional[List[int]]] = [None, homomorphism_table(h.multiply, images, 8)]
-    power = images
-    for _ in range(2, 8):
-        power = [sliced_apply(tables[1], w, 8) for w in power]
-        tables.append(homomorphism_table(h.multiply, power, 8))
-
-    def rho_power(w: int, e: int) -> int:
-        table = tables[e & 7]
-        return w if table is None else sliced_apply(table, w, 8)
-
-    return rho_power
-
-
 @dataclass
-class ChainMeta:
-    """Attached to the extension group: base quotient plus the twist."""
+class ExtensionMeta:
+    """Attached to a split extension h:S: letter_maps[s] is the letter map
+    of the element of S with exponent word s, products[s][t] that of s*t."""
 
     base: PcPresentation
+    letter_maps: List[Tuple[int, ...]]
+    products: List[List[int]]
+
+
+def split_extension(
+    h: PcPresentation, letter_maps: Sequence[Sequence[int]], names: Sequence[str], label: str
+) -> PcPresentation:
+    """h:S for a layered group h and the group S of letter maps that the
+    pc sequence letter_maps = s_1..s_k generates.  The element s * w has
+    S's exponent word s at indices 0..k-1 and h's word w shifted by k; with
+    alpha_s conjugation by s, (s w)(t v) = st * alpha_t(w) * v and
+    (s w)**-1 = s**-1 * alpha_{s**-1}(w**-1).  Each s_i goes through
+    generator_images once, doubling over exponent words (alpha_{s s_i} =
+    alpha_{s_i} o alpha_s) gives the other elements their images, and each
+    nonidentity element has one homomorphism_table.  S's product table
+    matches letter maps.  ValueError when the 2**k maps repeat, are not
+    closed, or give an s_i a power or conjugate outside s_{i+1}..s_k."""
+    k, bits, hmul, hinv = len(letter_maps), 2 * h.meta.n, h.multiply, h.inverse
+    gens = [generator_images(h, letters) for letters in letter_maps]
+    images, tables = [[1 << t for t in range(h.n)]], [None]
+    for gen in gens:
+        table = homomorphism_table(hmul, gen, bits)
+        new = [gen] + [[sliced_apply(table, w, bits) for w in imgs] for imgs in images[1:]]
+        tables += [table] + [homomorphism_table(hmul, imgs, bits) for imgs in new[1:]]
+        images += new
+    letters = [tuple(imgs[:bits]) for imgs in images]
+    word_of = {lt: s for s, lt in enumerate(letters)}
+    products = [
+        [s] + [word_of.get(tuple(sliced_apply(table, w, bits) for w in lt)) for table in tables[1:]]
+        for s, lt in enumerate(letters)
+    ]
+    if len(word_of) != len(letters) or any(None in row for row in products):
+        raise ValueError("the letter maps are not a pc sequence: their words repeat or are not closed")
+    inverse = [row.index(0) for row in products]
+    ptails = [products[1 << i][1 << i] for i in range(k)] + [w << k for w in h.power_tails]
+    conj: Dict[Tuple[int, int], int] = {(j + k, i + k): w << k for (j, i), w in h.conj.items()}
+    conj.update({(t + k, i): img << k for i, gen in enumerate(gens) for t, img in enumerate(gen)})
+    conj.update({(j, i): products[inverse[1 << i]][products[1 << j][1 << i]] for j in range(k) for i in range(j)})
+    smask = (1 << k) - 1
+
+    def mul(u: int, v: int) -> int:
+        t = v & smask
+        w = sliced_apply(tables[t], u >> k, bits) if t else u >> k
+        return products[u & smask][t] | (hmul(w, v >> k) << k)
+
+    def inv(u: int) -> int:
+        s, w = inverse[u & smask], hinv(u >> k)
+        return s | ((sliced_apply(tables[s], w, bits) if s else w) << k)
+
+    meta = ExtensionMeta(h, letters, products)
+    return PcPresentation(k + h.n, ptails, conj, [*names, *h.names], mul, inv, meta, label)
 
 
 def build_p59(h: PcPresentation) -> PcPresentation:
-    """Extension of the 2**56 group by the order-8 twist: order 2**59.
-
-    Elements are r**e * h with e in 0..7; the cyclic part is carried by
-    chain generators r, r**2, r**4 at indices 0,1,2 (so e is the low three
-    bits, little-end) and the quotient group's generators follow, shifted
-    by 3.  With rho(h) = h**r, (r**e h)(r**f k) = r**(e+f) rho**f(h) k and
-    (r**e h)**-1 = r**-e rho**-e(h**-1).
-    """
-    rho_power = make_rho_power(h)
-
-    n = 59
-    ptails = [0] * n
-    ptails[0] = 1 << 1
-    ptails[1] = 1 << 2
-    conj: Dict[Tuple[int, int], int] = {(j + 3, i + 3): w << 3 for (j, i), w in h.conj.items()}
-    for chain_idx, e in ((0, 1), (1, 2), (2, 4)):
-        for t in range(h.n):
-            img = rho_power(1 << t, e)
-            if img != 1 << t:
-                conj[(3 + t, chain_idx)] = img << 3
-    h_mul = h.multiply
-    h_inv = h.inverse
-
-    def mul(u: int, v: int) -> int:
-        f = v & 7
-        if f:
-            return (((u & 7) + f) & 7) | (h_mul(rho_power(u >> 3, f), v >> 3) << 3)
-        return (u & 7) | (h_mul(u >> 3, v >> 3) << 3)
-
-    def inv(u: int) -> int:
-        f = -u & 7
-        return f | (rho_power(h_inv(u >> 3), f) << 3)
-
-    names = ["r", "r2", "r4"] + list(h.names)
-    meta = ChainMeta(base=h)
-    return PcPresentation(
-        n, ptails, conj, names=names, fast_mul=mul, fast_inv=inv, meta=meta, label="p59"
-    )
+    """h56:<r>, order 2**59, by r, r**2 and r**4: r**e * w has e in its low three bits."""
+    rho2 = tuple(TWIST_LETTERS[lowbit_index(w)] for w in TWIST_LETTERS)
+    rho4 = tuple(rho2[lowbit_index(w)] for w in rho2)
+    return split_extension(h, [TWIST_LETTERS, rho2, rho4], ["r", "r2", "r4"], "p59")

@@ -244,7 +244,7 @@ def catalog(h: PcPresentation) -> Dict[str, GeneratorMap]:
 
     The two singer generators and the two companion cycles act on one
     letter block and fix the other; the twist conjugation, TWIST_LETTERS,
-    interleaves the blocks (p59 and rho are built from it too).  The last
+    interleaves the blocks (p59 is built from it too).  The last
     two entries are the deliberate non-examples: a centralizing candidate
     on the x block and the half-turn x-reversal.
     """

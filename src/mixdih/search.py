@@ -1,6 +1,6 @@
 """Descent over the maximal-subgroup lattice ruling out regular subgroups.
 
-The chain-extended group acts on the right cosets of its vertex
+The split extension p59 = h56:<r> acts on the right cosets of its vertex
 stabilizer (order 2**6), so a subgroup acting regularly on that coset
 space would have index 2**6 and trivial meet with the stabilizer.  Every
 overgroup of such a subgroup still covers the coset space, and covering
@@ -76,6 +76,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .calculus import ExtensionMeta
 from .pcgroup import (
     PcPresentation,
     ProductMemo,
@@ -141,10 +142,16 @@ class SearchReport:
 
 
 def stab_subgroup(p: PcPresentation) -> Subgroup:
-    """Stabilizer of the base vertex: the x block joined with the square
-    of the chain generator."""
-    gens = [1 << p.names.index(nm) for nm in ("x1", "x2", "x3", "x4", "r2")]
-    return subgroup_igs(p, gens)
+    """Base vertex stabilizer of a split extension h:S: the x block and each
+    element of S whose letter map keeps the x block, less products of two
+    earlier ones (p59: r**2 alone); ValueError unless split_extension built p."""
+    meta = p.meta
+    if not isinstance(meta, ExtensionMeta):
+        raise ValueError(f"the vertex stabilizer needs a split extension, not {p.label or 'this group'}")
+    n, k, products = meta.base.meta.n, p.n - meta.base.n, meta.products
+    fixing = [s for s, letters in enumerate(meta.letter_maps) if s and all(w >> n == 0 for w in letters[:n])]
+    gens = [s for t, s in enumerate(fixing) if s not in {products[a][b] for a in fixing[:t] for b in fixing[:t]}]
+    return subgroup_igs(p, [1 << t for t in range(k, k + n)] + gens)
 
 
 def full_group(p: PcPresentation) -> Subgroup:

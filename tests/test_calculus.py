@@ -301,7 +301,7 @@ def test_twist_generator_images_match_hand_derivation(twist_images):
     assert twist_images[24:] == [pack(d=1 << t) for t in act.perm3]
 
 
-def test_rho_generator_images_match_hand_derivation(h56):
+def test_rho_generator_images_match_hand_derivation(h56, rho_power):
     # on h56 a d image is the reduction of the lifted image modulo the
     # relation space, in the coordinates of the surviving columns
     act = oracle_r_action()
@@ -320,7 +320,6 @@ def test_rho_generator_images_match_hand_derivation(h56):
     assert images[:8] == [1 << t for t in act.perm1]
     assert images[8:24] == [1 << (8 + t) for t in act.perm2]
     assert images[24:] == [reduce_full(1 << act.perm3[col]) << d_off for col in d_cols]
-    rho_power = ca.make_rho_power(h56)
     assert [rho_power(1 << t, 1) for t in range(h56.n)] == images
 
 
@@ -448,8 +447,7 @@ def test_toy_shape_and_agreement(toy):
             assert toy.multiply(u, v) == toy.collect_multiply(u, v)
 
 
-def test_rho_is_an_order8_automorphism(h56):
-    rho_power = ca.make_rho_power(h56)
+def test_rho_is_an_order8_automorphism(h56, rho_power):
     for i in range(4):
         assert rho_power(1 << i, 1) == 1 << (4 + i)
         assert rho_power(1 << (4 + i), 1) == 1 << ca.SIG[i]
@@ -464,14 +462,13 @@ def test_rho_is_an_order8_automorphism(h56):
         assert (v == w) == (t == 7)
 
 
-def test_rho_power_tables_match_repeated_rho(h56):
+def test_rho_power_tables_match_repeated_rho(h56, rho_power):
     # the oracle: powers of the twist extended from catalog's own spelling
     # of its letter images.  Both sides force rho's generator images with
-    # generator_images; the powers come from rho's table applied to the
-    # previous images on one side and from applying the twist e times on
-    # the other
+    # generator_images; the powers come from split_extension's table of
+    # r**e, reached through p59's multiply and inverse, on one side and
+    # from applying the twist e times on the other
     twist = mo.extend(mo.catalog(h56)["twist_conjugation"])
-    rho_power = ca.make_rho_power(h56)
     rng = random.Random(15)
     words = [0] + [1 << t for t in range(56)] + [rng.getrandbits(56) for _ in range(1000)]
     for w in words:
@@ -513,3 +510,68 @@ def test_p59_restriction_to_h_matches_h56(h56, p59):
 @given(st.integers(0, (1 << 59) - 1), st.integers(0, (1 << 59) - 1), st.integers(0, (1 << 59) - 1))
 def test_p59_associative(p59, a, b, c):
     assert p59.multiply(p59.multiply(a, b), c) == p59.multiply(a, p59.multiply(b, c))
+
+
+# ── split extensions by letter maps ─────────────────────────────────────────
+
+
+def test_toy_sylow_extension_is_consistent(toy, toy_sylow):
+    # the one extension whose S is not abelian, so the only one with
+    # conjugates between S generators: tau**sigma = tau**-1 = tau * tau**2
+    assert toy_sylow.n == 11
+    assert consistency_check(toy_sylow) == []
+    assert toy_sylow.names[:3] == ["s", "t", "t2"]
+    assert toy_sylow.power_tails[:3] == [0, 1 << 2, 0]
+    assert toy_sylow.conj[(1, 0)] == 0b110
+    assert (2, 0) not in toy_sylow.conj and (2, 1) not in toy_sylow.conj
+    assert toy_sylow.element_order(0b010) == 4
+    assert toy_sylow.meta.base is toy
+    assert toy_sylow.meta.letter_maps[1:3] == [(4, 8, 1, 2), (4, 8, 2, 1)]
+    assert toy_sylow.meta.letter_maps[4] == (2, 1, 8, 4)
+
+
+def test_toy_sylow_fast_paths_match_the_reference(toy_sylow):
+    rng = random.Random(16)
+    words = [rng.getrandbits(11) for _ in range(400)]
+    for u, v in zip(words, words[1:]):
+        assert toy_sylow.multiply(u, v) == toy_sylow.collect_multiply(u, v)
+    for u in [0] + [1 << t for t in range(11)] + words:
+        assert toy_sylow.inverse(u) == toy_sylow.squaring_inverse(u)
+
+
+def test_toy_sylow_conjugation_is_the_letter_maps(toy_sylow):
+    # conjugation by s on the toy's letters is the letter map of s, for
+    # every element of S; S permutes the letters, so the product table
+    # must be composition of those permutations
+    maps, products = toy_sylow.meta.letter_maps, toy_sylow.meta.products
+    for s, letters in enumerate(maps):
+        assert tuple(toy_sylow.conjugate(1 << (3 + t), s) >> 3 for t in range(4)) == letters
+        for t, after in enumerate(maps):
+            assert maps[products[s][t]] == tuple(after[lowbit_index(w)] for w in letters)
+
+
+def test_split_extension_rejects_a_sequence_that_is_not_pc(toy, h56):
+    # sigma, tau without tau**2: four distinct maps, but tau * tau is
+    # none of them
+    with pytest.raises(ValueError, match="pc sequence"):
+        ca.split_extension(toy, [(4, 8, 1, 2), (4, 8, 2, 1)], ["s", "t"], "bad")
+    # r twice: the words r and r' are one map
+    with pytest.raises(ValueError, match="pc sequence"):
+        ca.split_extension(h56, [ca.TWIST_LETTERS, ca.TWIST_LETTERS], ["r", "r'"], "bad")
+    # tau**2, tau: four distinct maps closed under composition, but the
+    # square of tau is tau**2, which comes before it
+    with pytest.raises(ValueError, match="power word"):
+        ca.split_extension(toy, [(2, 1, 8, 4), (4, 8, 2, 1)], ["t2", "t"], "bad")
+
+
+def test_p59_extension_meta(h56, p59):
+    meta = p59.meta
+    assert meta.base is h56
+    assert meta.letter_maps[1] == ca.TWIST_LETTERS
+    assert meta.products == [[(e + f) & 7 for f in range(8)] for e in range(8)]
+    # r**e is the exponent word e: its letter map is rho applied e times
+    letters = tuple(1 << t for t in range(8))
+    for e in range(8):
+        assert meta.letter_maps[e] == letters
+        letters = tuple(ca.TWIST_LETTERS[lowbit_index(w)] for w in letters)
+

@@ -117,8 +117,7 @@ def test_rejected_maps_read_their_relations_from_exact_tables(monkeypatch, h56, 
             assert sliced_apply(table, w, bits) == product_of_images(h56, images, w)
 
 
-def test_rho_tables_are_products_of_their_generator_images(h56):
-    rho_power = ca.make_rho_power(h56)
+def test_rho_tables_are_products_of_their_generator_images(h56, rho_power):
     for e in (1, 2, 4):
         images = [rho_power(1 << t, e) for t in range(h56.n)]
         for w in _sample_words(h56, 60 + e):
@@ -161,8 +160,7 @@ def test_letter_power_matches_full_image_power(verified):
             assert mo.letter_power(f, e) == full_power(f, e)[: 2 * f.group.meta.n]
 
 
-def test_twist_conjugation_matches_rho(h56, verified):
-    rho_power = ca.make_rho_power(h56)
+def test_twist_conjugation_matches_rho(rho_power, verified):
     f = verified["twist_conjugation"]
     rng = random.Random(33)
     for _ in range(60):

@@ -177,6 +177,31 @@ def test_parallel_matches_serial(toy, toy_stab):
     assert serial.final_survivors == forked.final_survivors
 
 
+def test_toy_sylow_descent_keeps_its_regular_subgroups(toy_sylow):
+    """Positive control for the verdict's method at toy scale: against the
+    vertex stabilizer <X, sigma*tau, tau**2> of P_toy = toy:<sigma, tau>,
+    of order 16 and index 128, the descent keeps survivors at every level
+    down to the regular subgroups of order 128."""
+    stab = se.stab_subgroup(toy_sylow)
+    assert stab.order == 16
+    assert stab.contains(0b011) and stab.contains(0b100)
+    assert not stab.contains(0b001) and not stab.contains(0b010)
+    rep = se.run_search(toy_sylow, se.SearchConfig(levels=4))
+    assert rep.candidate_counts == [7, 30, 78, 264]
+    assert rep.survivor_counts == [6, 14, 40, 72]
+    assert not rep.no_regular_subgroup
+
+
+def test_stab_subgroup_needs_a_split_extension(tmp_path, toy, h56, p59):
+    path = tmp_path / "p59.pc2"
+    pc.save_presentation(p59, path)
+    for group in (toy, h56, pc.load_presentation(path)):
+        with pytest.raises(ValueError, match="split extension"):
+            se.stab_subgroup(group)
+        with pytest.raises(ValueError, match="split extension"):
+            se.run_search(group, se.SearchConfig(levels=1))
+
+
 def test_checkpoint_roundtrip(tmp_path, toy, toy_stab):
     path = tmp_path / "descent.txt"
     one = se.run_search(toy, se.SearchConfig(levels=2, checkpoint_path=path), stab=toy_stab)
@@ -222,8 +247,9 @@ CHECKPOINT_SHA256 = [
 # clash skip in relation_rows, a closed-form inverse, the tail path (XOR
 # in the elementary abelian tail, its members as their own inverses,
 # conjugates of tail members from tail_action tables) or a kind of entry
-# in the memo, or that builds the halved stabilizer meets by a subgroup
-# closure instead of kernel_members, moves them
+# in the memo, that builds the halved stabilizer meets by a subgroup
+# closure instead of kernel_members, or that gives stab_subgroup a
+# redundant generator from S (r**4 or r**6 beside r**2), moves them
 DESCENT_CALLS = {"multiply": 8_312, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
