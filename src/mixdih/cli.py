@@ -7,11 +7,13 @@ file).  The targets h56, p59 and toy2 come from one table, TARGETS,
 which gives each its order log and its claim battery.  Exit codes: 0
 success, 1..63 the number of failed checks (or a generic failure), 65
 I/O error.  A --report path that cannot be written exits 65 before the
-first check.  A --from-file path that is missing or unreadable is a
-failed <target>_file_parses check, so verify exits 1 and still writes
-its report; maps exits 65 on a missing file.  Usage errors, --levels
-past the stabilizer's six halvings among them, exit 2 before any check
-runs.
+first check, and a search --checkpoint path before the build.  A
+certificate object that fails to build fails its own check and every
+check that reads it; verify still writes its report.  A --from-file
+path that is missing or unreadable is a failed <target>_file_parses
+check, so verify exits 1 and still writes its report; maps exits 65 on
+a missing file.  Usage errors, --levels past the stabilizer's six
+halvings among them, exit 2 before any check runs.
 """
 
 import argparse
@@ -68,6 +70,14 @@ def _jsonable(value):
     return value
 
 
+def _built(obj):
+    """obj, a certificate object that an earlier check returned; a check
+    that reads one which failed to build (None) fails with it."""
+    if obj is None:
+        raise RuntimeError("a certificate object this check reads failed to build")
+    return obj
+
+
 class CheckRun:
     """Collects named checks; each records expected vs actual and timing.
     seed is the run's --seed, from which every random word is drawn."""
@@ -76,26 +86,31 @@ class CheckRun:
         self.seed = seed
         self.entries: List[Dict] = []
 
-    def add(self, name: str, claim: str, expected, thunk: Callable[[], object], seeded: bool = False) -> None:
-        """Run thunk and record its result against expected.  A check
-        that draws random words from run.seed is seeded, and its entry
-        records the seed."""
+    def add(self, name: str, claim: str, expected, thunk: Callable[[], object], seeded: bool = False,
+            actual: Optional[Callable[[object], object]] = None):
+        """Run thunk and record its value, or actual(value) if actual is
+        given, against expected; return the value, or None if thunk
+        raised.  A check that draws random words from run.seed is seeded,
+        and its entry records the seed."""
         t0 = time.perf_counter()
+        value = None
         try:
-            actual = _jsonable(thunk())
+            value = thunk()
+            got = _jsonable(value if actual is None else actual(value))
         except Exception as exc:  # a crashed check is a failed check
-            actual = f"error: {type(exc).__name__}: {exc}"
+            got = f"error: {type(exc).__name__}: {exc}"
         expected = _jsonable(expected)
         self.entries.append({
             "name": name,
-            "status": "pass" if actual == expected else "fail",
+            "status": "pass" if got == expected else "fail",
             "expected": expected,
-            "actual": actual,
+            "actual": got,
             "claim": claim,
             "seconds": round(time.perf_counter() - t0, 3),
         })
         if seeded:
             self.entries[-1]["seed"] = self.seed
+        return value
 
 
 def _structural_checks(run: CheckRun, group: PcPresentation, label: str, order_log: int) -> None:
@@ -114,26 +129,27 @@ def _structural_checks(run: CheckRun, group: PcPresentation, label: str, order_l
 
 
 def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
-    derived = derived_subgroup(h, se.full_group(h))
-    run.add(
+    derived = run.add(
         "h56_derived_order_log",
         "the derived subgroup has order 2^48",
         48,
-        lambda: derived.order_log,
+        lambda: derived_subgroup(h, se.full_group(h)),
+        actual=lambda sub: sub.order_log,
     )
     run.add(
         "h56_abelianization_rank",
         "the quotient by the derived subgroup is elementary abelian of rank 8",
         8,
-        lambda: h.n - derived.order_log,
+        lambda: h.n - _built(derived).order_log,
     )
 
     def derived_elementary():
         mul = h.multiply
-        for i, a in enumerate(derived.members):
+        members = _built(derived).members
+        for i, a in enumerate(members):
             if mul(a, a) != 0:
                 return False
-            for b in derived.members[i + 1:]:
+            for b in members[i + 1:]:
                 if h.commutator(a, b) != 0:
                     return False
         return True
@@ -144,50 +160,44 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
         True,
         derived_elementary,
     )
-    xsub, ysub = gr.letter_subgroups(h)
-    run.add(
+    blocks = run.add(
         "h56_letter_block_orders",
         "each letter block is elementary abelian of order 2^4",
         [16, 16],
-        lambda: [xsub.order, ysub.order],
+        lambda: gr.letter_subgroups(h),
+        actual=lambda subs: [sub.order for sub in subs],
     )
     run.add(
         "h56_letter_blocks_meet_trivially",
         "the two letter blocks intersect trivially",
         1,
-        lambda: small_intersection_order(h, xsub, ysub),
+        lambda: small_intersection_order(h, *_built(blocks)),
     )
 
-    named = mo.catalog(h)
+    named = functools.cache(lambda: mo.catalog(h))
     positive = [
         "x_singer_generator", "y_singer_generator",
         "x_companion_cycle", "y_companion_cycle", "twist_conjugation",
     ]
-    verified: Dict[str, mo.VerifiedAutomorphism] = {}
-
-    def extend_all():
-        for nm in positive:
-            verified[nm] = mo.extend(named[nm])
-        return sorted(verified)
-
-    run.add(
+    verified = run.add(
         "h56_named_maps_extend",
         "the five named letter maps extend to automorphisms",
         sorted(positive),
-        extend_all,
+        lambda: {nm: mo.extend(named()[nm]) for nm in positive},
+        actual=sorted,
     )
     run.add(
         "h56_automorphism_orders",
         "the named automorphisms have orders 15, 15, 5, 5, 8",
         [15, 15, 5, 5, 8],
-        lambda: [mo.automorphism_order(verified[nm]) for nm in positive],
+        lambda: [mo.automorphism_order(_built(verified)[nm]) for nm in positive],
     )
 
     def singer_cube_inverts_companion():
         ok = True
         for blk in ("x", "y"):
-            singer = verified[f"{blk}_singer_generator"]
-            companion = verified[f"{blk}_companion_cycle"]
+            singer = _built(verified)[f"{blk}_singer_generator"]
+            companion = _built(verified)[f"{blk}_companion_cycle"]
             ok = ok and mo.letter_power(singer, 3) == mo.letter_power(companion, 4)
         return ok
 
@@ -199,19 +209,13 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
     )
 
     def generators() -> List[mo.VerifiedAutomorphism]:
-        return [verified[nm] for nm in ("x_singer_generator", "y_singer_generator", "twist_conjugation")]
+        return [_built(verified)[nm] for nm in ("x_singer_generator", "y_singer_generator", "twist_conjugation")]
 
-    found: Dict[str, object] = {}
-
-    def twist_relations():
-        found["twist"] = mo.twist_conjugation_check(*generators())
-        return found["twist"]
-
-    run.add(
+    twist = run.add(
         "h56_twist_conjugation_relations",
         "conjugation by the twist swaps the singer generators as expected",
         True,
-        twist_relations,
+        lambda: mo.twist_conjugation_check(*generators()),
     )
     non_examples = ["x_centralizer_candidate", "x_half_turn"]
 
@@ -219,49 +223,40 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
         rejected = []
         for nm in non_examples:
             try:
-                mo.extend(named[nm])
+                mo.extend(named()[nm])
             except mo.NotHomomorphism:
                 rejected.append(nm)
-        found["rejected"] = rejected
         return rejected
 
-    run.add(
+    rejected = run.add(
         "h56_negative_maps_rejected",
         "the two deliberate non-examples fail to extend",
         non_examples,
         negatives,
     )
-
-    def closure_order():
-        found["closure"] = mo.closure(generators(), cap=4000)
-        return found["closure"].order
-
-    run.add(
+    closure = run.add(
         "h56_closure_order",
         "the closure of the two singer generators and the twist has order 1800",
         1800,
-        closure_order,
+        lambda: mo.closure(generators(), cap=4000),
+        actual=lambda k: k.order,
     )
 
     def hypotheses():
-        k = found["closure"]
+        k = _built(closure)
+        xsub, ysub = _built(blocks)
         letter_set = (set(xsub.elements()) | set(ysub.elements())) - {0}
         gens = generators()
         orbit = mo.orbit([1], lambda u: [g.apply(u) for g in gens])  # orbit of x1
         stab = mo.pointwise_x_stabilizer(h, k)
-        y_cycle = mo.closure([verified["y_singer_generator"]], cap=100)
+        y_cycle = mo.closure([_built(verified)["y_singer_generator"]], cap=100)
         # a closure containing the full product of both letter-block linear
         # groups would have order divisible by |GL(4,2)|**2
         fields = [
             len(orbit), orbit == letter_set, len(stab),
             stab == y_cycle.letter_tuples, k.order % (20160 ** 2) != 0,
         ]
-        ok = (
-            fields == [30, True, 15, True, True]
-            and k.order == 1800
-            and found.get("twist") is True
-            and found.get("rejected") == non_examples
-        )
+        ok = fields == [30, True, 15, True, True] and k.order == 1800 and twist is True and rejected == non_examples
         return fields + [ok]
 
     run.add(
@@ -284,18 +279,18 @@ def _checks_p59(run: CheckRun, p: PcPresentation) -> None:
         8,
         lambda: p.element_order(r),
     )
-    inner = subgroup_igs(p, [1 << i for i in range(3, p.n)])
-    run.add(
+    inner = run.add(
         "p59_normal_part_order_log",
         "the image of the layered group has order 2^56 and index 8",
         56,
-        lambda: inner.order_log,
+        lambda: subgroup_igs(p, [1 << i for i in range(3, p.n)]),
+        actual=lambda sub: sub.order_log,
     )
     run.add(
         "p59_normal_part_closed_under_chain",
         "conjugation by the chain generator preserves the layered part",
         True,
-        lambda: all(inner.contains(p.conjugate(m, r)) for m in inner.members),
+        lambda: all(_built(inner).contains(p.conjugate(m, r)) for m in _built(inner).members),
     )
 
     def square_twist():
@@ -331,31 +326,30 @@ def _checks_p59(run: CheckRun, p: PcPresentation) -> None:
         embedding,
         seeded=True,
     )
-    full = se.full_group(p)
     run.add(
         "p59_top_rank",
         "the quotient by the Frattini subgroup has rank 2",
         2,
-        lambda: p.n - frattini(p, full).order_log,
+        lambda: p.n - frattini(p, se.full_group(p)).order_log,
     )
     run.add(
         "p59_maximal_count",
         "there are exactly 3 maximal subgroups",
         3,
-        lambda: len(maximal_subgroups(p, full)),
+        lambda: len(maximal_subgroups(p, se.full_group(p))),
     )
-    stab = se.stab_subgroup(p)
-    run.add(
+    stab = run.add(
         "p59_stab_order",
         "the base vertex stabilizer has order 2^6",
         64,
-        lambda: stab.order,
+        lambda: se.stab_subgroup(p),
+        actual=lambda sub: sub.order,
     )
     run.add(
         "p59_stab_meets_normal_part_in_x_block",
         "the stabilizer meets the layered part in the x block",
         16,
-        lambda: small_intersection_order(p, inner, stab),
+        lambda: small_intersection_order(p, _built(inner), _built(stab)),
     )
 
 
@@ -372,41 +366,35 @@ def _toy_quotient(toy: PcPresentation, sigma: gr.BicosetGraph) -> gr.NormalQuoti
 
 
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
-    gamma = gr.cayley_graph(toy, gr.letter_connection_set(toy))
-    sigma = gr.bicoset_graph(toy, *gr.letter_subgroups(toy))
-    run.add(
+    gamma = run.add(
         "toy2_cayley_shape",
         "the Cayley graph has 256 vertices, valency 6, and is connected",
         [256, 6, True],
-        lambda: [gamma.vertex_count, gamma.regular_valency(), gamma.is_connected()],
+        lambda: gr.cayley_graph(toy, gr.letter_connection_set(toy)),
+        actual=lambda g: [g.vertex_count, g.regular_valency(), g.is_connected()],
     )
-    run.add(
+    sigma = run.add(
         "toy2_incidence_shape",
         "the coset incidence graph has 64+64 vertices, valency 4, 256 edges",
         [128, 64, 4, 256, True],
-        lambda: [
-            sigma.vertex_count,
-            sum(sigma.bipartition),
-            sigma.regular_valency(),
-            sigma.edge_count,
-            sigma.is_connected(),
-        ],
+        lambda: gr.bicoset_graph(toy, *gr.letter_subgroups(toy)),
+        actual=lambda s: [s.vertex_count, sum(s.bipartition), s.regular_valency(), s.edge_count, s.is_connected()],
     )
     run.add(
         "toy2_incidence_girth",
         "the coset incidence graph has girth 8",
         8,
-        sigma.girth,
+        lambda: _built(sigma).girth(),
     )
     run.add(
         "toy2_line_graph_correspondence",
         "element-to-edge identifies the Cayley graph with the line graph",
         True,
-        lambda: gr.verify_line_graph_correspondence(gamma, sigma),
+        lambda: gr.verify_line_graph_correspondence(_built(gamma), _built(sigma)),
     )
 
     def quotient_shape():
-        quo = _toy_quotient(toy, sigma)
+        quo = _toy_quotient(toy, _built(sigma))
         q = quo.graph
         xs = [i for i in range(q.vertex_count) if q.bipartition[i] == 0]
         ys = [i for i in range(q.vertex_count) if q.bipartition[i] == 1]
@@ -420,12 +408,14 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         [8, 4, True, True],
         quotient_shape,
     )
-    translations = gr.bicoset_action(sigma, _right_translations(toy, [1 << i for i in range(toy.n)]))
+    translations = functools.cache(
+        lambda: gr.bicoset_action(_built(sigma), _right_translations(toy, [1 << i for i in range(toy.n)]))
+    )
 
     def arc_counts():
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
-        aut_maps = gr.bicoset_action(sigma, [aut.apply for aut in auts])
-        translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations, aut_maps)
+        aut_maps = gr.bicoset_action(_built(sigma), [aut.apply for aut in auts])
+        translations_only, with_auts = gr.two_arc_orbit_counts(sigma, translations(), aut_maps)
         return [with_auts, translations_only > 1]
 
     run.add(
@@ -439,7 +429,7 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
         "toy2_edge_regular_translation_action",
         "right translations act regularly on the 256 incidence edges",
         True,
-        lambda: gr.edge_regular_check(sigma, translations, 256),
+        lambda: gr.edge_regular_check(_built(sigma), translations(), 256),
     )
     run.add(
         "toy2_cliques_are_letter_cosets",
@@ -526,17 +516,14 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None
 
 
 def _check_search(run: CheckRun, p: PcPresentation, threads: int) -> None:
-    def descent():
-        rep = se.run_search(p, se.SearchConfig(threads=threads))
-        return [rep.survivor_counts, rep.candidate_counts, rep.no_regular_subgroup]
-
     run.add(
         "p59_no_regular_subgroup",
         f"the six-level descent keeps {DESCENT_SURVIVORS} survivors of "
         f"{DESCENT_CANDIDATES} candidates, so no subgroup acts regularly "
         "on the stabilizer cosets",
         [DESCENT_SURVIVORS, DESCENT_CANDIDATES, True],
-        descent,
+        lambda: se.run_search(p, se.SearchConfig(threads=threads)),
+        actual=lambda rep: [rep.survivor_counts, rep.candidate_counts, rep.no_regular_subgroup],
     )
 
 
@@ -573,19 +560,20 @@ def cmd_verify(args) -> int:
     for name in TARGETS if args.target == "all" else [args.target]:
         order_log, battery = TARGETS[name]
         if args.from_file:
-
-            def parse():
-                built[name] = load_presentation(args.from_file)
-                return True
-
-            run.add(f"{name}_file_parses", "the presentation file parses", True, parse)
+            group = run.add(
+                f"{name}_file_parses",
+                "the presentation file parses",
+                True,
+                lambda: load_presentation(args.from_file),
+                actual=lambda _: True,
+            )
         else:
-            _build_target(name, built)
-        if name not in built:
+            group = _build_target(name, built)
+        if group is None:
             break
-        _structural_checks(run, built[name], name, order_log)
+        _structural_checks(run, group, name, order_log)
         if not args.from_file:
-            battery(run, built[name])
+            battery(run, group)
     if args.target == "all":
         _checks_properties(run, built)
         _check_search(run, built["p59"], args.threads)
@@ -608,6 +596,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.checkpoint:
+        # fail an unwritable path before the build, as verify --report
+        # does; appending leaves an existing checkpoint whole
+        open(args.checkpoint, "a", encoding="ascii").close()
     p = _build_target("p59")
     cfg = se.SearchConfig(
         levels=args.levels,

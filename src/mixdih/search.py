@@ -241,7 +241,7 @@ def _run(group: PcPresentation, workers: int):
     pool = None
     try:
         if workers > 1:
-            import multiprocessing  # only here: serial runs and verify never fork
+            import multiprocessing  # only here: serial runs and single-target verify never fork
 
             pool = _RUN["pool"] = multiprocessing.get_context("fork").Pool(workers)
         yield

@@ -212,6 +212,42 @@ def test_verify_fails_an_unwritable_report_before_the_first_check(tmp_path, monk
     assert "i/o error" in capsys.readouterr().err
 
 
+# the checks that read each broken certificate object: the one that builds
+# it and every later check that reads it by name
+BROKEN_READERS = {
+    "h56": (cli, "derived_subgroup", [
+        "h56_derived_order_log", "h56_abelianization_rank", "h56_derived_elementary_abelian",
+    ]),
+    "p59": (cli, "subgroup_igs", [
+        "p59_normal_part_order_log", "p59_normal_part_closed_under_chain", "p59_stab_meets_normal_part_in_x_block",
+    ]),
+    "toy2": (gr, "bicoset_graph", [
+        "toy2_incidence_shape", "toy2_incidence_girth", "toy2_line_graph_correspondence",
+        "toy2_quotient_complete_bipartite_cover", "toy2_two_arc_orbits", "toy2_edge_regular_translation_action",
+    ]),
+}
+
+
+@pytest.mark.parametrize("target", sorted(BROKEN_READERS))
+def test_a_certificate_object_that_fails_to_build_fails_only_its_readers(
+    tmp_path, monkeypatch, verified_reports, target
+):
+    owner, name, readers = BROKEN_READERS[target]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{name} is broken")
+
+    monkeypatch.setattr(owner, name, broken)
+    path = tmp_path / "report.json"
+    assert main(["verify", target, "--report", str(path)]) == len(readers)
+    checks = json.loads(path.read_text(encoding="ascii"))["checks"]
+    report, _ = verified_reports[target]
+    assert [c["name"] for c in checks] == [c["name"] for c in report["checks"]]
+    failed = [c for c in checks if c["status"] != "pass"]
+    assert [c["name"] for c in failed] == readers
+    assert all(c["actual"].startswith("error: RuntimeError") for c in failed)
+
+
 def test_verify_reads_a_from_file_path_before_reporting_over_it(tmp_path):
     path = tmp_path / "toy2.pc2"
     assert main(["build", "toy2", str(path)]) == 0
@@ -431,9 +467,17 @@ def test_search_checkpoint_in_a_missing_directory_is_an_io_error(tmp_path, capsy
     assert "verdict:" not in out + err
 
 
+def test_search_fails_an_unwritable_checkpoint_before_the_build(tmp_path, monkeypatch, capsys):
+    builds = {"build_p59": 0}
+    monkeypatch.setattr(cli, "build_p59", _counting(builds, "build_p59", cli.build_p59))
+    assert main(["search", "--checkpoint", str(tmp_path / "missing" / "ck")]) == 65
+    assert builds == {"build_p59": 0}
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_search_checkpoint_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
-    """The write to ck.tmp succeeds and the move onto the directory fails:
-    exit 65, and the temp file is removed."""
+    """A directory cannot be opened as the checkpoint: exit 65 before the
+    first level, and no file is left beside it."""
     (tmp_path / "ck").mkdir()
     assert main(["search", "--levels", "1", "--checkpoint", str(tmp_path / "ck")]) == 65
     assert "i/o error" in capsys.readouterr().err
