@@ -9,7 +9,9 @@ success, 1..63 the number of failed checks (or a generic failure), 65
 I/O error.  A --report path that cannot be written exits 65 before the
 first check, and a search --checkpoint path before the build.  A
 certificate object that fails to build fails its own check and every
-check that reads it; verify still writes its report.  A --from-file
+check that reads it; verify still writes its report.  A target group
+whose builder raises is a failed <target>_builds check, the last one
+verify runs before it writes its report.  A --from-file
 path that is missing or unreadable is a failed <target>_file_parses
 check, so verify exits 1 and still writes its report; maps exits 65 on
 a missing file.  Usage errors, --levels past the stabilizer's six
@@ -172,6 +174,12 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
         "the two letter blocks intersect trivially",
         1,
         lambda: small_intersection_order(h, *_built(blocks)),
+    )
+    run.add(
+        "h56_cliques_are_letter_cosets",
+        "the maximal cliques of the Cayley graph are the letter-block cosets",
+        True,
+        lambda: gr.cliques_are_letter_cosets(h),
     )
 
     named = functools.cache(lambda: mo.catalog(h))
@@ -568,13 +576,18 @@ def cmd_verify(args) -> int:
                 actual=lambda _: True,
             )
         else:
-            group = _build_target(name, built)
+            # a build that raises is a failed check; the entry is kept
+            # only then, so passing reports keep their bytes
+            group = run.add(f"{name}_builds", "the target group builds", True,
+                            lambda: _build_target(name, built), actual=lambda _: True)
+            if group is not None:
+                run.entries.pop()
         if group is None:
             break
         _structural_checks(run, group, name, order_log)
         if not args.from_file:
             battery(run, group)
-    if args.target == "all":
+    if args.target == "all" and group is not None:
         _checks_properties(run, built)
         _check_search(run, built["p59"], args.threads)
     report = {

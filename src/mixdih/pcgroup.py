@@ -26,7 +26,10 @@ arithmetic takes three shortcuts there:
   divided lies in the tail, is XOR too;
 * conjugation by g is linear on the tail and depends only on top(g), so
   t -> g^-1 t g is a table per top part, 4 bits of t to a lookup
-  (PcPresentation.tail_action);
+  (PcPresentation.tail_action), or, for a single word, the conjugation
+  table read bit by bit (PcPresentation.tail_conjugate); a commutator
+  with a tail word t is t ^ t**g, and a tail overlap's sides in the
+  consistency sweep are read the same way;
 * the multiply stays for products that involve the top.
 
 Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
@@ -216,6 +219,23 @@ class PcPresentation:
             del self._actions[next(iter(self._actions))]
         self._actions[h] = table
         return table
+
+    def tail_conjugate(self, t: int, h: int) -> int:
+        """h^-1 t h for a tail word t, with no table: under each top
+        generator g_i of h, lowest first, each bit g_j of t goes to
+        g_j ** g_i, read from the conjugation table.  Those are the tail
+        words collect_multiply pushes as g_i passes t, and it XORs each
+        in whole, so in any presentation t * h collects to
+        h ^ tail_conjugate(t, h)."""
+        conj, clash = self.conj, self.clash
+        for i in word_bits(h & self.top_mask):
+            hit = t & clash[i]
+            t ^= hit
+            while hit:
+                low = hit & -hit
+                t ^= conj[(low.bit_length() - 1, i)]
+                hit ^= low
+        return t
 
     def inverse(self, u: int) -> int:
         return self._inverse(u)
@@ -490,8 +510,13 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
 
     A new member g is commuted with each member m only when their
     supports clash (group.clash_mask): otherwise both commutators are the
-    identity, which sifting would drop anyway.  Each commutator comes
-    from the inverses already held: [g, m] = g^-1 m^-1 g m.
+    identity, which sifting would drop anyway.  When one of the two is a
+    tail word t and the other h, [g, m] = [m, g] = t ^ t**h, read by
+    group.tail_conjugate with no multiply and queued once; two tail
+    words never clash.  Other commutators come from the inverses already
+    held: [g, m] = g^-1 m^-1 g m.  A tail member squares to the identity,
+    so only top members' squares are queued.  What is left out would
+    sift to the identity, so the members are those of the full closure.
     """
     mul = group.multiply
     top = group.top_mask
@@ -512,14 +537,20 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
             continue
         d = lowbit_index(g)
         by_lead[d] = g
-        g_inv = inv[d] = group.inverse(g) if g & top else g
-        queue.append(mul(g, g))
+        if g & top:
+            g_inv = inv[d] = group.inverse(g)
+            queue.append(mul(g, g))
         clash = group.clash_mask(g)
         for e, m in list(by_lead.items()):
             if e != d and clash & m:
-                m_inv = inv[e]
-                queue.append(mul(mul(g_inv, m_inv), mul(g, m)))
-                queue.append(mul(mul(m_inv, g_inv), mul(m, g)))
+                if not m & top:
+                    queue.append(m ^ group.tail_conjugate(m, g))
+                elif not g & top:
+                    queue.append(g ^ group.tail_conjugate(g, m))
+                else:
+                    m_inv = inv[e]
+                    queue.append(mul(mul(g_inv, m_inv), mul(g, m)))
+                    queue.append(mul(mul(m_inv, g_inv), mul(m, g)))
     return by_lead
 
 
@@ -545,16 +576,24 @@ def _verbal_subgroup(group: PcPresentation, s: Subgroup, squares: bool) -> Subgr
     and s_i / N_i is abelian.  With the squares added this is s' s^2,
     which is Phi(s) in a 2-group.  A pair whose supports do not clash
     (group.clash_mask) commutes, so its commutator is the identity and
-    is skipped without multiplying.
+    is skipped without multiplying.  The tail members come last, commute
+    with each other and square to the identity, so the loop stops at the
+    first of them; a top member m and a later tail member t give
+    [m, t] = t ^ t**m, read by group.tail_conjugate with no multiply.
     """
     ms = s.members
-    mul = group.multiply
+    top = group.top_mask
+    tops = [m for m in ms if m & top]
     gens = []
-    for i, m in enumerate(ms):
+    for i, m in enumerate(tops):
         clash = group.clash_mask(m)
-        gens += [group.commutator(m, later) for later in ms[i + 1 :] if clash & later]
+        gens += [
+            group.commutator(m, later) if later & top else later ^ group.tail_conjugate(later, m)
+            for later in ms[i + 1 :]
+            if clash & later
+        ]
     if squares:
-        gens += [mul(m, m) for m in ms]
+        gens += [group.multiply(m, m) for m in tops]
     return subgroup_igs(group, gens)
 
 
@@ -734,13 +773,14 @@ def small_intersection_order(group: PcPresentation, t: Subgroup, small: Subgroup
 def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tuple]:
     """Overlap tests certifying that normal forms are unique.
 
-    Collects, with the reference collector, both sides of the standard
-    associativity overlaps (g_k g_j) g_i = g_k (g_j g_i) for k > j > i,
-    then the power overlaps g_j^2 g_i = g_j (g_j g_i) (power_left) and
-    g_j g_i^2 = (g_j g_i) g_i (power_right) for j > i, then
-    g_i^2 g_i = g_i g_i^2 (power_cube).  Returns the first max_violations
-    overlaps whose sides differ, as (kind, index, lhs, rhs); an empty
-    result certifies that the presented group has order exactly 2**n.
+    Compares the two sides, as the reference collector returns them, of
+    the standard associativity overlaps (g_k g_j) g_i = g_k (g_j g_i)
+    for k > j > i, then the power overlaps g_j^2 g_i = g_j (g_j g_i)
+    (power_left) and g_j g_i^2 = (g_j g_i) g_i (power_right) for j > i,
+    then g_i^2 g_i = g_i g_i^2 (power_cube).  Returns the first
+    max_violations overlaps whose sides differ, as (kind, index, lhs,
+    rhs); an empty result certifies that the presented group has order
+    exactly 2**n.
 
     Overlaps that, by collect_multiply's own code, collect equal on both
     sides in any presentation are skipped, so the violations, their
@@ -763,8 +803,22 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
     * (e) power_cube with g_i's power word empty: both sides are g_i
       times the empty word, which collects to g_i without a push.
 
-    So the pair products g_j g_i are needed only for i < T.  The
-    remaining collects per check: toy2 25, h56 2,684, p59 6,063.
+    So the pair products g_j g_i are needed only for i < T.  The sides
+    that involve a tail generator are read from the tables without the
+    collector (pres.tail_conjugate), equal word for word to what it
+    returns in any presentation, because t * h collects to h ^ t**h for
+    a tail word t and any word h:
+
+    * g_j g_i with j >= T is g_i | g_j**g_i.
+    * An associativity triple with k >= T: with P = g_j g_i, the lhs
+      g_j (g_k**g_j) g_i is P ^ (g_k**g_j)**g_i, as g_i passes g_j, whose
+      conjugate collects onto g_i as P, and then the tail word g_k**g_j;
+      the rhs g_k P is P ^ g_k**P.
+    * power_right with j >= T: with W = g_i^2, the lhs is W ^ g_j**W
+      and the rhs, g_i (g_j**g_i) g_i, is W ^ (g_j**g_i)**g_i.
+
+    Only overlaps among top generators still collect: toy2 1, h56 188
+    and p59 543 collects per check.
     """
     violations = ((kind, idx, lhs, rhs) for kind, idx, lhs, rhs in _overlaps(pres) if lhs != rhs)
     return list(islice(violations, max_violations))
@@ -772,18 +826,28 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
 
 def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:
     """(kind, index, lhs, rhs) for each overlap consistency_check runs, in
-    its order, each collected only when it is drawn."""
+    its order, each computed only when it is drawn: collected among top
+    generators, read from the tables where a tail generator enters."""
     n, tail = pres.n, pres.tail
-    mul = pres.collect_multiply
+    mul, conj_t = pres.collect_multiply, pres.tail_conjugate
     clash, power = pres.clash, pres.power_tails
-    pair = {(j, i): mul(1 << j, 1 << i) for i in range(tail) for j in range(i + 1, n)}
+    pair = {
+        (j, i): mul(1 << j, 1 << i) if j < tail else 1 << i | pres.conj.get((j, i), 1 << j)
+        for i in range(tail)
+        for j in range(i + 1, n)
+    }
     for k in range(n):
+        gk = 1 << k
         for j in range(min(k, tail)):  # (a)
             pkj = pair[(k, j)]
             # the i < j for which some pair of g_i, g_j, g_k clashes
             lower = (1 << j) - 1 if (clash[k] >> j) & 1 else (clash[k] | clash[j]) & ((1 << j) - 1)
             for i in word_bits(lower):
-                yield "assoc", (k, j, i), mul(pkj, 1 << i), mul(1 << k, pair[(j, i)])
+                p = pair[(j, i)]
+                if k < tail:
+                    yield "assoc", (k, j, i), mul(pkj, 1 << i), mul(gk, p)
+                else:
+                    yield "assoc", (k, j, i), p ^ conj_t(pkj ^ 1 << j, 1 << i), p ^ conj_t(gk, p)
     for j in range(n):
         gj = 1 << j
         for i in range(min(j, tail)):  # (c)
@@ -792,7 +856,10 @@ def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:
             gi = 1 << i
             if j < tail:  # (b)
                 yield "power_left", (j, i), mul(power[j], gi), mul(gj, pair[(j, i)])
-            yield "power_right", (j, i), mul(gj, power[i]), mul(pair[(j, i)], gi)
+                yield "power_right", (j, i), mul(gj, power[i]), mul(pair[(j, i)], gi)
+            else:
+                w = power[i]
+                yield "power_right", (j, i), w ^ conj_t(gj, w), w ^ conj_t(pair[(j, i)] ^ gi, gi)
     for i in range(n):
         if power[i]:  # (e)
             gi = 1 << i

@@ -55,7 +55,7 @@ def test_verify_report_stable_modulo_timings(tmp_path):
 
 # sha256 prefixes of each timing-stripped report, dumped with sorted keys,
 # and of each graph export; the claim battery must emit the same bytes
-REPORT_SHA256 = {"h56": "01cc5c05a821c9a5", "p59": "3b89d50f3b1ee113", "toy2": "4fc8d8f36b1ba739"}
+REPORT_SHA256 = {"h56": "328c6857570a663a", "p59": "3b89d50f3b1ee113", "toy2": "4fc8d8f36b1ba739"}
 GRAPH_SHA256 = {"cayley": "194a487e0c674852", "incidence": "d2132608c5ccf84b", "quotient": "2a3147e9cc894af5"}
 
 # calls one verify makes to the names that build its certificate objects;
@@ -119,7 +119,7 @@ def test_verify_builds_each_certificate_object_once(verified_reports, target):
 # toy2 multiply calls of one verify toy2, counted on the group that
 # cli.build_toy returns, so every check's products are counted but the
 # builder's own are not
-TOY_CALLS = {"multiply": 3_912}
+TOY_CALLS = {"multiply": 3_892}
 
 
 def test_verify_toy2_work_is_pinned(tmp_path, monkeypatch):
@@ -246,6 +246,35 @@ def test_a_certificate_object_that_fails_to_build_fails_only_its_readers(
     failed = [c for c in checks if c["status"] != "pass"]
     assert [c["name"] for c in failed] == readers
     assert all(c["actual"].startswith("error: RuntimeError") for c in failed)
+
+
+# each builder, and the target whose build first calls it in each verify
+# that builds it; p59 extends the h56 it builds first
+BUILDS = {
+    "build_h56": {"h56": "h56", "p59": "p59", "all": "h56"},
+    "build_p59": {"p59": "p59", "all": "p59"},
+    "build_toy": {"toy2": "toy2", "all": "toy2"},
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDS))
+def test_a_builder_that_raises_is_a_failed_builds_check(tmp_path, monkeypatch, capsys, builder):
+    """No traceback: the report ends at a failed <target>_builds entry,
+    every check before it passes, and verify exits 1."""
+
+    def broken(*args):
+        raise RuntimeError(f"{builder} is broken")
+
+    monkeypatch.setattr(cli, builder, broken)
+    for target, failing in BUILDS[builder].items():
+        path = tmp_path / f"{target}.json"
+        assert main(["verify", target, "--report", str(path)]) == 1
+        *passed, last = json.loads(path.read_text(encoding="ascii"))["checks"]
+        assert all(c["status"] == "pass" for c in passed)
+        assert not any(c["name"].startswith(failing) for c in passed)
+        assert (last["name"], last["status"]) == (f"{failing}_builds", "fail")
+        assert last["actual"] == f"error: RuntimeError: {builder} is broken"
+        assert f"1 checks failed: {failing}_builds" in capsys.readouterr().err
 
 
 def test_verify_reads_a_from_file_path_before_reporting_over_it(tmp_path):

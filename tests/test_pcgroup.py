@@ -329,8 +329,74 @@ def test_consistency_skip_matches_all_triples_on_flipped_h56_p59(h56, p59):
             assert bad
 
 
+def reference_overlaps(pres):
+    """The overlap stream of consistency_check with every side collected:
+    the same skips and order as pcgroup._overlaps, but each pair product
+    and each side of each overlap from the collector, the tail's too."""
+    n, tail = pres.n, pres.tail
+    mul = pres.collect_multiply
+    clash, power = pres.clash, pres.power_tails
+    pair = {(j, i): mul(1 << j, 1 << i) for i in range(tail) for j in range(i + 1, n)}
+    for k in range(n):
+        for j in range(min(k, tail)):
+            pkj = pair[(k, j)]
+            lower = (1 << j) - 1 if (clash[k] >> j) & 1 else (clash[k] | clash[j]) & ((1 << j) - 1)
+            for i in word_bits(lower):
+                yield "assoc", (k, j, i), mul(pkj, 1 << i), mul(1 << k, pair[(j, i)])
+    for j in range(n):
+        gj = 1 << j
+        for i in range(min(j, tail)):
+            if not (power[j] or power[i] or (clash[j] >> i) & 1):
+                continue
+            gi = 1 << i
+            if j < tail:
+                yield "power_left", (j, i), mul(power[j], gi), mul(gj, pair[(j, i)])
+            yield "power_right", (j, i), mul(gj, power[i]), mul(pair[(j, i)], gi)
+    for i in range(n):
+        if power[i]:
+            gi = 1 << i
+            yield "power_cube", (i,), mul(power[i], gi), mul(gi, power[i])
+
+
+def assert_overlaps_match_reference(g):
+    """The whole stream, sides and all, not only the violations."""
+    assert list(pc._overlaps(g)) == list(reference_overlaps(g))
+
+
+def test_overlap_stream_matches_reference_on_builders(toy, h56, p59, toy_sylow):
+    for group in (toy, h56, p59, toy_sylow):
+        assert_overlaps_match_reference(group)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(presentations())
+def test_overlap_stream_matches_reference_on_any_presentation(g):
+    assert_overlaps_match_reference(g)
+
+
+def test_overlap_stream_matches_reference_on_flipped_h56_p59(h56, p59):
+    """Flips that keep the tail, so the tail overlaps are read from broken
+    tables: a tail generator's conjugate by a top one and a top
+    generator's square, each flipped in the tail; then flips anywhere."""
+    rng = random.Random(53)
+    for group in (h56, p59):
+        n, tail = group.n, group.tail
+        keyed = [key for key in group.conj if key[0] >= tail]
+        for _ in range(4):
+            flips = [(rng.choice(keyed), rng.randrange(tail, n))]
+            flips.append(((rng.randrange(tail),), rng.randrange(tail, n)))
+            g = flipped(group, flips)
+            assert g.tail == tail
+            assert_overlaps_match_reference(g)
+            assert pc.consistency_check(g)
+        for _ in range(2):
+            j = rng.randrange(1, n)
+            i = rng.randrange(j)
+            assert_overlaps_match_reference(flipped(group, [((j, i), rng.randrange(i + 1, n))]))
+
+
 def test_consistency_collects_are_pinned(toy, h56, p59):
-    for group, collects in ((toy, 25), (h56, 2684), (p59, 6063)):
+    for group, collects in ((toy, 1), (h56, 188), (p59, 543)):
         calls = [0]
         engine = group.collect_multiply
 
@@ -707,6 +773,60 @@ def test_derived_and_frattini_members_are_pinned(toy, h56, p59, p59_survivors):
         assert (_sha256(derived), _sha256(phi)) == VERBAL_SHA256[name], name
 
 
+def reference_close_igs(group, gens):
+    """The multiply-only closure: sift each queued word, and square each
+    new member and commute it both ways with each member it clashes
+    with, tail members too."""
+    mul = group.multiply
+    by_lead, inv = {}, {}
+    queue = list(gens)
+    for g in queue:
+        while g and lowbit_index(g) in by_lead:
+            g = mul(inv[lowbit_index(g)], g)
+        if not g:
+            continue
+        d = lowbit_index(g)
+        by_lead[d] = g
+        g_inv = inv[d] = group.squaring_inverse(g)
+        queue.append(mul(g, g))
+        clash = group.clash_mask(g)
+        for e, m in list(by_lead.items()):
+            if e != d and clash & m:
+                queue.append(mul(mul(g_inv, inv[e]), mul(g, m)))
+                queue.append(mul(mul(inv[e], g_inv), mul(m, g)))
+    return reference_canonical_members(group, [by_lead[d] for d in sorted(by_lead)])
+
+
+def reference_verbal_members(group, members, squares):
+    """The commutators of every clashing pair of members by the group's
+    commutator, and the squares of all members when asked, closed."""
+    gens = []
+    for i, m in enumerate(members):
+        clash = group.clash_mask(m)
+        gens += [group.commutator(m, later) for later in members[i + 1 :] if clash & later]
+    if squares:
+        gens += [group.multiply(m, m) for m in members]
+    return reference_close_igs(group, gens)
+
+
+def test_closure_and_verbal_subgroups_match_multiply_only_reference(toy, h56, p59, toy_sylow):
+    """Seeded generator sets: random words, and random tail words before
+    a random word, so that a top member meets tail members both as the
+    new member and as an old one."""
+    rng = random.Random(54)
+    for group in (toy, h56, p59, toy_sylow):
+        tails = ~group.top_mask & ((1 << group.n) - 1)
+        sets = [[1 << t for t in range(group.n)]]
+        for _ in range(6):
+            sets.append([rng.getrandbits(group.n) for _ in range(rng.randint(1, 3))])
+            sets.append([rng.getrandbits(group.n) & tails for _ in range(rng.randint(1, 4))] + sets[-1][:1])
+        for gens in sets:
+            s = pc.subgroup_igs(group, gens)
+            assert s.digest() == s.members == reference_close_igs(group, gens), group.label
+            assert pc.derived_subgroup(group, s).digest() == reference_verbal_members(group, s.members, False)
+            assert pc.frattini(group, s).digest() == reference_verbal_members(group, s.members, True)
+
+
 def multiply_only_divide(s, u):
     """Reference for Subgroup.coords and Subgroup.sift: left-divide by
     each member whose lead u hits, scanning every lead in ascending
@@ -855,6 +975,7 @@ def test_tail_action_matches_conjugation(toy, h56, p59):
             t = rng.getrandbits(group.n) & ~group.top_mask
             table = group.tail_action(g & group.top_mask)
             assert sliced_apply(table, t >> group.tail, 4) == mul(mul(group.inverse(g), t), g)
+            assert group.tail_conjugate(t, g) == mul(mul(group.inverse(g), t), g)
 
 
 def test_tail_action_cache_is_bounded():
