@@ -24,12 +24,12 @@ arithmetic takes three shortcuts there:
 * right-multiplying by a tail word t is XOR, w*t = top(w) * (tail(w) ^ t),
   and a tail word is its own inverse; sifting, once the word being
   divided lies in the tail, is XOR too;
-* conjugation by g is linear on the tail and depends only on top(g), so
-  t -> g^-1 t g is a table per top part, 4 bits of t to a lookup
-  (PcPresentation.tail_action), or, for a single word, the conjugation
-  table read bit by bit (PcPresentation.tail_conjugate); a commutator
+* conjugation by g is linear on the tail and depends only on top(g):
+  t -> g^-1 t g reads the conjugation table bit by bit, under each top
+  generator of g in turn (PcPresentation.tail_conjugate); a commutator
   with a tail word t is t ^ t**g, and a tail overlap's sides in the
-  consistency sweep are read the same way;
+  consistency sweep and the tail blocks of the relations are read the
+  same way;
 * the multiply stays for products that involve the top.
 
 Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
@@ -42,7 +42,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, lowbit_index, pivot_reach, sliced_apply, sliced_tables, word_bits
+from .gf2linalg import echelon_ints, lowbit_index, pivot_reach, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 MAX_GENS = 128
-
-# tail_action tables kept per presentation; the p59 descent meets 54 top parts
-ACTION_CACHE_CAP = 256
 
 
 class NotInSubgroup(ValueError):
@@ -123,7 +120,6 @@ class PcPresentation:
         self._inverse = fast_inv if fast_inv is not None else self.squaring_inverse
         self.tail = self._tail_start()
         self.top_mask = (1 << self.tail) - 1
-        self._actions: Dict[int, List[int]] = {}
 
     def _tail_start(self) -> int:
         """The least k such that g_k..g_{n-1} have zero power words,
@@ -194,31 +190,6 @@ class PcPresentation:
             mask |= clash[low.bit_length() - 1]
             u ^= low
         return mask
-
-    def tail_action(self, h: int) -> List[int]:
-        """t -> h^-1 t h on the tail, for h supported below the tail.
-
-        The map is linear, so it is the sliced_tables of the images of
-        the tail generators, 16 entries per 4 bits of t >> tail.  Those
-        images come from h = g_i * h' with i the lowest bit of h, so
-        g_j ** h = (g_j ** g_i) ** h', read from the conjugation table.
-        Tables are cached per presentation, at most ACTION_CACHE_CAP.
-        """
-        table = self._actions.get(h)
-        if table is not None:
-            return table
-        k = self.tail
-        if h:
-            i = lowbit_index(h)
-            rest = self.tail_action(h & (h - 1))
-            images = [sliced_apply(rest, self.conj.get((j, i), 1 << j) >> k, 4) for j in range(k, self.n)]
-        else:
-            images = [1 << j for j in range(k, self.n)]
-        table = sliced_tables(images, 4)
-        if len(self._actions) >= ACTION_CACHE_CAP:
-            del self._actions[next(iter(self._actions))]
-        self._actions[h] = table
-        return table
 
     def tail_conjugate(self, t: int, h: int) -> int:
         """h^-1 t h for a tail word t, with no table: under each top
@@ -510,9 +481,14 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
 
     A new member g is commuted with each member m only when their
     supports clash (group.clash_mask): otherwise both commutators are the
-    identity, which sifting would drop anyway.  When one of the two is a
-    tail word t and the other h, [g, m] = [m, g] = t ^ t**h, read by
-    group.tail_conjugate with no multiply and queued once; two tail
+    identity, which sifting would drop anyway.  One orientation, [g, m],
+    is queued per pair, as [m, g] = [g, m]^-1.  That is enough: with G_i
+    the subgroup of words supported at or above i, G_i / G_(i+1) has
+    order 2, so [G_i, G_i] <= G_(i+1), and from the bottom up the
+    straight products of the members with lead > i are already a
+    subgroup, so a commutator lies in it exactly when its inverse does.
+    When one of the two is a tail word t and the other h, [g, m] =
+    t ^ t**h, read by group.tail_conjugate with no multiply; two tail
     words never clash.  Other commutators come from the inverses already
     held: [g, m] = g^-1 m^-1 g m.  A tail member squares to the identity,
     so only top members' squares are queued.  What is left out would
@@ -550,7 +526,6 @@ def _close_igs(group: PcPresentation, gens: Iterable[int]) -> Dict[int, int]:
                 else:
                     m_inv = inv[e]
                     queue.append(mul(mul(g_inv, m_inv), mul(g, m)))
-                    queue.append(mul(mul(m_inv, g_inv), mul(m, g)))
     return by_lead
 
 
@@ -673,10 +648,10 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
     """Reduced echelon basis, in s's coordinates, of the rows coords(w)
     of the tail words w = [t, h] = t ^ t**h, for each top part h in heads
     and tail word t in tails whose supports clash, (heads, tails) = key;
-    each conjugate is one sliced_apply of h's tail_action table.  The
-    words of each h reduce to an echelon basis, its image, which s.memo
-    holds under (h, tails); the block reduces the images from the
-    largest one (echelon_ints' start).
+    each conjugate is read by group.tail_conjugate.  The words of each h
+    reduce to an echelon basis, its image, which s.memo holds under
+    (h, tails); the block reduces the images from the largest one
+    (echelon_ints' start).
 
     The members of s in the tail are its tail members, and on their span
     coords is linear, since division there is XOR by members with
@@ -687,15 +662,13 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
     raises NotInSubgroup.
     """
     heads, tails = key
-    shift = group.tail
     images = s.memo.images
     bases = []
     for h in heads:
         basis = images.get((h, tails))
         if basis is None:
             clash = group.clash_mask(h)
-            table = group.tail_action(h)
-            words = [sliced_apply(table, t >> shift, 4) ^ t for t in tails if clash & t]
+            words = [group.tail_conjugate(t, h) ^ t for t in tails if clash & t]
             basis = images[(h, tails)] = echelon_ints(words)[0]
         bases.append(basis)
     bases.sort(key=len)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import echelon_ints, lowbit_index, sliced_apply, word_bits
+from mixdih.gf2linalg import echelon_ints, lowbit_index, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -229,15 +229,18 @@ def presentations(draw):
     """Well-formed presentations on 1..8 generators: every power word and
     conjugate supported above its generator, as a pc2 file may hold.
     Some are elementary abelian (tail 0); others get a square and a
-    conjugate that push the tail to n."""
-    n = draw(st.integers(1, 8))
+    conjugate that push the tail to n.  The "order" shape keeps the tail
+    at g_2 with n >= 4 and sets g_2**g_0 = g_3 and g_2**g_1 = g_2 g_3,
+    whose actions on the tail do not commute, so conjugating g_2 by
+    g_0 g_1 gives g_3 when g_0 acts first and the identity when g_1 does."""
+    shape = draw(st.sampled_from(["any", "abelian", "whole", "order"]))
+    n = draw(st.integers(4 if shape == "order" else 1, 8))
     full = (1 << n) - 1
     index = st.integers(0, n - 1)
     pair = st.tuples(index, index).filter(lambda ji: ji[0] != ji[1]).map(lambda ji: (max(ji), min(ji)))
-    shape = draw(st.sampled_from(["any", "abelian", "whole"]))
     power = [0] * n
     conj = {}
-    if shape != "abelian":
+    if shape in ("any", "whole"):
         for i, w in draw(st.dictionaries(index, st.integers(0, full))).items():
             power[i] = (w << (i + 1)) & full
         for (j, i), w in draw(st.dictionaries(pair, st.integers(0, full), max_size=10)).items():
@@ -246,11 +249,26 @@ def presentations(draw):
         # g_{n-2}**2 = g_{n-1}, and g_{n-1}**g_0 = g_1 g_{n-1}
         power[n - 2] = 1 << (n - 1)
         conj[(n - 1, 0)] = 0b10 | 1 << (n - 1)
+    if shape == "order":
+        # squares and conjugates of the top g_0, g_1 anywhere above them,
+        # conjugates of g_4.. inside the tail; g_3 stays fixed
+        top = st.sampled_from([0, 1])
+        for i, w in draw(st.dictionaries(top, st.integers(0, full))).items():
+            power[i] = (w << (i + 1)) & full
+        keys = st.tuples(index, top).filter(lambda ji: ji[0] > ji[1] and ji[0] not in (2, 3))
+        for (j, i), w in draw(st.dictionaries(keys, st.integers(0, full), max_size=6)).items():
+            conj[(j, i)] = (w << (i + 1)) & full if j < 2 else (w << 2) & full
+        conj[(2, 0)] = 0b1000
+        conj[(2, 1)] = 0b1100
     g = pc.PcPresentation(n, power, conj)
     if shape == "abelian":
         assert g.tail == 0
     if shape == "whole" and n >= 3:
         assert g.tail == n
+    if shape == "order":
+        assert g.tail == 2
+        # g_2 * g_0 g_1 collects to g_0 g_1 * g_2**(g_0 g_1)
+        assert reference_collect(g, 0b100, 0b11) == 0b1011
     return g
 
 
@@ -966,27 +984,14 @@ def test_tail_generators_multiply_by_xor(toy, h56, p59):
                 assert group.collect_multiply(w, 1 << j) == w ^ (1 << j)
 
 
-def test_tail_action_matches_conjugation(toy, h56, p59):
+def test_tail_conjugate_matches_conjugation(toy, h56, p59, toy_sylow):
     rng = random.Random(42)
-    for group in (toy, h56, p59):
+    for group in (toy, h56, p59, toy_sylow):
         mul = group.multiply
         for _ in range(150):
             g = rng.getrandbits(group.n)
             t = rng.getrandbits(group.n) & ~group.top_mask
-            table = group.tail_action(g & group.top_mask)
-            assert sliced_apply(table, t >> group.tail, 4) == mul(mul(group.inverse(g), t), g)
             assert group.tail_conjugate(t, g) == mul(mul(group.inverse(g), t), g)
-
-
-def test_tail_action_cache_is_bounded():
-    # cyclic of order 2**10 times C2: g_i**2 = g_{i+1} up to g9, so the
-    # tail is g9, g10 and there are 512 top parts
-    group = pc.PcPresentation(11, [1 << (i + 1) for i in range(9)] + [0, 0], {})
-    assert group.tail == 9
-    for h in range(1 << group.tail):
-        # two tail bits fill one 4-bit slice; its upper bits map to 0
-        assert group.tail_action(h) == [0, 1 << 9, 1 << 10, 3 << 9] * 4
-    assert len(group._actions) == pc.ACTION_CACHE_CAP < 1 << group.tail
 
 
 def unreduced_tail_subgroups(group):

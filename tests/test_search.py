@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mixdih import calculus
 from mixdih import pcgroup as pc
 from mixdih import search as se
 from mixdih.graphs import letter_subgroups
@@ -246,11 +247,11 @@ CHECKPOINT_SHA256 = [
 # the kernel products of kernel_members go too; a change that loses the
 # clash skip in relation_rows, a closed-form inverse, the tail path (XOR
 # in the elementary abelian tail, its members as their own inverses,
-# conjugates of tail members from tail_action tables) or a kind of entry
+# conjugates of tail members read by tail_conjugate) or a kind of entry
 # in the memo, that builds the halved stabilizer meets by a subgroup
 # closure instead of kernel_members, or that gives stab_subgroup a
 # redundant generator from S (r**4 or r**6 beside r**2), moves them
-DESCENT_CALLS = {"multiply": 8_312, "inverse": 227}
+DESCENT_CALLS = {"multiply": 8_272, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
@@ -482,6 +483,15 @@ def test_the_memo_does_not_outlive_its_run(p59, stab):
     for _ in range(2):
         assert _counted_run(p59, stab)[1] == RUN_CALLS
         assert se._RUN == {}
+
+
+def test_a_run_leaves_the_presentation_as_it_was(h56):
+    """A presentation holds no state that a run changes: a serial run on
+    a p59 built for this test leaves each of its attributes as it was."""
+    group = calculus.build_p59(h56)
+    before = {name: repr(value) for name, value in vars(group).items()}
+    assert se.run_search(group, se.SearchConfig()).no_regular_subgroup
+    assert {name: repr(value) for name, value in vars(group).items()} == before
 
 
 def test_a_shared_memo_expands_as_a_fresh_one(p59, stab):
