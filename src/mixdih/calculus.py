@@ -406,12 +406,11 @@ def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bi
 
 @dataclass
 class ExtensionMeta:
-    """Attached to a split extension h:S: letter_maps[s] is the letter map
-    of the element of S with exponent word s, products[s][t] that of s*t."""
+    """Attached to a split extension h:S: base is h, and letter_maps[s] is
+    the letter map of the element of S with exponent word s."""
 
     base: PcPresentation
     letter_maps: List[Tuple[int, ...]]
-    products: List[List[int]]
 
 
 def split_extension(
@@ -459,7 +458,7 @@ def split_extension(
         s, w = inverse[u & smask], hinv(u >> k)
         return s | ((sliced_apply(tables[s], w, bits) if s else w) << k)
 
-    meta = ExtensionMeta(h, letters, products)
+    meta = ExtensionMeta(h, letters)
     return PcPresentation(k + h.n, ptails, conj, [*names, *h.names], mul, inv, meta, label)
 
 

@@ -366,11 +366,11 @@ def _right_translations(group: PcPresentation, elements) -> List[Callable[[int],
     return [lambda z, w=w: group.multiply(z, w) for w in elements]
 
 
-def _toy_quotient(toy: PcPresentation, sigma: gr.BicosetGraph) -> gr.NormalQuotient:
-    """The incidence graph modulo the orbits of the derived subgroup."""
+def _toy_quotient(toy: PcPresentation, sigma: gr.BicosetGraph) -> gr.SimpleGraph:
+    """The normal quotient of the incidence graph by the right translations
+    of the derived subgroup."""
     derived = derived_subgroup(toy, se.full_group(toy))
-    translations = gr.bicoset_action(sigma, _right_translations(toy, derived.members))
-    return gr.normal_quotient(sigma, gr.vertex_orbits(sigma, translations))
+    return gr.normal_quotient(sigma, gr.bicoset_action(sigma, _right_translations(toy, derived.members)))
 
 
 def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
@@ -402,12 +402,12 @@ def _checks_toy2(run: CheckRun, toy: PcPresentation) -> None:
     )
 
     def quotient_shape():
-        quo = _toy_quotient(toy, _built(sigma))
-        q = quo.graph
+        q = _toy_quotient(toy, _built(sigma))
+        k = q.regular_valency()
         xs = [i for i in range(q.vertex_count) if q.bipartition[i] == 0]
         ys = [i for i in range(q.vertex_count) if q.bipartition[i] == 1]
         complete = all(q.has_edge(u, w) for u in xs for w in ys)
-        return [q.vertex_count, q.regular_valency(), complete, quo.cover]
+        return [q.vertex_count, k, complete, k == _built(sigma).regular_valency()]
 
     run.add(
         "toy2_quotient_complete_bipartite_cover",
@@ -459,16 +459,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None
                 return False
         return True
 
-    for label, group in groups.items():
-        run.add(
-            f"property_associativity_{label}",
-            "collection is associative on 10^4 random triples",
-            True,
-            lambda group=group, label=label: associativity(group, label),
-            seeded=True,
-        )
-
-    def fast_matches_collect(group):
+    def fast_matches_collect(group, label):
         rng = random.Random(run.seed + 13)
         for _ in range(300):
             u = rng.getrandbits(group.n)
@@ -477,16 +468,7 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None
                 return False
         return True
 
-    for label, group in groups.items():
-        run.add(
-            f"property_fast_mul_matches_collection_{label}",
-            "the closed-form product agrees with the collector on samples",
-            True,
-            lambda group=group: fast_matches_collect(group),
-            seeded=True,
-        )
-
-    def igs_canonical(group):
+    def igs_canonical(group, label):
         gens = [1 << i for i in range(0, group.n, 2)]
         rng = random.Random(run.seed)
         base = subgroup_igs(group, gens).digest()
@@ -498,14 +480,14 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None
                 return False
         return True
 
-    for label, group in groups.items():
-        run.add(
-            f"property_igs_canonical_{label}",
-            "shuffled and redundant generators give the same canonical IGS",
-            True,
-            lambda group=group: igs_canonical(group),
-            seeded=True,
-        )
+    suites = [
+        ("associativity", "collection is associative on 10^4 random triples", associativity),
+        ("fast_mul_matches_collection", "the closed-form product agrees with the collector on samples", fast_matches_collect),
+        ("igs_canonical", "shuffled and redundant generators give the same canonical IGS", igs_canonical),
+    ]
+    for kind, claim, check in suites:
+        for label, group in groups.items():
+            run.add(f"property_{kind}_{label}", claim, True, functools.partial(check, group, label), seeded=True)
 
     def maximal_counts():
         out = []
@@ -637,7 +619,7 @@ def cmd_graph(args) -> int:
     else:
         graph = gr.bicoset_graph(toy, *gr.letter_subgroups(toy))
         if args.which == "quotient":
-            graph = _toy_quotient(toy, graph).graph
+            graph = _toy_quotient(toy, graph)
     if args.emit_graph:
         gr.write_graph(graph, args.emit_graph)
         print(f"wrote {graph.vertex_count} vertices, {graph.edge_count} edges")

@@ -12,9 +12,10 @@ one lookup per slice, XORed together (sliced_apply).  An automorphism of
 the layered groups has the same table shape, with a first slice of
 letter products that are not linear (calculus.homomorphism_table), and
 sliced_apply applies it too.  Every table in the package is applied by
-sliced_apply: the layer-3 corrections of the closed-form multiply, each
-power of the twist, every verified automorphism and the tail
-conjugation tables of the subgroup arithmetic.
+sliced_apply: the layer-3 corrections of the closed-form multiply, the
+twist on layer 3 in relation_space, each element of S in a split
+extension h:S (calculus.split_extension) and every verified
+automorphism.
 """
 
 from __future__ import annotations

@@ -312,44 +312,19 @@ def verify_line_graph_correspondence(gamma: SimpleGraph, sigma: BicosetGraph) ->
 # ── quotients ────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class NormalQuotient:
-    graph: SimpleGraph
-    cover: bool
-
-
-def normal_quotient(g: SimpleGraph, orbits: Sequence[Sequence[int]]) -> NormalQuotient:
-    """Collapse each orbit to a vertex; cover iff the common valency survives."""
-    seen: Set[int] = set()
-    blocks = []
-    for orbit in orbits:
-        block = sorted(set(orbit))
-        if not block or seen.intersection(block):
-            raise ValueError("orbits must form a partition")
-        seen.update(block)
-        blocks.append(block)
-    if len(seen) != g.vertex_count:
-        raise ValueError("orbits must cover every vertex")
-    blocks.sort(key=lambda b: b[0])
-    block_of = {}
-    for t, block in enumerate(blocks):
-        for u in block:
-            block_of[u] = t
-    labels = [g.labels[block[0]] for block in blocks]
-    edges = set()
-    for u, w in g.edges():
-        bu, bw = block_of[u], block_of[w]
-        if bu != bw:
-            edges.add((min(bu, bw), max(bu, bw)))
+def normal_quotient(g: SimpleGraph, a: Perms) -> SimpleGraph:
+    """The graph on the orbits of the group the vertex permutations a
+    generate, each orbit labelled by its least vertex, two orbits adjacent
+    when an edge joins them.  The bipartition survives when no orbit meets
+    both parts.  ValueError when a map leaves the vertex set."""
+    orbits = vertex_orbits(g, a)
+    block_of = {u: t for t, o in enumerate(orbits) for u in o}
+    edges = {(block_of[u], block_of[w]) for u, w in g.edges() if block_of[u] != block_of[w]}
+    side = g.bipartition
     part = None
-    if g.bipartition is not None:
-        sides = [sorted({g.bipartition[u] for u in block}) for block in blocks]
-        if all(len(s) == 1 for s in sides):
-            part = [s[0] for s in sides]
-    quotient = make_graph(labels, edges, part)
-    kq = quotient.regular_valency()
-    cover = kq is not None and kq == g.regular_valency()
-    return NormalQuotient(quotient, cover)
+    if side is not None and all(side[u] == side[o[0]] for o in orbits for u in o):
+        part = [side[o[0]] for o in orbits]
+    return make_graph([g.labels[o[0]] for o in orbits], edges, part)
 
 
 # ── orbit counting ───────────────────────────────────────────────────────────

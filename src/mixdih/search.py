@@ -142,15 +142,14 @@ class SearchReport:
 
 def stab_subgroup(p: PcPresentation) -> Subgroup:
     """Base vertex stabilizer of a split extension h:S: the x block and each
-    element of S whose letter map keeps the x block, less products of two
-    earlier ones (p59: r**2 alone); ValueError unless split_extension built p."""
+    element of S whose letter map keeps the x block (p59: r**2, r**4 and
+    r**6); ValueError unless split_extension built p."""
     meta = p.meta
     if not isinstance(meta, ExtensionMeta):
         raise ValueError(f"the vertex stabilizer needs a split extension, not {p.label or 'this group'}")
-    n, k, products = meta.base.meta.n, p.n - meta.base.n, meta.products
+    n, k = meta.base.meta.n, p.n - meta.base.n
     fixing = [s for s, letters in enumerate(meta.letter_maps) if s and all(w >> n == 0 for w in letters[:n])]
-    gens = [s for t, s in enumerate(fixing) if s not in {products[a][b] for a in fixing[:t] for b in fixing[:t]}]
-    return subgroup_igs(p, [1 << t for t in range(k, k + n)] + gens)
+    return subgroup_igs(p, [1 << t for t in range(k, k + n)] + fixing)
 
 
 def full_group(p: PcPresentation) -> Subgroup:

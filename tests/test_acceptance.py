@@ -193,13 +193,12 @@ def test_09_toy_graph_suite(toy):
 
         full = subgroup_igs(toy, [1 << i for i in range(toy.n)])
         derived = derived_subgroup(toy, full)
-        orbits = gr.vertex_orbits(sigma, gr.bicoset_action(sigma, right_translations(derived.members)))
-        quo = gr.normal_quotient(sigma, orbits)
-        assert quo.cover
-        assert quo.graph.vertex_count == 8 and quo.graph.regular_valency() == 4
-        xs = [i for i in range(8) if quo.graph.bipartition[i] == 0]
-        ys = [i for i in range(8) if quo.graph.bipartition[i] == 1]
-        assert all(quo.graph.has_edge(u, w) for u in xs for w in ys)
+        quo = gr.normal_quotient(sigma, gr.bicoset_action(sigma, right_translations(derived.members)))
+        assert quo.regular_valency() == sigma.regular_valency()
+        assert quo.vertex_count == 8 and quo.regular_valency() == 4
+        xs = [i for i in range(8) if quo.bipartition[i] == 0]
+        ys = [i for i in range(8) if quo.bipartition[i] == 1]
+        assert all(quo.has_edge(u, w) for u in xs for w in ys)
 
         auts = [mo.extend(g) for g in mo.toy_catalog(toy).values()]
         aut_maps = gr.bicoset_action(sigma, [aut.apply for aut in auts])

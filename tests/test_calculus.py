@@ -541,13 +541,13 @@ def test_toy_sylow_fast_paths_match_the_reference(toy_sylow):
 
 def test_toy_sylow_conjugation_is_the_letter_maps(toy_sylow):
     # conjugation by s on the toy's letters is the letter map of s, for
-    # every element of S; S permutes the letters, so the product table
-    # must be composition of those permutations
-    maps, products = toy_sylow.meta.letter_maps, toy_sylow.meta.products
+    # every element of S; S permutes the letters, so the product of two
+    # exponent words of S must be the composition of those permutations
+    maps = toy_sylow.meta.letter_maps
     for s, letters in enumerate(maps):
         assert tuple(toy_sylow.conjugate(1 << (3 + t), s) >> 3 for t in range(4)) == letters
         for t, after in enumerate(maps):
-            assert maps[products[s][t]] == tuple(after[lowbit_index(w)] for w in letters)
+            assert maps[toy_sylow.multiply(s, t)] == tuple(after[lowbit_index(w)] for w in letters)
 
 
 def test_split_extension_rejects_a_sequence_that_is_not_pc(toy, h56):
@@ -568,7 +568,7 @@ def test_p59_extension_meta(h56, p59):
     meta = p59.meta
     assert meta.base is h56
     assert meta.letter_maps[1] == ca.TWIST_LETTERS
-    assert meta.products == [[(e + f) & 7 for f in range(8)] for e in range(8)]
+    assert [[p59.multiply(e, f) for f in range(8)] for e in range(8)] == [[(e + f) & 7 for f in range(8)] for e in range(8)]
     # r**e is the exponent word e: its letter map is rho applied e times
     letters = tuple(1 << t for t in range(8))
     for e in range(8):

@@ -221,9 +221,8 @@ def test_quotient_by_derived_orbits_is_complete_bipartite(toy, sigma):
     translations = gr.bicoset_action(sigma, _translations(toy, derived.members))
     orbits = gr.vertex_orbits(sigma, translations)
     assert sorted(len(b) for b in orbits) == [16] * 8
-    quo = gr.normal_quotient(sigma, orbits)
-    assert quo.cover
-    q = quo.graph
+    q = gr.normal_quotient(sigma, translations)
+    assert q.regular_valency() == sigma.regular_valency()
     assert q.vertex_count == 8
     assert q.regular_valency() == 4
     xs = [i for i in range(8) if q.bipartition[i] == 0]
@@ -236,25 +235,27 @@ def test_quotient_by_derived_orbits_is_complete_bipartite(toy, sigma):
 
 def test_quotient_by_singletons_is_identity():
     square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
-    quo = gr.normal_quotient(square, [[0], [1], [2], [3]])
-    assert quo.cover
-    assert quo.graph.neighbors == square.neighbors
+    q = gr.normal_quotient(square, ())
+    assert q.regular_valency() == square.regular_valency()
+    assert q.neighbors == square.neighbors
 
 
 def test_quotient_antipodal_square_is_not_cover():
     square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
-    quo = gr.normal_quotient(square, [[0, 2], [1, 3]])
-    assert quo.graph.vertex_count == 2
-    assert quo.graph.edge_count == 1
-    assert not quo.cover
+    q = gr.normal_quotient(square, ((2, 3, 0, 1),))
+    assert q.vertex_count == 2
+    assert q.edge_count == 1
+    assert (q.regular_valency(), square.regular_valency()) == (1, 2)
 
 
-def test_quotient_rejects_bad_partition():
-    square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
+def test_quotient_keeps_the_bipartition_when_no_orbit_meets_both_parts():
+    square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 1, 0, 1])
+    rotated = gr.normal_quotient(square, ((1, 2, 3, 0),))
+    assert (rotated.vertex_count, rotated.edge_count, rotated.bipartition) == (1, 0, None)
+    antipodal = gr.normal_quotient(square, ((2, 3, 0, 1),))
+    assert (antipodal.edge_count, antipodal.bipartition) == (1, (0, 1))
     with pytest.raises(ValueError):
-        gr.normal_quotient(square, [[0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        gr.normal_quotient(square, [[0, 1], [2]])
+        gr.normal_quotient(square, ((0, 5, 2, 3),))
 
 
 # ── orbit counting ───────────────────────────────────────────────────────────

@@ -249,9 +249,10 @@ CHECKPOINT_SHA256 = [
 # in the elementary abelian tail, its members as their own inverses,
 # conjugates of tail members read by tail_conjugate) or a kind of entry
 # in the memo, that builds the halved stabilizer meets by a subgroup
-# closure instead of kernel_members, or that gives stab_subgroup a
-# redundant generator from S (r**4 or r**6 beside r**2), moves them
-DESCENT_CALLS = {"multiply": 8_272, "inverse": 227}
+# closure instead of kernel_members, or that changes the generators
+# stab_subgroup hands subgroup_igs (the x block, r**2, r**4 and r**6),
+# moves them
+DESCENT_CALLS = {"multiply": 8_275, "inverse": 227}
 
 # top relation rows reduced against a tail block, and tail blocks built
 # on a memo miss (pcgroup._tail_span), in the same run; a change that
