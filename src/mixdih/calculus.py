@@ -24,12 +24,15 @@ closed-form multiply's tables.
 
 A letter map phi fixes the image of every generator: c_{ij} must go to
 [phi x_i, phi y_j] and each layer-3 generator to one more bracket with
-phi x_k or phi y_l.  generator_images forces those images with the
-group's own commutator, and it is the only code that does: extend, the
-split extensions h:S by letter maps (split_extension, p59 = h56:<r>) and
-the twist orbit of the relations (relation_space) all take their images
-from it.  The twist r is the letter map TWIST_LETTERS, x_i -> y_i and
-y_i -> x_{sigma(i)} with sigma = SIG, a single 8-cycle on the letters.
+phi x_k or phi y_l.  generator_images forces those images, and it is the
+only code that does: extend, the split extensions h:S by letter maps
+(split_extension, p59 = h56:<r>) and the twist orbit of the relations
+(relation_space) all take their images from it.  The c-layer images come
+from the group's own commutator.  They are commutators, so they lie in
+the tail (see pcgroup), and each layer-3 image is [t, h] = t ^ t**h for
+such a t, read by the group's tail_conjugate with no multiply.  The
+twist r is the letter map TWIST_LETTERS, x_i -> y_i and y_i ->
+x_{sigma(i)} with sigma = SIG, a single 8-cycle on the letters.
 
 Multiplication is closed form.  Writing u = (a1,b1,g1,d1), v = (a2,b2,g2,d2):
 
@@ -370,19 +373,22 @@ def generator_images(group: PcPresentation, letter_images: Sequence[int]) -> Lis
     letter_images are the images of x_1..x_n, y_1..y_n.  A homomorphism
     must send c_{ij} = [x_i, y_j] to the commutator of the images of x_i
     and y_j, and the layer-3 generator [[x_i,y_j],x_k] (or y_l) to the
-    commutator of that image with the image of x_k (or y_l); the group's
-    own commutator computes both.  Nothing is verified here: extend checks
-    the relations against these images.
+    commutator of that image with the image h of x_k (or y_l).  The
+    group's own commutator computes the first.  The second brackets a
+    commutator t, which has no letter bits and so is a tail word, and
+    [t, h] = t^-1 t**h = t ^ tail_conjugate(t, h).  Nothing is verified
+    here: extend checks the relations against these images.
     """
     meta: LayeredMeta = group.meta
     n = meta.n
-    comm = group.commutator
+    comm, tail_conjugate = group.commutator, group.tail_conjugate
     images = list(letter_images)
     for i in range(n):
         for j in range(n):
             images.append(comm(images[i], images[n + j]))
     for kind, i, j, k in meta.d_desc:
-        images.append(comm(images[2 * n + n * i + j], images[k] if kind == "x" else images[n + k]))
+        c = images[2 * n + n * i + j]
+        images.append(c ^ tail_conjugate(c, images[k] if kind == "x" else images[n + k]))
     if len(images) != group.n:
         raise AssertionError("image closure out of step with the presentation")
     return images

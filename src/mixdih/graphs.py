@@ -316,7 +316,7 @@ def normal_quotient(g: SimpleGraph, a: Perms) -> SimpleGraph:
     """The graph on the orbits of the group the vertex permutations a
     generate, each orbit labelled by its least vertex, two orbits adjacent
     when an edge joins them.  The bipartition survives when no orbit meets
-    both parts.  ValueError when a map leaves the vertex set."""
+    both parts.  ValueError when a map does not permute the vertex set."""
     orbits = vertex_orbits(g, a)
     block_of = {u: t for t, o in enumerate(orbits) for u in o}
     edges = {(block_of[u], block_of[w]) for u, w in g.edges() if block_of[u] != block_of[w]}
@@ -335,13 +335,17 @@ def _moves(
 ) -> List[List[int]]:
     """Each vertex permutation p in a as a list over point numbers
     (positions in points): entry k is the number of image(p, points[k]).
-    Raises ValueError when an image is not one of the points: the maps do
-    not act on them."""
+    Raises ValueError when a list is not a permutation of the point
+    numbers, so the map does not permute the points: an image is not one
+    of the points, or two points share an image."""
     number = {u: k for k, u in enumerate(points)}
     try:
-        return [[number[image(p, u)] for u in points] for p in a]
+        moves = [[number[image(p, u)] for u in points] for p in a]
     except KeyError:
         raise ValueError("a map sends a point outside the point set") from None
+    if any(len(set(move)) != len(move) for move in moves):
+        raise ValueError("a map sends two points to one")
+    return moves
 
 
 def _orbit_sets(count: int, moves: Sequence[Sequence[int]]) -> List[Set[int]]:
@@ -359,7 +363,8 @@ def _orbit_sets(count: int, moves: Sequence[Sequence[int]]) -> List[Set[int]]:
 
 def vertex_orbits(g: SimpleGraph, a: Perms) -> List[List[int]]:
     """Orbits of the generated group on vertices, each sorted, in the order
-    of their least vertex.  ValueError when a map leaves the vertex set."""
+    of their least vertex.  ValueError when a map does not permute the
+    vertex set."""
     v = g.vertex_count
     return [sorted(o) for o in _orbit_sets(v, _moves(range(v), a, lambda p, u: p[u]))]
 
@@ -368,7 +373,7 @@ def two_arc_orbit_counts(g: SimpleGraph, a: Perms, b: Perms) -> Tuple[int, int]:
     """Orbit counts on ordered paths (u, v, w), u != w, of the group
     generated by a and of the one generated by a and b.  The 2-arcs are
     numbered and each map's move list is built once for both counts.
-    ValueError when a map sends a 2-arc to a non-arc."""
+    ValueError when a map does not permute the 2-arcs."""
     arcs = [
         (u, v, w)
         for v in range(g.vertex_count)
@@ -385,7 +390,7 @@ def edge_regular_check(g: SimpleGraph, a: Perms, expected_order: int) -> bool:
 
     Transitivity with |E| equal to the acting group's order pins the edge
     stabilizers to be trivial, which is the regularity being certified.
-    ValueError when a map sends an edge to a non-edge.
+    ValueError when a map does not permute the edges.
     """
     edge_list = g.edges()
     if not edge_list:

@@ -344,6 +344,36 @@ def test_twist_layer_orders(twist_images):
     assert _perm_order(_single_bit_indices(twist_images[24:], 24)) == 8
 
 
+def multiply_route_images(group, letters):
+    """Generator images under a letter map with every bracket taken by the
+    group's commutator, so by multiplies alone: the reference for
+    generator_images, which reads layer 3 with tail_conjugate."""
+    n = group.meta.n
+    comm = group.commutator
+    images = list(letters)
+    images += [comm(letters[i], letters[n + j]) for i in range(n) for j in range(n)]
+    for kind, i, j, k in group.meta.d_desc:
+        images.append(comm(images[2 * n + n * i + j], letters[k] if kind == "x" else letters[n + k]))
+    return images
+
+
+@pytest.mark.parametrize("name", ["toy2", "h56", "F4"])
+def test_generator_images_match_the_multiply_route(toy, h56, name):
+    group = {"toy2": toy, "h56": h56, "F4": ca.free_group()}[name]
+    rng = random.Random(len(name) + group.n)
+    bits = 2 * group.meta.n
+    maps = [tuple(rng.getrandbits(group.n) for _ in range(bits)) for _ in range(40)]
+    maps += [tuple(rng.getrandbits(bits) for _ in range(bits)) for _ in range(40)]
+    # inner automorphisms: letters times commutators, so with layer bits
+    maps += [tuple(group.conjugate(1 << t, g) for t in range(bits))
+             for g in (rng.getrandbits(group.n) for _ in range(20))]
+    assert sum(any(w >> bits for w in letters) for letters in maps) >= 60
+    for letters in maps:
+        assert ca.generator_images(group, letters) == multiply_route_images(group, letters)
+    # F(4) and h56 have a layer 3, toy2 none
+    assert len(group.meta.d_desc) == {"toy2": 0, "h56": 32, "F4": 48}[name]
+
+
 def test_twist_respects_multiplication_in_free_object(twist_images):
     # letterwise substitution of the twist is an automorphism of F(4);
     # check on layer 2 + 3 via the c/d permutations and random products,

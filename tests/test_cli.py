@@ -116,25 +116,34 @@ def test_verify_builds_each_certificate_object_once(verified_reports, target):
     assert calls == VERIFY_CALLS[target]
 
 
-# toy2 multiply calls of one verify toy2, counted on the group that
-# cli.build_toy returns, so every check's products are counted but the
-# builder's own are not
-TOY_CALLS = {"multiply": 3_892}
+# multiply (and for h56 inverse) calls of one verify of a target, counted
+# on the group that its cli builder returns, so every check's products are
+# counted but the builder's own are not
+TOY_CALLS = {"multiply": 3_786}
+H56_CALLS = {"multiply": 6_054, "inverse": 1_324}
+
+
+def _verify_work(tmp_path, monkeypatch, target, builder, names):
+    calls = dict.fromkeys(names, 0)
+    build = getattr(cli, builder)
+
+    def counted_build():
+        group = build()
+        for name in calls:
+            monkeypatch.setattr(group, name, _counting(calls, name, getattr(group, name)))
+        return group
+
+    monkeypatch.setattr(cli, builder, counted_build)
+    assert main(["verify", target, "--report", str(tmp_path / "report.json")]) == 0
+    return calls
 
 
 def test_verify_toy2_work_is_pinned(tmp_path, monkeypatch):
-    calls = dict.fromkeys(TOY_CALLS, 0)
-    build_toy = cli.build_toy
+    assert _verify_work(tmp_path, monkeypatch, "toy2", "build_toy", TOY_CALLS) == TOY_CALLS
 
-    def counted_build():
-        toy = build_toy()
-        for name in calls:
-            monkeypatch.setattr(toy, name, _counting(calls, name, getattr(toy, name)))
-        return toy
 
-    monkeypatch.setattr(cli, "build_toy", counted_build)
-    assert main(["verify", "toy2", "--report", str(tmp_path / "report.json")]) == 0
-    assert calls == TOY_CALLS
+def test_verify_h56_work_is_pinned(tmp_path, monkeypatch):
+    assert _verify_work(tmp_path, monkeypatch, "h56", "build_h56", H56_CALLS) == H56_CALLS
 
 
 def test_repeated_main_leaves_no_parser_cycles(tmp_path):

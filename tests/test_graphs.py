@@ -347,6 +347,20 @@ def test_orbit_counts_reject_maps_that_leave_the_point_set():
         gr.edge_regular_check(path, swap, 2)
 
 
+@pytest.mark.parametrize("images", [(1, 1, 2, 3), (0, 0, 1, 2)])
+def test_orbit_counts_reject_maps_that_are_not_permutations(images):
+    # both maps keep the 4-cycle's vertex set but send two vertices to one
+    square = gr.make_graph(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for run in (
+        lambda: gr.vertex_orbits(square, (images,)),
+        lambda: gr.normal_quotient(square, (images,)),
+        lambda: gr.two_arc_orbit_counts(square, (), (images,)),
+        lambda: gr.edge_regular_check(square, (images,), 4),
+    ):
+        with pytest.raises(ValueError):
+            run()
+
+
 def test_edge_regular_toy_incidence(toy, sigma):
     acts = _toy_actions(toy, sigma, False)
     assert gr.edge_regular_check(sigma, acts, 256)

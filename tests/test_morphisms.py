@@ -233,8 +233,10 @@ def test_collapse_rejected(h56):
 
 def reference_extend(gmap):
     """extend as a full sweep: every power relation, every conjugation
-    relation, and bijectivity from the subgroup_igs closure of the letter
-    images.  The reference for extend's skips and its Burnside test."""
+    relation, each left side by multiplies, and bijectivity from the
+    subgroup_igs closure of the letter images.  The reference for
+    extend's skips, its tail_conjugate left sides and its Burnside test;
+    it names a broken relation as extend does."""
     group = gmap.group
     bits = 2 * group.meta.n
     mul = group.multiply
@@ -243,23 +245,31 @@ def reference_extend(gmap):
     inverses = [group.inverse(w) for w in images]
     for i in range(group.n):
         if mul(images[i], images[i]) != sliced_apply(table, group.power_tails[i], bits):
-            raise mo.NotHomomorphism(group.names[i])
+            raise mo.NotHomomorphism(f"power relation of {group.names[i]} breaks")
     for j in range(group.n):
         for i in range(j):
             lhs = mul(mul(inverses[i], images[j]), images[i])
             if lhs != sliced_apply(table, group.conj.get((j, i), 1 << j), bits):
-                raise mo.NotHomomorphism(group.names[j])
+                raise mo.NotHomomorphism(
+                    f"conjugation relation of {group.names[j]} by {group.names[i]} breaks"
+                )
     if pc.subgroup_igs(group, list(gmap.letter_images)).order_log != group.n:
         raise mo.NotBijective("letter images do not generate the group")
     return tuple(images)
 
 
 def _outcome(extender, gmap):
+    """The generator images of an accepted map, or for a rejected one the
+    exception's type and message, which name the first broken relation."""
     try:
         result = extender(gmap)
     except (mo.NotHomomorphism, mo.NotBijective) as exc:
-        return type(exc)
+        return f"{type(exc).__name__}: {exc}"
     return full_images(result) if isinstance(result, mo.VerifiedAutomorphism) else result
+
+
+def _rejected(outcome, exc_type):
+    return isinstance(outcome, str) and outcome.startswith(exc_type.__name__ + ":")
 
 
 def _closure_sample(verified, count, seed):
@@ -284,15 +294,103 @@ def _toy_maps(seed, count):
     return maps
 
 
-def test_extend_matches_full_sweep_on_h56(h56, named, verified):
-    gmaps = list(named.values())
-    gmaps.append(mo._gmap(h56, {"x1": "y1", "y1": "x1"}))
-    gmaps.append(mo._gmap(h56, {"y1": "1", "y2": "1", "y3": "1", "y4": "1"}))
-    gmaps += [mo.GeneratorMap(h56, tup) for tup in _closure_sample(verified, 300, 71)]
-    outcomes = [_outcome(mo.extend, gmap) for gmap in gmaps]
-    assert outcomes == [_outcome(reference_extend, gmap) for gmap in gmaps]
-    assert outcomes[5:9] == [mo.NotHomomorphism] * 3 + [mo.NotBijective]
-    assert all(isinstance(o, tuple) for o in outcomes[:5] + outcomes[9:])
+def _inner_maps(group, seed, count):
+    """Letter maps of inner automorphisms u -> u**g for seeded g: each
+    letter goes to itself times a commutator, so the images carry layer
+    bits."""
+    rng = random.Random(seed)
+    letters = range(2 * group.meta.n)
+    return [tuple(group.conjugate(1 << t, g) for t in letters)
+            for g in (rng.getrandbits(group.n) for _ in range(count))]
+
+
+def _partial_inner_maps(group, seed, count):
+    """Letter maps that conjugate a seeded subset of the letters by a
+    seeded g and fix the rest.  A conjugated x letter stops commuting
+    with a fixed one, a relation with no conj entry, while every relation
+    with an entry can still hold."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        g, moved = rng.getrandbits(group.n), rng.getrandbits(2 * group.meta.n)
+        maps.append(tuple(group.conjugate(1 << t, g) if moved >> t & 1 else 1 << t
+                          for t in range(2 * group.meta.n)))
+    return maps
+
+
+def _merged_letter_maps(group):
+    """Each letter sent to the identity or to another letter, the rest
+    fixed.  Some of these first break a relation of a layer generator
+    whose two images commute, so only its conj entry keeps it checked."""
+    letters = range(2 * group.meta.n)
+    return [tuple(w if u == t else 1 << u for u in letters)
+            for t in letters for w in [0] + [1 << s for s in letters if s != t]]
+
+
+def _random_letter_maps(group, seed, count):
+    """Seeded letter maps of three kinds: arbitrary words, letter words,
+    and block maps, each block sent to words of itself."""
+    rng = random.Random(seed)
+    n = group.meta.n
+    maps = []
+    for _ in range(count):
+        maps.append(tuple(rng.getrandbits(group.n) for _ in range(2 * n)))
+        maps.append(tuple(rng.getrandbits(2 * n) for _ in range(2 * n)))
+        maps.append(tuple(rng.randrange(1, 1 << n) for _ in range(n))
+                    + tuple(rng.randrange(1, 1 << n) << n for _ in range(n)))
+    return maps
+
+
+@pytest.fixture(scope="module")
+def h56_sample(h56, named, verified):
+    """Letter maps of h56 by family, for extend against the full sweep."""
+    return {
+        "named": [gmap.letter_images for gmap in named.values()],
+        "negative": [mo._gmap(h56, {"x1": "y1", "y1": "x1"}).letter_images,
+                     mo._gmap(h56, {"y1": "1", "y2": "1", "y3": "1", "y4": "1"}).letter_images],
+        "closure": _closure_sample(verified, 300, 71),
+        "inner": _inner_maps(h56, 74, 40),
+        "partial_inner": _partial_inner_maps(h56, 75, 40),
+        "merged": _merged_letter_maps(h56),
+        "random": _random_letter_maps(h56, 76, 20),
+    }
+
+
+@pytest.fixture(scope="module")
+def h56_sweep(h56, h56_sample):
+    """reference_extend's outcome on each map of h56_sample, by family."""
+    return {family: [_outcome(reference_extend, mo.GeneratorMap(h56, tup)) for tup in maps]
+            for family, maps in h56_sample.items()}
+
+
+def test_extend_matches_full_sweep_on_h56(h56, h56_sample, h56_sweep):
+    outcomes = {family: [_outcome(mo.extend, mo.GeneratorMap(h56, tup)) for tup in maps]
+                for family, maps in h56_sample.items()}
+    # the same accepted images, and the same first broken relation
+    assert outcomes == h56_sweep
+    accepted = {family: [isinstance(o, tuple) for o in found] for family, found in outcomes.items()}
+    assert accepted["named"] == [True] * 5 + [False] * 2
+    assert all(_rejected(o, mo.NotHomomorphism) for o in outcomes["named"][5:])
+    assert _rejected(outcomes["negative"][0], mo.NotHomomorphism)
+    assert _rejected(outcomes["negative"][1], mo.NotBijective)
+    assert all(accepted["closure"]) and all(accepted["inner"])
+    # the inner maps send letters to words with layer bits
+    assert all(any(w >> 8 for w in tup) for tup in h56_sample["inner"])
+    assert sum(accepted["partial_inner"]) == 1
+    assert not any(accepted["merged"]) and not any(accepted["random"])
+    assert any(o.startswith("NotHomomorphism: conjugation relation of c") for o in outcomes["merged"])
+
+
+def test_extend_needs_its_clash_test(monkeypatch, h56, h56_sample, h56_sweep):
+    # mutant: skip every relation with no conj entry, whatever the images
+    # are.  clash_mask is patched on the group only while extend runs, so
+    # the reference's subgroup_igs, which reads it too, stays whole
+    monkeypatch.setattr(h56, "clash_mask", lambda u: 0)
+    mutant = [_outcome(mo.extend, mo.GeneratorMap(h56, tup)) for tup in h56_sample["partial_inner"]]
+    monkeypatch.undo()
+    # it accepts all 40 partial-inner maps, 39 of which the full sweep rejects
+    assert all(isinstance(o, tuple) for o in mutant)
+    assert sum(not isinstance(o, tuple) for o in h56_sweep["partial_inner"]) == 39
 
 
 def test_extend_matches_full_sweep_on_toy_maps(toy):
@@ -301,15 +399,24 @@ def test_extend_matches_full_sweep_on_toy_maps(toy):
     assert outcomes == [_outcome(reference_extend, mo.GeneratorMap(toy, tup)) for tup in maps]
     # the sample meets every outcome; (0, 0, 2, 12) breaks the conjugation
     # of y2 by y1, a pair above toy2's tail start whose image is no tail word
-    assert outcomes[0] is mo.NotHomomorphism
+    assert _rejected(outcomes[0], mo.NotHomomorphism)
     accepted = sum(isinstance(o, tuple) for o in outcomes)
-    assert accepted and outcomes.count(mo.NotBijective) and outcomes.count(mo.NotHomomorphism)
+    assert accepted
+    assert any(_rejected(o, mo.NotBijective) for o in outcomes)
+    assert any(_rejected(o, mo.NotHomomorphism) for o in outcomes)
 
 
-# conjugation relations extend checks on an accepted h56 map: the pairs
-# (j, i) with i among the 8 letters, 8 * 55 - 28; the 1,128 pairs of
-# layer generators hold by construction
-CHECKED_CONJUGATIONS = 412
+# conjugation relations extend checks on each named h56 automorphism:
+# those with a conj entry or whose images clash, of the 1,540; and the
+# counts on a seeded closure sample, sorted
+CHECKED_CONJUGATIONS = {
+    "x_singer_generator": 128,
+    "y_singer_generator": 128,
+    "x_companion_cycle": 116,
+    "y_companion_cycle": 116,
+    "twist_conjugation": 112,
+}
+CHECKED_ON_CLOSURE_SAMPLE = [112, 116, 120, 120] + [132] * 8 + [144] * 8
 
 
 def test_extend_checks_the_pinned_conjugations(monkeypatch, h56, named, verified):
@@ -320,13 +427,19 @@ def test_extend_checks_the_pinned_conjugations(monkeypatch, h56, named, verified
         return sliced_apply(table, w, bits)
 
     monkeypatch.setattr(mo, "sliced_apply", counted)
-    gmaps = [named[name] for name in verified]
-    gmaps += [mo.GeneratorMap(h56, tup) for tup in _closure_sample(verified, 20, 73)]
-    for gmap in gmaps:
+    checked = {}
+    gmaps = {name: named[name] for name in verified}
+    gmaps.update((k, mo.GeneratorMap(h56, tup)) for k, tup in enumerate(_closure_sample(verified, 20, 73)))
+    for key, gmap in gmaps.items():
         reads.clear()
         mo.extend(gmap)
-        # one right side per power relation, then one per checked conjugation
-        assert len(reads) - h56.n == CHECKED_CONJUGATIONS
+        # one right side per kept power relation, each power word empty:
+        # the letters, whose images lie off the tail; then one per checked
+        # conjugation, whose words are never empty
+        assert reads[:8] == [0] * 8 and 0 not in reads[8:]
+        checked[key] = len(reads) - 8
+    assert {name: checked.pop(name) for name in verified} == CHECKED_CONJUGATIONS
+    assert sorted(checked.values()) == CHECKED_ON_CLOSURE_SAMPLE
 
 
 def test_letter_steps_read_words_past_the_letters(h56, toy):
