@@ -54,7 +54,6 @@ in this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -270,12 +269,15 @@ def relation_space() -> Tuple[int, ...]:
 # ── pc presentation builders ────────────────────────────────────────────────
 
 
-@dataclass
 class LayeredMeta:
     """Attached to layered pc presentations; geometry of the coordinates."""
 
-    n: int
-    d_desc: Tuple[Tuple[str, int, int, int], ...]
+    def __init__(self, n: int, d_desc: Tuple[Tuple[str, int, int, int], ...]):
+        self.n = n
+        self.d_desc = d_desc
+
+    def __repr__(self) -> str:
+        return f"LayeredMeta(n={self.n!r}, d_desc={self.d_desc!r})"
 
     @property
     def d_off(self) -> int:
@@ -410,13 +412,16 @@ def homomorphism_table(mul: Callable[[int, int], int], images: Sequence[int], bi
     return letters + sliced_tables(images[bits:], bits)
 
 
-@dataclass
 class ExtensionMeta:
     """Attached to a split extension h:S: base is h, and letter_maps[s] is
     the letter map of the element of S with exponent word s."""
 
-    base: PcPresentation
-    letter_maps: List[Tuple[int, ...]]
+    def __init__(self, base: PcPresentation, letter_maps: List[Tuple[int, ...]]):
+        self.base = base
+        self.letter_maps = letter_maps
+
+    def __repr__(self) -> str:
+        return f"ExtensionMeta(base={self.base!r}, letter_maps={self.letter_maps!r})"
 
 
 def split_extension(

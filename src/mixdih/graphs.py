@@ -25,7 +25,6 @@ accessor works on frozen tuples.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import LayeredMeta
@@ -44,20 +43,21 @@ class SNotInverseClosed(ValueError):
 # ── graphs ───────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
     """Immutable simple graph with canonical string labels.
 
     neighbors[i] is the strictly sorted tuple of vertices adjacent to i;
     the optional bipartition assigns 0/1 to every vertex and every edge
-    must cross it.
+    must cross it.  Assigning to an attribute raises AttributeError.
     """
 
-    labels: Tuple[str, ...]
-    neighbors: Tuple[Tuple[int, ...], ...]
-    bipartition: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        labels: Tuple[str, ...],
+        neighbors: Tuple[Tuple[int, ...], ...],
+        bipartition: Optional[Tuple[int, ...]] = None,
+    ):
+        vars(self).update(labels=labels, neighbors=neighbors, bipartition=bipartition)
         v = len(self.labels)
         if len(self.neighbors) != v:
             raise ValueError("neighbor table length differs from label count")
@@ -81,6 +81,9 @@ class SimpleGraph:
                 for w in row:
                     if self.bipartition[i] == self.bipartition[w]:
                         raise ValueError("edge inside one part")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def vertex_count(self) -> int:
@@ -241,7 +244,6 @@ def _coset_label(group: PcPresentation, side: int, residue: int) -> str:
     return "xy"[side] + ":" + _element_label(group, residue)
 
 
-@dataclass(frozen=True)
 class BicosetGraph(SimpleGraph):
     """A coset incidence graph with its element-to-edge map: ends[z] is
     the vertex pair (xsub*z, ysub*z) of the edge that element z indexes.
@@ -250,7 +252,15 @@ class BicosetGraph(SimpleGraph):
     verify_line_graph_correspondence checks it against the edges.
     """
 
-    ends: Tuple[Tuple[int, int], ...] = ()
+    def __init__(
+        self,
+        labels: Tuple[str, ...],
+        neighbors: Tuple[Tuple[int, ...], ...],
+        bipartition: Optional[Tuple[int, ...]] = None,
+        ends: Tuple[Tuple[int, int], ...] = (),
+    ):
+        super().__init__(labels, neighbors, bipartition)
+        vars(self)["ends"] = ends
 
 
 def bicoset_graph(group: PcPresentation, xsub: Subgroup, ysub: Subgroup) -> BicosetGraph:

@@ -33,7 +33,6 @@ computed; they extend and close nothing themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import TWIST_LETTERS, LayeredMeta, generator_images, homomorphism_table, parse_word
@@ -71,22 +70,23 @@ class ClosureBudgetExceeded(RuntimeError):
     """An orbit or automorphism closure exceeded its element budget."""
 
 
-@dataclass(frozen=True)
 class GeneratorMap:
-    """Intended images of the letter generators x_1..x_n, y_1..y_n."""
+    """Intended images of the letter generators x_1..x_n, y_1..y_n.
+    Assigning to an attribute raises AttributeError."""
 
-    group: PcPresentation
-    letter_images: Tuple[int, ...]
-
-    def __post_init__(self):
-        meta = self.group.meta
+    def __init__(self, group: PcPresentation, letter_images: Tuple[int, ...]):
+        meta = group.meta
         if not isinstance(meta, LayeredMeta):
             raise ValueError("generator maps need a layered quotient group")
-        if len(self.letter_images) != 2 * meta.n:
+        if len(letter_images) != 2 * meta.n:
             raise ValueError("need one image per letter generator")
-        for w in self.letter_images:
-            if w < 0 or w >> self.group.n:
+        for w in letter_images:
+            if w < 0 or w >> group.n:
                 raise ValueError("image outside group width")
+        vars(self).update(group=group, letter_images=letter_images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneratorMap is immutable")
 
 
 class VerifiedAutomorphism:
@@ -176,11 +176,11 @@ def extend(gmap: GeneratorMap) -> VerifiedAutomorphism:
     return VerifiedAutomorphism(group, table)
 
 
-@dataclass
 class AutGroup:
     """Closure of a set of verified automorphisms, keyed by letter images."""
 
-    letter_tuples: Set[Tuple[int, ...]]
+    def __init__(self, letter_tuples: Set[Tuple[int, ...]]):
+        self.letter_tuples = letter_tuples
 
     @property
     def order(self) -> int:

@@ -846,6 +846,8 @@ def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:
 # conj <j> <i> <hex>       only nontrivial conjugates; hex is the full
 #                          normal form of g_j ** g_i, little-end bits
 #
+# The file is ASCII: a byte outside it fails the load with ValueError.
+#
 
 
 def save_presentation(pres: PcPresentation, path) -> None:
@@ -857,11 +859,11 @@ def save_presentation(pres: PcPresentation, path) -> None:
             word = pres.conj.get((j, i))
             if word is not None:
                 lines.append(f"conj {j} {i} {format(word, 'x')}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def load_presentation(path) -> PcPresentation:
-    text = Path(path).read_text().splitlines()
+    text = Path(path).read_text(encoding="ascii").splitlines()
     if not text or not text[0].startswith("pc2 v1 n="):
         raise ValueError("not a pc2 v1 file")
     n = int(text[0].split("n=")[1])

@@ -72,7 +72,6 @@ each level; the engine never reads it back.
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .calculus import ExtensionMeta
@@ -91,24 +90,27 @@ from .pcgroup import frattini, maximal_subgroups  # noqa: F401
 Rows = Tuple[int, ...]
 
 
-@dataclass
 class SearchConfig:
-    levels: int = 6
-    checkpoint_path: Optional[str] = None
-    threads: int = 1
-    log: Optional[Callable[[str], None]] = None
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {self.levels}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+    def __init__(
+        self,
+        levels: int = 6,
+        checkpoint_path: Optional[str] = None,
+        threads: int = 1,
+        log: Optional[Callable[[str], None]] = None,
+    ):
+        if levels < 1:
+            raise ValueError(f"levels must be at least 1, got {levels}")
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
+        self.levels = levels
+        self.checkpoint_path = checkpoint_path
+        self.threads = threads
+        self.log = log
 
     def worker_count(self) -> int:
         return self.threads
 
 
-@dataclass
 class SearchLevel:
     """One breadth-first level: all live subgroups of index 2**depth.
 
@@ -120,21 +122,34 @@ class SearchLevel:
     less depth.
     """
 
-    depth: int
-    required_meet_log: int
-    survivors: List[Rows]
-    meets: List[Rows]
-    candidates: int = 0
+    def __init__(
+        self, depth: int, required_meet_log: int, survivors: List[Rows], meets: List[Rows], candidates: int = 0
+    ):
+        self.depth = depth
+        self.required_meet_log = required_meet_log
+        self.survivors = survivors
+        self.meets = meets
+        self.candidates = candidates
 
 
-@dataclass
 class SearchReport:
-    required_meet_logs: List[int] = field(default_factory=list)
-    survivor_counts: List[int] = field(default_factory=list)
-    candidate_counts: List[int] = field(default_factory=list)
-    final_survivors: List[Rows] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    no_regular_subgroup: bool = False
+    """What run_search found; each list argument left out starts empty."""
+
+    def __init__(
+        self,
+        required_meet_logs: Optional[List[int]] = None,
+        survivor_counts: Optional[List[int]] = None,
+        candidate_counts: Optional[List[int]] = None,
+        final_survivors: Optional[List[Rows]] = None,
+        wall_seconds: float = 0.0,
+        no_regular_subgroup: bool = False,
+    ):
+        self.required_meet_logs = [] if required_meet_logs is None else required_meet_logs
+        self.survivor_counts = [] if survivor_counts is None else survivor_counts
+        self.candidate_counts = [] if candidate_counts is None else candidate_counts
+        self.final_survivors = [] if final_survivors is None else final_survivors
+        self.wall_seconds = wall_seconds
+        self.no_regular_subgroup = no_regular_subgroup
 
 
 # ── the acting group's distinguished subgroups ──────────────────────────────

@@ -594,6 +594,16 @@ def test_split_extension_rejects_a_sequence_that_is_not_pc(toy, h56):
         ca.split_extension(toy, [(2, 1, 8, 4), (4, 8, 2, 1)], ["t2", "t"], "bad")
 
 
+def test_extension_meta_repr_shows_its_letter_maps(p59):
+    """A run that changed a meta's letter maps would change its repr,
+    which is what test_a_run_leaves_the_presentation_as_it_was reads."""
+    meta = ca.ExtensionMeta(p59.meta.base, list(p59.meta.letter_maps))
+    before = repr(meta)
+    assert before == repr(p59.meta)
+    meta.letter_maps.append(ca.TWIST_LETTERS)
+    assert repr(meta) != before
+
+
 def test_p59_extension_meta(h56, p59):
     meta = p59.meta
     assert meta.base is h56

@@ -13,7 +13,7 @@ from mixdih import morphisms as mo
 from mixdih import search as se
 from mixdih.cli import main
 from mixdih.pcgroup import load_presentation
-from test_pcgroup import all_triples_check
+from test_pcgroup import NON_ASCII_PC2, all_triples_check
 
 
 def _strip_timing(report: dict) -> dict:
@@ -332,6 +332,16 @@ def test_verify_flags_unparseable_file(tmp_path):
     junk.write_text("not a presentation\n", encoding="ascii")
     report = tmp_path / "junk.json"
     assert main(["verify", "toy2", "--from-file", str(junk), "--report", str(report)]) == 1
+    rep = json.loads(report.read_text(encoding="ascii"))
+    assert rep["checks"][0]["name"] == "toy2_file_parses"
+    assert rep["checks"][0]["status"] == "fail"
+
+
+def test_verify_flags_a_non_ascii_file(tmp_path):
+    wide = tmp_path / "wide.pc2"
+    wide.write_bytes(NON_ASCII_PC2.encode("utf-8"))
+    report = tmp_path / "wide.json"
+    assert main(["verify", "toy2", "--from-file", str(wide), "--report", str(report)]) == 1
     rep = json.loads(report.read_text(encoding="ascii"))
     assert rep["checks"][0]["name"] == "toy2_file_parses"
     assert rep["checks"][0]["status"] == "fail"

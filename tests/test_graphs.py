@@ -45,6 +45,15 @@ def test_graph_rejects_asymmetric_rows():
         gr.SimpleGraph(("a", "b"), ((1,), ()))
 
 
+@pytest.mark.parametrize("field", ["labels", "neighbors", "bipartition"])
+def test_graphs_refuse_field_assignment(gamma, sigma, field):
+    for graph in (gamma, sigma):
+        with pytest.raises(AttributeError):
+            setattr(graph, field, getattr(graph, field))
+    with pytest.raises(AttributeError):
+        sigma.ends = ()
+
+
 def test_graph_rejects_edge_inside_part():
     with pytest.raises(ValueError):
         gr.make_graph(["a", "b"], [(0, 1)], bipartition=[0, 0])

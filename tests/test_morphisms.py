@@ -604,6 +604,15 @@ def test_parse_rejects_bad_lines(h56):
         mo.parse_generator_map(h56, "x1 -> x2\nx1 -> x3")
 
 
+def test_generator_map_refuses_field_assignment(h56):
+    gmap = mo.GeneratorMap(h56, ca.TWIST_LETTERS)
+    with pytest.raises(AttributeError):
+        gmap.letter_images = tuple(1 << t for t in range(8))
+    with pytest.raises(AttributeError):
+        gmap.group = h56
+    assert gmap.letter_images == ca.TWIST_LETTERS
+
+
 def test_generator_map_validation(h56, toy):
     with pytest.raises(ValueError):
         mo.GeneratorMap(h56, (1,) * 7)

@@ -1145,6 +1145,17 @@ def test_load_rejects_duplicate_lines(tmp_path, lines):
         pc.load_presentation(path)
 
 
+# fullwidth digits: int() reads them as 2 and 0, but a pc2 file is ASCII
+NON_ASCII_PC2 = "pc2 v1 n=\uff12\npow \uff10 \uff12\n"
+
+
+def test_load_rejects_non_ascii_digits(tmp_path):
+    path = tmp_path / "wide-digits.pc2"
+    path.write_bytes(NON_ASCII_PC2.encode("utf-8"))
+    with pytest.raises(ValueError):
+        pc.load_presentation(path)
+
+
 def test_load_rejects_oversized_width(tmp_path):
     path = tmp_path / "wide.pc2"
     path.write_text(f"pc2 v1 n={pc.MAX_GENS + 1}\n", encoding="ascii")

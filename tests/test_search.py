@@ -376,14 +376,32 @@ def test_parallel_run_ships_each_level_in_survivor_order(monkeypatch, p59, stab,
     assert [len(tasks) for tasks in shipped] == [2, 2, 12, 48, 128]
 
 
+def _in_a_fresh_process(code: str) -> str:
+    """The stripped stdout of code run by a new interpreter that imports
+    mixdih from this checkout."""
+    src = str(Path(se.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_importing_the_cli_does_not_import_multiprocessing():
     """Only a run that forks a pool imports multiprocessing, so a serial
     run or a verify does not pay for the import."""
-    src = str(Path(se.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mixdih.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+    assert _in_a_fresh_process("import sys, mixdih.cli; print('multiprocessing' in sys.modules)") == "False"
+
+
+def test_importing_the_engine_loads_no_dataclasses():
+    """The engine's records are plain classes: dataclasses and what it
+    pulls in (inspect, ast, dis) would add about 20 ms to every process's
+    start.  Only modules the import adds count, so a site hook that loads
+    them first cannot fail this."""
+    code = (
+        "import sys; before = set(sys.modules); import mixdih.cli, mixdih.search; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+    )
+    assert _in_a_fresh_process(code) == "[]"
 
 
 def test_descend_outside_a_run_forks_no_pool(p59, counted_descent, pools):
@@ -540,6 +558,12 @@ def test_worker_count_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("DF_THREADS", "4")
     assert se.SearchConfig().worker_count() == 1
     assert se.SearchConfig(threads=3).worker_count() == 3
+
+
+def test_search_reports_do_not_share_lists():
+    one, two = se.SearchReport(), se.SearchReport()
+    for name in ("required_meet_logs", "survivor_counts", "candidate_counts", "final_survivors"):
+        assert getattr(one, name) is not getattr(two, name)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
