@@ -26,6 +26,8 @@ __all__ = [
     "word_bits",
     "lowbit_index",
     "echelon_ints",
+    "echelon_start",
+    "echelon_extend",
     "pivot_reach",
     "reduce_by_echelon",
     "sliced_tables",
@@ -62,9 +64,27 @@ def echelon_ints(rows: Sequence[int], start: Sequence[int] = ()) -> Tuple[List[i
     which is unique.  Each row is first reduced against start in one
     whole-word pass (pivot_reach): a tail block reaches 2 columns.
     """
-    by_pivot: Dict[int, int] = {b & -b: b for b in start}  # pivot bit -> basis row
-    pivmask = start_mask = sum(by_pivot)
-    reached = pivot_reach(start, start_mask)
+    return echelon_extend(echelon_start(start), rows)
+
+
+EchelonStart = Tuple[Dict[int, int], int, List[Tuple[int, int]]]
+
+
+def echelon_start(basis: Sequence[int]) -> EchelonStart:
+    """What echelon_ints reads of a start basis before its first row: the
+    rows by pivot bit, the mask of those bits and their pivot_reach.  A
+    caller that reduces many row sets against one basis builds it once
+    and hands it to echelon_extend, which leaves it as it was."""
+    by_pivot = {b & -b: b for b in basis}
+    mask = sum(by_pivot)
+    return by_pivot, mask, pivot_reach(basis, mask)
+
+
+def echelon_extend(start: EchelonStart, rows: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """echelon_ints(rows, start=basis), given echelon_start(basis)."""
+    by_pivot, start_mask, reached = start
+    by_pivot = dict(by_pivot)  # pivot bit -> basis row
+    pivmask = start_mask
     for row in rows:
         hits = row & start_mask
         row ^= hits

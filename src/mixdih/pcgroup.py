@@ -42,7 +42,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, lowbit_index, pivot_reach, word_bits
+from .gf2linalg import EchelonStart, echelon_extend, echelon_ints, echelon_start, lowbit_index, pivot_reach, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -266,21 +266,27 @@ class ProductMemo:
       word) and each product of members that builds a kernel;
     * images: the echelon basis of the tail words [t, h] under (top
       part h, tail members), which tail blocks share (_tail_span);
-    * spans: tail blocks under their _tail_block_key (relation_rows).
+    * spans: each tail block, with its echelon_start, under its
+      _tail_block_key (relation_rows); c2_homomorphisms reduces the top
+      rows from that start;
+    * tails: the tail half of a Subgroup (_tail_division) under (number
+      of top members, tail members).
 
     A miss calls the group's multiply or inverse, looked up at call
     time.  The survivors of a descent share few top members (p59: 127
-    in a run), so most of their products are hits.
+    in a run), so most of their products are hits; its 128 level-5
+    survivors share 30 tail blocks and 4 tail halves.
     """
 
-    __slots__ = ("group", "inverses", "products", "images", "spans")
+    __slots__ = ("group", "inverses", "products", "images", "spans", "tails")
 
     def __init__(self, group: PcPresentation):
         self.group = group
         self.inverses: Dict[int, int] = {}
         self.products: Dict[Tuple[int, int], int] = {}
         self.images: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        self.spans: Dict[Tuple, List[int]] = {}
+        self.spans: Dict[Tuple, Tuple[List[int], EchelonStart]] = {}
+        self.tails: Dict[Tuple[int, Tuple[int, ...]], Tuple] = {}
 
     def inverse(self, u: int) -> int:
         inv = self.inverses.get(u)
@@ -315,9 +321,10 @@ class Subgroup:
     member raises ValueError.
 
     The memo attribute is a ProductMemo, the one given or a new one; the
-    inverses of the top members, each top step of a coords division and
-    the relations of relation_rows come from it.  sift and contains
-    divide with the group's multiply and store nothing in it.
+    inverses of the top members, the tail half of the division tables
+    (_tail_division), each top step of a coords division and the
+    relations of relation_rows come from it.  sift and contains divide
+    with the group's multiply and store nothing in it.
     """
 
     __slots__ = ("group", "members", "memo", "_lead_mask", "_div", "_reach", "_runs")
@@ -330,21 +337,18 @@ class Subgroup:
         if 0 in members or len(set(leads)) != len(leads):
             raise ValueError("IGS members need distinct leading indices")
         self.members = members = tuple(members)
-        self._lead_mask = sum(1 << d for d in leads)
         k = sum(1 for d in leads if d < group.tail)  # the top members
-        tail_leads = self._lead_mask >> group.tail << group.tail
-        if any(m & (m - 1) & tail_leads for m in members[k:]):
-            raise ValueError("IGS tail members need to be reduced at each other's leading indices")
         self.memo = memo = memo or ProductMemo(group)
+        key = (k, members[k:])
+        tail = memo.tails.get(key)
+        if tail is None:
+            tail = memo.tails[key] = _tail_division(k, leads[k:], members[k:])
+        tail_leads, tail_div, self._reach, self._runs = tail
+        self._lead_mask = tail_leads | sum(1 << d for d in leads[:k])
         # lead bit -> (inverse of its member, coordinate bit of its member)
-        self._div = {
-            1 << d: (memo.inverse(m) if t < k else m, 1 << t) for t, (d, m) in enumerate(zip(leads, members))
-        }
-        self._reach = pivot_reach(members[k:], tail_leads)
-        runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
-        for t in range(k, len(leads)):
-            runs[leads[t] - t] = runs.get(leads[t] - t, 0) | 1 << t
-        self._runs = list(runs.items())
+        self._div = div = dict(tail_div)
+        for t in range(k):
+            div[1 << leads[t]] = (memo.inverse(members[t]), 1 << t)
 
     @property
     def order_log(self) -> int:
@@ -439,6 +443,23 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order=2^{len(self.members)} of {self.group.label or 'anon'})"
+
+
+def _tail_division(k: int, leads: Sequence[int], tails: Sequence[int]) -> Tuple:
+    """The tail half of a Subgroup whose tail members, with leads
+    `leads`, start at coordinate k: the mask of their leads, their _div
+    entries (a tail member is its own inverse), _reach and _runs.  It
+    depends on nothing else, so ProductMemo.tails keeps it under (k,
+    tail members).  Raises ValueError, and so is never stored, when the
+    tail members are not reduced at each other's leads."""
+    tail_leads = sum(1 << d for d in leads)
+    if any(m & (m - 1) & tail_leads for m in tails):
+        raise ValueError("IGS tail members need to be reduced at each other's leading indices")
+    div = {1 << d: (m, 1 << t) for t, (d, m) in enumerate(zip(leads, tails), k)}
+    runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
+    for t, d in enumerate(leads, k):
+        runs[d - t] = runs.get(d - t, 0) | 1 << t
+    return tail_leads, div, pivot_reach(tails, tail_leads), list(runs.items())
 
 
 # ── subgroup construction ───────────────────────────────────────────────────
@@ -605,10 +626,11 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on _tail_block_key(group, s.members), which nothing else reads.
-    s.memo holds the block under that key, and the products of the
-    squares and the top x top conjugates under their factors.  A block
-    that raises is never stored, so a memo hit never skips the raise.
+    only on _tail_block_key(group, s.members), which only this function
+    and c2_homomorphisms read.  s.memo holds the block and its
+    echelon_start under that key, and the products of the squares and
+    the top x top conjugates under their factors.  A block that raises
+    is never stored, so a memo hit never skips the raise.
     """
     memo = s.memo
     ms = s.members
@@ -627,10 +649,11 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
                 c = memo.conjugate(mj, mi)
                 if c != mj:
                     rows.append(s.coords(c) ^ (1 << j))
-    block = memo.spans.get(key)
-    if block is None:
-        block = memo.spans[key] = _tail_span(group, s, key)
-    return rows, block
+    span = memo.spans.get(key)
+    if span is None:
+        block = _tail_span(group, s, key)
+        span = memo.spans[key] = (block, echelon_start(block))
+    return rows, span[0]
 
 
 def _tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -682,7 +705,8 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     By the Burnside basis theorem their kernels are the maximal subgroups
     of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|.  The
     top rows of relation_rows are reduced against its tail block, which
-    is already in reduced echelon form; the free columns of the result
+    is already in reduced echelon form, from the block's echelon_start
+    that s.memo keeps beside it; the free columns of the result
     sit at the leads outside Phi(s).  Functional number f sets free
     column t from bit t of f and each pivot from the parity of its row,
     for f = 1 .. 2**rank - 1.  The rows are fully reduced, so each meets
@@ -692,8 +716,8 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     only on the span of the relations, so the memo s holds, shared or
     its own, changes no output.
     """
-    rows, block = relation_rows(group, s)
-    basis, pivots = echelon_ints(rows, start=block)
+    rows, _ = relation_rows(group, s)
+    basis, pivots = echelon_extend(s.memo.spans[_tail_block_key(group, s.members)][1], rows)
     taken = set(pivots)
     out = [0]
     for col in range(len(s.members)):
@@ -847,6 +871,9 @@ def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:
 #                          normal form of g_j ** g_i, little-end bits
 #
 # The file is ASCII: a byte outside it fails the load with ValueError.
+# Each number is spelled as save_presentation writes it: n and the
+# indices in decimal digits, the words in lowercase hex digits, with no
+# sign, prefix or separator; any other spelling fails the load too.
 #
 
 
@@ -862,11 +889,19 @@ def save_presentation(pres: PcPresentation, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _number(token: str, base: int, line: str) -> int:
+    """token read as written by save_presentation: decimal or lowercase
+    hex digits only; ValueError naming the line otherwise."""
+    if not token or token.strip("0123456789abcdef"[:base]):
+        raise ValueError(f"bad number {token!r} in pc2 file: {line!r}")
+    return int(token, base)
+
+
 def load_presentation(path) -> PcPresentation:
     text = Path(path).read_text(encoding="ascii").splitlines()
     if not text or not text[0].startswith("pc2 v1 n="):
         raise ValueError("not a pc2 v1 file")
-    n = int(text[0].split("n=")[1])
+    n = _number(text[0][len("pc2 v1 n=") :], 10, text[0])
     if not 1 <= n <= MAX_GENS:
         raise ValueError(f"n {n} outside 1..{MAX_GENS}")
     ptails = [0] * n
@@ -878,9 +913,9 @@ def load_presentation(path) -> PcPresentation:
             continue
         parts = line.split()
         if parts[0] == "pow" and len(parts) == 3:
-            key = (int(parts[1]),)
+            key = (_number(parts[1], 10, line),)
         elif parts[0] == "conj" and len(parts) == 4:
-            key = (int(parts[1]), int(parts[2]))
+            key = (_number(parts[1], 10, line), _number(parts[2], 10, line))
         else:
             raise ValueError(f"bad line in pc2 file: {line!r}")
         if any(not 0 <= i < n for i in key):
@@ -888,7 +923,7 @@ def load_presentation(path) -> PcPresentation:
         if key in seen:
             raise ValueError(f"duplicate {parts[0]} line in pc2 file: {line!r}")
         seen.add(key)
-        word = int(parts[-1], 16)
+        word = _number(parts[-1], 16, line)
         if len(key) == 1:
             ptails[key[0]] = word
         else:

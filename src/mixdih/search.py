@@ -29,8 +29,12 @@ in the elementary abelian tail depends only on the survivor's top parts
 and tail members, and survivors of one level share a few dozen such
 spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  The memo holds each
 span, built as the reduced echelon form of its coordinates the first
-time a survivor needs it (pcgroup.relation_rows); each survivor reduces
-only its top rows against it.
+time a survivor needs it (pcgroup.relation_rows), with the state that
+reducing rows against it starts from (gf2linalg.echelon_start); each
+survivor reduces only its top rows, from that state.  Survivors share
+their tail members even more (p59's 128 level-5 survivors have 4 sets
+of them), and the memo holds the tail half of each Subgroup's division
+tables under its tail members (pcgroup._tail_division).
 
 The survivors of a run also share most of their top members, and so
 the products their relations, divisions and kernels need.  Every
@@ -40,12 +44,13 @@ run, which the Subgroup of every survivor and its kernels share: the
 inverse and the square of each top member, the two products that
 conjugate each clashing pair of top members, each top step of a coords
 division, each product that builds a kernel, the echelon basis of each
-top part's tail words, and the spans.  It is keyed by member and word
-values, never by a survivor's coordinates, so a memo hit equals the
-product it stands for.  The memo is made before the pool is forked, so
-each worker inherits it empty and fills its own, and it is dropped
-when the run returns or raises; no product is kept from one run to the
-next.  The presentation holds nothing that a run changes: a span's tail
+top part's tail words, the spans and the tail halves.  It is keyed by
+member and word values, never by a survivor's coordinates, so a memo
+hit equals the product it stands for.  The memo is made before the
+pool is forked, so each forked worker inherits it empty and fills its
+own, while this process keeps filling the run's memo; it is dropped
+when the run returns or raises, and no product is kept from one run to
+the next.  The presentation holds nothing that a run changes: a span's tail
 words are read from its conj table (PcPresentation.tail_conjugate), so
 repeated runs in one process each start from the same state.  A descend
 called outside a run shares a memo of its own among that call's
@@ -54,16 +59,22 @@ survivors.
 Levels hold survivors as canonical IGS member tuples (not Subgroup
 objects) to keep the per-survivor footprint at a few dozen ints.  The
 per-level expansion is an independent map over the survivors.  With
-more than one worker, run_search forks the one process pool of the run
-before its first level, maps every level with more than one survivor
-onto it, one task per survivor in survivor order, and terminates and
-joins it before returning or raising; no other code forks, and a
-descend called outside a run always expands its level in this process.
-Each task carries its survivor and its meet, so the workers need
-nothing from the parent past the fork but the group and the empty memo.
-The map returns the results in survivor order and the dedup map is
-merged in that order, so counts do not depend on the worker count; a
-span that survivors in two workers need is built in both.
+N > 1 workers, run_search forks the one process pool of the run, of
+N - 1 processes, before its first level, and this process is the N-th
+worker.  Each level of n survivors is cut into shares of ceil(n/N), in
+survivor order: the pool gets the trailing shares first, one per
+worker (p59 on 2 workers: 1, 1, 6, 24 and 64 survivors at levels 2-6),
+and this process expands the leading share with the run's memo while
+they run.  A level's children are listed in their parents' order, so
+on 2 workers each process keeps expanding the subtree its memo has
+seen.  The pool is terminated and joined before run_search returns or
+raises; no other code forks, and a descend called outside a run always
+expands its whole level in this process.  Each task carries its
+survivor and its meet, so the workers need nothing from the parent
+past the fork but the group and the empty memo.  The shares come back
+in survivor order and the dedup map is merged in that order, so counts
+do not depend on the worker count; a span that survivors in two
+processes need is built in both.
 
 A checkpoint file is an export of one level's survivors, rewritten after
 each level; the engine never reads it back.
@@ -183,9 +194,10 @@ def root_level(p: PcPresentation, stab: Subgroup) -> SearchLevel:
 # ── one descent step ─────────────────────────────────────────────────────────
 
 
-# The run_search in progress: its group, its memo and, when it forked one,
-# its pool.  A forked worker inherits the group and the memo as they were
-# at the fork, the memo still empty, and fills its own copy.
+# The run_search in progress: its group, its memo, its worker count and,
+# when it forked one, its pool.  A forked worker inherits the group and
+# the memo as they were at the fork, the memo still empty, and fills its
+# own copy.
 _RUN: Dict[str, object] = {}
 
 Expansion = Tuple[int, List[Tuple[Rows, Rows]]]
@@ -217,18 +229,22 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
     meet, deduplicated by canonical IGS.
 
     Within the run_search in progress for `group`, the survivors are
-    expanded with the run's memo, and a level with more than one
-    survivor goes to the run's pool, when it forked one, one task per
-    survivor.  Otherwise they are expanded in this process; a call
-    outside a run uses a memo of its own.  Either way the results come
-    back, and are merged, in survivor order.  config is not read; it
-    stays in the signature that perfbench/traced.py wraps."""
+    expanded with the run's memo.  When the run forked a pool for N
+    workers, this process keeps the leading ceil(n/N) of the level's n
+    survivors and the pool's N - 1 workers take the rest, in shares of
+    that size, in survivor order: the shares go out first, and this
+    process expands its own while the workers expand theirs.  A call
+    outside a run expands the whole level here with a memo of its own.
+    Either way the results come back, and are merged, in survivor
+    order.  config is not read; it stays in the signature that
+    perfbench/traced.py wraps."""
     pairs = list(zip(level.survivors, level.meets))
-    run = _RUN if _RUN.get("group") is group else {"memo": ProductMemo(group)}
-    if "pool" in run and len(pairs) > 1:
-        results = run["pool"].map(_expand_task, pairs)
-    else:
-        results = [_expand_one(group, run["memo"], rows, meet_rows) for rows, meet_rows in pairs]
+    run = _RUN if _RUN.get("group") is group else {"memo": ProductMemo(group), "workers": 1}
+    own = -(-len(pairs) // run["workers"])
+    shares = run["pool"].map_async(_expand_task, pairs[own:], chunksize=own) if own < len(pairs) else None
+    results = [_expand_one(group, run["memo"], rows, meet_rows) for rows, meet_rows in pairs[:own]]
+    if shares is not None:
+        results += shares.get()
     new: Dict[Rows, Rows] = {}
     candidates = 0
     for seen, kernels in results:
@@ -247,16 +263,17 @@ def descend(group: PcPresentation, level: SearchLevel, config: SearchConfig) -> 
 @contextmanager
 def _run(group: PcPresentation, workers: int):
     """Make the run's memo for `group` and, for more than one worker, fork
-    a pool of `workers` processes, which inherit the memo empty; descend
-    uses both for `group` until the block ends.  Then drop the memo, and
-    terminate and join the pool, also on an exception."""
-    _RUN.update(group=group, memo=ProductMemo(group))
+    a pool of workers - 1 processes, which inherit the memo empty: this
+    process is the last worker, and keeps the memo.  descend uses both
+    for `group` until the block ends.  Then drop the memo, and terminate
+    and join the pool, also on an exception."""
+    _RUN.update(group=group, memo=ProductMemo(group), workers=workers)
     pool = None
     try:
         if workers > 1:
             import multiprocessing  # only here: serial runs and single-target verify never fork
 
-            pool = _RUN["pool"] = multiprocessing.get_context("fork").Pool(workers)
+            pool = _RUN["pool"] = multiprocessing.get_context("fork").Pool(workers - 1)
         yield
     finally:
         _RUN.clear()

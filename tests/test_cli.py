@@ -13,7 +13,7 @@ from mixdih import morphisms as mo
 from mixdih import search as se
 from mixdih.cli import main
 from mixdih.pcgroup import load_presentation
-from test_pcgroup import NON_ASCII_PC2, all_triples_check
+from test_pcgroup import LOOSE_NUMBER_PC2, NON_ASCII_PC2, all_triples_check
 
 
 def _strip_timing(report: dict) -> dict:
@@ -345,6 +345,16 @@ def test_verify_flags_a_non_ascii_file(tmp_path):
     rep = json.loads(report.read_text(encoding="ascii"))
     assert rep["checks"][0]["name"] == "toy2_file_parses"
     assert rep["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("text", LOOSE_NUMBER_PC2)
+def test_verify_flags_a_loosely_spelled_number(tmp_path, text):
+    loose = tmp_path / "loose.pc2"
+    loose.write_text(text, encoding="ascii")
+    report = tmp_path / "loose.json"
+    assert main(["verify", "toy2", "--from-file", str(loose), "--report", str(report)]) == 1
+    (entry,) = json.loads(report.read_text(encoding="ascii"))["checks"]
+    assert (entry["name"], entry["status"]) == ("toy2_file_parses", "fail")
 
 
 def test_graph_exports(tmp_path, capsys):

@@ -2,7 +2,15 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from mixdih.gf2linalg import echelon_ints, pivot_reach, reduce_by_echelon, sliced_apply, sliced_tables
+from mixdih.gf2linalg import (
+    echelon_extend,
+    echelon_ints,
+    echelon_start,
+    pivot_reach,
+    reduce_by_echelon,
+    sliced_apply,
+    sliced_tables,
+)
 
 
 def span_of(rows, width):
@@ -81,6 +89,11 @@ def test_echelon_from_a_start_basis_matches_reference():
         else:
             rows = [rng.getrandbits(width) for _ in range(rng.randrange(1, 20))]
         assert echelon_ints(rows, start=start) == reference_echelon(pre + rows)
+        # one start state, read twice, is left as it was
+        state = echelon_start(start)
+        kept = (dict(state[0]), state[1], list(state[2]))
+        assert echelon_extend(state, rows) == echelon_extend(state, rows[::-1]) == reference_echelon(pre + rows)
+        assert state == kept and state[2] == reach
     assert {0, 1, 2} <= reached and max(reached) > 40
     assert echelon_ints([], start=[]) == ([], [])
 

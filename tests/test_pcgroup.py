@@ -1156,6 +1156,34 @@ def test_load_rejects_non_ascii_digits(tmp_path):
         pc.load_presentation(path)
 
 
+# numbers that int() reads but save_presentation never writes: a sign,
+# digit separators, a hex prefix or spaces, uppercase hex digits
+LOOSE_NUMBER_PC2 = [
+    "pc2 v1 n=+1_0\npow 0 0\n",
+    "pc2 v1 n=8\npow 0_0 +2\n",
+    "pc2 v1 n= 0x1f\n",
+    "pc2 v1 n=8\npow 0 1_f\n",
+    "pc2 v1 n=8\npow 0 0x1f\n",
+    "pc2 v1 n=8\nconj 3 +1 8\n",
+    "pc2 v1 n=8\npow 0 1F\n",
+]
+
+
+@pytest.mark.parametrize("text", LOOSE_NUMBER_PC2)
+def test_load_rejects_loosely_spelled_numbers(tmp_path, text):
+    path = tmp_path / "loose.pc2"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError, match="bad number"):
+        pc.load_presentation(path)
+
+
+def test_load_reads_digits_with_leading_zeros(tmp_path):
+    path = tmp_path / "digits.pc2"
+    path.write_text("pc2 v1 n=08\npow 0 02\npow 1 0\nconj 2 0 6\n", encoding="ascii")
+    group = pc.load_presentation(path)
+    assert (group.n, group.power_tails[:2], group.conj) == (8, [2, 0], {(2, 0): 6})
+
+
 def test_load_rejects_oversized_width(tmp_path):
     path = tmp_path / "wide.pc2"
     path.write_text(f"pc2 v1 n={pc.MAX_GENS + 1}\n", encoding="ascii")

@@ -314,15 +314,15 @@ def _assert_same_levels(got, serial):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The map, terminate and join calls made on each pool constructed on
-    the fork context, one dict per pool."""
+    """The map_async, terminate and join calls made on each pool
+    constructed on the fork context, one dict per pool."""
     ctx = multiprocessing.get_context("fork")
     made = []
     real = ctx.Pool
 
     def counted(*args, **kwargs):
         pool = real(*args, **kwargs)
-        calls = dict.fromkeys(("map", "terminate", "join"), 0)
+        calls = dict.fromkeys(("map_async", "terminate", "join"), 0)
         for name in calls:
             setattr(pool, name, _counting(calls, name, getattr(pool, name)))
         made.append(calls)
@@ -333,47 +333,61 @@ def pools(monkeypatch):
 
 
 def test_parallel_matches_serial_on_p59(monkeypatch, p59, stab, counted_descent, pools):
-    """A two-worker run maps levels 2-6 (level 1 has a single survivor)
-    onto its pool, one task per survivor, each worker with its own copy
-    of the run's memo; the levels, merged in survivor order, equal the
-    serial ones."""
-    levels = []
+    """A run on N = 2 or 3 workers hands the trailing shares of levels 2-6
+    (level 1 has a single survivor) to its pool of N - 1 workers, each
+    with its own copy of the run's memo, and expands the leading share
+    itself with the run's memo; levels 1-6, merged in survivor order,
+    equal the serial ones."""
     descend = se.descend
+    for threads in (2, 3):
+        levels = []
 
-    def recorded(group, level, config):
-        levels.append(descend(group, level, config))
-        return levels[-1]
+        def recorded(group, level, config):
+            levels.append(descend(group, level, config))
+            return levels[-1]
 
-    monkeypatch.setattr(se, "descend", recorded)
-    se.run_search(p59, se.SearchConfig(threads=2), stab)
-    _assert_same_levels(levels, counted_descent[0])
-    assert [pool["map"] for pool in pools] == [5]
+        monkeypatch.setattr(se, "descend", recorded)
+        se.run_search(p59, se.SearchConfig(threads=threads), stab)
+        _assert_same_levels(levels, counted_descent[0])
+    assert [pool["map_async"] for pool in pools] == [5, 5]
 
 
 def test_parallel_run_ships_each_level_in_survivor_order(monkeypatch, p59, stab, counted_descent):
-    """Each map call on the pool of a two-worker run ships its level's
-    (survivor, meet) pairs, one task each, in survivor order: levels 2-6
-    with 2, 2, 12, 48 and 128 survivors (level 1 has a single survivor
-    and is expanded in this process)."""
+    """A run on N workers forks a pool of N - 1, and each map_async call
+    on it ships the level's (survivor, meet) pairs past the leading
+    ceil(n/N), which this process expands, in survivor order and in
+    chunks of ceil(n/N), one per pool worker: levels 2-6, with 2, 2, 12,
+    48 and 128 survivors (level 1 has a single survivor and is expanded
+    in this process).  On 2 workers the pool gets 1, 1, 6, 24 and 64."""
+    for threads, shares in ((2, [1, 1, 6, 24, 64]), (3, [1, 1, 8, 32, 85])):
+        _assert_shipped_shares(monkeypatch, p59, stab, counted_descent[0], threads, shares)
+
+
+def _assert_shipped_shares(monkeypatch, p59, stab, serial, threads, shares):
     ctx = multiprocessing.get_context("fork")
-    shipped, real_pool = [], ctx.Pool
+    shipped, chunks, sizes, real_pool = [], [], [], ctx.Pool
 
-    def recording_pool(*args, **kwargs):
-        pool = real_pool(*args, **kwargs)
-        real_map = pool.map
+    def recording_pool(processes):
+        sizes.append(processes)
+        pool = real_pool(processes)
+        real_map_async = pool.map_async
 
-        def mapped(fn, tasks, *rest, **options):
+        def mapped(fn, tasks, chunksize):
             shipped.append(list(tasks))
-            return real_map(fn, shipped[-1], *rest, **options)
+            chunks.append(chunksize)
+            return real_map_async(fn, shipped[-1], chunksize)
 
-        pool.map = mapped
+        pool.map_async = mapped
         return pool
 
     monkeypatch.setattr(ctx, "Pool", recording_pool)
-    assert se.run_search(p59, se.SearchConfig(threads=2), stab).no_regular_subgroup
-    serial = counted_descent[0]
-    assert shipped == [list(zip(level.survivors, level.meets)) for level in serial[:5]]
-    assert [len(tasks) for tasks in shipped] == [2, 2, 12, 48, 128]
+    assert se.run_search(p59, se.SearchConfig(threads=threads), stab).no_regular_subgroup
+    assert sizes == [threads - 1]
+    pairs = [list(zip(level.survivors, level.meets)) for level in serial[:5]]
+    own = [-(-len(level) // threads) for level in pairs]
+    assert shipped == [level[k:] for level, k in zip(pairs, own)]
+    assert chunks == own
+    assert [len(tasks) for tasks in shipped] == shares
 
 
 def _in_a_fresh_process(code: str) -> str:
@@ -436,7 +450,7 @@ def _raise_at_depth_3(line):
     "settings, error, match, maps",
     [
         ({}, None, None, 5),
-        ({"log": _raise_at_depth_3}, RuntimeError, "depth 3:", 2),  # after the maps of levels 2 and 3
+        ({"log": _raise_at_depth_3}, RuntimeError, "depth 3:", 2),  # after the shares of levels 2 and 3
         ({"checkpoint_path": "missing/ck.txt"}, OSError, "missing", 0),
     ],
     ids=["return", "abort", "checkpoint"],
@@ -454,7 +468,28 @@ def test_no_worker_outlives_a_run(
     else:
         with pytest.raises(error, match=match):
             se.run_search(p59, config, stab)
-    assert pools == [{"map": maps, "terminate": 1, "join": 1}]
+    assert pools == [{"map_async": maps, "terminate": 1, "join": 1}]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failure_in_this_process_share_ends_the_pool(monkeypatch, p59, stab, counted_descent, pools):
+    """An expansion that raises in this process's own share of level 4,
+    while the pool's worker expands the other share, still terminates
+    and joins the pool once and leaves no worker behind.  The failing
+    expansion is this process's: the forked worker, which inherits the
+    patch, runs it as it was."""
+    parent, expand = os.getpid(), se._expand_one
+    level3 = set(counted_descent[0][2].survivors)
+
+    def failing(group, memo, rows, meet_rows):
+        if os.getpid() == parent and rows in level3:
+            raise RuntimeError("this process's share of level 4")
+        return expand(group, memo, rows, meet_rows)
+
+    monkeypatch.setattr(se, "_expand_one", failing)
+    with pytest.raises(RuntimeError, match="share of level 4"):
+        se.run_search(p59, se.SearchConfig(threads=2), stab)
+    assert pools == [{"map_async": 3, "terminate": 1, "join": 1}]  # levels 2-4 shipped theirs
     assert multiprocessing.active_children() == []
 
 
@@ -531,6 +566,58 @@ def test_a_shared_memo_expands_as_a_fresh_one(p59, stab):
         level = list(new.items())
         counts.append(len(level))
     assert counts == [2, 2, 12, 48, 128, 0]
+
+
+def _run_memo(group, stab, levels):
+    """The memo of a serial run over `levels` levels, warm from all of
+    them, and every survivor it expanded or kept, root first."""
+    with se._run(group, 1):
+        memo = se._RUN["memo"]
+        level = se.root_level(group, stab)
+        survivors = list(level.survivors)
+        for _ in range(levels):
+            level = se.descend(group, level, se.SearchConfig())
+            survivors += level.survivors
+    return memo, survivors
+
+
+@pytest.mark.parametrize("target, levels, kept", [("p59", 6, 192), ("toy_sylow", 4, 132)])
+def test_a_run_memo_builds_each_survivor_as_a_fresh_one(request, target, levels, kept):
+    """Every survivor built as a Subgroup through a run's warm memo, which
+    hands it the tail half of its division tables and its tail block's
+    echelon start, has the division tables and the homomorphisms of one
+    built through a memo of its own.  The memo must have shared both
+    kinds of entry among the survivors, or the test shows nothing."""
+    group = request.getfixturevalue(target)
+    memo, survivors = _run_memo(group, se.stab_subgroup(group), levels)
+    assert len(survivors) == 1 + kept
+    for rows in survivors:
+        warm, fresh = Subgroup(group, rows, memo), Subgroup(group, rows)
+        for name in ("_lead_mask", "_div", "_reach", "_runs"):
+            assert getattr(warm, name) == getattr(fresh, name), name
+        assert pc.c2_homomorphisms(group, warm) == pc.c2_homomorphisms(group, fresh)
+    assert len(memo.tails) < len(memo.spans) < len(survivors)
+
+
+def test_a_run_memo_still_rejects_unreduced_tail_members(p59, stab):
+    """A member tuple whose tail members are not reduced at each other's
+    leads raises ValueError through a run's warm memo, which holds valid
+    tail halves for the same number of top members, and leaves no entry
+    behind, so a second try raises too."""
+    memo, survivors = _run_memo(p59, stab, 6)
+    held = dict(memo.tails)
+    tried = 0
+    for rows in survivors[-8:]:
+        k = sum(1 for m in rows if m & p59.top_mask)
+        assert (k, rows[k:]) in held
+        bad = list(rows)
+        bad[k] ^= bad[k + 1]  # sets bit lead(bad[k + 1]) in bad[k], keeps its lead
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reduced at each other's leading indices"):
+                Subgroup(p59, bad, memo)
+        assert memo.tails == held
+        tried += 1
+    assert tried == 8
 
 
 def test_levels_are_closed_under_conjugation_by_the_stabilizer(p59, stab, counted_descent):
