@@ -57,7 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, lowbit_index, reduce_by_echelon, sliced_apply, sliced_tables, word_bits
+from .gf2linalg import echelon_ints, echelon_reduce, echelon_start, lowbit_index, sliced_apply, sliced_tables, word_bits
 from .pcgroup import PcPresentation
 
 __all__ = [
@@ -297,9 +297,10 @@ def _layered_presentation(n: int, relation_rows: Sequence[int], label: str) -> P
     piv_set = set(pivots)
     d_cols = tuple(c for c in range(len(cols)) if c not in piv_set)
     col_pos = {c: t for t, c in enumerate(d_cols)}
+    start = echelon_start(basis)
 
     def reduce_full(mask: int) -> int:
-        res = reduce_by_echelon(mask, basis, pivots)
+        res = echelon_reduce(start, mask)
         out = 0
         while res:
             low = res & -res

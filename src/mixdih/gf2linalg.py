@@ -5,6 +5,10 @@ bit k of an integer is coordinate (column) k, i.e. column 0 is the lowest
 bit.  A vector of width w is an int in range(2**w), and a matrix is a
 sequence of such rows.  Nothing here is sparse.
 
+A reduced echelon basis is held in one form, echelon_start, and reduced
+by in one loop, echelon_reduce: echelon_extend (so echelon_ints), the
+tail step of pcgroup.Subgroup's division and calculus's reduce_full.
+
 A GF(2)-linear map on words is fixed by the images of its basis bits.
 sliced_tables turns those images into lookup tables, one slice of
 2**bits entries per `bits` input bits, so that the image of a word is
@@ -27,9 +31,9 @@ __all__ = [
     "lowbit_index",
     "echelon_ints",
     "echelon_start",
+    "echelon_reduce",
     "echelon_extend",
     "pivot_reach",
-    "reduce_by_echelon",
     "sliced_tables",
     "sliced_apply",
 ]
@@ -50,7 +54,7 @@ def lowbit_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def echelon_ints(rows: Sequence[int], start: Sequence[int] = ()) -> Tuple[List[int], List[int]]:
+def echelon_ints(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form of integer rows.
 
     Returns (basis, pivots) with pivots strictly increasing and every pivot
@@ -58,39 +62,45 @@ def echelon_ints(rows: Sequence[int], start: Sequence[int] = ()) -> Tuple[List[i
     is reduced at the pivots it hits, lowest first, and joins the basis at
     its lowest bit; the basis is reduced once at the end, from its highest
     pivot down.  So a row costs one XOR per pivot it hits.
-
-    start, when given, is a basis already in that form (the basis of an
-    earlier echelon_ints call); the result is then that of start + rows,
-    which is unique.  Each row is first reduced against start in one
-    whole-word pass (pivot_reach): a tail block reaches 2 columns.
     """
-    return echelon_extend(echelon_start(start), rows)
+    return echelon_extend(echelon_start(()), rows)
 
 
 EchelonStart = Tuple[Dict[int, int], int, List[Tuple[int, int]]]
 
 
 def echelon_start(basis: Sequence[int]) -> EchelonStart:
-    """What echelon_ints reads of a start basis before its first row: the
-    rows by pivot bit, the mask of those bits and their pivot_reach.  A
-    caller that reduces many row sets against one basis builds it once
-    and hands it to echelon_extend, which leaves it as it was."""
+    """The one form of a reduced echelon basis (each pivot cleared in the
+    other rows): its rows by pivot bit, the mask of those bits and their
+    pivot_reach.  Built once per basis; echelon_reduce and
+    echelon_extend leave it as it was."""
     by_pivot = {b & -b: b for b in basis}
     mask = sum(by_pivot)
     return by_pivot, mask, pivot_reach(basis, mask)
 
 
+def echelon_reduce(start: EchelonStart, v: int) -> int:
+    """Residue of v after clearing the pivots of start's basis, in one
+    pass: its rows are reduced at each other's pivots, so the rows at
+    the pivots v hits clear just those, and flip each column they reach
+    by parity(hits & pivots) (pivot_reach)."""
+    _, mask, reached = start
+    hits = v & mask
+    v ^= hits
+    for col, pivs in reached:
+        if (hits & pivs).bit_count() & 1:
+            v ^= col
+    return v
+
+
 def echelon_extend(start: EchelonStart, rows: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """echelon_ints(rows, start=basis), given echelon_start(basis)."""
-    by_pivot, start_mask, reached = start
+    """echelon_ints of start's basis followed by rows.  Each row is
+    reduced by start (echelon_reduce), then at the pivots of the rows
+    added before it."""
+    by_pivot, pivmask, _ = start
     by_pivot = dict(by_pivot)  # pivot bit -> basis row
-    pivmask = start_mask
     for row in rows:
-        hits = row & start_mask
-        row ^= hits
-        for col, pivs in reached:
-            if (hits & pivs).bit_count() & 1:
-                row ^= col
+        row = echelon_reduce(start, row)
         hits = row & pivmask
         while hits:
             low = hits & -hits
@@ -122,14 +132,6 @@ def pivot_reach(basis: Sequence[int], pivmask: int) -> List[Tuple[int, int]]:
             reach[col] = reach.get(col, 0) | (b & -b)
             off ^= col
     return list(reach.items())
-
-
-def reduce_by_echelon(v: int, basis: Sequence[int], pivots: Sequence[int]) -> int:
-    """Residue of v after clearing every pivot column of an echelon basis."""
-    for b, p in zip(basis, pivots):
-        if (v >> p) & 1:
-            v ^= b
-    return v
 
 
 def sliced_tables(images: Sequence[int], bits: int) -> List[int]:

@@ -42,7 +42,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2linalg import EchelonStart, echelon_extend, echelon_ints, echelon_start, lowbit_index, pivot_reach, word_bits
+from .gf2linalg import EchelonStart, echelon_extend, echelon_ints, echelon_reduce, echelon_start, lowbit_index, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 MAX_GENS = 128
+MAX_VIOLATIONS = 16  # the most overlaps consistency_check reports
 
 
 class NotInSubgroup(ValueError):
@@ -266,9 +267,9 @@ class ProductMemo:
       word) and each product of members that builds a kernel;
     * images: the echelon basis of the tail words [t, h] under (top
       part h, tail members), which tail blocks share (_tail_span);
-    * spans: each tail block, with its echelon_start, under its
-      _tail_block_key (relation_rows); c2_homomorphisms reduces the top
-      rows from that start;
+    * spans: under (top parts, tail members), the echelon_start of their
+      tail block (relation_rows), from which c2_homomorphisms reduces
+      the top rows;
     * tails: the tail half of a Subgroup (_tail_division) under (number
       of top members, tail members).
 
@@ -285,7 +286,7 @@ class ProductMemo:
         self.inverses: Dict[int, int] = {}
         self.products: Dict[Tuple[int, int], int] = {}
         self.images: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        self.spans: Dict[Tuple, Tuple[List[int], EchelonStart]] = {}
+        self.spans: Dict[Tuple, EchelonStart] = {}
         self.tails: Dict[Tuple[int, Tuple[int, ...]], Tuple] = {}
 
     def inverse(self, u: int) -> int:
@@ -316,9 +317,10 @@ class Subgroup:
     hold identical member tuples.
 
     The tail members must be reduced at each other's leads, as in every
-    canonical IGS; _reach and _runs then let _divide divide by them in
-    one step.  A zero member, a repeated lead or an unreduced tail
-    member raises ValueError.
+    canonical IGS, so they are a reduced echelon basis; _tail, their
+    echelon_start, and _runs then let _divide divide by them in one
+    step.  A zero member, a repeated lead or an unreduced tail member
+    raises ValueError.
 
     The memo attribute is a ProductMemo, the one given or a new one; the
     inverses of the top members, the tail half of the division tables
@@ -327,7 +329,7 @@ class Subgroup:
     with the group's multiply and store nothing in it.
     """
 
-    __slots__ = ("group", "members", "memo", "_lead_mask", "_div", "_reach", "_runs")
+    __slots__ = ("group", "members", "memo", "_lead_mask", "_div", "_tail", "_runs")
 
     def __init__(self, group: PcPresentation, members: Sequence[int], memo: Optional[ProductMemo] = None):
         self.group = group
@@ -343,8 +345,8 @@ class Subgroup:
         tail = memo.tails.get(key)
         if tail is None:
             tail = memo.tails[key] = _tail_division(k, leads[k:], members[k:])
-        tail_leads, tail_div, self._reach, self._runs = tail
-        self._lead_mask = tail_leads | sum(1 << d for d in leads[:k])
+        self._tail, tail_div, self._runs = tail
+        self._lead_mask = self._tail[1] | sum(1 << d for d in leads[:k])
         # lead bit -> (inverse of its member, coordinate bit of its member)
         self._div = div = dict(tail_div)
         for t in range(k):
@@ -370,8 +372,8 @@ class Subgroup:
         the tail, so does every member left to divide by, and the rest
         of the division is XOR by tail members; as they are reduced at
         each other's leads, no XOR moves a later lead, so the hit leads
-        give the residue in one step (pivot_reach) and, shifted run by
-        run, the coordinates.
+        give the residue in one step (echelon_reduce) and, shifted run
+        by run, the coordinates.
         """
         top = self.group.top_mask
         div = self._div
@@ -385,10 +387,7 @@ class Subgroup:
             c |= bit
             hits = u & lead_mask & -(low << 1)
         if hits:
-            u ^= hits
-            for col, pivs in self._reach:
-                if (hits & pivs).bit_count() & 1:
-                    u ^= col
+            u = echelon_reduce(self._tail, u)
             for shift, coords in self._runs:
                 c |= hits >> shift & coords
         return u, c
@@ -447,19 +446,20 @@ class Subgroup:
 
 def _tail_division(k: int, leads: Sequence[int], tails: Sequence[int]) -> Tuple:
     """The tail half of a Subgroup whose tail members, with leads
-    `leads`, start at coordinate k: the mask of their leads, their _div
-    entries (a tail member is its own inverse), _reach and _runs.  It
-    depends on nothing else, so ProductMemo.tails keeps it under (k,
-    tail members).  Raises ValueError, and so is never stored, when the
-    tail members are not reduced at each other's leads."""
-    tail_leads = sum(1 << d for d in leads)
-    if any(m & (m - 1) & tail_leads for m in tails):
+    `leads`, start at coordinate k: their echelon_start (whose mask is
+    that of their leads), their _div entries (a tail member is its own
+    inverse) and _runs.  It depends on nothing else, so
+    ProductMemo.tails keeps it under (k, tail members).  Raises
+    ValueError, and so is never stored, when the tail members are not
+    reduced at each other's leads."""
+    start = echelon_start(tails)
+    if any(m & (m - 1) & start[1] for m in tails):
         raise ValueError("IGS tail members need to be reduced at each other's leading indices")
     div = {1 << d: (m, 1 << t) for t, (d, m) in enumerate(zip(leads, tails), k)}
     runs: Dict[int, int] = {}  # lead - coordinate -> coordinate bits
     for t, d in enumerate(leads, k):
         runs[d - t] = runs.get(d - t, 0) | 1 << t
-    return tail_leads, div, pivot_reach(tails, tail_leads), list(runs.items())
+    return start, div, list(runs.items())
 
 
 # ── subgroup construction ───────────────────────────────────────────────────
@@ -603,9 +603,10 @@ def frattini(group: PcPresentation, s: Subgroup) -> Subgroup:
     return _verbal_subgroup(group, s, squares=True)
 
 
-def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[int]]:
+def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], EchelonStart]:
     """The relations of s's induced pcgs, as rows over its IGS coordinates:
-    (top rows, tail block), the block a reduced echelon basis.
+    the top rows, and the echelon_start of the tail block, a reduced
+    echelon basis.
 
     A functional a on the coordinates of s is a homomorphism s -> C2
     exactly when parity(row & a) is 0 for every row (von Dyck): the rows
@@ -626,16 +627,18 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
     For a top member m_i and a tail member m_j, the conjugate is
     m_j ^ w with w = [m_j, m_i], a tail word, and its row is coords(w).
     The span of these rows is the tail block (_tail_span).  It depends
-    only on _tail_block_key(group, s.members), which only this function
-    and c2_homomorphisms read.  s.memo holds the block and its
-    echelon_start under that key, and the products of the squares and
-    the top x top conjugates under their factors.  A block that raises
-    is never stored, so a memo hit never skips the raise.
+    only on (top parts m & top of the top members, tail members), the
+    key under which s.memo holds the block's echelon_start; the memo
+    also holds the products of the squares and the top x top conjugates
+    under their factors.  A block that raises is never stored, so a
+    memo hit never skips the raise.
     """
     memo = s.memo
     ms = s.members
-    key = _tail_block_key(group, ms)
-    k = len(key[0])
+    top = group.top_mask
+    k = sum(1 for m in ms if m & top)  # the top members come first
+    # tuple of a list: a tuple grown from a generator crept peak RSS run by run
+    key = tuple([m & top for m in ms[:k]]), ms[k:]
     rows = []
     for i in range(k):
         mi = ms[i]
@@ -649,22 +652,10 @@ def relation_rows(group: PcPresentation, s: Subgroup) -> Tuple[List[int], List[i
                 c = memo.conjugate(mj, mi)
                 if c != mj:
                     rows.append(s.coords(c) ^ (1 << j))
-    span = memo.spans.get(key)
-    if span is None:
-        block = _tail_span(group, s, key)
-        span = memo.spans[key] = (block, echelon_start(block))
-    return rows, span[0]
-
-
-def _tail_block_key(group: PcPresentation, members: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """What the tail block of the subgroup with IGS members (ascending
-    leads) depends on: (top parts m & top of its top members, its tail
-    members).  The top members come first, so the tail members are the
-    rest."""
-    top = group.top_mask
-    k = sum(1 for m in members if m & top)
-    # tuple of a list: a tuple grown from a generator crept peak RSS run by run
-    return tuple([m & top for m in members[:k]]), tuple(members[k:])
+    start = memo.spans.get(key)
+    if start is None:
+        start = memo.spans[key] = echelon_start(_tail_span(group, s, key))
+    return rows, start
 
 
 def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
@@ -673,8 +664,7 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
     and tail word t in tails whose supports clash, (heads, tails) = key;
     each conjugate is read by group.tail_conjugate.  The words of each h
     reduce to an echelon basis, its image, which s.memo holds under
-    (h, tails); the block reduces the images from the largest one
-    (echelon_ints' start).
+    (h, tails); one echelon_ints reduces all the images together.
 
     The members of s in the tail are its tail members, and on their span
     coords is linear, since division there is XOR by members with
@@ -683,20 +673,25 @@ def _tail_span(group: PcPresentation, s: Subgroup, key: Tuple) -> List[int]:
     coordinate is its index, len(heads) plus its place in tails.  Some w
     lies outside s exactly when some basis vector does, and then coords
     raises NotInSubgroup.
+
+    The rows need no second echelon.  The tail members are reduced at
+    each other's leads, so a nonzero word in their span has its lowest
+    bit at a lead, and has a lead's bit exactly when it has that
+    member's coordinate; coords maps leads to coordinates in increasing
+    order.  So the coords of a reduced echelon basis are in reduced
+    echelon form.
     """
     heads, tails = key
     images = s.memo.images
-    bases = []
+    union = []
     for h in heads:
         basis = images.get((h, tails))
         if basis is None:
             clash = group.clash_mask(h)
             words = [group.tail_conjugate(t, h) ^ t for t in tails if clash & t]
             basis = images[(h, tails)] = echelon_ints(words)[0]
-        bases.append(basis)
-    bases.sort(key=len)
-    words = echelon_ints([w for basis in bases[:-1] for w in basis], start=bases[-1] if bases else ())[0]
-    return echelon_ints([s.coords(b) for b in words])[0]
+        union += basis
+    return [s.coords(b) for b in echelon_ints(union)[0]]
 
 
 def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
@@ -704,9 +699,8 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
 
     By the Burnside basis theorem their kernels are the maximal subgroups
     of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|.  The
-    top rows of relation_rows are reduced against its tail block, which
-    is already in reduced echelon form, from the block's echelon_start
-    that s.memo keeps beside it; the free columns of the result
+    top rows of relation_rows are reduced from the echelon_start of its
+    tail block, which s.memo holds; the free columns of the result
     sit at the leads outside Phi(s).  Functional number f sets free
     column t from bit t of f and each pivot from the parity of its row,
     for f = 1 .. 2**rank - 1.  The rows are fully reduced, so each meets
@@ -716,8 +710,8 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     only on the span of the relations, so the memo s holds, shared or
     its own, changes no output.
     """
-    rows, _ = relation_rows(group, s)
-    basis, pivots = echelon_extend(s.memo.spans[_tail_block_key(group, s.members)][1], rows)
+    rows, start = relation_rows(group, s)
+    basis, pivots = echelon_extend(start, rows)
     taken = set(pivots)
     out = [0]
     for col in range(len(s.members)):
@@ -767,7 +761,7 @@ def small_intersection_order(group: PcPresentation, t: Subgroup, small: Subgroup
 # ── consistency ─────────────────────────────────────────────────────────────
 
 
-def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tuple]:
+def consistency_check(pres: PcPresentation) -> List[Tuple]:
     """Overlap tests certifying that normal forms are unique.
 
     Compares the two sides, as the reference collector returns them, of
@@ -775,7 +769,7 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
     for k > j > i, then the power overlaps g_j^2 g_i = g_j (g_j g_i)
     (power_left) and g_j g_i^2 = (g_j g_i) g_i (power_right) for j > i,
     then g_i^2 g_i = g_i g_i^2 (power_cube).  Returns the first
-    max_violations overlaps whose sides differ, as (kind, index, lhs,
+    MAX_VIOLATIONS overlaps whose sides differ, as (kind, index, lhs,
     rhs); an empty result certifies that the presented group has order
     exactly 2**n.
 
@@ -818,7 +812,7 @@ def consistency_check(pres: PcPresentation, max_violations: int = 16) -> List[Tu
     and p59 543 collects per check.
     """
     violations = ((kind, idx, lhs, rhs) for kind, idx, lhs, rhs in _overlaps(pres) if lhs != rhs)
-    return list(islice(violations, max_violations))
+    return list(islice(violations, MAX_VIOLATIONS))
 
 
 def _overlaps(pres: PcPresentation) -> Iterator[Tuple]:

@@ -27,14 +27,15 @@ and has index 2 in the old meet by construction.
 Most of a survivor's relations are top x tail commutators, whose span
 in the elementary abelian tail depends only on the survivor's top parts
 and tail members, and survivors of one level share a few dozen such
-spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  The memo holds each
-span, built as the reduced echelon form of its coordinates the first
-time a survivor needs it (pcgroup.relation_rows), with the state that
-reducing rows against it starts from (gf2linalg.echelon_start); each
-survivor reduces only its top rows, from that state.  Survivors share
-their tail members even more (p59's 128 level-5 survivors have 4 sets
-of them), and the memo holds the tail half of each Subgroup's division
-tables under its tail members (pcgroup._tail_division).
+spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  The memo holds one
+entry per span, the echelon_start of the reduced echelon form of its
+coordinates (gf2linalg.echelon_start), built the first time a survivor
+needs it (pcgroup.relation_rows); each survivor reduces only its top
+rows, from that start.  Survivors share their tail members even more
+(p59's 128 level-5 survivors have 4 sets of them), and the memo holds
+the tail half of each Subgroup's division tables under its tail
+members (pcgroup._tail_division): their echelon_start, by which a tail
+word is reduced in one step (gf2linalg.echelon_reduce).
 
 The survivors of a run also share most of their top members, and so
 the products their relations, divisions and kernels need.  Every

@@ -5,9 +5,9 @@ from hypothesis import example, given, strategies as st
 from mixdih.gf2linalg import (
     echelon_extend,
     echelon_ints,
+    echelon_reduce,
     echelon_start,
     pivot_reach,
-    reduce_by_echelon,
     sliced_apply,
     sliced_tables,
 )
@@ -44,6 +44,15 @@ def reference_echelon(rows):
     return basis, pivots
 
 
+def reference_reduce(v, basis):
+    """The per-pivot loop echelon_reduce replaced: XOR each basis row
+    whose pivot v has at the time, lowest pivot first."""
+    for b in sorted(basis, key=lambda b: b & -b):
+        if v & b & -b:
+            v ^= b
+    return v
+
+
 @given(st.integers(1, 70).flatmap(
     lambda width: st.lists(st.integers(0, (1 << width) - 1), max_size=40)))
 def test_echelon_matches_reference(rows):
@@ -61,7 +70,8 @@ def block_shaped(rng, width, codim):
 def test_echelon_from_a_start_basis_matches_reference():
     """Seeding the pivots from the basis of pre gives the reduced echelon
     form of pre + rows: with new rows, with none, and with new rows that
-    all lie in the span of pre.  The starts are random, of the tail
+    all lie in the span of pre; echelon_reduce from it equals the
+    per-pivot loop on each row.  The starts are random, of the tail
     blocks' shape (codimension 0-2, at most 2 columns reached off the
     pivots), or of low rank in many columns, so their rows reach many."""
     rng = random.Random(41)
@@ -88,14 +98,15 @@ def test_echelon_from_a_start_basis_matches_reference():
                 rows = [r ^ b if rng.getrandbits(1) else r for r in rows]
         else:
             rows = [rng.getrandbits(width) for _ in range(rng.randrange(1, 20))]
-        assert echelon_ints(rows, start=start) == reference_echelon(pre + rows)
+        assert echelon_extend(echelon_start(start), rows) == reference_echelon(pre + rows)
         # one start state, read twice, is left as it was
         state = echelon_start(start)
         kept = (dict(state[0]), state[1], list(state[2]))
         assert echelon_extend(state, rows) == echelon_extend(state, rows[::-1]) == reference_echelon(pre + rows)
+        assert [echelon_reduce(state, v) for v in rows] == [reference_reduce(v, start) for v in rows]
         assert state == kept and state[2] == reach
     assert {0, 1, 2} <= reached and max(reached) > 40
-    assert echelon_ints([], start=[]) == ([], [])
+    assert echelon_extend(echelon_start([]), []) == ([], [])
 
 
 def test_echelonize_example():
@@ -111,10 +122,12 @@ def test_rank_zero_matrix():
 
 
 def test_membership_residue():
-    basis, pivots = echelon_ints([3, 6])
-    assert reduce_by_echelon(5, basis, pivots) == 0
+    start = echelon_start(echelon_ints([3, 6])[0])
+    assert echelon_reduce(start, 5) == 0
     # v=4 has no pivot bits set (pivots 0,1), so residue is v itself
-    assert reduce_by_echelon(4, basis, pivots) == 4
+    assert echelon_reduce(start, 4) == 4
+    # v=1 hits pivot 0 only; its row 5 reaches column 2
+    assert echelon_reduce(start, 1) == 4
 
 
 def test_rank_against_span_enumeration():
@@ -152,12 +165,14 @@ def test_echelon_spans_same_space():
 def test_membership_linear_in_residue(params):
     w, rows, v = params
     basis, pivots = echelon_ints(rows)
-    res = reduce_by_echelon(v, basis, pivots)
+    start = echelon_start(basis)
+    res = echelon_reduce(start, v)
+    assert res == reference_reduce(v, basis)
     # residue is invariant under adding basis rows to v
     for b in basis:
-        assert reduce_by_echelon(v ^ b, basis, pivots) == res
+        assert echelon_reduce(start, v ^ b) == res
     # and reduction is idempotent
-    assert reduce_by_echelon(res, basis, pivots) == res
+    assert echelon_reduce(start, res) == res
 
 
 @given(

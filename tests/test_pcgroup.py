@@ -8,6 +8,7 @@ checks that must agree with structure known from the construction.
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import echelon_ints, lowbit_index, word_bits
+from mixdih.gf2linalg import echelon_extend, echelon_ints, echelon_start, lowbit_index, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -286,8 +287,12 @@ def _toy_flip(toy):
 
 
 def assert_matches_all_triples(g):
+    # consistency_check reads its cut when it runs, so the cut is
+    # checked at 1 as well as at its value, 16
+    assert pc.MAX_VIOLATIONS == 16
     for cut in (1, 16):
-        bad = pc.consistency_check(g, cut)
+        with mock.patch.object(pc, "MAX_VIOLATIONS", cut):
+            bad = pc.consistency_check(g)
         assert len(bad) <= cut
         assert bad == all_triples_check(g, cut)
 
@@ -657,16 +662,22 @@ def test_maximal_subgroups_match_frattini_oracle_toy(toy):
     assert len(orders) >= 4
 
 
+def descent_survivors(group, levels):
+    """The survivors of descent levels 1..levels, as Subgroups."""
+    from mixdih import search as se
+
+    level = se.root_level(group, se.stab_subgroup(group))
+    out = []
+    for _ in range(levels):
+        level = se.descend(group, level, se.SearchConfig())
+        out.extend(pc.Subgroup(group, rows) for rows in level.survivors)
+    return out
+
+
 @pytest.fixture(scope="module")
 def p59_survivors(p59):
     """The survivors of descent levels 1-5, as Subgroups."""
-    from mixdih import search as se
-
-    level = se.root_level(p59, se.stab_subgroup(p59))
-    out = []
-    for _ in range(5):
-        level = se.descend(p59, level, se.SearchConfig())
-        out.extend(pc.Subgroup(p59, rows) for rows in level.survivors)
+    out = descent_survivors(p59, 5)
     assert len(out) == 2 + 2 + 12 + 48 + 128
     return out
 
@@ -703,8 +714,8 @@ def reference_functionals(group, s):
     """The per-f loop c2_homomorphisms replaced, on the reduced echelon
     form of all of relation_rows: free column t from bit t of f, then
     each pivot from the parity of its row."""
-    rows, block = pc.relation_rows(group, s)
-    basis, pivots = echelon_ints(rows + block)
+    rows, start = pc.relation_rows(group, s)
+    basis, pivots = echelon_ints(rows + tail_block(start))
     free = [t for t in range(len(s.members)) if t not in pivots]
     out = []
     for f in range(1, 1 << len(free)):
@@ -882,15 +893,25 @@ def all_pairs_relation_rows(group, s):
     return rows
 
 
+def tail_block(start):
+    """The tail block whose echelon_start relation_rows returns.  The
+    block _tail_span built it from must already be in reduced echelon
+    form, which echelon_start reads it as: reducing its rows again must
+    give the same start."""
+    block = echelon_extend(start, [])[0]
+    assert echelon_start(block) == start
+    return block
+
+
 def reduced_relations(group, s):
     """The reduced echelon form of relation_rows: its top rows reduced
     against its tail block, as c2_homomorphisms reduces them."""
-    rows, block = pc.relation_rows(group, s)
-    assert echelon_ints(block) == (block, [lowbit_index(b) for b in block])
-    return echelon_ints(rows, start=block)
+    rows, start = pc.relation_rows(group, s)
+    tail_block(start)
+    return echelon_extend(start, rows)
 
 
-def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
+def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors, toy_sylow):
     """relation_rows spans the same relations as every pair's row.
 
     Its top x tail rows are a reduced echelon block in coordinates
@@ -898,14 +919,19 @@ def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors):
     reference's; their reduced echelon form, which is all
     c2_homomorphisms reads, must not.  Once through each survivor's own
     memo, and once through one memo shared by all survivors, so later
-    survivors hit it.
+    survivors hit it.  On p59's survivors of levels 1-5 and P_toy's of
+    levels 1-4, where some blocks must be nonempty.
     """
-    shared = pc.ProductMemo(p59)
-    for s in p59_survivors:
-        reference = echelon_ints(all_pairs_relation_rows(p59, s))
-        assert reduced_relations(p59, s) == reference
-        assert reduced_relations(p59, pc.Subgroup(p59, s.members, shared)) == reference
-    assert len(shared.spans) < len(p59_survivors)
+    toy_survivors = descent_survivors(toy_sylow, 4)
+    for group, survivors in ((p59, p59_survivors), (toy_sylow, toy_survivors)):
+        shared = pc.ProductMemo(group)
+        for s in survivors:
+            reference = echelon_ints(all_pairs_relation_rows(group, s))
+            assert reduced_relations(group, s) == reference
+            assert reduced_relations(group, pc.Subgroup(group, s.members, shared)) == reference
+        assert any(start[0] for start in shared.spans.values())
+        assert len(shared.spans) < len(survivors)
+    assert len(toy_survivors) == 6 + 14 + 40 + 72
 
 
 def test_relation_rows_memo_keys_on_the_tail_members(p59):

@@ -593,7 +593,7 @@ def test_a_run_memo_builds_each_survivor_as_a_fresh_one(request, target, levels,
     assert len(survivors) == 1 + kept
     for rows in survivors:
         warm, fresh = Subgroup(group, rows, memo), Subgroup(group, rows)
-        for name in ("_lead_mask", "_div", "_reach", "_runs"):
+        for name in ("_lead_mask", "_div", "_tail", "_runs"):
             assert getattr(warm, name) == getattr(fresh, name), name
         assert pc.c2_homomorphisms(group, warm) == pc.c2_homomorphisms(group, fresh)
     assert len(memo.tails) < len(memo.spans) < len(survivors)
