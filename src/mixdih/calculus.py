@@ -97,22 +97,28 @@ def _d_columns(n: int) -> Tuple[Tuple[str, int, int, int], ...]:
 
 
 def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
-    """The closed-form multiply of a layered presentation.
+    """The closed-form multiply of a layered presentation, for n <= 4.
 
     ax[k][cell] and by[l][cell] are the packed layer-3 words of
     [[x_i,y_j],x_k] and [[x_i,y_j],y_l], cell = n*i + j: the conjugates
     the presentation's conj table holds.  Every correction table is
-    indexed by letter words and is an XOR of those entries:
+    indexed by letter words and is an XOR of those entries; OUTER and TB
+    are flat, at index a2 << n | b1:
 
-      OUTER[a2][b1]  c-mask of {(i,j) : i in a2, j in b1}
-      TB[a2][b1]     a2 crossing b1: by[j_t][n*k + j_s] over k in a2 and
+      OUTER          c-mask of {(i,j) : i in a2, j in b1}
+      TB             a2 crossing b1: by[j_t][n*k + j_s] over k in a2 and
                      j_s < j_t in b1, and ax[a_t][n*a_s + j] over
                      a_s < a_t in a2 and j in b1
       TA[a2], TC[b2] linear in the c layer: the sliced_tables of the
                      c-bit images ax[k] XORed over the letters k of a2
-                     (by[l] over l in b2), 16 entries per 4 bits, so the
-                     multiply applies each with one sliced_apply
+                     (by[l] over l in b2), padded with zero images to 16
+                     c-bits, so 64 entries in 4 slices of 16; the
+                     multiply applies each with four inline lookups
+
+    ValueError for n > 4, whose c layer the four lookups would not cover.
     """
+    if n > 4:
+        raise ValueError(f"the closed-form multiply covers n <= 4 letters per block, not {n}")
     amask = (1 << n) - 1
     c_dim = n * n
     cmask = (1 << c_dim) - 1
@@ -136,15 +142,15 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
         return sum(1 << (n * i + j) for i in word_bits(a2) for j in word_bits(b1))
 
     letter_words = range(1 << n)
-    OUTER = [[outer(a2, b1) for b1 in letter_words] for a2 in letter_words]
-    TB = [[crossing(a2, b1) for b1 in letter_words] for a2 in letter_words]
+    OUTER = [outer(a2, b1) for a2 in letter_words for b1 in letter_words]
+    TB = [crossing(a2, b1) for a2 in letter_words for b1 in letter_words]
 
     def word_tables(per_letter):
         # c-bit images of each letter word, in index order, by doubling
         words = [[0] * c_dim]
         for letter in per_letter:
             words += [[m ^ x for m, x in zip(w, letter)] for w in words]
-        return [sliced_tables(images, 4) for images in words]
+        return [sliced_tables(images + [0] * (16 - c_dim), 4) for images in words]
 
     TA, TC = word_tables(ax), word_tables(by)
 
@@ -154,17 +160,20 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
         g1 = (u >> c_off) & cmask
         d = (u >> d_off) ^ (v >> d_off)
         if a2:
-            q = OUTER[a2][b1]
-            corr = TB[a2][b1]
+            at = a2 << n | b1
+            q = OUTER[at]
+            corr = TB[at]
             if g1:
-                corr ^= sliced_apply(TA[a2], g1, 4)
+                t = TA[a2]
+                corr ^= t[g1 & 15] ^ t[16 | g1 >> 4 & 15] ^ t[32 | g1 >> 8 & 15] ^ t[48 | g1 >> 12]
         else:
             q = 0
             corr = 0
         gm = g1 ^ q
         b2 = (v >> n) & amask
         if b2 and gm:
-            corr ^= sliced_apply(TC[b2], gm, 4)
+            t = TC[b2]
+            corr ^= t[gm & 15] ^ t[16 | gm >> 4 & 15] ^ t[32 | gm >> 8 & 15] ^ t[48 | gm >> 12]
         return (
             ((u & amask) ^ a2)
             | ((b1 ^ b2) << n)
@@ -459,16 +468,30 @@ def split_extension(
     conj: Dict[Tuple[int, int], int] = {(j + k, i + k): w << k for (j, i), w in h.conj.items()}
     conj.update({(t + k, i): img << k for i, gen in enumerate(gens) for t, img in enumerate(gen)})
     conj.update({(j, i): products[inverse[1 << i]][products[1 << j][1 << i]] for j in range(k) for i in range(j)})
-    smask = (1 << k) - 1
+    smask, wmask, size = (1 << k) - 1, (1 << bits) - 1, 1 << bits
 
     def mul(u: int, v: int) -> int:
         t = v & smask
-        w = sliced_apply(tables[t], u >> k, bits) if t else u >> k
+        w = u >> k
+        if t:  # sliced_apply(tables[t], w, bits), inline
+            table, at, x = tables[t], 0, 0
+            while w:
+                x ^= table[at | w & wmask]
+                w >>= bits
+                at += size
+            w = x
         return products[u & smask][t] | (hmul(w, v >> k) << k)
 
     def inv(u: int) -> int:
         s, w = inverse[u & smask], hinv(u >> k)
-        return s | ((sliced_apply(tables[s], w, bits) if s else w) << k)
+        if s:  # sliced_apply(tables[s], w, bits), inline
+            table, at, x = tables[s], 0, 0
+            while w:
+                x ^= table[at | w & wmask]
+                w >>= bits
+                at += size
+            w = x
+        return s | (w << k)
 
     meta = ExtensionMeta(h, letters)
     return PcPresentation(k + h.n, ptails, conj, [*names, *h.names], mul, inv, meta, label)

@@ -6,8 +6,10 @@ bit.  A vector of width w is an int in range(2**w), and a matrix is a
 sequence of such rows.  Nothing here is sparse.
 
 A reduced echelon basis is held in one form, echelon_start, and reduced
-by in one loop, echelon_reduce: echelon_extend (so echelon_ints), the
-tail step of pcgroup.Subgroup's division and calculus's reduce_full.
+by in one loop, echelon_reduce: the tail step of pcgroup.Subgroup's
+division and calculus's reduce_full.  The start's pivot_reach also
+gives the annihilator of the basis, one functional per column off its
+pivots (pcgroup.c2_homomorphisms).
 
 A GF(2)-linear map on words is fixed by the images of its basis bits.
 sliced_tables turns those images into lookup tables, one slice of
@@ -15,11 +17,12 @@ sliced_tables turns those images into lookup tables, one slice of
 one lookup per slice, XORed together (sliced_apply).  An automorphism of
 the layered groups has the same table shape, with a first slice of
 letter products that are not linear (calculus.homomorphism_table), and
-sliced_apply applies it too.  Every table in the package is applied by
-sliced_apply: the layer-3 corrections of the closed-form multiply, the
-twist on layer 3 in relation_space, each element of S in a split
-extension h:S (calculus.split_extension) and every verified
-automorphism.
+sliced_apply applies it too: the twist on layer 3 in relation_space,
+the tables of a split extension h:S while it is built, and every
+verified automorphism.  The two hottest callers apply their tables
+inline, with the same indexing: the layer-3 corrections of the
+closed-form multiply (calculus._make_mul), four 4-bit lookups each, and
+each element of S in the split extension's multiply and inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "echelon_ints",
     "echelon_start",
     "echelon_reduce",
-    "echelon_extend",
     "pivot_reach",
     "sliced_tables",
     "sliced_apply",
@@ -63,44 +65,9 @@ def echelon_ints(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     its lowest bit; the basis is reduced once at the end, from its highest
     pivot down.  So a row costs one XOR per pivot it hits.
     """
-    return echelon_extend(echelon_start(()), rows)
-
-
-EchelonStart = Tuple[Dict[int, int], int, List[Tuple[int, int]]]
-
-
-def echelon_start(basis: Sequence[int]) -> EchelonStart:
-    """The one form of a reduced echelon basis (each pivot cleared in the
-    other rows): its rows by pivot bit, the mask of those bits and their
-    pivot_reach.  Built once per basis; echelon_reduce and
-    echelon_extend leave it as it was."""
-    by_pivot = {b & -b: b for b in basis}
-    mask = sum(by_pivot)
-    return by_pivot, mask, pivot_reach(basis, mask)
-
-
-def echelon_reduce(start: EchelonStart, v: int) -> int:
-    """Residue of v after clearing the pivots of start's basis, in one
-    pass: its rows are reduced at each other's pivots, so the rows at
-    the pivots v hits clear just those, and flip each column they reach
-    by parity(hits & pivots) (pivot_reach)."""
-    _, mask, reached = start
-    hits = v & mask
-    v ^= hits
-    for col, pivs in reached:
-        if (hits & pivs).bit_count() & 1:
-            v ^= col
-    return v
-
-
-def echelon_extend(start: EchelonStart, rows: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """echelon_ints of start's basis followed by rows.  Each row is
-    reduced by start (echelon_reduce), then at the pivots of the rows
-    added before it."""
-    by_pivot, pivmask, _ = start
-    by_pivot = dict(by_pivot)  # pivot bit -> basis row
+    by_pivot: Dict[int, int] = {}  # pivot bit -> basis row
+    pivmask = 0
     for row in rows:
-        row = echelon_reduce(start, row)
         hits = row & pivmask
         while hits:
             low = hits & -hits
@@ -118,6 +85,33 @@ def echelon_extend(start: EchelonStart, rows: Sequence[int]) -> Tuple[List[int],
         by_pivot[low] = row
     order = sorted(by_pivot)
     return [by_pivot[bit] for bit in order], [bit.bit_length() - 1 for bit in order]
+
+
+EchelonStart = Tuple[Dict[int, int], int, List[Tuple[int, int]]]
+
+
+def echelon_start(basis: Sequence[int]) -> EchelonStart:
+    """The one form of a reduced echelon basis (each pivot cleared in the
+    other rows): its rows by pivot bit, the mask of those bits and their
+    pivot_reach.  Built once per basis; echelon_reduce leaves it as it
+    was."""
+    by_pivot = {b & -b: b for b in basis}
+    mask = sum(by_pivot)
+    return by_pivot, mask, pivot_reach(basis, mask)
+
+
+def echelon_reduce(start: EchelonStart, v: int) -> int:
+    """Residue of v after clearing the pivots of start's basis, in one
+    pass: its rows are reduced at each other's pivots, so the rows at
+    the pivots v hits clear just those, and flip each column they reach
+    by parity(hits & pivots) (pivot_reach)."""
+    _, mask, reached = start
+    hits = v & mask
+    v ^= hits
+    for col, pivs in reached:
+        if (hits & pivs).bit_count() & 1:
+            v ^= col
+    return v
 
 
 def pivot_reach(basis: Sequence[int], pivmask: int) -> List[Tuple[int, int]]:

@@ -42,7 +42,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2linalg import EchelonStart, echelon_extend, echelon_ints, echelon_reduce, echelon_start, lowbit_index, word_bits
+from .gf2linalg import EchelonStart, echelon_ints, echelon_reduce, echelon_start, lowbit_index, word_bits
 
 __all__ = [
     "PcPresentation",
@@ -268,8 +268,8 @@ class ProductMemo:
     * images: the echelon basis of the tail words [t, h] under (top
       part h, tail members), which tail blocks share (_tail_span);
     * spans: under (top parts, tail members), the echelon_start of their
-      tail block (relation_rows), from which c2_homomorphisms reduces
-      the top rows;
+      tail block (relation_rows), whose annihilator c2_homomorphisms
+      cuts down by the top rows;
     * tails: the tail half of a Subgroup (_tail_division) under (number
       of top members, tail members).
 
@@ -698,29 +698,43 @@ def c2_homomorphisms(group: PcPresentation, s: Subgroup) -> List[int]:
     """The nonzero homomorphisms s -> C2, as functionals on IGS coordinates.
 
     By the Burnside basis theorem their kernels are the maximal subgroups
-    of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|.  The
-    top rows of relation_rows are reduced from the echelon_start of its
-    tail block, which s.memo holds; the free columns of the result
-    sit at the leads outside Phi(s).  Functional number f sets free
-    column t from bit t of f and each pivot from the parity of its row,
-    for f = 1 .. 2**rank - 1.  The rows are fully reduced, so each meets
-    a functional only at free columns and the parity is linear in f: the
-    functionals are built by doubling, from one per free column (its bit
-    and the pivots of the rows that have it).  The reduced rows depend
-    only on the span of the relations, so the memo s holds, shared or
-    its own, changes no output.
+    of s, and there are 2**rank - 1 of them, rank = |s| - |Phi(s)|: the
+    annihilator of the relation rows (relation_rows), read here without
+    echelonizing the rows.  The tail block's echelon_start gives the
+    annihilator of the block alone: one functional per column off its
+    pivots, that column's bit and the pivots of the rows that reach it
+    (its `reached` entry), each zero on every row.  Each top row then
+    cuts the annihilator by one dimension, or none: the functionals that
+    are odd on it are those of the columns the reduced row keeps, so the
+    lowest of them is the pivot the row would add; XOR it into the other
+    odd ones and drop it.  What is left is one functional per free
+    column of the reduced echelon form of all the rows, in ascending
+    column order, the column's bit and the pivots of the rows that have
+    it.  Functional number f is the XOR of those of the free columns
+    with bit t of f set, for f = 1 .. 2**rank - 1, built by doubling.
+    The annihilator depends only on the span of the relations, so the
+    memo s holds, shared or its own, changes no output.
     """
-    rows, start = relation_rows(group, s)
-    basis, pivots = echelon_extend(start, rows)
-    taken = set(pivots)
+    rows, (_, pivmask, reached) = relation_rows(group, s)
+    reach = dict(reached)
+    free = ~pivmask & ((1 << len(s.members)) - 1)
+    funcs = []
+    while free:
+        col = free & -free
+        funcs.append(col | reach.get(col, 0))
+        free ^= col
+    for row in rows:
+        pivot = None
+        for i, a in enumerate(funcs):
+            if (row & a).bit_count() & 1:
+                if pivot is None:
+                    pivot, at = a, i
+                else:
+                    funcs[i] = a ^ pivot
+        if pivot is not None:
+            del funcs[at]
     out = [0]
-    for col in range(len(s.members)):
-        if col in taken:
-            continue
-        a = 1 << col
-        for row, p in zip(basis, pivots):
-            if (row >> col) & 1:
-                a |= 1 << p
+    for a in funcs:
         out += [x ^ a for x in out]
     return out[1:]
 

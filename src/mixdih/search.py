@@ -30,8 +30,10 @@ and tail members, and survivors of one level share a few dozen such
 spans at most (p59: 1, 2, 2, 6, 14, 30 per level).  The memo holds one
 entry per span, the echelon_start of the reduced echelon form of its
 coordinates (gf2linalg.echelon_start), built the first time a survivor
-needs it (pcgroup.relation_rows); each survivor reduces only its top
-rows, from that start.  Survivors share their tail members even more
+needs it (pcgroup.relation_rows).  A survivor's homomorphisms are read
+off the annihilator of that block, its start's `reached` list, which
+each of its top rows cuts by at most one functional; no survivor
+echelonizes its rows.  Survivors share their tail members even more
 (p59's 128 level-5 survivors have 4 sets of them), and the memo holds
 the tail half of each Subgroup's division tables under its tail
 members (pcgroup._tail_division): their echelon_start, by which a tail

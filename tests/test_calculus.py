@@ -476,6 +476,50 @@ def test_toy_shape_and_agreement(toy):
             assert toy.multiply(u, v) == toy.collect_multiply(u, v)
 
 
+@pytest.mark.parametrize("name", ["toy2", "h56", "F4"])
+def test_multiply_matches_collector_on_full_and_single_c_bits(toy, h56, name):
+    # the four inline lookups of TA and TC read the c layer 4 bits at a
+    # time: u's c layer with every bit set, and with each bit alone, under
+    # every letter word of v (toy2's 4 c-bits padded to 16); v's own c
+    # layer is the same word, so the product's c layer cancels to OUTER
+    group = {"toy2": toy, "h56": h56, "F4": ca.free_group()}[name]
+    n = group.meta.n
+    c_dim, letters = n * n, 1 << 2 * n
+    rng = random.Random(44)
+    for g in [(1 << c_dim) - 1] + [1 << t for t in range(c_dim)]:
+        for a2b2 in range(letters):
+            u = rng.getrandbits(2 * n) | g << 2 * n | rng.getrandbits(group.n) >> group.meta.d_off << group.meta.d_off
+            v = a2b2 | g << 2 * n
+            assert group.multiply(u, v) == group.collect_multiply(u, v), (g, a2b2)
+
+
+def test_closed_form_multiply_refuses_more_than_four_letters():
+    with pytest.raises(ValueError, match="n <= 4"):
+        ca._make_mul(5, [], [])
+    with pytest.raises(ValueError, match="n <= 4"):
+        ca._layered_presentation(5, (), "F5")
+
+
+@pytest.mark.parametrize("name", ["p59", "toy_sylow"])
+def test_split_extension_matches_collector_on_each_part_of_s(p59, toy_sylow, name):
+    # each S part s of u, and t of v, so that every element's inline
+    # table is applied, on random words of the base and on its all-ones
+    # word; an inverse is right when the collector sends u * inverse(u)
+    # to the identity
+    group = {"p59": p59, "toy_sylow": toy_sylow}[name]
+    k = group.n - group.meta.base.n
+    base = group.meta.base.n
+    rng = random.Random(45)
+    for s in range(1 << k):
+        for w in [(1 << base) - 1] + [rng.getrandbits(base) for _ in range(3)]:
+            u = s | w << k
+            inv = group.inverse(u)
+            assert group.collect_multiply(u, inv) == 0, (s, w)
+            for t in range(1 << k):
+                v = t | rng.getrandbits(base) << k
+                assert group.multiply(u, v) == group.collect_multiply(u, v), (s, t, w)
+
+
 def test_rho_is_an_order8_automorphism(h56, rho_power):
     for i in range(4):
         assert rho_power(1 << i, 1) == 1 << (4 + i)

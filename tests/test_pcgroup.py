@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mixdih import calculus as ca
 from mixdih import pcgroup as pc
-from mixdih.gf2linalg import echelon_extend, echelon_ints, echelon_start, lowbit_index, word_bits
+from mixdih.gf2linalg import echelon_ints, echelon_start, lowbit_index, word_bits
 
 
 def test_validation_rejects_bad_words():
@@ -768,6 +768,40 @@ def test_fast_loops_match_references_on_p59_survivors(p59, p59_survivors):
         assert_fast_loops_match_references(p59, s, rng, shared)
 
 
+def test_fast_loops_match_references_on_toy_sylow_survivors(toy_sylow):
+    """Levels 1-3 of P_toy's descent: rank-3 quotients, most of whose
+    kernels are kept, so the annihilator keeps three functionals."""
+    rng = random.Random(19)
+    shared = pc.ProductMemo(toy_sylow)
+    survivors = descent_survivors(toy_sylow, 3)
+    assert len(survivors) == 6 + 14 + 40
+    ranks = set()
+    for s in survivors:
+        assert_fast_loops_match_references(toy_sylow, s, rng, shared)
+        ranks.add(len(pc.c2_homomorphisms(toy_sylow, s)).bit_length())
+    assert 3 in ranks
+
+
+def test_c2_homomorphisms_need_the_reach_of_the_tail_block(p59, p59_survivors):
+    """A mutant relation_rows whose tail block start has its reached list
+    emptied seeds each free column's functional with the column's bit
+    alone.  Some p59 survivor then gets homomorphisms other than the
+    reference, so assert_fast_loops_match_references sees a seed that
+    loses its pivots."""
+    want = [reference_functionals(p59, s) for s in p59_survivors]
+    rows_of = pc.relation_rows
+
+    def unreached(group, s):
+        rows, (by_pivot, mask, _) = rows_of(group, s)
+        return rows, (by_pivot, mask, [])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pc, "relation_rows", unreached)
+        got = [pc.c2_homomorphisms(p59, s) for s in p59_survivors]
+    assert pc.relation_rows is rows_of
+    assert got != want
+
+
 def test_fast_loops_match_references_on_random_subgroups(toy, h56):
     rng = random.Random(18)
     for group, count in ((toy, 40), (h56, 12)):
@@ -898,17 +932,16 @@ def tail_block(start):
     block _tail_span built it from must already be in reduced echelon
     form, which echelon_start reads it as: reducing its rows again must
     give the same start."""
-    block = echelon_extend(start, [])[0]
+    block = echelon_ints(list(start[0].values()))[0]
     assert echelon_start(block) == start
     return block
 
 
 def reduced_relations(group, s):
-    """The reduced echelon form of relation_rows: its top rows reduced
-    against its tail block, as c2_homomorphisms reduces them."""
+    """The reduced echelon form of relation_rows, its tail block and its
+    top rows, whose annihilator c2_homomorphisms reads."""
     rows, start = pc.relation_rows(group, s)
-    tail_block(start)
-    return echelon_extend(start, rows)
+    return echelon_ints(tail_block(start) + rows)
 
 
 def test_relation_rows_skip_only_commuting_pairs(p59, p59_survivors, toy_sylow):

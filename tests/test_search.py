@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mixdih import calculus
+from mixdih import calculus, gf2linalg
 from mixdih import pcgroup as pc
 from mixdih import search as se
 from mixdih.graphs import letter_subgroups
@@ -254,11 +254,17 @@ CHECKPOINT_SHA256 = [
 # moves them
 DESCENT_CALLS = {"multiply": 8_275, "inverse": 227}
 
-# top relation rows reduced against a tail block, and tail blocks built
-# on a memo miss (pcgroup._tail_span), in the same run; a change that
-# reduces the top x tail pairs as top rows, or that loses the per-key
-# memo of the blocks, moves them
+# top relation rows that cut a tail block's annihilator, and tail
+# blocks built on a memo miss (pcgroup._tail_span), in the same run; a
+# change that reduces the top x tail pairs as top rows, or that loses
+# the per-key memo of the blocks, moves them
 RELATION_WORK = {"top_rows": 7_206, "tail_blocks": 55}
+
+# gf2linalg.echelon_reduce calls in the same run, all from the tail step
+# of Subgroup._divide; a change that reduces rows by an empty start, or
+# that reduces the top rows by the tail block again to read the
+# homomorphisms, moves it
+GF2_WORK = {"echelon_reduce": 9_765}
 
 
 def _counting(calls, name, fn):
@@ -281,28 +287,37 @@ def _summing_top_rows(work, name, fn):
 @pytest.fixture(scope="module")
 def counted_descent(p59):
     """Levels 1-6 of the descent as run_search runs it, with the p59
-    multiply and inverse calls it made and its relation work."""
+    multiply and inverse calls it made, its relation work and its
+    echelon_reduce calls."""
     calls = dict.fromkeys(DESCENT_CALLS, 0)
     work = dict.fromkeys(RELATION_WORK, 0)
+    gf2 = dict.fromkeys(GF2_WORK, 0)
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(p59, name, _counting(calls, name, getattr(p59, name)))
         mp.setattr(pc, "relation_rows", _summing_top_rows(work, "top_rows", pc.relation_rows))
         mp.setattr(pc, "_tail_span", _counting(work, "tail_blocks", pc._tail_span))
+        reduce = _counting(gf2, "echelon_reduce", gf2linalg.echelon_reduce)
+        mp.setattr(pc, "echelon_reduce", reduce)
+        mp.setattr(gf2linalg, "echelon_reduce", reduce)
         levels = [se.root_level(p59, se.stab_subgroup(p59))]
         for _ in range(6):
             levels.append(se.descend(p59, levels[-1], se.SearchConfig()))
-    return levels[1:], calls, work
+    return levels[1:], calls, work, gf2
 
 
 def test_descent_work_is_pinned(counted_descent):
-    levels, calls, _ = counted_descent
+    levels, calls = counted_descent[:2]
     assert [len(level.survivors) for level in levels] == [2, 2, 12, 48, 128, 0]
     assert calls == DESCENT_CALLS
 
 
 def test_relation_work_is_pinned(counted_descent):
     assert counted_descent[2] == RELATION_WORK
+
+
+def test_gf2_work_is_pinned(counted_descent):
+    assert counted_descent[3] == GF2_WORK
 
 
 def _assert_same_levels(got, serial):
