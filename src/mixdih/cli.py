@@ -15,7 +15,8 @@ verify runs before it writes its report.  A --from-file
 path that is missing or unreadable is a failed <target>_file_parses
 check, so verify exits 1 and still writes its report; maps exits 65 on
 a missing file.  Usage errors, --levels past the stabilizer's six
-halvings among them, exit 2 before any check runs.
+halvings among them, exit 2 before any check runs.  verify all descends
+against the stabilizer that p59_stab_order certifies, to its order log.
 """
 
 import argparse
@@ -87,13 +88,14 @@ class CheckRun:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = seed
         self.entries: List[Dict] = []
+        self.values: Dict[str, object] = {}
 
     def add(self, name: str, claim: str, expected, thunk: Callable[[], object], seeded: bool = False,
             actual: Optional[Callable[[object], object]] = None):
         """Run thunk and record its value, or actual(value) if actual is
-        given, against expected; return the value, or None if thunk
-        raised.  A check that draws random words from run.seed is seeded,
-        and its entry records the seed."""
+        given, against expected; keep the value, or None if thunk raised,
+        in values[name] and return it.  A check that draws random words
+        from run.seed is seeded, and its entry records the seed."""
         t0 = time.perf_counter()
         value = None
         try:
@@ -112,6 +114,7 @@ class CheckRun:
         })
         if seeded:
             self.entries[-1]["seed"] = self.seed
+        self.values[name] = value
         return value
 
 
@@ -505,14 +508,15 @@ def _checks_properties(run: CheckRun, groups: Dict[str, PcPresentation]) -> None
     )
 
 
-def _check_search(run: CheckRun, p: PcPresentation, threads: int) -> None:
+def _check_search(run: CheckRun, threads: int) -> None:
+    stab = run.values["p59_stab_order"]
     run.add(
         "p59_no_regular_subgroup",
-        f"the six-level descent keeps {DESCENT_SURVIVORS} survivors of "
-        f"{DESCENT_CANDIDATES} candidates, so no subgroup acts regularly "
-        "on the stabilizer cosets",
+        "the descent against the stabilizer of p59_stab_order, one level per halving of its meet, "
+        f"keeps {DESCENT_SURVIVORS} survivors of {DESCENT_CANDIDATES} candidates, so no subgroup "
+        "acts regularly on the stabilizer cosets",
         [DESCENT_SURVIVORS, DESCENT_CANDIDATES, True],
-        lambda: se.run_search(p, se.SearchConfig(threads=threads)),
+        lambda: se.run_search(_built(stab).group, se.SearchConfig(threads=threads), stab),
         actual=lambda rep: [rep.survivor_counts, rep.candidate_counts, rep.no_regular_subgroup],
     )
 
@@ -571,7 +575,7 @@ def cmd_verify(args) -> int:
             battery(run, group)
     if args.target == "all" and group is not None:
         _checks_properties(run, built)
-        _check_search(run, built["p59"], args.threads)
+        _check_search(run, args.threads)
     report = {
         "engine_version": ENGINE_VERSION,
         "target": args.target,
@@ -596,13 +600,9 @@ def cmd_search(args) -> int:
         # does; appending leaves an existing checkpoint whole
         open(args.checkpoint, "a", encoding="ascii").close()
     p = _build_target("p59")
-    cfg = se.SearchConfig(
-        levels=args.levels,
-        checkpoint_path=args.checkpoint,
-        threads=args.threads,
-        log=lambda msg: print(msg, flush=True),
-    )
-    rep = se.run_search(p, cfg)
+    cfg = se.SearchConfig(levels=args.levels, checkpoint_path=args.checkpoint, threads=args.threads,
+                          log=lambda msg: print(msg, flush=True))
+    rep = se.run_search(p, cfg, se.stab_subgroup(p))
     print(f"survivors per level: {rep.survivor_counts}")
     print(f"wall seconds: {rep.wall_seconds:.2f}")
     if rep.no_regular_subgroup:
@@ -699,7 +699,7 @@ def _parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="run the regular-subgroup descent")
-    s.add_argument("--levels", type=_positive_int, default=6, help="descent levels, 1 to 6 (default 6)")
+    s.add_argument("--levels", type=_positive_int, help="descent levels, 1 to 6 (default: the stabilizer's order log, 6)")
     s.add_argument("--checkpoint", type=_path, help="write each completed level here")
     s.add_argument("--threads", type=_positive_int, default=1, help="descent workers (default 1)")
     s.set_defaults(func=cmd_search)
@@ -723,7 +723,7 @@ def main(argv=None) -> int:
         ap.error("verify all builds its groups; --from-file needs a single target")
     if args.command == "verify" and args.target != "all" and args.threads != 1:
         ap.error("only verify all runs the descent, so only it takes --threads")
-    if args.command == "search" and args.levels > len(DESCENT_SURVIVORS):
+    if args.command == "search" and (args.levels or 0) > len(DESCENT_SURVIVORS):
         ap.error(f"--levels must be at most {len(DESCENT_SURVIVORS)}, the stabilizer's order log")
     try:
         return args.func(args)

@@ -10,8 +10,8 @@ only keep the meet or halve it, so any regular subgroup sits at the
 bottom of a six-step chain of maximal subgroups whose stabilizer meets
 halve at every level.  The run expands those chains breadth-first with
 canonical deduplication; an empty sixth level proves that no regular
-subgroup exists.  A run goes no deeper than the stabilizer's order log,
-where the meet is trivial and cannot halve again.
+subgroup exists.  A run goes to the stabilizer's order log, where the
+meet is trivial and cannot halve again, unless told to stop sooner.
 
 A survivor's maximal subgroups are the kernels of its homomorphisms to
 C2, found as GF(2) functionals on its IGS coordinates
@@ -105,14 +105,16 @@ Rows = Tuple[int, ...]
 
 
 class SearchConfig:
+    """levels None runs as many levels as the stabilizer's order log."""
+
     def __init__(
         self,
-        levels: int = 6,
+        levels: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         threads: int = 1,
         log: Optional[Callable[[str], None]] = None,
     ):
-        if levels < 1:
+        if levels is not None and levels < 1:
             raise ValueError(f"levels must be at least 1, got {levels}")
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
@@ -309,24 +311,19 @@ def write_checkpoint(path, level: SearchLevel) -> None:
 # ── the full run ─────────────────────────────────────────────────────────────
 
 
-def run_search(
-    p: PcPresentation,
-    config: Optional[SearchConfig] = None,
-    stab: Optional[Subgroup] = None,
-) -> SearchReport:
+def run_search(p: PcPresentation, config: SearchConfig, stab: Subgroup) -> SearchReport:
     """Breadth-first descent from the whole group, one level per halving
-    of the stabilizer meet; an empty final level means no subgroup acts
-    regularly on the stabilizer's coset space.  Raises ValueError, before
-    any level runs, for more levels than the stabilizer's order log."""
-    config = config or SearchConfig()
-    stab = stab if stab is not None else stab_subgroup(p)
-    if config.levels > stab.order_log:
-        raise ValueError(f"levels {config.levels} is past the stabilizer's order 2^{stab.order_log}")
+    of the meet with stab, to config.levels or else stab.order_log; an
+    empty final level means no subgroup acts regularly on stab's cosets.
+    Raises ValueError, before any level runs, past stab.order_log."""
+    levels = stab.order_log if config.levels is None else config.levels
+    if levels > stab.order_log:
+        raise ValueError(f"levels {levels} is past the stabilizer's order 2^{stab.order_log}")
     t0 = time.perf_counter()
     level = root_level(p, stab)
     report = SearchReport()
     with _run(p, config.worker_count()):
-        while level.depth < config.levels:
+        while level.depth < levels:
             level = descend(p, level, config)
             report.required_meet_logs.append(level.required_meet_log)
             report.survivor_counts.append(len(level.survivors))

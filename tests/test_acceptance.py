@@ -165,7 +165,7 @@ def test_07_hypothesis_report(normality, h56_checks):
 
 def test_08_non_cayley_search(p59):
     with _Budget(1800):
-        report = se.run_search(p59)
+        report = se.run_search(p59, se.SearchConfig(), se.stab_subgroup(p59))
         assert report.survivor_counts == [2, 2, 12, 48, 128, 0]
         assert report.candidate_counts == [3, 6, 14, 84, 336, 896]
         assert report.no_regular_subgroup

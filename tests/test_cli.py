@@ -12,7 +12,7 @@ from mixdih import graphs as gr
 from mixdih import morphisms as mo
 from mixdih import search as se
 from mixdih.cli import main
-from mixdih.pcgroup import load_presentation
+from mixdih.pcgroup import load_presentation, subgroup_igs
 from test_pcgroup import LOOSE_NUMBER_PC2, NON_ASCII_PC2, all_triples_check
 
 
@@ -55,24 +55,30 @@ def test_verify_report_stable_modulo_timings(tmp_path):
 
 # sha256 prefixes of each timing-stripped report, dumped with sorted keys,
 # and of each graph export; the claim battery must emit the same bytes
-REPORT_SHA256 = {"h56": "328c6857570a663a", "p59": "3b89d50f3b1ee113", "toy2": "4fc8d8f36b1ba739"}
+REPORT_SHA256 = {
+    "h56": "328c6857570a663a", "p59": "3b89d50f3b1ee113", "toy2": "4fc8d8f36b1ba739", "all": "263c7863190c9d3d",
+}
 GRAPH_SHA256 = {"cayley": "194a487e0c674852", "incidence": "d2132608c5ccf84b", "quotient": "2a3147e9cc894af5"}
 
 # calls one verify makes to the names that build its certificate objects;
 # each is built once and every check reads it.  The builders and
 # consistency_check are counted in cli's namespace, where the benchmark's
-# tracer wraps them: a target table holding a builder would miss the count
+# tracer wraps them: a target table holding a builder would miss the count.
+# verify all's descent reads the stabilizer that p59_stab_order built
 VERIFY_CALLS = {
     "h56": {"extend": 7, "closure": 2, "cayley_graph": 0, "bicoset_graph": 0,
-            "build_h56": 1, "build_p59": 0, "build_toy": 0, "consistency_check": 1},
+            "build_h56": 1, "build_p59": 0, "build_toy": 0, "consistency_check": 1, "stab_subgroup": 0},
     "p59": {"extend": 0, "closure": 0, "cayley_graph": 0, "bicoset_graph": 0,
-            "build_h56": 1, "build_p59": 1, "build_toy": 0, "consistency_check": 1},
+            "build_h56": 1, "build_p59": 1, "build_toy": 0, "consistency_check": 1, "stab_subgroup": 1},
     "toy2": {"extend": 3, "closure": 0, "cayley_graph": 1, "bicoset_graph": 1,
-             "build_h56": 0, "build_p59": 0, "build_toy": 1, "consistency_check": 1},
+             "build_h56": 0, "build_p59": 0, "build_toy": 1, "consistency_check": 1, "stab_subgroup": 0},
+    "all": {"extend": 10, "closure": 2, "cayley_graph": 1, "bicoset_graph": 1,
+            "build_h56": 1, "build_p59": 1, "build_toy": 1, "consistency_check": 3, "stab_subgroup": 1},
 }
 COUNTED = (
     (mo, "extend"), (mo, "closure"), (gr, "cayley_graph"), (gr, "bicoset_graph"),
     (cli, "build_h56"), (cli, "build_p59"), (cli, "build_toy"), (cli, "consistency_check"),
+    (se, "stab_subgroup"),
 )
 
 
@@ -234,7 +240,12 @@ BROKEN_READERS = {
         "toy2_incidence_shape", "toy2_incidence_girth", "toy2_line_graph_correspondence",
         "toy2_quotient_complete_bipartite_cover", "toy2_two_arc_orbits", "toy2_edge_regular_translation_action",
     ]),
+    # the descent reads the stabilizer of p59_stab_order, and builds none
+    "all": (se, "stab_subgroup", [
+        "p59_stab_order", "p59_stab_meets_normal_part_in_x_block", "p59_no_regular_subgroup",
+    ]),
 }
+READ_FAILED = "error: RuntimeError: a certificate object this check reads failed to build"
 
 
 @pytest.mark.parametrize("target", sorted(BROKEN_READERS))
@@ -254,7 +265,24 @@ def test_a_certificate_object_that_fails_to_build_fails_only_its_readers(
     assert [c["name"] for c in checks] == [c["name"] for c in report["checks"]]
     failed = [c for c in checks if c["status"] != "pass"]
     assert [c["name"] for c in failed] == readers
-    assert all(c["actual"].startswith("error: RuntimeError") for c in failed)
+    assert failed[0]["actual"] == f"error: RuntimeError: {name} is broken"
+    assert [c["actual"] for c in failed[1:]] == [READ_FAILED] * (len(readers) - 1)
+
+
+def test_the_descent_reads_an_over_large_stabilizer(tmp_path, monkeypatch):
+    """A stabilizer closed with the top generator as well has order 2^10.
+    The descent reads it and runs one level per halving of its meet, 10
+    levels, so the verdict check fails along with both stabilizer checks."""
+    stab_subgroup = se.stab_subgroup
+    monkeypatch.setattr(se, "stab_subgroup", lambda p: subgroup_igs(p, [*stab_subgroup(p).members, 1 << (p.n - 1)]))
+    path = tmp_path / "all.json"
+    assert main(["verify", "all", "--report", str(path)]) == 3
+    checks = json.loads(path.read_text(encoding="ascii"))["checks"]
+    assert {c["name"]: c["actual"] for c in checks if c["status"] != "pass"} == {
+        "p59_stab_order": 1024,
+        "p59_stab_meets_normal_part_in_x_block": 256,
+        "p59_no_regular_subgroup": [[2, 2, 12, 48, 128, 0, 0, 0, 0, 0], [3, 6, 14, 84, 336, 896, 0, 0, 0, 0], True],
+    }
 
 
 # each builder, and the target whose build first calls it in each verify
@@ -418,8 +446,9 @@ def test_search_progress_lines_show_elapsed_seconds(capsys):
 def test_verify_all_passes_threads_to_the_descent(tmp_path, monkeypatch):
     received = []
 
-    def fake_run_search(p, config=None, stab=None):
-        received.append(config.threads if config else None)
+    def fake_run_search(p, config, stab):
+        assert stab.order == 64 and stab.group is p
+        received.append(config.threads)
         return se.SearchReport(
             survivor_counts=[2, 2, 12, 48, 128, 0],
             candidate_counts=[3, 6, 14, 84, 336, 896],

@@ -182,12 +182,13 @@ def test_toy_sylow_descent_keeps_its_regular_subgroups(toy_sylow):
     """Positive control for the verdict's method at toy scale: against the
     vertex stabilizer <X, sigma*tau, tau**2> of P_toy = toy:<sigma, tau>,
     of order 16 and index 128, the descent keeps survivors at every level
-    down to the regular subgroups of order 128."""
+    down to the regular subgroups of order 128.  It runs as many levels
+    as the stabilizer's order log, 4, when none are given."""
     stab = se.stab_subgroup(toy_sylow)
     assert stab.order == 16
     assert stab.contains(0b011) and stab.contains(0b100)
     assert not stab.contains(0b001) and not stab.contains(0b010)
-    rep = se.run_search(toy_sylow, se.SearchConfig(levels=4))
+    rep = se.run_search(toy_sylow, se.SearchConfig(), stab)
     assert rep.candidate_counts == [7, 30, 78, 264]
     assert rep.survivor_counts == [6, 14, 40, 72]
     assert not rep.no_regular_subgroup
@@ -199,8 +200,6 @@ def test_stab_subgroup_needs_a_split_extension(tmp_path, toy, h56, p59):
     for group in (toy, h56, pc.load_presentation(path)):
         with pytest.raises(ValueError, match="split extension"):
             se.stab_subgroup(group)
-        with pytest.raises(ValueError, match="split extension"):
-            se.run_search(group, se.SearchConfig(levels=1))
 
 
 def test_checkpoint_roundtrip(tmp_path, toy, toy_stab):
@@ -559,7 +558,7 @@ def test_a_run_leaves_the_presentation_as_it_was(h56):
     a p59 built for this test leaves each of its attributes as it was."""
     group = calculus.build_p59(h56)
     before = {name: repr(value) for name, value in vars(group).items()}
-    assert se.run_search(group, se.SearchConfig()).no_regular_subgroup
+    assert se.run_search(group, se.SearchConfig(), se.stab_subgroup(group)).no_regular_subgroup
     assert {name: repr(value) for name, value in vars(group).items()} == before
 
 
