@@ -57,7 +57,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .gf2linalg import echelon_ints, echelon_reduce, echelon_start, lowbit_index, sliced_apply, sliced_tables, word_bits
+from .gf2linalg import echelon_ints, echelon_reduce, echelon_start, lowbit_index, sliced_apply, sliced_tables
 from .pcgroup import PcPresentation
 
 __all__ = [
@@ -115,6 +115,11 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
                      c-bits, so 64 entries in 4 slices of 16; the
                      multiply applies each with four inline lookups
 
+    OUTER and TB double over the highest letter k of a2, rest = a2 ^ 1<<k:
+    OUTER[a2|b1] = OUTER[rest|b1] ^ b1 << n*k, and TB adds to TB[rest|b1]
+    k's own y-crossing row TB[1<<k|b1] and TA[1<<k] on OUTER[rest|b1].
+    That row doubles over the highest letter l of b1 alike, by TC[1<<l].
+
     ValueError for n > 4, whose c layer the four lookups would not cover.
     """
     if n > 4:
@@ -125,26 +130,6 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
     c_off = 2 * n
     d_off = c_off + c_dim
 
-    def crossing(a2: int, b1: int) -> int:
-        ai, bj = word_bits(a2), word_bits(b1)
-        m = 0
-        for s, js in enumerate(bj):
-            for jt in bj[s + 1 :]:
-                for k in ai:
-                    m ^= by[jt][n * k + js]
-        for s, a_s in enumerate(ai):
-            for a_t in ai[s + 1 :]:
-                for j in bj:
-                    m ^= ax[a_t][n * a_s + j]
-        return m
-
-    def outer(a2: int, b1: int) -> int:
-        return sum(1 << (n * i + j) for i in word_bits(a2) for j in word_bits(b1))
-
-    letter_words = range(1 << n)
-    OUTER = [outer(a2, b1) for a2 in letter_words for b1 in letter_words]
-    TB = [crossing(a2, b1) for a2 in letter_words for b1 in letter_words]
-
     def word_tables(per_letter):
         # c-bit images of each letter word, in index order, by doubling
         words = [[0] * c_dim]
@@ -153,6 +138,18 @@ def _make_mul(n: int, ax: Sequence[Sequence[int]], by: Sequence[Sequence[int]]) 
         return [sliced_tables(images + [0] * (16 - c_dim), 4) for images in words]
 
     TA, TC = word_tables(ax), word_tables(by)
+    size = 1 << n
+    OUTER, TB = [0] * (size * size), [0] * (size * size)
+    for a2 in range(1, size):
+        k = a2.bit_length() - 1
+        at, rest = a2 << n, (a2 ^ 1 << k) << n
+        for b1 in range(1, size):
+            OUTER[at | b1] = OUTER[rest | b1] ^ b1 << n * k
+            if rest:
+                TB[at | b1] = TB[rest | b1] ^ TB[1 << (k + n) | b1] ^ sliced_apply(TA[1 << k], OUTER[rest | b1], 4)
+            else:
+                below = b1 ^ 1 << (b1.bit_length() - 1)
+                TB[at | b1] = TB[at | below] ^ sliced_apply(TC[b1 ^ below], OUTER[at | below], 4)
 
     def mul(u: int, v: int) -> int:
         a2 = v & amask

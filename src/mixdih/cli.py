@@ -155,7 +155,7 @@ def _checks_h56(run: CheckRun, h: PcPresentation) -> None:
             if mul(a, a) != 0:
                 return False
             for b in members[i + 1:]:
-                if h.commutator(a, b) != 0:
+                if mul(a, b) != mul(b, a):
                     return False
         return True
 

@@ -19,12 +19,13 @@ relation from it and hands it to the automorphism it returns.
 
 The letters generate the group, so an automorphism is determined by its
 letter images, and everything past extend reads it only on letter
-tuples, one _letter_step at a time: the order of f is the orbit of the
-identity tuple under f, a power is f applied e times to the letters, and
-the twist relations are compared letter by letter.  Every orbit comes from one search,
-orbit(seeds, images): the closure and the order run it on letter tuples,
-the letter-set check on group elements, and the graph module on
-numbered vertices, 2-arcs and edges.
+tuples: the order of f is the orbit of the identity tuple under f, a
+power is f applied e times to the letters, and the twist relations are
+compared letter by letter.  Every orbit comes from one search,
+orbit(seeds, images): the closure runs it on letter words and then on
+tuples of their byte ids, composed by bytes.translate, the order on
+letter tuples, the letter-set check on group elements, and the graph
+module on numbered vertices, 2-arcs and edges.
 
 The checks used by the verification targets (twist relations, pointwise
 stabilizer) take automorphisms already verified and a closure already
@@ -33,6 +34,7 @@ computed; they extend and close nothing themselves.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .calculus import TWIST_LETTERS, LayeredMeta, generator_images, homomorphism_table, parse_word
@@ -212,30 +214,28 @@ def _identity_letters(group: PcPresentation) -> Tuple[int, ...]:
     return tuple(1 << t for t in range(2 * group.meta.n))
 
 
-def _letter_step(f: VerifiedAutomorphism, tup: Tuple[int, ...]) -> Tuple[int, ...]:
-    """f applied to each word of a letter tuple.  A word below 2**(2n) is
-    a product of letters, and its image is its entry in slice 0 of f's
-    table; longer words go through sliced_apply."""
-    table = f._table
-    bits = 2 * f.group.meta.n
-    letters = 1 << bits
-    return tuple(table[w] if w < letters else sliced_apply(table, w, bits) for w in tup)
-
-
 def closure(gens: Sequence[VerifiedAutomorphism], cap: int = 100_000) -> AutGroup:
-    """Closure under composition; automorphisms are determined by their
-    letter images, so the orbit of the identity runs on letter tuples."""
+    """Closure under composition.  Automorphisms are determined by their
+    letter images, and every letter image of the closure lies in the
+    orbit of the letters under gens, so that orbit's words are numbered
+    as byte ids, each generator becomes a 256-byte bytes.translate table
+    on them, and the orbit of the identity runs on byte strings.  Raises
+    ClosureBudgetExceeded past 256 letter words or cap elements."""
     if not gens:
         raise ValueError("need at least one generator")
     start = _identity_letters(gens[0].group)
-    return AutGroup(orbit([start], lambda tup: [_letter_step(g, tup) for g in gens], cap))
+    words = list(orbit(start, lambda w: [g.apply(w) for g in gens], 256))
+    ids = {w: b for b, w in enumerate(words)}
+    tables = [bytes([ids[g.apply(w)] for w in words] + [0] * (256 - len(words))) for g in gens]
+    keys = orbit([bytes(map(ids.get, start))], lambda key: [key.translate(t) for t in tables], cap)
+    return AutGroup({itemgetter(*key)(words) for key in keys})  # 2n >= 2 ids: a tuple
 
 
 def automorphism_order(f: VerifiedAutomorphism, cap: int = 10_000) -> int:
     """Order of f: the size of the orbit of the identity letter tuple under
     f.  Raises ClosureBudgetExceeded if the order exceeds cap."""
     start = _identity_letters(f.group)
-    return len(orbit([start], lambda tup: [_letter_step(f, tup)], cap))
+    return len(orbit([start], lambda tup: [tuple(map(f.apply, tup))], cap))
 
 
 def letter_power(f: VerifiedAutomorphism, e: int) -> Tuple[int, ...]:
@@ -244,7 +244,7 @@ def letter_power(f: VerifiedAutomorphism, e: int) -> Tuple[int, ...]:
         raise ValueError("negative powers unsupported; use the order")
     tup = _identity_letters(f.group)
     for _ in range(e):
-        tup = _letter_step(f, tup)
+        tup = tuple(map(f.apply, tup))
     return tup
 
 

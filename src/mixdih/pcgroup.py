@@ -200,7 +200,10 @@ class PcPresentation:
         in whole, so in any presentation t * h collects to
         h ^ tail_conjugate(t, h)."""
         conj, clash = self.conj, self.clash
-        for i in word_bits(h & self.top_mask):
+        h &= self.top_mask
+        while h:
+            i = (h & -h).bit_length() - 1
+            h &= h - 1
             hit = t & clash[i]
             t ^= hit
             while hit:

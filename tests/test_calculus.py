@@ -198,18 +198,24 @@ def test_free_group_is_a_consistent_presentation():
     assert consistency_check(f) == []
 
 
-def test_free_multiply_matches_collector_on_every_letter_cell():
+@pytest.mark.parametrize("build", [ca.free_group, ca.build_h56, ca.build_toy], ids=["F4", "h56", "toy2"])
+def test_free_multiply_matches_collector_on_every_letter_cell(build):
     # one pair per letter cell (a2, b1): v's x-word a2 crosses u's y-word
-    # b1, so every TB entry is read.  Both sides have random c and d
-    # layers, u's c layer is nonzero and v's y-word a2 ^ b1 runs over all
-    # 16 words, so every TA and TC word table is applied too
-    f = ca.free_group()
+    # b1, so every OUTER and TB entry is read.  Both sides have random c
+    # and d layers, u's c layer is nonzero and v's y-word a2 ^ b1 runs
+    # over all letter words, so every TA and TC word table is applied
+    # too.  toy2 (n = 2, no d layer) runs the tables' doubling on other
+    # bounds than the 4+4 groups
+    group = build()
+    n, d_off = group.meta.n, group.meta.d_off
+    c_dim, d_dim = n * n, group.n - d_off
     rng = random.Random(16)
-    for a2 in range(16):
-        for b1 in range(16):
-            u = pack(rng.getrandbits(4), b1, rng.getrandbits(16) | 1 << rng.randrange(16), rng.getrandbits(48))
-            v = pack(a2, a2 ^ b1, rng.getrandbits(16), rng.getrandbits(48))
-            assert f.multiply(u, v) == f.collect_multiply(u, v)
+    for a2 in range(1 << n):
+        for b1 in range(1 << n):
+            u = (rng.getrandbits(n) | b1 << n | (rng.getrandbits(c_dim) | 1 << rng.randrange(c_dim)) << 2 * n
+                 | rng.getrandbits(d_dim) << d_off)
+            v = a2 | (a2 ^ b1) << n | rng.getrandbits(c_dim) << 2 * n | rng.getrandbits(d_dim) << d_off
+            assert group.multiply(u, v) == group.collect_multiply(u, v)
 
 
 def test_parse_word_rejects_garbage():

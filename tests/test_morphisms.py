@@ -525,6 +525,18 @@ def test_closure_budget(verified):
                     verified["y_singer_generator"]], cap=10)
 
 
+def test_closure_word_budget(h56):
+    # inner automorphisms move the letters to 2,560 words: past the 256
+    # byte ids the closure numbers them with
+    gens = []
+    for g in (0b0001_0001, 0b0010_0100, 0b1000_1000):
+        images = tuple(h56.conjugate(1 << t, g) for t in range(8))
+        gens.append(mo.extend(mo.GeneratorMap(h56, images)))
+    assert len(mo.orbit([1 << t for t in range(8)], lambda w: [f.apply(w) for f in gens])) == 2560
+    with pytest.raises(mo.ClosureBudgetExceeded):
+        mo.closure(gens)
+
+
 def test_orbit_and_its_budget():
     def double_mod_7(u):
         return [2 * u % 7]
